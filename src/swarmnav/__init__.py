@@ -4,28 +4,40 @@ Invariant Kalman filtering on extended poses, segmented covariance
 bookkeeping with buffered delayed-measurement re-propagation, adaptive GNSS
 outlier gating, covariance-intersection collaborative fusion, and a
 deterministic swarm simulator with an evaluation CLI.
+
+The exports below load on first access (PEP 562), so importing the package
+loads no numpy. That lets `python -m swarmnav.cli` set its BLAS thread
+variables before numpy starts.
 """
 
-from .agent import AgentFilter
-from .covariance import CiResult, Correspondence, CovariancePartition, ci_fuse
-from .filters import ImuSample, LinearMeasurement, NoiseDensities
-from .gate import GateConfig, GateState, GateVerdict, adaptive_k, evaluate
-from .lie import ExtendedPose, se23_exp, se23_log, so3_exp, so3_log
-from .metrics import anees, anees_interval, ate, gate_score, nees
-from .sensors import LandmarkMap, SensorSuite
-from .sim import RunArtifacts, SimConfig, load_config, run_swarm
-from .state import SystemState, error_between, retract
-from .trajectories import TrajectorySpec, truth_at
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentFilter", "CiResult", "Correspondence", "CovariancePartition",
-    "ci_fuse", "ImuSample", "LinearMeasurement", "NoiseDensities",
-    "GateConfig", "GateState", "GateVerdict", "adaptive_k", "evaluate",
-    "ExtendedPose", "se23_exp", "se23_log", "so3_exp", "so3_log",
-    "anees", "anees_interval", "ate", "gate_score", "nees",
-    "LandmarkMap", "SensorSuite", "RunArtifacts", "SimConfig",
-    "load_config", "run_swarm", "SystemState", "error_between", "retract",
-    "TrajectorySpec", "truth_at", "__version__",
-]
+_EXPORTS = {
+    "agent": ("AgentFilter",),
+    "covariance": ("CiResult", "Correspondence", "CovariancePartition", "ci_fuse"),
+    "filters": ("ImuSample", "LinearMeasurement", "NoiseDensities"),
+    "gate": ("GateConfig", "GateState", "GateVerdict", "adaptive_k", "evaluate"),
+    "lie": ("ExtendedPose", "se23_exp", "se23_log", "so3_exp", "so3_log"),
+    "metrics": ("anees", "anees_interval", "ate", "gate_score", "nees"),
+    "sensors": ("LandmarkMap", "SensorSuite"),
+    "sim": ("RunArtifacts", "SimConfig", "load_config", "run_swarm"),
+    "state": ("SystemState", "error_between", "retract"),
+    "trajectories": ("TrajectorySpec", "truth_at"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

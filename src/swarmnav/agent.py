@@ -188,8 +188,7 @@ class AgentFilter:
         if self.visual_buffer.entries and self.visual_buffer.entries[-1].timestamp == t:
             return  # one marker per epoch is enough for cross-block chaining
         self.visual_buffer.push(SensorBufferEntry(
-            self.state, self.partition.core.copy(),
-            np.asarray(correction_term)[:CORE_DIM, :CORE_DIM], t))
+            self.state, self.partition.core.copy(), correction_term, t))
 
     # ------------------------------------------------------------------
     # window management

@@ -146,10 +146,10 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
         P^{C,S}+  = Lambda P^{C,S}
         P^{S,S}+  = P^{S,S} - K_S S K_S'
     """
-    K, Lam, P_post, xi_core = kalman_step(partition.core, meas_core)
+    step = kalman_step(partition.core, meas_core)
+    _, Lam, P_post, xi_core = step
     H = meas_core.H
-    S = H @ partition.core @ H.T + meas_core.noise_cov
-    S = (S + S.T) / 2.0
+    S = step.S
     partition.core = P_post
     xi_blocks = {}
     for bid in list(partition.cross):

@@ -12,6 +12,13 @@ import os
 import sys
 import time
 
+# One BLAS thread unless the user chose otherwise. This must run before
+# numpy loads: the large vision updates would wake OpenBLAS's thread pool,
+# which then contends with every small product after them. Parallelism
+# comes from `montecarlo --jobs` processes, which inherit the setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import yaml
 
@@ -121,10 +128,13 @@ def cmd_montecarlo(args):
             results[run_id] = done
         else:
             todo.append((config, run_id, out_dir))
+    # A forked pool starts every worker up front; start no more than the
+    # runs left to do.
+    workers = min(args.jobs, len(todo))
     if todo:
-        if args.jobs > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for run_id, summary, nees_rows in pool.map(_mc_single, todo):
                     results[run_id] = (summary, nees_rows)
         else:
@@ -391,6 +401,13 @@ def cmd_suite(args):
 # ----------------------------------------------------------------------
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="swarmnav",
                                 description="multi-agent GNSS-visual-inertial "
@@ -407,17 +424,17 @@ def build_parser():
 
     pm = sub.add_parser("montecarlo", help="seeded batch of independent runs")
     pm.add_argument("--config", required=True)
-    pm.add_argument("--runs", type=int, default=50)
+    pm.add_argument("--runs", type=_positive_int, default=50)
     pm.add_argument("--out", default=None)
     pm.add_argument("--seed", type=int, default=None)
-    pm.add_argument("--jobs", type=int, default=1)
+    pm.add_argument("--jobs", type=_positive_int, default=1)
     pm.add_argument("--filter", dest="filter_variant",
                     choices=("ekf", "liekf", "riekf"), default=None)
     pm.set_defaults(fn=cmd_montecarlo)
 
     ps = sub.add_parser("suite", help="canned experiment suites")
     ps.add_argument("--suite", required=True, choices=SUITES)
-    ps.add_argument("--runs", type=int, default=None)
+    ps.add_argument("--runs", type=_positive_int, default=None)
     ps.set_defaults(fn=cmd_suite)
     return p
 

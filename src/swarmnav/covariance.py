@@ -84,6 +84,11 @@ def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_
         raise ValueError("cannot synchronize backwards in time")
     if t_now == t_from:
         return partition
+    if partition.block_dim(block_id) == 0:
+        # Nothing to transport; the IMU buffer may no longer reach t_from
+        # (a camera-off agent that has gone long without an update).
+        partition.last_sync[block_id] = t_now
+        return partition
     events = [(e.timestamp, 0, e.F) for e in imu_buffer.range_after(t_from, t_now)]
     if sensor_buffer is not None:
         bufs = sensor_buffer if isinstance(sensor_buffer, (list, tuple)) else [sensor_buffer]
@@ -271,14 +276,25 @@ def _ci_trace_objective(P, meas: LinearMeasurement):
     remote noise to R/(1-w),
 
         tr(P+) = tr(P)/w - tr(A S(w)^-1 A') / w^2,
-        A = P H',  S(w) = (H P H')/w + R/(1-w),
+        A = P H',  S(w) = (H P H')/w + R/(1-w).
 
-    so the weight search costs one small solve per evaluation instead of a
-    full-dimension update."""
+    In the eigenbasis of the pencil (H P H', R) (Niehsen, "Fast covariance
+    intersection", FUSION 2002): with R = L L' and
+    L^-1 H P H' L^-T = V diag(lam) V', S(w) = T D(w) T' for T = L V and
+    D(w) = diag(lam/w + 1/(1-w)). Hence, with c = squared row norms of
+    T^-1 A',
+
+        tr(P+) = (tr(P) - sum_i c_i (1-w) / (lam_i (1-w) + w)) / w,
+
+    and after one Cholesky and one m x m eigh each evaluation is a sum of
+    m scalar terms."""
     H = meas.H
-    R = meas.noise_cov
     A = P @ H.T
-    B = H @ A
+    L = np.linalg.cholesky(meas.noise_cov)
+    M = np.linalg.solve(L, np.linalg.solve(L, H @ A).T)
+    lam, V = np.linalg.eigh((M + M.T) / 2.0)
+    W = V.T @ np.linalg.solve(L, A.T)
+    terms = list(zip(np.einsum("ij,ij->i", W, W).tolist(), lam.tolist()))
     tp = np.trace(P)
 
     def objective(w):
@@ -286,9 +302,8 @@ def _ci_trace_objective(P, meas: LinearMeasurement):
             return tp  # uninformative remote: no-op
         if w < 1e-6:
             return np.inf  # discarding all local information entirely
-        S = B / w + R / (1.0 - w)
-        S = (S + S.T) / 2.0
-        return tp / w - np.trace(A @ np.linalg.solve(S, A.T)) / w ** 2
+        u = 1.0 - w
+        return (tp - sum(c * u / (l * u + w) for c, l in terms)) / w
 
     return objective
 
@@ -317,7 +332,7 @@ def collaborative_update(agent, correspondences):
         result = _ci_weighted_posterior(P, meas, w)
         if result is None or result is _REJECTED:
             continue  # no usable information balance at this weight
-        K, IKH, P_post, xi = result
+        _, _, P_post, xi = result
         agent.state = retract(agent.state, xi, agent.convention)
         agent.set_full_covariance(P_post)
         local_ids = {f.feature_id: jj for jj, f in enumerate(agent.state.features)}

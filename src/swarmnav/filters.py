@@ -273,31 +273,59 @@ class UpdateResult:
     covariance: np.ndarray
     correction: np.ndarray     # xi = K @ residual, full error dimension
     gain: np.ndarray
-    correction_term: np.ndarray  # Lambda = I - K H, stored in sensor buffers
+    correction_term: np.ndarray  # Lambda = I - K H over the core block
+
+
+class KalmanStep(tuple):
+    """(K, Lambda, P_post, xi) of one update. The innovation covariance S
+    rides along as `.S` for callers that extend the update to blocks
+    outside P."""
+
+    def __new__(cls, K, Lam, P_post, xi, S):
+        step = super().__new__(cls, (K, Lam, P_post, xi))
+        step.S = S
+        return step
 
 
 def kalman_step(P, meas: LinearMeasurement):
-    """Gain, Joseph-form posterior covariance and correction for one update."""
+    """Gain, Joseph-form posterior covariance and correction for one update.
+
+    The Joseph form (I-KH) P (I-KH)' + K R K' is expanded to
+    P - KHP - (KHP)' + K S K', which costs O(D^2 m) instead of O(D^3).
+    Lambda = I - K H is returned over the top-left core block only (the
+    whole matrix when D < CORE_DIM): that is all the cross-block chaining
+    uses.
+    """
     H = meas.H
     if H.shape[1] != P.shape[0]:
         raise ValueError(f"H has {H.shape[1]} columns, covariance dim is {P.shape[0]}")
-    S = H @ P @ H.T + meas.noise_cov
+    PHt = P @ H.T
+    S = H @ PHt + meas.noise_cov
     S = (S + S.T) / 2.0
-    if np.linalg.cond(S) > 1e12:
+    # Singular or ill-conditioned S (2-norm condition above 1e12), checked
+    # on the m x m eigenvalues; the negated test also rejects NaN.
+    try:
+        eig = np.linalg.eigvalsh(S)
+        usable = eig[0] > 0.0 and eig[-1] <= 1e12 * eig[0]
+    except np.linalg.LinAlgError:
+        usable = False
+    if not usable:
         raise UpdateRejected("innovation covariance is numerically singular")
-    K = np.linalg.solve(S, H @ P).T
-    IKH = np.eye(P.shape[0]) - K @ H
-    P_post = IKH @ P @ IKH.T + K @ meas.noise_cov @ K.T
+    K = np.linalg.solve(S, PHt.T).T
+    KHP = K @ PHt.T
+    P_post = P - KHP - KHP.T + (K @ S) @ K.T
     P_post = (P_post + P_post.T) / 2.0
     xi = K @ meas.residual
-    return K, IKH, P_post, xi
+    c = min(P.shape[0], CORE_DIM)
+    Lam = np.eye(c) - K[:c] @ H[:, :c]
+    return KalmanStep(K, Lam, P_post, xi, S)
 
 
 def update(state: SystemState, P_full, meas: LinearMeasurement, convention="liekf") -> UpdateResult:
     """Measurement update: gain, Joseph-stabilized covariance, retraction."""
-    K, IKH, P_post, xi = kalman_step(P_full, meas)
+    K, Lam, P_post, xi = kalman_step(P_full, meas)
     new_state = retract(state, xi, convention)
-    return UpdateResult(new_state, P_post, xi, K, IKH)
+    return UpdateResult(new_state, P_post, xi, K, Lam)
 
 
 def gnss_measurement(state: SystemState, z, sigma, convention="liekf") -> LinearMeasurement:

@@ -11,6 +11,7 @@ produce identical artifacts byte for byte.
 from __future__ import annotations
 
 import heapq
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -107,6 +108,15 @@ class AgentConfig:
     use_gnss: bool = True  # lets individual agents fly GNSS-denied
 
 
+def _check_finite(name, value, allow_zero=False):
+    """A finite positive number (or zero, when allowed). The comparisons are
+    negated so that NaN fails them too."""
+    low = "non-negative" if allow_zero else "positive"
+    if not isinstance(value, numbers.Real) or not (
+            (0.0 <= value if allow_zero else 0.0 < value) and value < np.inf):
+        raise ConfigError(f"{name} must be a finite {low} number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     agents: tuple
@@ -133,8 +143,9 @@ class SimConfig:
         ids = [a.agent_id for a in self.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent ids must be unique")
-        if self.gnss_delay < 0:
-            raise ConfigError("gnss_delay must be non-negative")
+        _check_finite("gnss_delay", self.gnss_delay, allow_zero=True)
+        _check_finite("request_rate", self.request_rate)
+        _check_finite("record_rate", self.record_rate)
 
     @property
     def duration(self):

@@ -48,6 +48,18 @@ def drive(ag, n=20, dt=0.005, seed=1):
     return ag
 
 
+def test_snapshot_without_visual_states_after_long_gap():
+    # Camera off, so the visual block has zero width. 400 IMU steps with no
+    # update outlast the 300-sample IMU buffer (a GNSS gate lockout longer
+    # than 1.5 s); the next snapshot must not need the evicted transitions.
+    ag = make_agent()
+    assert ag.partition.block_dim("visual") == 0
+    drive(ag, n=400)
+    state, part = ag.snapshot()
+    assert part.last_sync["visual"] == ag.state.timestamp
+    ag.update_gnss(state.nav.position + 0.1, 0.05)
+
+
 def test_covariance_dim_checked():
     ag = make_agent()
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Command-line entry points: exit codes, artifact writing, Monte-Carlo
 merging and resume behavior."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +136,122 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
         with open(os.path.join(serial, name)) as fa, \
              open(os.path.join(parallel, name)) as fb:
             assert fa.read() == fb.read()
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    p = tmp_path / "nan.yaml"
+    p.write_text(CONFIG_YAML.replace("gnss_delay: 0.0", "gnss_delay: .nan"))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert "gnss_delay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-3"],
+                                   ["--jobs", "0"]])
+def test_montecarlo_rejects_non_positive_counts(config_path, tmp_path, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["montecarlo", "--config", config_path,
+              "--out", str(tmp_path / "mc")] + flags)
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "mc")
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the
+    payloads in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_montecarlo_pool_is_sized_by_pending_runs(config_path, tmp_path, monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes = []
+    out = str(tmp_path / "mc")
+    assert main(["montecarlo", "--config", config_path, "--runs", "2",
+                 "--out", out, "--jobs", "64"]) == EXIT_OK
+    assert _InlinePool.sizes == [2]
+    # Resuming with one run left needs no pool at all; with two left, a
+    # pool of two.
+    assert main(["montecarlo", "--config", config_path, "--runs", "3",
+                 "--out", out, "--jobs", "64"]) == EXIT_OK
+    assert main(["montecarlo", "--config", config_path, "--runs", "5",
+                 "--out", out, "--jobs", "64"]) == EXIT_OK
+    assert _InlinePool.sizes == [2, 2]
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs the CLI module the way `python -m` does (runpy), recording the
+# thread variables at the moment numpy is first imported.
+_PIN_PROBE = """
+import json, os, runpy, sys
+VARS = {vars!r}
+seen = {{}}
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in VARS}})
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Probe())
+sys.argv = ["swarmnav", "--help"]
+try:
+    runpy.run_module("swarmnav.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(seen))
+""".format(vars=THREAD_VARS)
+
+
+def _clean_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(extra)
+    return env
+
+
+def _probe(code, env):
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_cli_pins_blas_threads_before_numpy_loads():
+    seen = _probe(_PIN_PROBE, _clean_env())
+    assert seen == {v: "1" for v in THREAD_VARS}
+    # An explicit user value wins.
+    seen = _probe(_PIN_PROBE, _clean_env(OPENBLAS_NUM_THREADS="2"))
+    assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def test_plain_package_import_leaves_environment_alone():
+    # Resolving every lazy export loads the whole package, numpy included.
+    code = ("import json, os; before = dict(os.environ); import swarmnav; "
+            "missing = [n for n in swarmnav.__all__ "
+            "if getattr(swarmnav, n, None) is None]; "
+            "print(json.dumps([dict(os.environ) == before, missing]))")
+    unchanged, missing = _probe(code, _clean_env())
+    assert unchanged and missing == []
+    code = "import json, sys, swarmnav; print(json.dumps('numpy' in sys.modules))"
+    assert _probe(code, _clean_env()) is False
 
 
 def test_canned_configs_construct():

@@ -3,6 +3,7 @@ block insertion/removal, and covariance-intersection fusion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, SensorBufferEntry
 from swarmnav.covariance import (
@@ -245,3 +246,24 @@ def test_ci_trace_objective_matches_full_update():
         assert np.isclose(f(w), np.trace(r[2]), rtol=1e-9), w
     assert f(1.0) == np.trace(P)
     assert f(1e-8) == np.inf
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(3, 30),
+       rows=st.integers(1, 6), w=st.floats(1e-6, 1.0 - 1e-8))
+def test_ci_trace_objective_eigenbasis_matches_direct_solve(seed, dim, rows, w):
+    from swarmnav.covariance import _ci_trace_objective
+    from swarmnav.filters import LinearMeasurement
+
+    rg = np.random.default_rng(seed)
+    A = rg.standard_normal((dim, dim))
+    P = A @ A.T / dim + 0.05 * np.eye(dim)
+    H = rg.standard_normal((rows, dim))
+    B = rg.standard_normal((rows, rows))
+    R = B @ B.T / rows + 0.05 * np.eye(rows)
+    f = _ci_trace_objective(P, LinearMeasurement(np.zeros(rows), H, R, 0.0))
+    # The formula the eigenbasis form replaces: one solve per weight.
+    PHt = P @ H.T
+    S = H @ PHt / w + R / (1.0 - w)
+    direct = np.trace(P) / w - np.trace(PHt @ np.linalg.solve(S, PHt.T)) / w ** 2
+    assert np.isclose(f(w), direct, rtol=1e-8, atol=1e-10 * np.trace(P) / w)

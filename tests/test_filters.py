@@ -252,6 +252,42 @@ def test_kalman_step_rejects_singular():
                                                  np.eye(2), 0.0))
 
 
+@pytest.mark.parametrize("m", [3, 42])
+def test_kalman_step_matches_joseph_form_at_full_window(m):
+    # D = 126 is the largest vision update (6 clones, 24 landmarks).
+    D = 126
+    A = rng.standard_normal((D, D))
+    P = A @ A.T / D + 0.1 * np.eye(D)
+    H = rng.standard_normal((m, D))
+    N = np.diag(rng.uniform(0.05, 0.5, m))
+    r = rng.standard_normal(m)
+    K, Lam, P_post, xi = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    S = H @ P @ H.T + N
+    K_ref = P @ H.T @ np.linalg.inv(S)
+    IKH = np.eye(D) - K_ref @ H
+    P_ref = IKH @ P @ IKH.T + K_ref @ N @ K_ref.T
+    assert np.allclose(K, K_ref, rtol=1e-9, atol=1e-12)
+    assert np.allclose(P_post, P_ref, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(P_post, P_post.T)
+    assert np.allclose(xi, K_ref @ r, rtol=1e-9, atol=1e-12)
+    assert Lam.shape == (18, 18)
+    assert np.allclose(Lam, IKH[:18, :18], rtol=1e-9, atol=1e-12)
+
+
+def test_kalman_step_rejects_ill_conditioned():
+    # S = R here: positive definite, but with condition number 1e13.
+    zero = LinearMeasurement(np.zeros(3), np.zeros((3, 3)),
+                             np.diag([1.0, 1.0, 1e-13]), 0.0)
+    with pytest.raises(UpdateRejected):
+        kalman_step(np.eye(3), zero)
+    ok = LinearMeasurement(np.zeros(3), np.zeros((3, 3)),
+                           np.diag([1.0, 1.0, 1e-11]), 0.0)
+    kalman_step(np.eye(3), ok)
+    nan = LinearMeasurement(np.zeros(2), np.eye(2), np.full((2, 2), np.nan), 0.0)
+    with pytest.raises(UpdateRejected):
+        kalman_step(np.eye(2), nan)
+
+
 def test_stack_measurements():
     m1 = LinearMeasurement(np.ones(2), np.ones((2, 5)), np.eye(2), 1.0)
     m2 = LinearMeasurement(2 * np.ones(3), 2 * np.ones((3, 5)), 2 * np.eye(3), 2.0)

@@ -52,6 +52,20 @@ def test_config_validation():
         SimConfig(agents=(AgentConfig(0, traj, suite),), gnss_delay=-0.1)
 
 
+@pytest.mark.parametrize("field_name,value", [
+    ("gnss_delay", float("nan")), ("gnss_delay", float("inf")),
+    ("gnss_delay", "0.1"),
+    ("request_rate", float("nan")), ("request_rate", float("inf")),
+    ("request_rate", 0.0),
+    ("record_rate", float("nan")), ("record_rate", float("inf")),
+    ("record_rate", 0.0),
+])
+def test_config_rejects_non_finite_rates_and_delay(field_name, value):
+    agents = (AgentConfig(0, TrajectorySpec(duration=5.0), SensorSuite()),)
+    with pytest.raises(ConfigError, match=field_name):
+        SimConfig(agents=agents, **{field_name: value})
+
+
 def test_duration_is_shortest_agent():
     suite = SensorSuite()
     cfg = SimConfig(agents=(
