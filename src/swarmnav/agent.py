@@ -42,7 +42,7 @@ from .filters import (
     transition,
     update,
 )
-from .lie import skew
+from .conventions import lookup
 from .state import CORE_DIM, Feature, SystemState, retract
 
 
@@ -53,10 +53,8 @@ class AgentFilter:
                  noise: NoiseDensities = None,
                  camera_extrinsics=None,
                  max_clones=6, max_features=30,
-                 imu_buffer_capacity=300, sensor_buffer_capacity=10,
-                 buffer_horizon=None):
-        if convention not in st.CONVENTIONS:
-            raise ValueError(f"unknown error convention {convention!r}")
+                 imu_buffer_capacity=300, sensor_buffer_capacity=10):
+        lookup(convention)  # ValueError for an unknown name
         self.convention = convention
         self.noise = noise if noise is not None else NoiseDensities()
         if camera_extrinsics is None:
@@ -75,9 +73,9 @@ class AgentFilter:
         self.partition.add_block("visual", state.error_dim - CORE_DIM)
         if state.error_dim > CORE_DIM:
             split_full(self.partition, covariance)
-        self.imu_buffer = HistoryBuffer(imu_buffer_capacity, buffer_horizon)
-        self.gnss_buffer = HistoryBuffer(sensor_buffer_capacity, buffer_horizon)
-        self.visual_buffer = HistoryBuffer(sensor_buffer_capacity, buffer_horizon)
+        self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
+        self.gnss_buffer = HistoryBuffer(sensor_buffer_capacity)
+        self.visual_buffer = HistoryBuffer(sensor_buffer_capacity)
         self.dropped_feature_ids = set()
 
     # ------------------------------------------------------------------
@@ -122,9 +120,7 @@ class AgentFilter:
         # Pin the partition clock to the state clock; summing dt increments
         # would drift away from the exact sample timestamps.
         self.partition.timestamp = self.state.timestamp
-        self.imu_buffer.push(ImuBufferEntry(
-            self.state, self.partition.core.copy(), T.F, T.G, Q, imu.timestamp,
-            imu))
+        self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
         return self.state
 
     # ------------------------------------------------------------------
@@ -143,8 +139,7 @@ class AgentFilter:
         for bid, xb in xi_blocks.items():
             xi[self.partition.block_slice(self.state, bid)] = xb
         self.state = retract(self.state, xi, self.convention)
-        self.gnss_buffer.push(SensorBufferEntry(
-            self.state, self.partition.core.copy(), lam, self.state.timestamp))
+        self.gnss_buffer.push(SensorBufferEntry(lam, self.state.timestamp))
         return xi
 
     def update_gnss_delayed(self, z, sigma, snapshot, t_now):
@@ -187,8 +182,7 @@ class AgentFilter:
         t = self.state.timestamp
         if self.visual_buffer.entries and self.visual_buffer.entries[-1].timestamp == t:
             return  # one marker per epoch is enough for cross-block chaining
-        self.visual_buffer.push(SensorBufferEntry(
-            self.state, self.partition.core.copy(), correction_term, t))
+        self.visual_buffer.push(SensorBufferEntry(correction_term, t))
 
     # ------------------------------------------------------------------
     # window management
@@ -198,15 +192,10 @@ class AgentFilter:
         R_ic, p_ic = self.camera_extrinsics
         R = self.state.nav.rotation
         p = self.state.nav.position
+        conv = lookup(self.convention)
         J = np.zeros((6, CORE_DIM))
-        if self.convention == "riekf":
-            J[0:3, 0:3] = (R @ R_ic).T
-            J[3:6, 0:3] = -skew(p + R @ p_ic)
-            J[3:6, 6:9] = np.eye(3)
-        else:
-            J[0:3, 0:3] = R_ic.T
-            J[3:6, 0:3] = -R @ skew(p_ic)
-            J[3:6, 6:9] = R if self.convention == "liekf" else np.eye(3)
+        J[0:3, 0:3] = conv.clone_attitude(R, R_ic)
+        J[3:6, 0:9] = conv.point_jacobian(R, p, p_ic)
         return J
 
     def augment_clone(self):

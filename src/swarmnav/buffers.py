@@ -1,12 +1,12 @@
-"""Time-horizon sliding buffers and buffered re-propagation of delayed
+"""Sliding history buffers and buffered re-propagation of delayed
 measurements.
 
-Each agent keeps a high-rate IMU buffer of (state, core covariance,
-transition, noise map, time) snapshots plus small per-sensor buffers of
-(state, covariance, correction term, time). A measurement that completes
-late is updated against the snapshot taken at its epoch and the corrected
-mean/covariance are transported to the present through the stored
-transition matrices, instead of rewinding and replaying the filter.
+Each agent keeps a high-rate IMU buffer of (transition, noise map, time,
+sample) steps plus small per-sensor buffers of (correction term, time). A
+measurement that completes late is updated against the snapshot taken at
+its epoch and the corrected mean/covariance are transported to the present
+through the stored transition matrices, instead of rewinding and replaying
+the filter.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import LinearMeasurement, kalman_step, mechanize
-from .state import SystemState, retract
+from .state import retract
 
 
 class DelayExceedsHorizon(RuntimeError):
@@ -26,12 +26,9 @@ class DelayExceedsHorizon(RuntimeError):
 
 @dataclass(frozen=True)
 class ImuBufferEntry:
-    """One propagation step ending at `timestamp`: the post-step snapshot
-    plus the transition/noise matrices and raw sample of the step that
-    produced it."""
+    """One propagation step ending at `timestamp`: the transition/noise
+    matrices and raw sample of the step."""
 
-    state: SystemState
-    P: np.ndarray          # core covariance at timestamp
     F: np.ndarray          # core transition of the step into timestamp
     G: np.ndarray
     Q: np.ndarray          # discrete process noise of the step
@@ -41,19 +38,15 @@ class ImuBufferEntry:
 
 @dataclass(frozen=True)
 class SensorBufferEntry:
-    state: SystemState
-    P: np.ndarray
     correction_term: np.ndarray  # Lambda = I - K H over the core block
     timestamp: float
 
 
 @dataclass
 class HistoryBuffer:
-    """Chronological ring: oldest entries are discarded beyond capacity or
-    beyond the time horizon."""
+    """Chronological ring: oldest entries are discarded beyond capacity."""
 
     capacity: int
-    horizon: float = None
     entries: list = field(default_factory=list)
     _times: list = field(default_factory=list)
     last_evicted: float = None
@@ -69,19 +62,10 @@ class HistoryBuffer:
             )
         self.entries.append(entry)
         self._times.append(t)
-        while len(self.entries) > self.capacity or (
-            self.horizon is not None and self._times[0] < t - self.horizon
-        ):
+        while len(self.entries) > self.capacity:
             self.last_evicted = self._times[0]
             self.entries.pop(0)
             self._times.pop(0)
-
-    def lookup(self, t):
-        """Entry at or immediately before t."""
-        i = bisect.bisect_right(self._times, t)
-        if i == 0:
-            raise DelayExceedsHorizon(f"no entry at or before t={t}")
-        return self.entries[i - 1]
 
     def range_after(self, t_start, t_end):
         """Entries with t_start < t <= t_end, oldest first. Raises when the
@@ -93,28 +77,6 @@ class HistoryBuffer:
         lo = bisect.bisect_right(self._times, t_start)
         hi = bisect.bisect_right(self._times, t_end)
         return self.entries[lo:hi]
-
-    def latest(self):
-        if not self.entries:
-            raise ValueError("buffer is empty")
-        return self.entries[-1]
-
-
-def accumulate_noise(buffer: HistoryBuffer, t_first, t_last):
-    """Accumulated process noise over the stored steps with
-    t_first <= t <= t_last (t_first is the first step after the measurement
-    epoch). Matches chained single-step propagation:
-
-        M_i = F_i M_{i-1} F_i' + G_i Q_i G_i'
-    """
-    steps = buffer.range_after(t_first - 1e-12, t_last)
-    if not steps:
-        raise ValueError(f"no buffered steps in [{t_first}, {t_last}]")
-    dim = steps[0].F.shape[0]
-    M = np.zeros((dim, dim))
-    for e in steps:
-        M = e.F @ M @ e.F.T + e.G @ e.Q @ e.G.T
-    return M
 
 
 def repropagate(buffer: HistoryBuffer, P_kk, xi_k, t_k, t_m):
@@ -162,17 +124,14 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
     return xi_core, xi_blocks, Lam
 
 
-def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot=None):
+def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
     """Apply a core-block measurement taken at meas_core.timestamp whose
     processing completes at t_now.
 
-    The gain and correction are computed against the snapshot at the
-    measurement epoch, then the posterior mean/covariance are transported to
-    t_now through the buffered transitions. `snapshot` is a
-    (state, partition) pair captured at the epoch; when omitted, the state
-    and core covariance are taken from the IMU buffer and the agent's
-    current partition is synchronized back to the epoch (valid only when no
-    other update landed in between).
+    The gain and correction are computed against `snapshot`, the
+    (state, partition) pair captured at the measurement epoch, then the
+    posterior mean/covariance are transported to t_now through the buffered
+    transitions.
 
     Raises DelayExceedsHorizon when the epoch has left the IMU buffer; the
     caller should drop the measurement and report it.
@@ -180,19 +139,8 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot=No
     t_k = meas_core.timestamp
     if t_k > t_now:
         raise ValueError("measurement timestamp is after the completion time")
-    if snapshot is None:
-        entry = agent.imu_buffer.lookup(t_k)
-        part_k = agent.partition.copy()
-        part_k.core = entry.P.copy()
-        state_k = entry.state
-        # Cross blocks must be synchronized no further than t_k; with no
-        # intervening updates they are unchanged since their last sync.
-        for bid in part_k.last_sync:
-            if part_k.last_sync[bid] > t_k:
-                raise ValueError("cross block was synchronized past the epoch")
-    else:
-        state_k, part_k = snapshot
-        part_k = part_k.copy()
+    state_k, part_k = snapshot
+    part_k = part_k.copy()
 
     xi_core, xi_blocks, Lam = core_update_partitioned(part_k, meas_core)
 
@@ -221,5 +169,5 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot=No
     agent.state = state
     agent.partition = part_k
 
-    agent.gnss_buffer.push(SensorBufferEntry(agent.state, P_m.copy(), Lam, t_now))
+    agent.gnss_buffer.push(SensorBufferEntry(Lam, t_now))
     return xi

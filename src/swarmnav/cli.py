@@ -22,6 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import yaml
 
+from .conventions import CONVENTIONS
 from .filters import NoiseDensities, UpdateRejected
 from .metrics import anees_interval, gate_score
 from .sensors import SensorSuite
@@ -413,23 +414,21 @@ def build_parser():
                                 description="multi-agent GNSS-visual-inertial "
                                             "estimation simulator")
     sub = p.add_subparsers(dest="command", required=True)
+    simulate = argparse.ArgumentParser(add_help=False)  # shared by run and montecarlo
+    simulate.add_argument("--config", required=True)
+    simulate.add_argument("--out", default=None)
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--filter", dest="filter_variant",
+                          choices=sorted(CONVENTIONS), default=None)
 
-    pr = sub.add_parser("run", help="single simulation from a config file")
-    pr.add_argument("--config", required=True)
-    pr.add_argument("--out", default=None)
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--filter", dest="filter_variant",
-                    choices=("ekf", "liekf", "riekf"), default=None)
+    pr = sub.add_parser("run", parents=[simulate],
+                        help="single simulation from a config file")
     pr.set_defaults(fn=cmd_run)
 
-    pm = sub.add_parser("montecarlo", help="seeded batch of independent runs")
-    pm.add_argument("--config", required=True)
+    pm = sub.add_parser("montecarlo", parents=[simulate],
+                        help="seeded batch of independent runs")
     pm.add_argument("--runs", type=_positive_int, default=50)
-    pm.add_argument("--out", default=None)
-    pm.add_argument("--seed", type=int, default=None)
     pm.add_argument("--jobs", type=_positive_int, default=1)
-    pm.add_argument("--filter", dest="filter_variant",
-                    choices=("ekf", "liekf", "riekf"), default=None)
     pm.set_defaults(fn=cmd_montecarlo)
 
     ps = sub.add_parser("suite", help="canned experiment suites")

@@ -42,10 +42,10 @@ class CovariancePartition:
         self.last_sync = {}      # block id -> timestamp of last cross sync
         self.timestamp = timestamp
 
-    def add_block(self, block_id, dim, timestamp=None):
+    def add_block(self, block_id, dim):
         self.cross[block_id] = np.zeros((CORE_DIM, dim))
         self.sensor_self[block_id] = np.zeros((dim, dim))
-        self.last_sync[block_id] = self.timestamp if timestamp is None else timestamp
+        self.last_sync[block_id] = self.timestamp
 
     def block_dim(self, block_id):
         return self.cross[block_id].shape[1]
@@ -65,11 +65,10 @@ class CovariancePartition:
         return other
 
 
-def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d,
-                        check=False):
+def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
     """Advance only the core block; cross blocks are left untouched and
     become stale (their pending transitions live in the IMU buffer)."""
-    partition.core = propagate_covariance(partition.core, T, Q_d, check=check)
+    partition.core = propagate_covariance(partition.core, T, Q_d, check=False)
     partition.timestamp += T.dt
     return partition
 

@@ -1,17 +1,12 @@
-"""Filter cores: strapdown propagation, state-transition matrices for the
-left-invariant, right-invariant and conventional-EKF error parameterizations,
-and the Kalman update algebra.
+"""Filter cores: strapdown propagation, the Kalman update algebra and the
+measurement models.
 
 The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
-matrices for the velocity and position columns). With this integrator the
-left-invariant transition matrix exp(A dt) transports navigation errors
-through a propagation step exactly, which is what makes the buffered
-re-propagation of delayed measurements bit-faithful.
-
-Sign note: the bias-coupling blocks of A (left and right variants) carry the
-opposite sign of the common textbook presentation because errors here are
-defined estimate-minus-truth; the finite-difference tests pin the signs.
+matrices for the velocity and position columns). The transition matrices of
+a step depend on the error convention and live in ``swarmnav.conventions``;
+``transition_left``, ``transition_right`` and ``transition_ekf`` are
+importable from here as well.
 """
 
 from __future__ import annotations
@@ -19,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
+from .conventions import GRAVITY, TransitionPair, lookup
+from .conventions import transition_ekf, transition_left, transition_right  # re-exported
 from .lie import (
     ExtendedPose,
     skew,
@@ -29,10 +25,6 @@ from .lie import (
     so3_left_jacobian,
 )
 from .state import CORE_DIM, SystemState, retract
-
-GRAVITY = np.array([0.0, 0.0, -9.81])
-
-NOISE_DIM = 12  # gyro white, accel white, gyro walk, accel walk
 
 
 class UpdateRejected(RuntimeError):
@@ -70,15 +62,6 @@ class NoiseDensities:
             + [self.gyro_walk] * 3 + [self.accel_walk] * 3
         )
         return np.diag(sig ** 2) * dt
-
-
-@dataclass(frozen=True)
-class TransitionPair:
-    """Discrete transition F and noise map G over the 18-dim core error."""
-
-    F: np.ndarray
-    G: np.ndarray
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -124,130 +107,9 @@ def mechanize(state: SystemState, imu: ImuSample, dt, gravity=None) -> SystemSta
     return replace(state, nav=nav, timestamp=state.timestamp + dt)
 
 
-def _embed_core(F15, G15):
-    """Lift 15-dim nav+bias matrices to the 18-dim core (lever arm static)."""
-    F = np.eye(CORE_DIM)
-    F[:15, :15] = F15
-    G = np.zeros((CORE_DIM, NOISE_DIM))
-    G[:15, :] = G15
-    return F, G
-
-
-def transition_left(imu: ImuSample, dt) -> TransitionPair:
-    """Left-invariant transition; a pure function of (gyro, accel, dt)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    w = np.asarray(imu.gyro, dtype=float)
-    f = np.asarray(imu.accel, dtype=float)
-    Sw = skew(w)
-    A = np.zeros((15, 15))
-    A[0:3, 0:3] = -Sw
-    A[3:6, 0:3] = -skew(f)
-    A[3:6, 3:6] = -Sw
-    A[6:9, 3:6] = np.eye(3)
-    A[6:9, 6:9] = -Sw
-    A[0:3, 9:12] = -np.eye(3)
-    A[3:6, 12:15] = -np.eye(3)
-    F15 = expm(A * dt)
-    G15 = np.zeros((15, NOISE_DIM))
-    G15[0:3, 0:3] = np.eye(3)
-    G15[3:6, 3:6] = np.eye(3)
-    G15[9:15, 6:12] = np.eye(6)
-    F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G, dt)
-
-
-def transition_right(state_estimate: SystemState, imu: ImuSample, dt, gravity=None) -> TransitionPair:
-    """Right-invariant transition; depends on the state estimate."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    R = state_estimate.nav.rotation
-    v = state_estimate.nav.velocity
-    p = state_estimate.nav.position
-    A = np.zeros((15, 15))
-    A[3:6, 0:3] = skew(g)
-    A[6:9, 3:6] = np.eye(3)
-    A[0:3, 9:12] = -R
-    A[3:6, 9:12] = -skew(v) @ R
-    A[6:9, 9:12] = -skew(p) @ R
-    A[3:6, 12:15] = -R
-    F15 = expm(A * dt)
-    G15 = np.zeros((15, NOISE_DIM))
-    G15[0:3, 0:3] = R
-    G15[3:6, 0:3] = skew(v) @ R
-    G15[6:9, 0:3] = skew(p) @ R
-    G15[3:6, 3:6] = R
-    G15[9:15, 6:12] = np.eye(6)
-    F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G, dt)
-
-
-def _dJ1a_dpsi(psi, a):
-    """Derivative of so3_left_jacobian(psi) @ a with respect to psi."""
-    theta = np.linalg.norm(psi)
-    Sa = skew(a)
-    pxa = np.cross(psi, a)
-    pxpxa = np.cross(psi, pxa)
-    if theta < 1e-4:
-        return -0.5 * Sa - (skew(pxa) + skew(psi) @ Sa) / 6.0
-    t2 = theta * theta
-    b = (1.0 - np.cos(theta)) / t2
-    c = (theta - np.sin(theta)) / (t2 * theta)
-    db = (theta * np.sin(theta) - 2.0 * (1.0 - np.cos(theta))) / (t2 * theta)
-    dc = ((1.0 - np.cos(theta)) * theta - 3.0 * (theta - np.sin(theta))) / (t2 * t2)
-    n = psi / theta
-    return (
-        np.outer(pxa, n) * db
-        - b * Sa
-        + np.outer(pxpxa, n) * dc
-        + c * (-skew(pxa) - skew(psi) @ Sa)
-    )
-
-
-def transition_ekf(state_estimate: SystemState, imu: ImuSample, dt, gravity=None) -> TransitionPair:
-    """Conventional error-state EKF Jacobian of the mechanization
-    (body-frame attitude error, additive velocity/position errors)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    R = state_estimate.nav.rotation
-    w = imu.gyro - state_estimate.gyro_bias
-    a = imu.accel - state_estimate.accel_bias
-    psi = w * dt
-    Gamma = so3_exp(psi)
-    Jr = so3_left_jacobian(-psi)
-    J1 = so3_left_jacobian(psi)
-    G2 = so3_gamma2(psi)
-    D1 = _dJ1a_dpsi(psi, a)
-    F = np.eye(CORE_DIM)
-    F[0:3, 0:3] = Gamma.T
-    F[0:3, 9:12] = -Jr * dt
-    F[3:6, 0:3] = -R @ skew(J1 @ a) * dt
-    F[3:6, 9:12] = -R @ D1 * dt * dt
-    F[3:6, 12:15] = -R @ J1 * dt
-    F[6:9, 0:3] = -R @ skew(G2 @ a) * dt * dt
-    F[6:9, 3:6] = np.eye(3) * dt
-    F[6:9, 12:15] = -R @ G2 * dt * dt
-    G = np.zeros((CORE_DIM, NOISE_DIM))
-    G[0:3, 0:3] = np.eye(3)
-    G[3:6, 3:6] = R
-    G[9:15, 6:12] = np.eye(6)
-    return TransitionPair(F, G, dt)
-
-
-def transition(convention, state_estimate, imu, dt, gravity=None):
-    if convention == "liekf":
-        # Deliberately linearized at the raw rates, not the bias-corrected
-        # ones: the matrix stays a pure function of (sample, dt), so the
-        # transitions stored for delayed-update transport are exactly the
-        # ones a rewind would recompute. The linearization error this trades
-        # away is of order |bias| * dt.
-        return transition_left(imu, dt)
-    if convention == "riekf":
-        return transition_right(state_estimate, imu, dt, gravity)
-    if convention == "ekf":
-        return transition_ekf(state_estimate, imu, dt, gravity)
-    raise ValueError(f"unknown error convention {convention!r}")
+def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionPair:
+    """Core transition of one strapdown step in the given convention."""
+    return lookup(convention).transition(state_estimate, imu, dt, gravity)
 
 
 def _check_psd(P, tol=1e-9):
@@ -339,17 +201,7 @@ def gnss_measurement(state: SystemState, z, sigma, convention="liekf") -> Linear
     lb = state.lever_arm
     h = p + R @ lb
     H = np.zeros((3, state.error_dim))
-    if convention == "liekf":
-        H[:, 0:3] = -R @ skew(lb)
-        H[:, 6:9] = R
-    elif convention == "riekf":
-        H[:, 0:3] = -skew(p + R @ lb)
-        H[:, 6:9] = np.eye(3)
-    elif convention == "ekf":
-        H[:, 0:3] = -R @ skew(lb)
-        H[:, 6:9] = np.eye(3)
-    else:
-        raise ValueError(f"unknown error convention {convention!r}")
+    H[:, 0:9] = lookup(convention).point_jacobian(R, p, lb)
     H[:, 15:18] = R
     N = np.eye(3) * sigma ** 2
     return LinearMeasurement(np.asarray(z, dtype=float) - h, H, N, state.timestamp)

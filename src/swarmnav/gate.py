@@ -26,7 +26,6 @@ class GateConfig:
     window: int = 10          # ring capacity (accepted speeds)
     v_emp: float = 5.0        # empirical max speed, m/s
     dt: float = 0.1           # nominal GNSS period, s
-    beta: float = None        # reserved; accepted but unused
     fixed_threshold: float = None  # set to enable the fixed-threshold mode
 
     def __post_init__(self):

@@ -156,10 +156,6 @@ class ExtendedPose:
         T[:3, 4] = self.position
         return T
 
-    @staticmethod
-    def from_matrix(T):
-        return ExtendedPose(np.array(T[:3, :3]), np.array(T[:3, 3]), np.array(T[:3, 4]))
-
 
 def compose(a: ExtendedPose, b: ExtendedPose) -> ExtendedPose:
     """Group product; equals multiplication of the 5x5 embeddings."""

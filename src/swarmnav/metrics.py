@@ -10,14 +10,6 @@ from scipy.stats import chi2
 
 
 @dataclass(frozen=True)
-class NeesSample:
-    timestamp: float
-    position_nees: float
-    orientation_nees: float
-    run_id: int
-
-
-@dataclass(frozen=True)
 class AteReport:
     rmse: float
     yaw: float

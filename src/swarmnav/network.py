@@ -8,6 +8,7 @@ constants so bandwidth totals are comparable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 REQUEST_BYTES = 2050       # 2.05 kB per request message
@@ -39,8 +40,9 @@ class NetworkModel:
     drop_prob: float = 0.0
 
     def __post_init__(self):
-        if self.latency < 0 or self.jitter < 0:
-            raise ValueError("latency and jitter must be non-negative")
+        # Negated comparisons, so that NaN fails them too.
+        if not (0 <= self.latency < math.inf and 0 <= self.jitter < math.inf):
+            raise ValueError("latency and jitter must be finite and non-negative")
         if self.latency - self.jitter < 0:
             raise ValueError("jitter may not exceed the fixed latency")
         if not 0.0 <= self.drop_prob <= 1.0:
@@ -63,7 +65,3 @@ class BandwidthLedger:
     def record(self, message: SwarmMessage):
         self.counts[message.msg_class] += 1
         self.bytes[message.msg_class] += message.size_bytes
-
-    @property
-    def total_bytes(self):
-        return sum(self.bytes.values())

@@ -20,6 +20,7 @@ import yaml
 
 from .agent import AgentFilter
 from .buffers import DelayExceedsHorizon
+from .conventions import CONVENTIONS
 from .covariance import Correspondence
 from .filters import NoiseDensities, UpdateRejected, feature_world_position
 from .gate import GateConfig, GateState, evaluate, vio_kinematics
@@ -44,19 +45,46 @@ class ConfigError(ValueError):
     """Invalid or incomplete simulation configuration."""
 
 
+def _check_finite(name, value, allow_zero=False):
+    """A finite positive number (or zero, when allowed). The comparisons are
+    negated so that NaN fails them too."""
+    low = "non-negative" if allow_zero else "positive"
+    if not isinstance(value, numbers.Real) or not (
+            (0.0 <= value if allow_zero else 0.0 < value) and value < np.inf):
+        raise ConfigError(f"{name} must be a finite {low} number, got {value!r}")
+
+
+def _check_count(name, value, low):
+    """An integer of at least `low`; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not value >= low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateOptions:
     enabled: bool = True
     window: int = 10
     v_emp: float = 5.0
-    beta: float = None
     fixed_threshold: float = None
+
+    def __post_init__(self):
+        _check_count("window", self.window, 3)
+        _check_finite("v_emp", self.v_emp)
+        if self.fixed_threshold is not None:
+            _check_finite("fixed_threshold", self.fixed_threshold)
 
 
 @dataclass(frozen=True)
 class OutlierOptions:
     rate: float = 0.0
     magnitude: float = 10.0
+
+    def __post_init__(self):
+        _check_finite("magnitude", self.magnitude, allow_zero=True)
+        _check_finite("rate", self.rate, allow_zero=True)
+        if self.rate > 1.0:
+            raise ConfigError(f"rate must be at most 1, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +99,10 @@ class InitUncertainty:
     gyro_bias: float = 0.005
     accel_bias: float = 0.02
     lever: float = 0.01
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _check_finite(name, value, allow_zero=True)
 
     def sigmas(self):
         return np.array(
@@ -90,6 +122,13 @@ class FilterOptions:
     imu_buffer_capacity: int = 300
     sensor_buffer_capacity: int = 10
 
+    def __post_init__(self):
+        for name in ("max_clones", "clone_every", "min_track_length",
+                     "imu_buffer_capacity", "sensor_buffer_capacity"):
+            _check_count(name, getattr(self, name), 1)
+        _check_count("max_features", self.max_features, 0)
+        _check_finite("feature_prior_sigma", self.feature_prior_sigma)
+
 
 @dataclass(frozen=True)
 class LandmarkOptions:
@@ -99,6 +138,13 @@ class LandmarkOptions:
     alt_high: float = 6.0
     points: tuple = None  # explicit ((id, (x, y, z)), ...) overrides the grid
 
+    def __post_init__(self):
+        _check_count("count", self.count, 0)
+        _check_finite("extent", self.extent)
+        if not np.isfinite([self.alt_low, self.alt_high]).all():
+            raise ConfigError(f"alt_low and alt_high must be finite, got "
+                              f"{self.alt_low!r}, {self.alt_high!r}")
+
 
 @dataclass(frozen=True)
 class AgentConfig:
@@ -106,15 +152,6 @@ class AgentConfig:
     trajectory: TrajectorySpec
     suite: SensorSuite
     use_gnss: bool = True  # lets individual agents fly GNSS-denied
-
-
-def _check_finite(name, value, allow_zero=False):
-    """A finite positive number (or zero, when allowed). The comparisons are
-    negated so that NaN fails them too."""
-    low = "non-negative" if allow_zero else "positive"
-    if not isinstance(value, numbers.Real) or not (
-            (0.0 <= value if allow_zero else 0.0 < value) and value < np.inf):
-        raise ConfigError(f"{name} must be a finite {low} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +175,9 @@ class SimConfig:
     def __post_init__(self):
         if not self.agents:
             raise ConfigError("at least one agent is required")
-        if self.convention not in ("liekf", "riekf", "ekf"):
+        if not isinstance(self.convention, str) or self.convention not in CONVENTIONS:
             raise ConfigError(f"unknown filter variant {self.convention!r}")
+        _check_count("seed", self.seed, 0)
         ids = [a.agent_id for a in self.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent ids must be unique")
@@ -180,12 +218,7 @@ def config_from_dict(d):
     for i, ad in enumerate(d["agents"]):
         if "trajectory" not in ad:
             raise ConfigError(f"agents[{i}]: missing trajectory section")
-        traj_d = dict(ad["trajectory"])
-        for key in ("center", "waypoints"):
-            if key in traj_d and traj_d[key] is not None:
-                traj_d[key] = tuple(map(tuple, traj_d[key])) if key == "waypoints" \
-                    else tuple(traj_d[key])
-        traj = _build(TrajectorySpec, traj_d, f"agents[{i}].trajectory")
+        traj = _build(TrajectorySpec, ad["trajectory"], f"agents[{i}].trajectory")
         suite_d = dict(ad.get("suite") or {})
         if "noise" in suite_d:
             noise_d = dict(suite_d.pop("noise") or {})
@@ -212,9 +245,7 @@ def config_from_dict(d):
                 "request_rate", "gnss_delay", "record_rate"):
         if key in d:
             kwargs[key] = d[key]
-    known = set(kwargs) | {"agents", "landmarks", "network", "gate", "outliers",
-                           "filter", "init"}
-    unknown = set(d) - known - {"agents"}
+    unknown = set(d) - set(kwargs)
     if unknown:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
     return SimConfig(**kwargs)
@@ -352,7 +383,7 @@ class _AgentRuntime:
         )
         self.gate_cfg = GateConfig(
             window=cfg.gate.window, v_emp=cfg.gate.v_emp,
-            dt=1.0 / suite.gnss_rate, beta=cfg.gate.beta,
+            dt=1.0 / suite.gnss_rate,
             fixed_threshold=cfg.gate.fixed_threshold,
         )
         self.gate = GateState()
@@ -364,13 +395,6 @@ class _AgentRuntime:
         self.rows_cov = []
         self.rows_nees = []
         self.rows_gate = []
-
-
-def _clone_index_by_time(state, t):
-    for i, c in enumerate(state.clones):
-        if c.timestamp == t:
-            return i
-    return None
 
 
 def run_swarm(config: SimConfig) -> RunArtifacts:
@@ -533,16 +557,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 break
             # Anchor at the newest clone so the landmark outlives the window.
             ordered = [hist[-1]] + hist[:-1]
-            tracks_idx = []
-            ok = True
-            for ts, uv in ordered:
-                k = _clone_index_by_time(ag.state, ts)
-                if k is None:
-                    ok = False
-                    break
-                tracks_idx.append((k, uv))
-            if not ok:
+            clone_at = {c.timestamp: i for i, c in enumerate(ag.state.clones)}
+            if any(ts not in clone_at for ts, _ in ordered):
                 continue
+            tracks_idx = [(clone_at[ts], uv) for ts, uv in ordered]
             try:
                 j = ag.initialize_feature(lid, tracks_idx,
                                           prior_sigma=config.filter.feature_prior_sigma,

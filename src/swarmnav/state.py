@@ -9,15 +9,11 @@ The matching error vector is laid out as
 
 for a total of 18 + 6M + 3N entries.
 
-Three error conventions are supported for the navigation block:
-
-* ``liekf``  -- left-invariant:  e = log(truth^-1 * est)
-* ``riekf``  -- right-invariant: e = log(est * truth^-1)
-* ``ekf``    -- body-frame attitude error with additive velocity/position
-
-Clone, bias, lever-arm and feature errors are convention-independent
-(body-frame clone attitude, plain differences est - truth). ``retract`` is
-the exact inverse of ``error_between`` in every convention.
+The navigation block follows one of the error conventions in
+``swarmnav.conventions``. Clone, bias, lever-arm and feature errors are
+convention-independent (body-frame clone attitude, plain differences
+est - truth). ``retract`` is the exact inverse of ``error_between`` in every
+convention.
 """
 
 from __future__ import annotations
@@ -26,11 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lie import ExtendedPose, compose, inverse, se23_exp, se23_log, so3_exp, so3_log
-
-CONVENTIONS = ("liekf", "riekf", "ekf")
-
-CORE_DIM = 18  # nav 9 + biases 6 + lever 3
+from .conventions import CONVENTIONS, CORE_DIM, lookup  # CONVENTIONS: re-exported
+from .lie import ExtendedPose, so3_exp, so3_log
 
 
 @dataclass(frozen=True)
@@ -120,41 +113,11 @@ class StateIndexMap:
         return StateIndexMap(state.num_clones, state.num_features)
 
 
-def _check_convention(convention):
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown error convention {convention!r}")
-
-
-def _nav_error(truth: ExtendedPose, est: ExtendedPose, convention):
-    if convention == "liekf":
-        return se23_log(compose(inverse(truth), est))
-    if convention == "riekf":
-        return se23_log(compose(est, inverse(truth)))
-    return np.concatenate([
-        so3_log(truth.rotation.T @ est.rotation),
-        est.velocity - truth.velocity,
-        est.position - truth.position,
-    ])
-
-
-def _nav_retract(nav: ExtendedPose, e, convention):
-    if convention == "liekf":
-        return compose(nav, se23_exp(e))
-    if convention == "riekf":
-        return compose(se23_exp(e), nav)
-    return ExtendedPose(
-        nav.rotation @ so3_exp(e[:3]),
-        nav.velocity + e[3:6],
-        nav.position + e[6:9],
-    )
-
-
 def nav_error(truth: ExtendedPose, estimate: ExtendedPose, convention="liekf"):
     """9-dim navigation error (attitude, velocity, position) in the given
     convention; the nav block of error_between without requiring matching
     clone/feature structure."""
-    _check_convention(convention)
-    return _nav_error(truth, estimate, convention)
+    return lookup(convention).nav_error(truth, estimate)
 
 
 def _check_matching(truth: SystemState, estimate: SystemState):
@@ -170,10 +133,10 @@ def _check_matching(truth: SystemState, estimate: SystemState):
 
 def error_between(truth: SystemState, estimate: SystemState, convention="liekf"):
     """Error vector e such that estimate == retract(truth, e)."""
-    _check_convention(convention)
+    conv = lookup(convention)
     _check_matching(truth, estimate)
     parts = [
-        _nav_error(truth.nav, estimate.nav, convention),
+        conv.nav_error(truth.nav, estimate.nav),
         estimate.gyro_bias - truth.gyro_bias,
         estimate.accel_bias - truth.accel_bias,
         estimate.lever_arm - truth.lever_arm,
@@ -188,14 +151,14 @@ def error_between(truth: SystemState, estimate: SystemState, convention="liekf")
 
 def retract(state: SystemState, correction, convention="liekf") -> SystemState:
     """Apply an error vector to a state; exact inverse of error_between."""
-    _check_convention(convention)
+    conv = lookup(convention)
     correction = np.asarray(correction, dtype=float)
     if correction.shape != (state.error_dim,):
         raise ValueError(
             f"correction has length {correction.shape}, state error dim is {state.error_dim}"
         )
     idx = StateIndexMap.for_state(state)
-    nav = _nav_retract(state.nav, correction[:9], convention)
+    nav = conv.nav_retract(state.nav, correction[:9])
     clones = []
     for i, c in enumerate(state.clones):
         e = correction[idx.slice(f"clone{i}")]

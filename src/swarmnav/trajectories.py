@@ -10,6 +10,7 @@ positions. Attitude is level flight with the body x-axis along the velocity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -35,10 +36,15 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.speed <= 0 or self.size <= 0 or self.duration <= 0:
-            raise ValueError("speed, size and duration must be positive")
+        # Negated comparisons, so that NaN fails them too.
+        if not all(0 < v < np.inf for v in (self.speed, self.size, self.duration)):
+            raise ValueError("speed, size and duration must be positive and finite")
         if self.kind == "waypoint-spline" and not self.waypoints:
             raise ValueError("waypoint-spline needs waypoints")
+        # Tuples keep the spec hashable: the spline cache is keyed by it.
+        object.__setattr__(self, "center", tuple(self.center))
+        if self.waypoints is not None:
+            object.__setattr__(self, "waypoints", tuple(map(tuple, self.waypoints)))
 
 
 def _yaw_rotation(yaw):
@@ -46,8 +52,10 @@ def _yaw_rotation(yaw):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+@lru_cache(maxsize=64)
 def _spline_for(spec: TrajectorySpec):
-    """Periodic planar spline through the trajectory's waypoint polygon."""
+    """Periodic planar spline through the trajectory's waypoint polygon,
+    cached by the (frozen, hashable) spec value."""
     if spec.kind == "square":
         a = spec.size
         corners = np.array([[0, 0], [a, 0], [a, a], [0, a]], dtype=float)
@@ -64,10 +72,6 @@ def _spline_for(spec: TrajectorySpec):
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
     t_knots = np.concatenate([[0.0], np.cumsum(seg)]) / spec.speed
     return CubicSpline(t_knots, closed, bc_type="periodic"), t_knots[-1]
-
-
-class _Cache:
-    splines = {}
 
 
 def _planar_state(spec: TrajectorySpec, t):
@@ -93,10 +97,7 @@ def _planar_state(spec: TrajectorySpec, t):
     if spec.kind == "waypoint-spline" and len(spec.waypoints) == 1:
         xy = np.asarray(spec.waypoints[0], dtype=float) + np.asarray(spec.center)
         return xy, np.zeros(2), np.zeros(2)
-    key = id(spec)
-    if key not in _Cache.splines:
-        _Cache.splines[key] = _spline_for(spec)
-    spline, period = _Cache.splines[key]
+    spline, period = _spline_for(spec)
     tau = (t + spec.phase) % period
     return spline(tau), spline(tau, 1), spline(tau, 2)
 

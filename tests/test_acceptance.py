@@ -211,12 +211,12 @@ def test_a3_delayed_update_matches_rewind_replay():
             # buffered samples either way, and the replay filter rebuilds its
             # history buffer from the recomputed steps.
             rebuilt = []
-            for entry, (T, Q, P_i) in zip(replay, mats):
+            for entry, (T, Q, _) in zip(replay, mats):
                 state = mechanize(state, entry.imu,
                                   entry.timestamp - state.timestamp,
                                   noise.gravity)
-                rebuilt.append(ImuBufferEntry(state, P_i, T.F, T.G, Q,
-                                              entry.timestamp, entry.imu))
+                rebuilt.append(ImuBufferEntry(T.F, T.G, Q, entry.timestamp,
+                                              entry.imu))
 
             fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k],
                                      fast.state.timestamp)
@@ -371,7 +371,7 @@ def test_a5_repropagation_algebra():
             F = np.eye(18) + 0.02 * rg.standard_normal((18, 18))
             G = rg.standard_normal((18, 12))
             Q = np.diag(rg.uniform(1e-4, 1e-2, 12))
-            e = ImuBufferEntry(None, None, F, G, Q, 0.005 * (k + 1))
+            e = ImuBufferEntry(F, G, Q, 0.005 * (k + 1))
             entries.append(e)
             buf.push(e)
         A = rg.standard_normal((18, 18))

@@ -9,7 +9,6 @@ from swarmnav.buffers import (
     DelayExceedsHorizon,
     HistoryBuffer,
     ImuBufferEntry,
-    accumulate_noise,
     apply_delayed_update,
     core_update_partitioned,
     repropagate,
@@ -20,7 +19,6 @@ from swarmnav.filters import (
     ImuSample,
     LinearMeasurement,
     NoiseDensities,
-    gnss_measurement,
     kalman_step,
     mechanize,
 )
@@ -34,7 +32,7 @@ def _entry(t, dim=4):
     F = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
     G = rng.standard_normal((dim, dim))
     Q = np.diag(rng.uniform(0.1, 1.0, dim))
-    return ImuBufferEntry(None, None, F, G, Q, t)
+    return ImuBufferEntry(F, G, Q, t)
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +44,7 @@ def test_push_and_capacity():
     for t in (1.0, 2.0, 3.0, 4.0):
         buf.push(_entry(t))
     assert len(buf) == 3
-    assert buf.latest().timestamp == 4.0
+    assert buf.entries[-1].timestamp == 4.0
     assert buf.last_evicted == 1.0
 
 
@@ -59,21 +57,10 @@ def test_push_equal_timestamps_allowed():
         buf.push(_entry(0.5))
 
 
-def test_horizon_eviction():
-    buf = HistoryBuffer(capacity=100, horizon=1.0)
-    for t in np.arange(0.0, 3.0, 0.25):
-        buf.push(_entry(t))
-    assert buf.entries[0].timestamp >= 2.75 - 1.0 - 1e-12
-
-
-def test_lookup_and_range():
+def test_range_after():
     buf = HistoryBuffer(capacity=10)
     for t in (1.0, 2.0, 3.0):
         buf.push(_entry(t))
-    assert buf.lookup(2.5).timestamp == 2.0
-    assert buf.lookup(3.0).timestamp == 3.0
-    with pytest.raises(DelayExceedsHorizon):
-        buf.lookup(0.5)
     ts = [e.timestamp for e in buf.range_after(1.0, 3.0)]
     assert ts == [2.0, 3.0]
     assert buf.range_after(3.0, 9.0) == []
@@ -87,27 +74,8 @@ def test_range_after_checks_horizon():
         buf.range_after(0.5, 3.0)
 
 
-def test_empty_latest_raises():
-    with pytest.raises(ValueError):
-        HistoryBuffer(capacity=1).latest()
-
-
 # ----------------------------------------------------------------------
 # transport algebra
-
-
-def test_accumulate_noise_matches_chained():
-    buf = HistoryBuffer(capacity=20)
-    entries = [_entry((k + 1) / 8.0) for k in range(8)]
-    for e in entries:
-        buf.push(e)
-    M = np.zeros((4, 4))
-    for e in entries[2:6]:
-        M = e.F @ M @ e.F.T + e.G @ e.Q @ e.G.T
-    got = accumulate_noise(buf, 0.375, 0.75)
-    assert np.allclose(got, M, atol=1e-12)
-    with pytest.raises(ValueError):
-        accumulate_noise(buf, 0.8, 0.85)
 
 
 def test_repropagate_matches_chained_steps():
@@ -262,9 +230,10 @@ def test_delay_beyond_horizon_raises():
     ag = AgentFilter(_make_agent().state, np.eye(18) * 0.01, "liekf",
                      noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5),
                      imu_buffer_capacity=5)
-    for s in _imu_stream(12, 0.005):
+    stream = _imu_stream(12, 0.005)
+    ag.propagate(stream[0])
+    snap = ag.snapshot()
+    for s in stream[1:]:  # the epoch leaves the 5-step buffer
         ag.propagate(s)
-    old = gnss_measurement(ag.state, np.zeros(3), 0.02)
-    meas = LinearMeasurement(old.residual, old.H[:, :CORE_DIM], old.noise_cov, 0.005)
     with pytest.raises(DelayExceedsHorizon):
-        apply_delayed_update(ag, meas, ag.state.timestamp)
+        ag.update_gnss_delayed(np.zeros(3), 0.02, snap, ag.state.timestamp)

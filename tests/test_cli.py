@@ -18,6 +18,7 @@ from swarmnav.cli import (
     main,
     noiseless_config,
 )
+from swarmnav.conventions import CONVENTIONS
 
 CONFIG_YAML = """\
 agents:
@@ -136,6 +137,31 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
         with open(os.path.join(serial, name)) as fa, \
              open(os.path.join(parallel, name)) as fb:
             assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("seed: 4", "seed: -1"),
+    ("gnss_delay: 0.0", "gnss_delay: 0.1\nfilter: {imu_buffer_capacity: 0}"),
+    ("gate: {enabled: false}", "gate: {enabled: false, beta: 0.5}"),
+])
+def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
+    p = tmp_path / "bad.yaml"
+    p.write_text(CONFIG_YAML.replace(old, new))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_filter_choices_are_the_convention_table(capsys):
+    parser = build_parser()
+    for command in ("run", "montecarlo"):
+        for name in CONVENTIONS:
+            args = parser.parse_args([command, "--config", "c.yaml", "--filter", name])
+            assert args.filter_variant == name
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--config", "c.yaml", "--filter", "iekf"])
+        # The usage line lists exactly the choices.
+        assert "{%s}" % ",".join(sorted(CONVENTIONS)) in capsys.readouterr().err
 
 
 def test_non_finite_config_exits_2(tmp_path, capsys):

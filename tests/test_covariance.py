@@ -70,7 +70,7 @@ def test_lazy_sync_matches_shadow_full_filter():
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
         part.core = F @ part.core @ F.T + G @ Q @ G.T
         part.timestamp = t
-        imu_buf.push(ImuBufferEntry(None, None, F, G, Q, t))
+        imu_buf.push(ImuBufferEntry(F, G, Q, t))
         F_full = np.eye(CORE_DIM + d_vis)
         F_full[:CORE_DIM, :CORE_DIM] = F
         P_shadow = F_full @ P_shadow @ F_full.T
@@ -80,7 +80,7 @@ def test_lazy_sync_matches_shadow_full_filter():
             # partitioned update does.
             Lam = np.eye(CORE_DIM) - 0.05 * random_spd(CORE_DIM, 0.1)
             part.core = Lam @ part.core @ Lam.T
-            sen_buf.push(SensorBufferEntry(None, None, Lam, t))
+            sen_buf.push(SensorBufferEntry(Lam, t))
             L_full = np.eye(CORE_DIM + d_vis)
             L_full[:CORE_DIM, :CORE_DIM] = Lam
             P_shadow = L_full @ P_shadow @ L_full.T

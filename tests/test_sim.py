@@ -1,10 +1,13 @@
 """Simulation configuration handling, artifact output and determinism."""
 
+import math
+import numbers
 import os
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from swarmnav.sensors import SensorSuite
 from swarmnav.sim import (
@@ -20,6 +23,7 @@ from swarmnav.sim import (
     load_config,
     run_swarm,
 )
+from swarmnav.state import CONVENTIONS
 from swarmnav.trajectories import TrajectorySpec
 
 
@@ -64,6 +68,64 @@ def test_config_rejects_non_finite_rates_and_delay(field_name, value):
     agents = (AgentConfig(0, TrajectorySpec(duration=5.0), SensorSuite()),)
     with pytest.raises(ConfigError, match=field_name):
         SimConfig(agents=agents, **{field_name: value})
+
+
+# (section, key) of config fields checked where they enter; None is the
+# top level.
+CHECKED_FIELDS = [("network", "latency"), ("outliers", "rate"), ("gate", "v_emp"),
+                  ("init", "yaw"), ("filter", "imu_buffer_capacity"),
+                  ("filter", "max_clones"), ("landmarks", "count"), (None, "seed")]
+
+
+def _config_with(section, key, value):
+    d = {"agents": [{"trajectory": {"duration": 4.0}}]}
+    if section is None:
+        d[key] = value
+    else:
+        d[section] = {key: value}
+    return config_from_dict(d)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("network", "latency", float("nan")), ("outliers", "rate", float("nan")),
+    ("outliers", "rate", 1.5), ("gate", "v_emp", float("nan")),
+    ("gate", "fixed_threshold", float("nan")), ("init", "yaw", float("nan")),
+    ("init", "yaw", float("inf")), ("filter", "imu_buffer_capacity", 0),
+    ("filter", "max_clones", 0), ("filter", "clone_every", 0),
+    ("landmarks", "count", -1), (None, "seed", -1), (None, "seed", 1.5),
+])
+def test_config_rejects_out_of_range_values(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        _config_with(section, key, value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(CHECKED_FIELDS),
+       value=st.one_of(st.floats(), st.integers(-3, 10 ** 6), st.booleans(), st.none(),
+                       st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+def test_config_fields_are_finite_or_rejected(field, value):
+    section, key = field
+    try:
+        cfg = _config_with(section, key, value)
+    except ConfigError:
+        return
+    got = getattr(cfg if section is None else getattr(cfg, section), key)
+    assert isinstance(got, numbers.Real) and math.isfinite(got)
+
+
+def test_config_rejects_gate_beta():
+    # The gate never read beta; it is no longer a config key.
+    with pytest.raises(ConfigError, match="beta"):
+        _config_with("gate", "beta", 0.5)
+
+
+def test_accepted_conventions_are_the_table_keys():
+    agents = (AgentConfig(0, TrajectorySpec(duration=5.0), SensorSuite()),)
+    for name in CONVENTIONS:
+        assert SimConfig(agents=agents, convention=name).convention == name
+    for name in ("LIEKF", "iekf", "", ["liekf"]):
+        with pytest.raises(ConfigError):
+            SimConfig(agents=agents, convention=name)
 
 
 def test_duration_is_shortest_agent():
@@ -139,16 +201,17 @@ def test_run_produces_artifacts(tmp_path):
     assert summary["agents"][0]["ate_rmse"] < 1.0
 
 
-def test_run_is_byte_deterministic(tmp_path):
-    a = run_swarm(tiny_config(seed=11)).write(tmp_path / "a")
-    b = run_swarm(tiny_config(seed=11)).write(tmp_path / "b")
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_run_is_byte_deterministic(tmp_path, convention):
+    a = run_swarm(tiny_config(seed=11, convention=convention)).write(tmp_path / "a")
+    b = run_swarm(tiny_config(seed=11, convention=convention)).write(tmp_path / "b")
     for name in sorted(os.listdir(a)):
         if name == "timing.csv":  # wall-clock numbers, excluded on purpose
             continue
         with open(os.path.join(a, name), "rb") as fa, \
              open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
-    c = run_swarm(tiny_config(seed=12)).write(tmp_path / "c")
+    c = run_swarm(tiny_config(seed=12, convention=convention)).write(tmp_path / "c")
     with open(os.path.join(a, "trajectory_agent0.csv"), "rb") as fa, \
          open(os.path.join(c, "trajectory_agent0.csv"), "rb") as fc:
         assert fa.read() != fc.read()

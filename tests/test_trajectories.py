@@ -114,3 +114,13 @@ def test_spec_validation():
         truth_at(spec, 6.0)
     with pytest.raises(ValueError):
         truth_at(spec, -0.1)
+
+
+def test_spline_cache_follows_the_spec_value():
+    # Each spec is freed before the next is built, so a cache keyed by
+    # id() would hand many of them a previous spec's spline. The first
+    # knot of a square centered at the origin is its corner (-a/2, -a/2).
+    for k in range(200):
+        size = 10.0 + 0.5 * k
+        pose, _, _ = truth_at(TrajectorySpec(kind="square", size=size, duration=30.0), 0.0)
+        assert np.allclose(pose.position[:2], -size / 2.0, atol=1e-9), size
