@@ -117,8 +117,7 @@ class AgentFilter:
         self.state = mechanize(self.state, imu, dt, self.noise.gravity)
         Q = self.noise.discrete_q(dt)
         propagate_core_only(self.partition, T, Q)
-        # Pin the partition clock to the state clock; summing dt increments
-        # would drift away from the exact sample timestamps.
+        # The partition clock's one writer: the exact sample timestamp.
         self.partition.timestamp = self.state.timestamp
         self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
         return self.state

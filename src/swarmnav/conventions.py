@@ -53,7 +53,6 @@ class TransitionPair:
 
     F: np.ndarray
     G: np.ndarray
-    dt: float
 
 
 def _embed_core(F15, G15):
@@ -86,7 +85,7 @@ def transition_left(imu, dt) -> TransitionPair:
     G15[3:6, 3:6] = np.eye(3)
     G15[9:15, 6:12] = np.eye(6)
     F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G, dt)
+    return TransitionPair(F, G)
 
 
 def transition_right(state_estimate, imu, dt, gravity=None) -> TransitionPair:
@@ -112,7 +111,7 @@ def transition_right(state_estimate, imu, dt, gravity=None) -> TransitionPair:
     G15[3:6, 3:6] = R
     G15[9:15, 6:12] = np.eye(6)
     F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G, dt)
+    return TransitionPair(F, G)
 
 
 def _dJ1a_dpsi(psi, a):
@@ -164,7 +163,7 @@ def transition_ekf(state_estimate, imu, dt) -> TransitionPair:
     G[0:3, 0:3] = np.eye(3)
     G[3:6, 3:6] = R
     G[9:15, 6:12] = np.eye(6)
-    return TransitionPair(F, G, dt)
+    return TransitionPair(F, G)
 
 
 def _nav_block(att, pos):

@@ -67,9 +67,9 @@ class CovariancePartition:
 
 def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
     """Advance only the core block; cross blocks are left untouched and
-    become stale (their pending transitions live in the IMU buffer)."""
+    become stale (their pending transitions live in the IMU buffer). The
+    partition clock is the caller's to set."""
     partition.core = propagate_covariance(partition.core, T, Q_d, check=False)
-    partition.timestamp += T.dt
     return partition
 
 

@@ -52,8 +52,8 @@ class NoiseDensities:
         if self.gravity is None:
             object.__setattr__(self, "gravity", GRAVITY.copy())
         for name in ("gyro_noise", "accel_noise", "gyro_walk", "accel_walk"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite")
 
     def discrete_q(self, dt):
         """First-order discrete process noise: diag(sigma^2) * dt."""

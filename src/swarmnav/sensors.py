@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .filters import ImuSample, NoiseDensities
-from .trajectories import TrajectorySpec, truth_at
+from .trajectories import TrajectorySpec, finite_vector, truth_at
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,18 @@ class SensorSuite:
     max_depth: float = 80.0           # m
 
     def __post_init__(self):
-        for r in (self.imu_rate, self.gnss_rate, self.camera_rate):
-            if r <= 0:
-                raise ValueError("sensor rates must be positive")
+        # Negated comparisons, so that NaN fails them too.
+        for name in ("imu_rate", "gnss_rate", "camera_rate", "fov_half_tangent",
+                     "max_depth"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("gnss_sigma", "pixel_sigma", "min_depth"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not self.min_depth < self.max_depth:
+            raise ValueError("min_depth must be below max_depth")
+        for name in ("lever_arm", "cam_offset"):
+            object.__setattr__(self, name, finite_vector(name, getattr(self, name), 3))
 
     @property
     def camera_extrinsics(self):

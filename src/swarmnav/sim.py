@@ -1,16 +1,18 @@
 """Deterministic event-driven multi-agent simulation.
 
-A single priority queue of timestamped events drives every agent's IMU
-propagation, GNSS gating and (possibly delayed) updates, keyframe camera
-processing with landmark initialization, and the request/response message
-exchange that triggers collaborative landmark updates. All randomness is
-drawn from generators spawned off the one config seed, so identical configs
-produce identical artifacts byte for byte.
+A single priority queue of timestamped events drives every agent's GNSS
+gating and (possibly delayed) updates, keyframe camera processing with
+landmark initialization, and the request/response message exchange that
+triggers collaborative landmark updates. IMU samples are not queued: before
+each event, a cursor over the agent's IMU stream propagates it up to the
+event's time. All randomness is drawn from generators spawned off the one
+config seed, so identical configs produce identical artifacts byte for byte.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -214,6 +216,9 @@ def config_from_dict(d):
         raise ConfigError("config root must be a mapping")
     if "agents" not in d or not d["agents"]:
         raise ConfigError("config must define at least one agent")
+    if not isinstance(d["agents"], list) \
+            or not all(isinstance(ad, dict) for ad in d["agents"]):
+        raise ConfigError("agents must be a list of mappings")
     agents = []
     for i, ad in enumerate(d["agents"]):
         if "trajectory" not in ad:
@@ -223,12 +228,10 @@ def config_from_dict(d):
         if "noise" in suite_d:
             noise_d = dict(suite_d.pop("noise") or {})
             suite_d["noise"] = _build(NoiseDensities, noise_d, f"agents[{i}].suite.noise")
-        for key in ("lever_arm", "cam_offset"):
-            if key in suite_d:
-                suite_d[key] = tuple(suite_d[key])
         suite = _build(SensorSuite, suite_d, f"agents[{i}].suite")
-        agents.append(AgentConfig(ad.get("agent_id", i), traj, suite,
-                                  ad.get("use_gnss", True)))
+        agent_id = ad.get("agent_id", i)
+        _check_count(f"agents[{i}].agent_id", agent_id, 0)
+        agents.append(AgentConfig(agent_id, traj, suite, ad.get("use_gnss", True)))
     lm_d = dict(d.get("landmarks") or {})
     if lm_d.get("points"):
         lm_d["points"] = tuple((int(k), tuple(v)) for k, v in lm_d["points"])
@@ -350,17 +353,18 @@ class RunArtifacts:
 # ----------------------------------------------------------------------
 # the event loop
 
-# Event ordering at equal timestamps: propagation first, then completions of
-# delayed updates (so a new epoch's snapshot sees them), then new measurement
-# epochs, camera frames, networking, recording.
-_IMU, _GNSS_DONE, _GNSS, _CAMERA, _REQUEST, _MSG, _RECORD = range(7)
+# Event ordering at equal timestamps: the agent's IMU cursor first, then
+# completions of delayed updates (so a new epoch's snapshot sees them), then
+# new measurement epochs, camera frames, networking, recording. Every payload
+# starts with the index of the agent the event acts on.
+_GNSS_DONE, _GNSS, _CAMERA, _REQUEST, _MSG, _RECORD = range(6)
 
 
 class _AgentRuntime:
-    def __init__(self, cfg: SimConfig, acfg: AgentConfig, seeds):
+    def __init__(self, cfg: SimConfig, acfg: AgentConfig, imu_seed, init_seed):
         self.cfg = acfg
         suite = acfg.suite
-        rng_init = np.random.default_rng(seeds["init"])
+        rng_init = np.random.default_rng(init_seed)
         truth0, _, _ = truth_at(acfg.trajectory, 0.0)
         truth_state = SystemState(
             nav=truth0,
@@ -387,6 +391,8 @@ class _AgentRuntime:
             fixed_threshold=cfg.gate.fixed_threshold,
         )
         self.gate = GateState()
+        self.imu, _ = synthesize_imu(acfg.trajectory, suite, imu_seed)
+        self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = []
         self.inflight = {}        # gnss epoch -> completion time
         self.tracks = {}          # landmark id -> [(clone timestamp, uv), ...]
@@ -395,6 +401,14 @@ class _AgentRuntime:
         self.rows_cov = []
         self.rows_nees = []
         self.rows_gate = []
+
+    def advance(self, t):
+        # Rounded like the queue's times, so IMU steps go first at equal times.
+        imu, i = self.imu, self.imu_next
+        while i < len(imu) and round(imu[i].timestamp, 9) <= t:
+            self.filter.propagate(imu[i])
+            i += 1
+        self.imu_next = i
 
 
 def run_swarm(config: SimConfig) -> RunArtifacts:
@@ -418,44 +432,37 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 "messages_dropped": 0}
     ledger = BandwidthLedger()
     heap = []
-    seq = [0]
+    seq = itertools.count()
 
     def push(t, order, payload):
-        seq[0] += 1
-        heapq.heappush(heap, (round(t, 9), order, seq[0], payload))
+        heapq.heappush(heap, (round(t, 9), order, next(seq), payload))
 
     runtimes = []
     for idx, acfg in enumerate(config.agents):
-        children = agent_seeds[idx].spawn(4)
-        seeds = {"imu": children[0], "gnss": children[1],
-                 "bearings": children[2], "init": children[3]}
-        rt = _AgentRuntime(config, acfg, seeds)
-        runtimes.append(rt)
-        imu, _ = synthesize_imu(acfg.trajectory, acfg.suite, seeds["imu"])
-        for s in imu:
-            push(s.timestamp, _IMU, ("imu", idx, s))
+        imu_seed, gnss_seed, bearings_seed, init_seed = agent_seeds[idx].spawn(4)
+        runtimes.append(_AgentRuntime(config, acfg, imu_seed, init_seed))
         if config.use_gnss and acfg.use_gnss:
-            fixes = synthesize_gnss(acfg.trajectory, acfg.suite, seeds["gnss"])
+            fixes = synthesize_gnss(acfg.trajectory, acfg.suite, gnss_seed)
             if config.outliers.rate > 0:
                 fixes = inject_outliers(fixes, config.outliers.rate,
                                         config.outliers.magnitude,
                                         np.random.SeedSequence((config.seed, 311, idx)))
             for fix in fixes:
-                push(fix.timestamp, _GNSS, ("gnss", idx, fix))
+                push(fix.timestamp, _GNSS, (idx, fix))
         if config.use_vision:
             # Frames are snapped onto the IMU grid so clone poses line up
             # with the propagated state at the frame epoch.
             frames = synthesize_bearings(acfg.trajectory, acfg.suite, lmap,
-                                         seeds["bearings"],
+                                         bearings_seed,
                                          snap_rate=acfg.suite.imu_rate)
             for fr in frames:
                 if fr.timestamp <= duration:
-                    push(fr.timestamp, _CAMERA, ("camera", idx, fr))
+                    push(fr.timestamp, _CAMERA, (idx, fr))
         if config.collaboration and len(config.agents) > 1:
-            push(1.0 / config.request_rate, _REQUEST, ("request", idx))
+            push(1.0 / config.request_rate, _REQUEST, (idx,))
         k = 1
         while k / config.record_rate <= duration + 1e-9:
-            push(k / config.record_rate, _RECORD, ("record", idx))
+            push(k / config.record_rate, _RECORD, (idx,))
             k += 1
 
     # ------------------------------------------------------------------
@@ -483,7 +490,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                     snap = ag.snapshot()
                     done = t + config.gnss_delay
                     rt.inflight[t] = done
-                    push(done, _GNSS_DONE, ("gnss_done", idx, fix, snap))
+                    push(done, _GNSS_DONE, (idx, fix, snap))
                 else:
                     ag.update_gnss(fix.position, sigma)
                     counters["gnss_applied"] += 1
@@ -496,8 +503,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         rt = runtimes[idx]
         sigma = max(rt.cfg.suite.gnss_sigma, 1e-6)
         try:
-            # Use the filter's own clock: the IMU event at this epoch has
-            # already run, and buffered timestamps must match exactly.
+            # Use the filter's own clock: the cursor has already applied the
+            # sample at this epoch, and buffered timestamps must match exactly.
             rt.filter.update_gnss_delayed(fix.position, sigma, snap,
                                           rt.filter.state.timestamp)
             counters["gnss_applied"] += 1
@@ -507,19 +514,17 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             counters["gnss_rejected_numerical"] += 1
         rt.inflight.pop(fix.timestamp, None)
 
-    def deferred(t, idx, order, payload):
+    def deferred(t, order, payload):
         """Updates that touch the whole covariance must wait for in-flight
         delayed GNSS corrections whose epoch snapshot they would clobber."""
-        rt = runtimes[idx]
-        pending = [done for done in rt.inflight.values() if done > t]
+        pending = [done for done in runtimes[payload[0]].inflight.values() if done > t]
         if pending:
             push(max(pending), order, payload)
-            return True
-        return False
+        return bool(pending)
 
     def handle_camera(t, idx, frame):
         rt = runtimes[idx]
-        if deferred(t, idx, _CAMERA, ("camera", idx, frame)):
+        if deferred(t, _CAMERA, (idx, frame)):
             return
         rt.frame_count += 1
         if (rt.frame_count - 1) % config.filter.clone_every != 0:
@@ -583,12 +588,12 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 ledger.record(msg)
                 delivered, lat = config.network.sample_delivery(net_rng)
                 if delivered:
-                    push(t + lat, _MSG, ("msg", other, msg))
+                    push(t + lat, _MSG, (other, msg))
                 else:
                     counters["messages_dropped"] += 1
         nxt = t + 1.0 / config.request_rate
         if nxt <= duration:
-            push(nxt, _REQUEST, ("request", idx))
+            push(nxt, _REQUEST, (idx,))
 
     def handle_msg(t, idx, msg):
         rt = runtimes[idx]
@@ -608,11 +613,11 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             ledger.record(reply)
             delivered, lat = config.network.sample_delivery(net_rng)
             if delivered:
-                push(t + lat, _MSG, ("msg", msg.sender, reply))
+                push(t + lat, _MSG, (msg.sender, reply))
             else:
                 counters["messages_dropped"] += 1
             return
-        if deferred(t, idx, _MSG, ("msg", idx, msg)):
+        if deferred(t, _MSG, (idx, msg)):
             return
         in_state = {f.feature_id for f in ag.state.features}
         corr = [Correspondence(lid, p, cov) for lid, p, cov in msg.payload
@@ -643,21 +648,22 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             pass
 
     handlers = {
-        "imu": lambda t, idx, s: runtimes[idx].filter.propagate(s),
-        "gnss": handle_gnss,
-        "gnss_done": handle_gnss_done,
-        "camera": handle_camera,
-        "request": handle_request,
-        "msg": handle_msg,
-        "record": handle_record,
+        _GNSS: handle_gnss,
+        _GNSS_DONE: handle_gnss_done,
+        _CAMERA: handle_camera,
+        _REQUEST: handle_request,
+        _MSG: handle_msg,
+        _RECORD: handle_record,
     }
 
     while heap:
-        t, _, _, payload = heapq.heappop(heap)
+        t, order, _, payload = heapq.heappop(heap)
         if t > duration + 1e-9:
             continue
-        kind = payload[0]
-        handlers[kind](t, *payload[1:])
+        runtimes[payload[0]].advance(t)
+        handlers[order](t, *payload)
+    for rt in runtimes:
+        rt.advance(duration + 1e-9)
 
     agents_out = []
     for rt in runtimes:
@@ -673,7 +679,6 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             "nees": rt.rows_nees,
             "gate": rt.rows_gate,
             "ate": report,
-            "filter": rt.filter,
         })
     timing = {"wall_total": time.perf_counter() - t_start}
     bandwidth = {c: (ledger.counts[c], ledger.bytes[c]) for c in ledger.counts}

@@ -21,6 +21,18 @@ from .lie import ExtendedPose
 KINDS = ("circle", "square", "figure-eight", "waypoint-spline")
 
 
+def finite_vector(name, value, n):
+    """`value` as a tuple of n finite floats; ValueError otherwise."""
+    try:
+        v = np.asarray(value, dtype=float)
+        ok = v.shape == (n,) and np.isfinite(v).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {n} finite numbers, got {value!r}")
+    return tuple(v.tolist())
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
     kind: str = "circle"
@@ -39,12 +51,16 @@ class TrajectorySpec:
         # Negated comparisons, so that NaN fails them too.
         if not all(0 < v < np.inf for v in (self.speed, self.size, self.duration)):
             raise ValueError("speed, size and duration must be positive and finite")
+        for name in ("altitude", "alt_amplitude", "phase"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite")
         if self.kind == "waypoint-spline" and not self.waypoints:
             raise ValueError("waypoint-spline needs waypoints")
         # Tuples keep the spec hashable: the spline cache is keyed by it.
-        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "center", finite_vector("center", self.center, 2))
         if self.waypoints is not None:
-            object.__setattr__(self, "waypoints", tuple(map(tuple, self.waypoints)))
+            object.__setattr__(self, "waypoints", tuple(
+                finite_vector("waypoints", w, 2) for w in self.waypoints))
 
 
 def _yaw_rotation(yaw):

@@ -105,7 +105,7 @@ def test_propagate_core_only_leaves_cross_alone():
     core_before = part.core.copy()
     cross_before = part.cross["visual"].copy()
     F = np.eye(CORE_DIM) * 0.9
-    T = TransitionPair(F, np.zeros((CORE_DIM, 12)), 0.01)
+    T = TransitionPair(F, np.zeros((CORE_DIM, 12)))
     propagate_core_only(part, T, np.zeros((12, 12)))
     assert np.array_equal(part.cross["visual"], cross_before)
     assert np.allclose(part.core, F @ core_before @ F.T, atol=1e-12)

@@ -9,6 +9,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import swarmnav.sim as sim
+from swarmnav.agent import AgentFilter
 from swarmnav.sensors import SensorSuite
 from swarmnav.sim import (
     ARTIFACT_HEADER,
@@ -71,16 +73,29 @@ def test_config_rejects_non_finite_rates_and_delay(field_name, value):
 
 
 # (section, key) of config fields checked where they enter; None is the
-# top level.
+# top level, "agent" is the one agent's entry and "suite" and "trajectory"
+# are sections of it.
 CHECKED_FIELDS = [("network", "latency"), ("outliers", "rate"), ("gate", "v_emp"),
                   ("init", "yaw"), ("filter", "imu_buffer_capacity"),
-                  ("filter", "max_clones"), ("landmarks", "count"), (None, "seed")]
+                  ("filter", "max_clones"), ("landmarks", "count"), (None, "seed"),
+                  ("suite", "imu_rate"), ("suite", "gnss_sigma"), ("suite", "pixel_sigma"),
+                  ("suite", "fov_half_tangent"), ("suite", "min_depth"),
+                  ("suite", "lever_arm"), ("suite", "cam_offset"),
+                  ("trajectory", "altitude"), ("trajectory", "phase"),
+                  ("trajectory", "center")]
+AGENT_SECTIONS = ("suite", "trajectory")
+VECTOR_FIELDS = ("lever_arm", "cam_offset", "center")
 
 
 def _config_with(section, key, value):
-    d = {"agents": [{"trajectory": {"duration": 4.0}}]}
+    agent = {"trajectory": {"duration": 4.0}}
+    d = {"agents": [agent]}
     if section is None:
         d[key] = value
+    elif section == "agent":
+        agent[key] = value
+    elif section in AGENT_SECTIONS:
+        agent.setdefault(section, {})[key] = value
     else:
         d[section] = {key: value}
     return config_from_dict(d)
@@ -93,6 +108,18 @@ def _config_with(section, key, value):
     ("init", "yaw", float("inf")), ("filter", "imu_buffer_capacity", 0),
     ("filter", "max_clones", 0), ("filter", "clone_every", 0),
     ("landmarks", "count", -1), (None, "seed", -1), (None, "seed", 1.5),
+    ("suite", "imu_rate", float("nan")), ("suite", "gnss_rate", 0.0),
+    ("suite", "camera_rate", float("inf")), ("suite", "gnss_sigma", float("nan")),
+    ("suite", "pixel_sigma", -1.0), ("suite", "fov_half_tangent", float("nan")),
+    ("suite", "min_depth", -0.5), ("suite", "max_depth", 0.1),
+    ("suite", "lever_arm", [0.1, float("nan"), 0.0]), ("suite", "lever_arm", [0.1, 0.0]),
+    ("suite", "cam_offset", 1.0), ("suite", "noise", {"gyro_noise": float("nan")}),
+    ("trajectory", "altitude", float("nan")), ("trajectory", "alt_amplitude", float("inf")),
+    ("trajectory", "phase", float("nan")), ("trajectory", "center", [0.0, float("nan")]),
+    ("trajectory", "center", [0.0, 0.0, 1.0]),
+    ("trajectory", "waypoints", [[0.0, 0.0], [5.0, float("nan")]]),
+    ("agent", "agent_id", [1]),
+    ("agent", "agent_id", -1),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -102,15 +129,19 @@ def test_config_rejects_out_of_range_values(section, key, value):
 @settings(max_examples=400, deadline=None)
 @given(field=st.sampled_from(CHECKED_FIELDS),
        value=st.one_of(st.floats(), st.integers(-3, 10 ** 6), st.booleans(), st.none(),
-                       st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+                       st.text(max_size=3), st.lists(st.integers(), max_size=3),
+                       st.lists(st.floats(), min_size=2, max_size=3)))
 def test_config_fields_are_finite_or_rejected(field, value):
     section, key = field
     try:
         cfg = _config_with(section, key, value)
     except ConfigError:
         return
-    got = getattr(cfg if section is None else getattr(cfg, section), key)
-    assert isinstance(got, numbers.Real) and math.isfinite(got)
+    owner = cfg.agents[0] if section in AGENT_SECTIONS else cfg
+    got = getattr(owner if section is None else getattr(owner, section), key)
+    values = got if key in VECTOR_FIELDS else (got,)
+    assert isinstance(values, tuple)
+    assert all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
 
 
 def test_config_rejects_gate_beta():
@@ -223,6 +254,68 @@ def test_run_tracks_error():
     assert art.counters["gnss_applied"] > 0
     nees_rows = np.asarray(art.agents[0]["nees"])
     assert np.all(np.isfinite(nees_rows))
+
+
+@pytest.mark.parametrize("delay", [0.1, 0.0])
+def test_imu_steps_come_before_each_event(monkeypatch, delay):
+    # Two agents with different IMU rates and trajectory lengths. Each one
+    # must step through its own IMU stream in order, with nothing skipped or
+    # repeated and nothing after the shorter duration, and every GNSS fix,
+    # prompt or delayed, must meet a state propagated to exactly its epoch.
+    synth_imu, synth_gnss = sim.synthesize_imu, sim.synthesize_gnss
+    init, propagate = AgentFilter.__init__, AgentFilter.propagate
+    update_gnss, update_delayed = AgentFilter.update_gnss, AgentFilter.update_gnss_delayed
+    streams, epochs, filters, applied = [], {}, [], []
+
+    def imu_stream(*args):
+        samples, bias_truth = synth_imu(*args)
+        streams.append([s.timestamp for s in samples])
+        return samples, bias_truth
+
+    def gnss_fixes(*args):
+        fixes = synth_gnss(*args)
+        epochs.update((f.position.tobytes(), f.timestamp) for f in fixes)
+        return fixes
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        self.steps = []
+        filters.append(self)
+
+    def recording_propagate(self, imu):
+        self.steps.append(imu.timestamp)
+        return propagate(self, imu)
+
+    def recording_update(self, z, sigma):
+        applied.append((epochs[z.tobytes()], self.state.timestamp))
+        return update_gnss(self, z, sigma)
+
+    def recording_delayed(self, z, sigma, snapshot, t_now):
+        applied.append((epochs[z.tobytes()], snapshot[0].timestamp))
+        return update_delayed(self, z, sigma, snapshot, t_now)
+
+    monkeypatch.setattr(sim, "synthesize_imu", imu_stream)
+    monkeypatch.setattr(sim, "synthesize_gnss", gnss_fixes)
+    monkeypatch.setattr(AgentFilter, "__init__", recording_init)
+    monkeypatch.setattr(AgentFilter, "propagate", recording_propagate)
+    monkeypatch.setattr(AgentFilter, "update_gnss", recording_update)
+    monkeypatch.setattr(AgentFilter, "update_gnss_delayed", recording_delayed)
+    agents = tuple(
+        AgentConfig(i, TrajectorySpec(duration=duration, phase=0.5 * i),
+                    SensorSuite(imu_rate=rate))
+        for i, (duration, rate) in enumerate([(4.03, 200.0), (5.0, 160.0)]))
+    cfg = SimConfig(agents=agents, gnss_delay=delay, use_vision=False,
+                    collaboration=False, gate=GateOptions(enabled=False))
+    art = run_swarm(cfg)
+
+    assert len(filters) == len(streams) == 2
+    for f, stream in zip(filters, streams):
+        assert f.steps == [t for t in stream if t <= cfg.duration + 1e-9]
+    # 4.03 s is no record epoch: the last steps come after every event.
+    assert [len(f.steps) for f in filters] == [806, 644]
+    assert len(applied) == art.counters["gnss_applied"] > 0
+    for epoch, state_time in applied:
+        assert round(state_time, 9) == round(epoch, 9)
 
 
 def test_delayed_gnss_smoke():
