@@ -2,6 +2,9 @@
 covariance, sliding-window camera clones, inverse-depth landmarks, and the
 GNSS / vision / collaborative update paths.
 
+The filter takes its IMU stream in segments, all samples between two
+events: the biases are fixed across a segment, so the mean is mechanized and
+the left-invariant transitions are formed for the whole segment at once.
 The covariance is split into an 18-dim core (propagated every IMU step) and
 one "visual" group holding all clone and landmark entries; the cross block
 is brought up to date lazily from the buffered transitions just before it
@@ -39,7 +42,6 @@ from .filters import (
     gnss_measurement,
     mechanize,
     stack_measurements,
-    transition,
     update,
 )
 from .conventions import lookup
@@ -107,19 +109,24 @@ class AgentFilter:
     # ------------------------------------------------------------------
     # propagation
 
-    def propagate(self, imu: ImuSample):
-        dt = imu.timestamp - self.state.timestamp
-        if dt <= 0:
-            raise ValueError(
-                f"IMU sample at t={imu.timestamp} is not after state t={self.state.timestamp}"
-            )
-        T = transition(self.convention, self.state, imu, dt, self.noise.gravity)
-        self.state = mechanize(self.state, imu, dt, self.noise.gravity)
-        Q = self.noise.discrete_q(dt)
-        propagate_core_only(self.partition, T, Q)
-        # The partition clock's one writer: the exact sample timestamp.
+    def propagate(self, *samples: ImuSample):
+        """Advance through a segment of IMU samples, oldest first.
+
+        The mean is mechanized over the whole segment in one call and the
+        convention's transitions come per segment too; the core covariance
+        and the IMU buffer still advance one step per sample.
+        """
+        gravity = self.noise.gravity
+        seg = mechanize(self.state, samples, gravity)
+        steps = lookup(self.convention).transition(self.state, samples, seg.dts,
+                                                   seg.navs, gravity)
+        for imu, dt, T in zip(samples, seg.dts, steps):
+            Q = self.noise.discrete_q(dt)
+            propagate_core_only(self.partition, T, Q)
+            self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
+        self.state = seg.state
+        # The partition clock's one writer: the state clock.
         self.partition.timestamp = self.state.timestamp
-        self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
         return self.state
 
     # ------------------------------------------------------------------

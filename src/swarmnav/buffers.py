@@ -4,9 +4,10 @@ measurements.
 Each agent keeps a high-rate IMU buffer of (transition, noise map, time,
 sample) steps plus small per-sensor buffers of (correction term, time). A
 measurement that completes late is updated against the snapshot taken at
-its epoch and the corrected mean/covariance are transported to the present
-through the stored transition matrices, instead of rewinding and replaying
-the filter.
+its epoch. The corrected covariance is transported to the present through
+the stored transition matrices, and the corrected mean is re-mechanized
+through the buffered samples in one segment call, instead of rewinding and
+replaying the filter.
 """
 
 from __future__ import annotations
@@ -163,10 +164,8 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
         sl = agent.partition.block_slice(state_k, bid)
         xi[sl] = xb
     state = retract(state_k, xi, agent.convention)
-    for entry in agent.imu_buffer.range_after(t_k, t_now):
-        state = mechanize(state, entry.imu, entry.timestamp - state.timestamp,
-                          getattr(agent.noise, "gravity", None))
-    agent.state = state
+    replay = [entry.imu for entry in agent.imu_buffer.range_after(t_k, t_now)]
+    agent.state = mechanize(state, replay, agent.noise.gravity).state
     agent.partition = part_k
 
     agent.gnss_buffer.push(SensorBufferEntry(Lam, t_now))

@@ -21,7 +21,7 @@ defined estimate-minus-truth; the finite-difference tests pin the signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -64,28 +64,41 @@ def _embed_core(F15, G15):
     return F, G
 
 
-def transition_left(imu, dt) -> TransitionPair:
-    """Left-invariant transition; a pure function of (gyro, accel, dt)."""
-    if dt <= 0:
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# The noise map of a left-invariant step is the same for every sample, so
+# every buffered step shares this one (read-only) array.
+_G_LEFT = np.zeros((CORE_DIM, NOISE_DIM))
+_G_LEFT[0:3, 0:3] = np.eye(3)
+_G_LEFT[3:6, 3:6] = np.eye(3)
+_G_LEFT[9:15, 6:12] = np.eye(6)
+_read_only(_G_LEFT)
+
+
+def transition_left(samples, dts) -> list:
+    """Left-invariant transitions of a segment of IMU samples, one per
+    sample; each is a pure function of (gyro, accel, dt). The generators
+    are stacked and exponentiated in one call."""
+    dts = np.asarray(dts, dtype=float)
+    if not np.all(dts > 0):
         raise ValueError("dt must be positive")
-    w = np.asarray(imu.gyro, dtype=float)
-    f = np.asarray(imu.accel, dtype=float)
+    w = np.array([s.gyro for s in samples], dtype=float)
+    f = np.array([s.accel for s in samples], dtype=float)
     Sw = skew(w)
-    A = np.zeros((15, 15))
-    A[0:3, 0:3] = -Sw
-    A[3:6, 0:3] = -skew(f)
-    A[3:6, 3:6] = -Sw
-    A[6:9, 3:6] = np.eye(3)
-    A[6:9, 6:9] = -Sw
-    A[0:3, 9:12] = -np.eye(3)
-    A[3:6, 12:15] = -np.eye(3)
-    F15 = expm(A * dt)
-    G15 = np.zeros((15, NOISE_DIM))
-    G15[0:3, 0:3] = np.eye(3)
-    G15[3:6, 3:6] = np.eye(3)
-    G15[9:15, 6:12] = np.eye(6)
-    F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G)
+    A = np.zeros((len(dts), 15, 15))
+    A[:, 0:3, 0:3] = -Sw
+    A[:, 3:6, 0:3] = -skew(f)
+    A[:, 3:6, 3:6] = -Sw
+    A[:, 6:9, 3:6] = np.eye(3)
+    A[:, 6:9, 6:9] = -Sw
+    A[:, 0:3, 9:12] = -np.eye(3)
+    A[:, 3:6, 12:15] = -np.eye(3)
+    F = np.tile(np.eye(CORE_DIM), (len(dts), 1, 1))
+    F[:, :15, :15] = expm(A * dts[:, None, None])
+    return [TransitionPair(F_k, _G_LEFT) for F_k in _read_only(F)]
 
 
 def transition_right(state_estimate, imu, dt, gravity=None) -> TransitionPair:
@@ -196,13 +209,27 @@ class Convention:
 
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
-    transition: Callable      # (state, imu, dt, gravity) -> TransitionPair
+    # (state, samples, dts, navs, gravity) -> one TransitionPair per sample,
+    # where navs[i] is the navigation state sample i starts from (see
+    # filters.mechanize) and the biases are those of `state`.
+    transition: Callable
     clone_attitude: Callable  # (R, R_ic) -> d(clone attitude) / d(attitude error)
     point_jacobian: Callable  # (R, p, x) -> 3x9 d(p + R x) / d(nav error)
 
 
+def _per_step(step):
+    """A segment transition made of one-step transitions, each linearized at
+    the state the step starts from."""
+    def transition(state, samples, dts, navs, gravity):
+        return [step(replace(state, nav=nav), imu, dt, gravity)
+                for nav, imu, dt in zip(navs, samples, dts)]
+    return transition
+
+
 # The transitions are called through their module-level names, so a
-# rebinding of those names (instrumentation) reaches every call.
+# rebinding of those names (instrumentation) reaches every call. The
+# left-invariant transition depends on the samples alone and takes a whole
+# segment per call; the other two depend on the state and go step by step.
 CONVENTIONS = {
     "liekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(inverse(truth), est)),
@@ -212,21 +239,22 @@ CONVENTIONS = {
         # transitions stored for delayed-update transport are exactly the
         # ones a rewind would recompute. The linearization error this trades
         # away is of order |bias| * dt.
-        transition=lambda state, imu, dt, gravity: transition_left(imu, dt),
+        transition=lambda state, samples, dts, navs, gravity: transition_left(samples, dts),
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), R),
     ),
     "riekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(est, inverse(truth))),
         nav_retract=lambda nav, e: compose(se23_exp(e), nav),
-        transition=lambda state, imu, dt, gravity: transition_right(state, imu, dt, gravity),
+        transition=_per_step(
+            lambda state, imu, dt, gravity: transition_right(state, imu, dt, gravity)),
         clone_attitude=lambda R, R_ic: (R @ R_ic).T,
         point_jacobian=lambda R, p, x: _nav_block(-skew(p + R @ x), np.eye(3)),
     ),
     "ekf": Convention(
         nav_error=_ekf_error,
         nav_retract=_ekf_retract,
-        transition=lambda state, imu, dt, gravity: transition_ekf(state, imu, dt),
+        transition=_per_step(lambda state, imu, dt, gravity: transition_ekf(state, imu, dt)),
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), np.eye(3)),
     ),

@@ -12,6 +12,7 @@ importable from here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .lie import (
     so3_left_jacobian,
 )
 from .state import CORE_DIM, SystemState, retract
+from .trajectories import finite_vector
 
 
 class UpdateRejected(RuntimeError):
@@ -49,19 +51,20 @@ class NoiseDensities:
     gravity: np.ndarray = None
 
     def __post_init__(self):
-        if self.gravity is None:
-            object.__setattr__(self, "gravity", GRAVITY.copy())
+        gravity = GRAVITY if self.gravity is None else self.gravity
+        object.__setattr__(self, "gravity", np.array(finite_vector("gravity", gravity, 3)))
         for name in ("gyro_noise", "accel_noise", "gyro_walk", "accel_walk"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative and finite")
-
-    def discrete_q(self, dt):
-        """First-order discrete process noise: diag(sigma^2) * dt."""
         sig = np.array(
             [self.gyro_noise] * 3 + [self.accel_noise] * 3
             + [self.gyro_walk] * 3 + [self.accel_walk] * 3
         )
-        return np.diag(sig ** 2) * dt
+        object.__setattr__(self, "_q_rate", np.diag(sig ** 2))
+
+    def discrete_q(self, dt):
+        """First-order discrete process noise: diag(sigma^2) * dt."""
+        return self._q_rate * dt
 
 
 @dataclass(frozen=True)
@@ -83,33 +86,58 @@ def stack_measurements(measurements):
     return LinearMeasurement(r, H, N, measurements[-1].timestamp)
 
 
-def mechanize(state: SystemState, imu: ImuSample, dt, gravity=None) -> SystemState:
-    """Bias-compensated strapdown step with closed-form ZOH integration.
+class Strapdown(NamedTuple):
+    """A mechanized IMU segment."""
 
-    Biases, lever arm, clones and features are carried over unchanged.
+    state: SystemState   # after the last sample
+    navs: list           # navs[i]: the navigation state sample i starts from
+    dts: list            # step lengths, by the filter clock's subtraction chain
+
+
+def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
+    """Bias-compensated strapdown over a segment of IMU samples, with
+    closed-form ZOH integration.
+
+    The biases are fixed across the segment, so the rotation increments and
+    the integral coefficient matrices of every sample come from one
+    vectorized pass; only the composition runs step by step. Each step's dt
+    is the sample time minus the state time reached by the steps before it,
+    as when the samples are applied one at a time. Biases, lever arm, clones
+    and features are carried over unchanged.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dts = []
+    t = state.timestamp
+    for imu in samples:
+        dt = imu.timestamp - t
+        if not dt > 0:  # NaN fails too
+            raise ValueError(f"IMU sample at t={imu.timestamp} is not after state t={t}")
+        dts.append(dt)
+        t = t + dt
+    if not dts:
+        return Strapdown(state, [], [])
     g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    w = imu.gyro - state.gyro_bias
-    a = imu.accel - state.accel_bias
-    psi = w * dt
-    R = state.nav.rotation
+    dt_col = np.array(dts)[:, None]
+    psi = (np.array([imu.gyro for imu in samples]) - state.gyro_bias) * dt_col
+    a = (np.array([imu.accel for imu in samples]) - state.accel_bias)[:, :, None]
     Gamma = so3_exp(psi)
-    J1 = so3_left_jacobian(psi)
-    G2 = so3_gamma2(psi)
-    Ra = R @ (J1 @ a)
-    nav = ExtendedPose(
-        R @ Gamma,
-        state.nav.velocity + Ra * dt + g * dt,
-        state.nav.position + state.nav.velocity * dt + R @ (G2 @ a) * dt * dt + 0.5 * g * dt * dt,
-    )
-    return replace(state, nav=nav, timestamp=state.timestamp + dt)
+    J1a = (so3_left_jacobian(psi) @ a)[:, :, 0]
+    G2a = (so3_gamma2(psi) @ a)[:, :, 0]
+    g_dt = g * dt_col
+    g_dt2 = 0.5 * g * dt_col * dt_col
+    R, v, p = state.nav.rotation, state.nav.velocity, state.nav.position
+    navs = []
+    for k, dt in enumerate(dts):
+        navs.append(ExtendedPose(R, v, p))
+        R, v, p = (R @ Gamma[k],
+                   v + R @ J1a[k] * dt + g_dt[k],
+                   p + v * dt + R @ G2a[k] * dt * dt + g_dt2[k])
+    return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t), navs, dts)
 
 
 def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionPair:
     """Core transition of one strapdown step in the given convention."""
-    return lookup(convention).transition(state_estimate, imu, dt, gravity)
+    return lookup(convention).transition(state_estimate, [imu], [dt],
+                                         [state_estimate.nav], gravity)[0]
 
 
 def _check_psd(P, tol=1e-9):

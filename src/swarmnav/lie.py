@@ -9,6 +9,10 @@ embedding
     [ 0  0  1 ]
 
 Tangent vectors are ordered (attitude, velocity, position).
+
+``skew``, ``so3_exp``, ``so3_left_jacobian`` and ``so3_gamma2`` also take a
+stack of vectors (..., 3) and return a stack of matrices (..., 3, 3), bit
+for bit the matrices of one call per vector.
 """
 
 from __future__ import annotations
@@ -24,35 +28,62 @@ _SMALL_ANGLE = 1e-7
 _ORTHO_TOL = 1e-6
 
 
+# Flat (row-major) positions of v[0], v[1], v[2] in skew(v) and of their
+# negatives.
+_SKEW_POS = np.array([7, 2, 3])
+_SKEW_NEG = np.array([5, 6, 1])
+
+
 def skew(v):
     """Skew-symmetric matrix of a 3-vector, so that skew(v) @ w == cross(v, w)."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    S = np.zeros(v.shape[:-1] + (9,))
+    S[..., _SKEW_POS] = v
+    S[..., _SKEW_NEG] = -v
+    return S.reshape(v.shape[:-1] + (3, 3))
 
 
-def _rodrigues_coeffs(theta):
-    """Coefficients (a, b) with exp(phi^) = I + a*phi^ + b*phi^2."""
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    return a, b
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
+
+
+def _so3_terms(phi):
+    """(theta, phi^, phi^2, small-angle mask, guarded theta) of a rotation
+    vector or a stack of them. The guarded theta is 1 wherever the series
+    applies, which keeps 0/0 out of the closed form there."""
+    phi = np.asarray(phi, dtype=float)
+    # Row-wise dot products: bit for bit np.linalg.norm of each vector.
+    theta = np.sqrt(np.vecdot(phi, phi))
+    S = skew(phi)
+    small = theta < _SMALL_ANGLE
+    th = np.where(small, 1.0, theta) if small.any() else theta
+    return theta, S, S @ S, small, th
+
+
+def _per_matrix(c):
+    """A scalar or per-vector coefficient, broadcastable over 3x3 matrices."""
+    return np.asarray(c)[..., None, None]
+
+
+def _series_below_cutoff(small, closed, series):
+    """`closed`, with the matrices of `series()` in place of those whose
+    angle is below the cutoff."""
+    if not small.any():
+        return closed
+    return np.where(_per_matrix(small), series(), closed)
 
 
 def so3_exp(phi):
-    """Rodrigues formula: rotation matrix for a rotation vector (rad)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    a, b = _rodrigues_coeffs(theta)
-    S = skew(phi)
-    return np.eye(3) + a * S + b * (S @ S)
+    """Rodrigues formula: rotation matrix for a rotation vector (rad),
+    exp(phi^) = I + a*phi^ + b*phi^2."""
+    theta, S, SS, small, th = _so3_terms(phi)
+    t2 = theta * theta
+    return _series_below_cutoff(
+        small,
+        _EYE + _per_matrix(np.sin(th) / th) * S
+        + _per_matrix((1.0 - np.cos(th)) / (th * th)) * SS,
+        lambda: _EYE + _per_matrix(1.0 - t2 / 6.0 + t2 * t2 / 120.0) * S
+        + _per_matrix(0.5 - t2 / 24.0 + t2 * t2 / 720.0) * SS)
 
 
 def check_rotation(R, tol=_ORTHO_TOL):
@@ -97,15 +128,12 @@ def so3_log(R):
 
 def so3_left_jacobian(phi):
     """Left Jacobian J_l of SO(3): exp((phi+dphi)^) ~ exp((J_l dphi)^) exp(phi^)."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    S = skew(phi)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + S / 2.0 + S @ S / 6.0
-    t2 = theta * theta
-    b = (1.0 - np.cos(theta)) / t2
-    c = (theta - np.sin(theta)) / (t2 * theta)
-    return np.eye(3) + b * S + c * (S @ S)
+    _, S, SS, small, th = _so3_terms(phi)
+    t2 = th * th
+    b = (1.0 - np.cos(th)) / t2
+    c = (th - np.sin(th)) / (t2 * th)
+    return _series_below_cutoff(small, _EYE + _per_matrix(b) * S + _per_matrix(c) * SS,
+                                lambda: _EYE + S / 2.0 + SS / 6.0)
 
 
 def so3_left_jacobian_inv(phi):
@@ -125,15 +153,12 @@ def so3_gamma2(phi):
 
     Appears in the closed-form position update of the strapdown integrator.
     """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
-    S = skew(phi)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) / 2.0 + S / 6.0 + S @ S / 24.0
-    t2 = theta * theta
-    a = (theta - np.sin(theta)) / (t2 * theta)
-    b = (t2 / 2.0 + np.cos(theta) - 1.0) / (t2 * t2)
-    return np.eye(3) / 2.0 + a * S + b * (S @ S)
+    _, S, SS, small, th = _so3_terms(phi)
+    t2 = th * th
+    a = (th - np.sin(th)) / (t2 * th)
+    b = (t2 / 2.0 + np.cos(th) - 1.0) / (t2 * t2)
+    return _series_below_cutoff(small, _EYE / 2.0 + _per_matrix(a) * S + _per_matrix(b) * SS,
+                                lambda: _EYE / 2.0 + S / 6.0 + SS / 24.0)
 
 
 @dataclass(frozen=True)

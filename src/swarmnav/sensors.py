@@ -13,7 +13,25 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .filters import ImuSample, NoiseDensities
-from .trajectories import TrajectorySpec, finite_vector, truth_at
+from .lie import check_rotation
+from .trajectories import TrajectorySpec, finite_vector, kinematics, truth_at
+
+
+def _rotation_rows(value):
+    """A camera rotation as a tuple of three finite, orthonormal rows;
+    ValueError otherwise."""
+    try:
+        R = np.asarray(value, dtype=float)
+        ok = R.shape == (3, 3) and np.isfinite(R).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"cam_rotation must be a 3x3 matrix of finite numbers, got {value!r}")
+    try:
+        check_rotation(R)
+    except ValueError as exc:
+        raise ValueError(f"cam_rotation: {exc}") from None
+    return tuple(map(tuple, R.tolist()))
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,8 @@ class SensorSuite:
             raise ValueError("min_depth must be below max_depth")
         for name in ("lever_arm", "cam_offset"):
             object.__setattr__(self, name, finite_vector(name, getattr(self, name), 3))
+        if self.cam_rotation is not None:
+            object.__setattr__(self, "cam_rotation", _rotation_rows(self.cam_rotation))
 
     @property
     def camera_extrinsics(self):
@@ -91,28 +111,28 @@ def grid_landmarks(center, extent, count, altitude_range, seed):
 
 
 def synthesize_imu(spec: TrajectorySpec, suite: SensorSuite, seed):
-    """IMU stream over the trajectory duration. Returns (samples,
-    bias_truth) where bias_truth maps timestamp -> (gyro bias, accel bias)
-    for the random-walk bias truth at each sample time."""
+    """IMU stream over the trajectory duration (list of ImuSample), with
+    random-walk biases and white noise.
+
+    The truth is evaluated for all sample times at once. Each sample draws
+    12 standard normals, in this order: gyro walk, accel walk, gyro noise,
+    accel noise; the walks are running sums from zero.
+    """
     rng = np.random.default_rng(seed)
     dt = 1.0 / suite.imu_rate
     n = int(round(spec.duration * suite.imu_rate))
     sq = np.sqrt(dt)
     nd = suite.noise
-    bg = np.zeros(3)
-    ba = np.zeros(3)
-    samples = []
-    bias_truth = {}
-    for k in range(1, n + 1):
-        t = k * dt
-        _, omega, f = truth_at(spec, t - dt / 2.0)
-        bg = bg + nd.gyro_walk * sq * rng.standard_normal(3)
-        ba = ba + nd.accel_walk * sq * rng.standard_normal(3)
-        gyro = omega + bg + nd.gyro_noise / sq * rng.standard_normal(3)
-        accel = f + ba + nd.accel_noise / sq * rng.standard_normal(3)
-        samples.append(ImuSample(gyro, accel, t))
-        bias_truth[t] = (bg.copy(), ba.copy())
-    return samples, bias_truth
+    times = np.arange(1, n + 1) * dt
+    _, _, _, omega, f = kinematics(spec, times - dt / 2.0)
+    draws = rng.standard_normal((n, 4, 3))
+    walks = np.zeros((n + 1, 2, 3))
+    walks[1:, 0] = nd.gyro_walk * sq * draws[:, 0]
+    walks[1:, 1] = nd.accel_walk * sq * draws[:, 1]
+    bias = np.cumsum(walks, axis=0)[1:]
+    gyro = omega + bias[:, 0] + nd.gyro_noise / sq * draws[:, 2]
+    accel = f + bias[:, 1] + nd.accel_noise / sq * draws[:, 3]
+    return [ImuSample(g, a, t) for g, a, t in zip(gyro, accel, times.tolist())]
 
 
 def synthesize_gnss(spec: TrajectorySpec, suite: SensorSuite, seed):

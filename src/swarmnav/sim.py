@@ -4,9 +4,11 @@ A single priority queue of timestamped events drives every agent's GNSS
 gating and (possibly delayed) updates, keyframe camera processing with
 landmark initialization, and the request/response message exchange that
 triggers collaborative landmark updates. IMU samples are not queued: before
-each event, a cursor over the agent's IMU stream propagates it up to the
-event's time. All randomness is drawn from generators spawned off the one
-config seed, so identical configs produce identical artifacts byte for byte.
+each event, a cursor over the agent's IMU stream hands the filter every
+pending sample up to the event's time as one segment
+(`_AgentRuntime.advance`). All randomness is drawn from generators spawned
+off the one config seed, so identical configs produce identical artifacts
+byte for byte.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def _check_finite(name, value, allow_zero=False):
         raise ConfigError(f"{name} must be a finite {low} number, got {value!r}")
 
 
+def _check_flag(name, value):
+    """A real bool: a string such as "no" would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def _check_count(name, value, low):
     """An integer of at least `low`; a bool is not a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
@@ -71,6 +79,7 @@ class GateOptions:
     fixed_threshold: float = None
 
     def __post_init__(self):
+        _check_flag("enabled", self.enabled)
         _check_count("window", self.window, 3)
         _check_finite("v_emp", self.v_emp)
         if self.fixed_threshold is not None:
@@ -155,6 +164,9 @@ class AgentConfig:
     suite: SensorSuite
     use_gnss: bool = True  # lets individual agents fly GNSS-denied
 
+    def __post_init__(self):
+        _check_flag("use_gnss", self.use_gnss)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -180,6 +192,8 @@ class SimConfig:
         if not isinstance(self.convention, str) or self.convention not in CONVENTIONS:
             raise ConfigError(f"unknown filter variant {self.convention!r}")
         _check_count("seed", self.seed, 0)
+        for name in ("use_gnss", "use_vision", "collaboration"):
+            _check_flag(name, getattr(self, name))
         ids = [a.agent_id for a in self.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent ids must be unique")
@@ -391,7 +405,7 @@ class _AgentRuntime:
             fixed_threshold=cfg.gate.fixed_threshold,
         )
         self.gate = GateState()
-        self.imu, _ = synthesize_imu(acfg.trajectory, suite, imu_seed)
+        self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = []
         self.inflight = {}        # gnss epoch -> completion time
@@ -403,12 +417,15 @@ class _AgentRuntime:
         self.rows_gate = []
 
     def advance(self, t):
-        # Rounded like the queue's times, so IMU steps go first at equal times.
+        """Propagate the pending IMU samples up to time t as one segment.
+        Rounded like the queue's times, so IMU steps go first at equal times."""
         imu, i = self.imu, self.imu_next
-        while i < len(imu) and round(imu[i].timestamp, 9) <= t:
-            self.filter.propagate(imu[i])
-            i += 1
-        self.imu_next = i
+        j = i
+        while j < len(imu) and round(imu[j].timestamp, 9) <= t:
+            j += 1
+        if j > i:
+            self.filter.propagate(*imu[i:j])
+        self.imu_next = j
 
 
 def run_swarm(config: SimConfig) -> RunArtifacts:

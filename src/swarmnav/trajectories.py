@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .filters import GRAVITY
+from .conventions import GRAVITY
 from .lie import ExtendedPose
 
 KINDS = ("circle", "square", "figure-eight", "waypoint-spline")
@@ -63,11 +63,6 @@ class TrajectorySpec:
                 finite_vector("waypoints", w, 2) for w in self.waypoints))
 
 
-def _yaw_rotation(yaw):
-    c, s = np.cos(yaw), np.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 @lru_cache(maxsize=64)
 def _spline_for(spec: TrajectorySpec):
     """Periodic planar spline through the trajectory's waypoint polygon,
@@ -91,14 +86,15 @@ def _spline_for(spec: TrajectorySpec):
 
 
 def _planar_state(spec: TrajectorySpec, t):
-    """(xy, v_xy, a_xy) at time t for the given trajectory kind."""
+    """(xy, v_xy, a_xy) at the times t (an array), each of shape t.shape + (2,)."""
     if spec.kind == "circle":
         w = spec.speed / spec.size
         th = w * t + spec.phase
         c = np.asarray(spec.center)
-        xy = c + spec.size * np.array([np.cos(th), np.sin(th)])
-        v = spec.size * w * np.array([-np.sin(th), np.cos(th)])
-        a = -spec.size * w * w * np.array([np.cos(th), np.sin(th)])
+        cs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        xy = c + spec.size * cs
+        v = spec.size * w * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+        a = -spec.size * w * w * cs
         return xy, v, a
     if spec.kind == "figure-eight":
         # Lemniscate of Gerono; period chosen so the mean speed is `speed`.
@@ -106,13 +102,15 @@ def _planar_state(spec: TrajectorySpec, t):
         period = 6.097 * A / spec.speed  # arclength of the unit lemniscate
         w = 2.0 * np.pi / period
         th = w * t + spec.phase
-        xy = A * np.array([np.sin(th), np.sin(th) * np.cos(th)]) + np.asarray(spec.center)
-        v = A * w * np.array([np.cos(th), np.cos(2.0 * th)])
-        a = A * w * w * np.array([-np.sin(th), -2.0 * np.sin(2.0 * th)])
+        xy = A * np.stack([np.sin(th), np.sin(th) * np.cos(th)], axis=-1) \
+            + np.asarray(spec.center)
+        v = A * w * np.stack([np.cos(th), np.cos(2.0 * th)], axis=-1)
+        a = A * w * w * np.stack([-np.sin(th), -2.0 * np.sin(2.0 * th)], axis=-1)
         return xy, v, a
     if spec.kind == "waypoint-spline" and len(spec.waypoints) == 1:
         xy = np.asarray(spec.waypoints[0], dtype=float) + np.asarray(spec.center)
-        return xy, np.zeros(2), np.zeros(2)
+        still = np.zeros(t.shape + (2,))
+        return xy + still, still, still
     spline, period = _spline_for(spec)
     tau = (t + spec.phase) % period
     return spline(tau), spline(tau, 1), spline(tau, 2)
@@ -129,26 +127,44 @@ def _altitude_state(spec: TrajectorySpec, t):
     )
 
 
+def kinematics(spec: TrajectorySpec, t):
+    """Ground truth at the times t (a scalar or an array): rotation
+    (t.shape + (3, 3)), velocity and position, body angular rate (rad/s)
+    and body specific force (m/s^2), each t.shape + (3,)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= spec.duration)):
+        raise ValueError(f"t={t} outside [0, {spec.duration}]")
+    xy, v_xy, a_xy = _planar_state(spec, t)
+    z, vz, az = np.broadcast_arrays(t, *_altitude_state(spec, t))[1:]
+    p = np.concatenate([xy, z[..., None]], axis=-1)
+    v = np.concatenate([v_xy, vz[..., None]], axis=-1)
+    a = np.concatenate([a_xy, az[..., None]], axis=-1)
+    vx, vy = v_xy[..., 0], v_xy[..., 1]
+    # Squared as Python floats, which call pow(): numpy's array ** 2
+    # multiplies instead and differs in the last bit for some speeds, which
+    # would move every artifact of a run.
+    speed2 = np.array([x ** 2 + y ** 2 for x, y in v_xy.reshape(-1, 2).tolist()])
+    speed2 = speed2.reshape(t.shape)
+    # Hovering: hold the phase offset as a fixed heading.
+    hover = speed2 < 1e-12
+    moving = np.where(hover, 1.0, speed2)
+    yaw = np.where(hover, spec.phase, np.arctan2(vy, vx))
+    yaw_rate = np.where(hover, 0.0,
+                        (vx * a_xy[..., 1] - vy * a_xy[..., 0]) / moving)
+    c, s = np.cos(yaw), np.sin(yaw)
+    R = np.zeros(t.shape + (3, 3))
+    R[..., :2, :2] = np.stack([c, -s, s, c], axis=-1).reshape(t.shape + (2, 2))
+    R[..., 2, 2] = 1.0
+    omega = np.zeros(t.shape + (3,))
+    omega[..., 2] = yaw_rate
+    f = (np.swapaxes(R, -1, -2) @ (a - GRAVITY)[..., None])[..., 0]
+    return R, v, p, omega, f
+
+
 def truth_at(spec: TrajectorySpec, t):
     """Ground truth at time t: (ExtendedPose, body angular rate rad/s,
     body specific force m/s^2)."""
-    if not 0.0 <= t <= spec.duration:
-        raise ValueError(f"t={t} outside [0, {spec.duration}]")
-    xy, v_xy, a_xy = _planar_state(spec, t)
-    z, vz, az = _altitude_state(spec, t)
-    p = np.array([xy[0], xy[1], z])
-    v = np.array([v_xy[0], v_xy[1], vz])
-    a = np.array([a_xy[0], a_xy[1], az])
-    speed2 = v_xy[0] ** 2 + v_xy[1] ** 2
-    if speed2 < 1e-12:
-        # Hovering: hold the phase offset as a fixed heading.
-        yaw, yaw_rate = spec.phase, 0.0
-    else:
-        yaw = np.arctan2(v_xy[1], v_xy[0])
-        yaw_rate = (v_xy[0] * a_xy[1] - v_xy[1] * a_xy[0]) / speed2
-    R = _yaw_rotation(yaw)
-    omega = np.array([0.0, 0.0, yaw_rate])
-    f = R.T @ (a - GRAVITY)
+    R, v, p, omega, f = kinematics(spec, t)
     return ExtendedPose(R, v, p), omega, f
 
 

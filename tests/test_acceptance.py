@@ -138,7 +138,7 @@ def test_a3_delayed_update_matches_rewind_replay():
     # by both schemes and excluded.
     spec = TrajectorySpec(kind="circle", speed=2.0, size=20.0, duration=30.0)
     suite = default_suite()
-    imu, _ = synthesize_imu(spec, suite, seed=71)
+    imu = synthesize_imu(spec, suite, seed=71)
     fixes = synthesize_gnss(spec, suite, seed=72)
     pose0, _, _ = truth_at(spec, 0.0)
     state0 = SystemState(nav=pose0, gyro_bias=np.zeros(3),
@@ -210,13 +210,10 @@ def test_a3_delayed_update_matches_rewind_replay():
             # Untimed in both schemes: the mean is re-mechanized through the
             # buffered samples either way, and the replay filter rebuilds its
             # history buffer from the recomputed steps.
-            rebuilt = []
-            for entry, (T, Q, _) in zip(replay, mats):
-                state = mechanize(state, entry.imu,
-                                  entry.timestamp - state.timestamp,
-                                  noise.gravity)
-                rebuilt.append(ImuBufferEntry(T.F, T.G, Q, entry.timestamp,
-                                              entry.imu))
+            state = mechanize(state, [entry.imu for entry in replay],
+                              noise.gravity).state
+            rebuilt = [ImuBufferEntry(T.F, T.G, Q, entry.timestamp, entry.imu)
+                       for entry, (T, Q, _) in zip(replay, mats)]
 
             fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k],
                                      fast.state.timestamp)
@@ -254,7 +251,7 @@ def test_a4_segmentation_equivalence_and_speed():
     # step by step on a dense full-covariance shadow.
     suite = default_suite()
     spec = TrajectorySpec(kind="circle", speed=2.0, size=20.0, duration=6.0)
-    imu, _ = synthesize_imu(spec, suite, seed=81)
+    imu = synthesize_imu(spec, suite, seed=81)
     fixes = synthesize_gnss(spec, suite, seed=82)
     pose0, _, _ = truth_at(spec, 0.0)
     state0 = SystemState(nav=pose0, gyro_bias=np.zeros(3),
@@ -335,8 +332,8 @@ def test_a4_segmentation_equivalence_and_speed():
     P_full = A @ A.T / dim + np.eye(dim)
     part = CovariancePartition(P_full[:CORE_DIM, :CORE_DIM].copy())
     part.add_block("visual", dim - CORE_DIM)
-    T = transition_left(ImuSample(np.array([0.01, -0.02, 0.05]),
-                                  np.array([0.1, 0.0, 9.8]), 0.0), 0.005)
+    T = transition_left([ImuSample(np.array([0.01, -0.02, 0.05]),
+                                   np.array([0.1, 0.0, 9.8]), 0.0)], [0.005])[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)
     F_big = np.eye(dim)
     F_big[:CORE_DIM, :CORE_DIM] = T.F

@@ -3,6 +3,7 @@ references, window management and landmark initialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmnav.agent import AgentFilter
 from swarmnav.filters import (
@@ -10,6 +11,7 @@ from swarmnav.filters import (
     NoiseDensities,
     gnss_measurement,
     kalman_step,
+    mechanize,
     update,
 )
 from swarmnav.lie import ExtendedPose, so3_exp, so3_log
@@ -208,3 +210,79 @@ def test_propagate_requires_forward_time():
     drive(ag, 2)
     with pytest.raises(ValueError):
         ag.propagate(ImuSample(np.zeros(3), np.zeros(3), ag.state.timestamp))
+
+
+# ----------------------------------------------------------------------
+# IMU segments
+
+
+def segment_stream(ag, n=24, seed=7):
+    """n samples at 200 Hz after the agent's clock. Every fourth one turns
+    at the gyro bias plus 1e-6 rad/s, and one exactly at the bias, so the
+    bias-corrected rotation increment of those falls below the small-angle
+    cutoff (|psi| < 1e-7) or is zero."""
+    rg = np.random.default_rng(seed)
+    bias = ag.state.gyro_bias
+    t = ag.state.timestamp
+    samples = []
+    for k in range(n):
+        t = round(t + 0.005, 9)
+        if k == 5:
+            omega = bias.copy()
+        elif k % 4 == 0:
+            omega = bias + 1e-6 * rg.standard_normal(3)
+        else:
+            omega = np.array([0.0, 0.0, 0.4]) + 0.05 * rg.standard_normal(3)
+        f = np.array([0.3, -0.1, 9.81]) + 0.2 * rg.standard_normal(3)
+        samples.append(ImuSample(omega, f, t))
+    return samples
+
+
+def assert_same_bits(a, b):
+    assert a.state.timestamp == b.state.timestamp
+    for x, y in zip((a.state.nav.rotation, a.state.nav.velocity, a.state.nav.position),
+                    (b.state.nav.rotation, b.state.nav.velocity, b.state.nav.position)):
+        assert x.tobytes() == y.tobytes()
+    assert a.partition.core.tobytes() == b.partition.core.tobytes()
+    assert a.partition.timestamp == b.partition.timestamp
+    assert len(a.imu_buffer) == len(b.imu_buffer)
+    for e, f in zip(a.imu_buffer.entries, b.imu_buffer.entries):
+        assert e.timestamp == f.timestamp and e.imu is f.imu
+        for m in ("F", "G", "Q"):
+            assert getattr(e, m).tobytes() == getattr(f, m).tobytes(), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(convention=st.sampled_from(sorted(CONVENTIONS)),
+       cuts=st.sets(st.integers(1, 23), max_size=23))
+def test_segment_boundaries_do_not_change_results(convention, cuts):
+    stepwise = make_agent(convention)
+    stream = segment_stream(stepwise)
+    assert any(np.linalg.norm((s.gyro - stepwise.state.gyro_bias) * 0.005) < 1e-7
+               for s in stream)
+    for s in stream:
+        stepwise.propagate(s)
+    assert np.isfinite(stepwise.state.nav.as_matrix()).all()
+    assert np.isfinite(stepwise.partition.core).all()
+    segmented = make_agent(convention)
+    bounds = [0] + sorted(cuts) + [len(stream)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        segmented.propagate(*stream[lo:hi])
+    assert_same_bits(stepwise, segmented)
+
+
+def test_delayed_fix_replay_equals_chained_single_steps():
+    ag = make_agent()
+    stream = segment_stream(ag, n=30, seed=3)
+    ag.propagate(*stream[:10])
+    snap = ag.snapshot()
+    ag.propagate(*stream[10:])
+    z = snap[0].nav.position + np.array([0.3, -0.2, 0.1])
+    xi = ag.update_gnss_delayed(z, 0.05, snap, ag.state.timestamp)
+    state = retract(snap[0], xi, ag.convention)
+    for s in stream[10:]:
+        state = mechanize(state, [s], ag.noise.gravity).state
+    assert state.timestamp == ag.state.timestamp
+    for x, y in zip((state.nav.rotation, state.nav.velocity, state.nav.position),
+                    (ag.state.nav.rotation, ag.state.nav.velocity, ag.state.nav.position)):
+        assert x.tobytes() == y.tobytes()

@@ -146,6 +146,9 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: .nan}"),
     pytest.param(CONFIG_YAML[:CONFIG_YAML.index("seed")], "agents: [1]\n",
                  id="agents: [1]"),
+    pytest.param("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02}\n    use_gnss: \"no\"",
+                 id="use_gnss: no"),
+    ("use_vision: false", "use_vision: \"no\""),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"

@@ -62,12 +62,10 @@ def test_mechanize_matches_substepped_integration():
     # into many sub-steps with the same constant sample must agree.
     state = random_nav_state()
     imu = random_imu(state, 0.1)
-    coarse = mechanize(state, imu, 0.1)
-    fine = state
+    coarse = mechanize(state, [imu]).state
     n = 200
-    for k in range(n):
-        fine = mechanize(fine, ImuSample(imu.gyro, imu.accel, (k + 1) * 0.1 / n),
-                         0.1 / n)
+    fine = mechanize(state, [ImuSample(imu.gyro, imu.accel, (k + 1) * 0.1 / n)
+                             for k in range(n)]).state
     assert np.allclose(coarse.nav.rotation, fine.nav.rotation, atol=1e-12)
     assert np.allclose(coarse.nav.velocity, fine.nav.velocity, atol=1e-10)
     assert np.allclose(coarse.nav.position, fine.nav.position, atol=1e-10)
@@ -76,7 +74,7 @@ def test_mechanize_matches_substepped_integration():
 def test_mechanize_freefall():
     s = SystemState.identity()
     # Zero specific force: pure gravity.
-    out = mechanize(s, ImuSample(np.zeros(3), np.zeros(3), 2.0), 2.0)
+    out = mechanize(s, [ImuSample(np.zeros(3), np.zeros(3), 2.0)]).state
     assert np.allclose(out.nav.velocity, GRAVITY * 2.0)
     assert np.allclose(out.nav.position, 0.5 * GRAVITY * 4.0)
     assert np.allclose(out.nav.rotation, np.eye(3))
@@ -90,30 +88,30 @@ def test_mechanize_compensates_biases():
                            lever_arm=s.lever_arm, clones=(), features=(),
                            timestamp=s.timestamp)
     imu0 = ImuSample(imu.gyro - s.gyro_bias, imu.accel - s.accel_bias, 0.01)
-    a = mechanize(s, imu, 0.01)
-    b = mechanize(unbiased, imu0, 0.01)
+    a = mechanize(s, [imu]).state
+    b = mechanize(unbiased, [imu0]).state
     assert np.allclose(a.nav.as_matrix(), b.nav.as_matrix(), atol=1e-14)
 
 
 def test_mechanize_rejects_bad_dt():
     with pytest.raises(ValueError):
-        mechanize(SystemState.identity(), ImuSample(np.zeros(3), np.zeros(3), 0.0), 0.0)
+        mechanize(SystemState.identity(), [ImuSample(np.zeros(3), np.zeros(3), 0.0)])
 
 
 # ----------------------------------------------------------------------
 # transition matrices vs. finite differences of the mechanization
 
 
-def numeric_transition(convention, truth, imu, dt, eps=1e-6):
+def numeric_transition(convention, truth, imu, eps=1e-6):
     """d(error after step)/d(error before step) by central differences."""
-    truth_next = mechanize(truth, imu, dt)
+    truth_next = mechanize(truth, [imu]).state
     n = truth.error_dim
     J = np.zeros((n, n))
     for k in range(n):
         e = np.zeros(n)
         e[k] = eps
-        plus = mechanize(retract(truth, e, convention), imu, dt)
-        minus = mechanize(retract(truth, -e, convention), imu, dt)
+        plus = mechanize(retract(truth, e, convention), [imu]).state
+        minus = mechanize(retract(truth, -e, convention), [imu]).state
         J[:, k] = (error_between(truth_next, plus, convention)
                    - error_between(truth_next, minus, convention)) / (2 * eps)
     return J
@@ -131,7 +129,7 @@ def test_transition_finite_difference(convention, tol):
         truth = random_nav_state(biases=(convention != "liekf"))
         imu = random_imu(truth, 0.005)
         T = transition(convention, truth, imu, 0.005)
-        J = numeric_transition(convention, truth, imu, 0.005)
+        J = numeric_transition(convention, truth, imu)
         assert np.max(np.abs(T.F - J)) < tol, convention
 
 
@@ -141,7 +139,7 @@ def test_transition_left_raw_rate_error_bounded():
     truth = random_nav_state(biases=True)
     imu = random_imu(truth, 0.005)
     T = transition("liekf", truth, imu, 0.005)
-    J = numeric_transition("liekf", truth, imu, 0.005)
+    J = numeric_transition("liekf", truth, imu)
     bound = 10.0 * max(np.max(np.abs(truth.gyro_bias)),
                        np.max(np.abs(truth.accel_bias))) * 0.005
     assert np.max(np.abs(T.F - J)) < bound
@@ -153,7 +151,7 @@ def test_transition_bias_coupling_signs():
     # attitude error negatively.
     imu = ImuSample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.005)
     dt = 0.005
-    F = transition_left(imu, dt).F
+    F = transition_left([imu], [dt])[0].F
     assert np.allclose(F[0:3, 9:12], -np.eye(3) * dt, atol=1e-5)
     assert np.allclose(F[3:6, 12:15], -np.eye(3) * dt, atol=1e-5)
     s = random_nav_state()
@@ -163,9 +161,9 @@ def test_transition_bias_coupling_signs():
 
 def test_transition_left_state_independent():
     imu = ImuSample(np.array([0.3, 0.1, -0.2]), np.array([1.0, 0.0, 9.0]), 0.0)
-    ref = transition_left(imu, 0.004)
+    ref = transition_left([imu], [0.004])[0]
     for _ in range(10):
-        again = transition_left(imu, 0.004)
+        again = transition_left([imu], [0.004])[0]
         assert np.array_equal(ref.F, again.F)
         assert np.array_equal(ref.G, again.G)
 
@@ -178,9 +176,9 @@ def test_left_invariant_log_linear_error_transport():
     e = np.zeros(18)
     e[:9] = 0.2 * rng.standard_normal(9)
     est = retract(truth, e, "liekf")
-    F = transition_left(imu, 0.005).F
-    e_next = error_between(mechanize(truth, imu, 0.005),
-                           mechanize(est, imu, 0.005), "liekf")
+    F = transition_left([imu], [0.005])[0].F
+    e_next = error_between(mechanize(truth, [imu]).state,
+                           mechanize(est, [imu]).state, "liekf")
     assert np.allclose(e_next, F @ e, atol=1e-11)
 
 
@@ -195,7 +193,7 @@ def test_transition_lever_arm_static():
 def test_transition_rejects_bad_dt():
     imu = ImuSample(np.zeros(3), np.zeros(3), 0.0)
     with pytest.raises(ValueError):
-        transition_left(imu, -0.1)
+        transition_left([imu], [-0.1])
     with pytest.raises(ValueError):
         transition("foo", random_nav_state(), imu, 0.01)
 
@@ -206,7 +204,7 @@ def test_transition_rejects_bad_dt():
 
 def test_propagate_covariance_formula():
     imu = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-    T = transition_left(imu, 0.01)
+    T = transition_left([imu], [0.01])[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.01)
     A = rng.standard_normal((18, 18))
     P = A @ A.T + np.eye(18)

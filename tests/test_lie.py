@@ -160,3 +160,19 @@ def test_se23_log_degenerate_at_pi():
     X = ExtendedPose(so3_exp(np.array([np.pi, 0, 0])), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         se23_log(X)
+
+
+_ANGLE = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-7, 1e-7), st.just(0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ANGLE, _ANGLE, _ANGLE), min_size=1, max_size=6))
+def test_stacked_so3_matrices_match_single_calls(vectors):
+    # A stack mixes closed-form and small-angle vectors; each matrix must be
+    # bit for bit what a call with that vector alone gives.
+    phis = np.array(vectors, dtype=float)
+    for f in (skew, so3_exp, so3_left_jacobian, so3_gamma2):
+        stacked = f(phis)
+        assert stacked.shape == (len(phis), 3, 3)
+        for phi, M in zip(phis, stacked):
+            assert M.tobytes() == f(phi).tobytes(), f.__name__

@@ -25,21 +25,19 @@ def quiet_suite(**kw):
 
 def test_noiseless_imu_equals_truth():
     suite = quiet_suite()
-    samples, bias_truth = synthesize_imu(SPEC, suite, seed=0)
+    samples = synthesize_imu(SPEC, suite, seed=0)
     assert len(samples) == 2000
     for s in samples[::200]:
         _, omega, f = truth_at(SPEC, s.timestamp - 0.5 / suite.imu_rate)
         assert np.allclose(s.gyro, omega, atol=1e-12)
         assert np.allclose(s.accel, f, atol=1e-12)
-    assert all(np.allclose(bg, 0) and np.allclose(ba, 0)
-               for bg, ba in bias_truth.values())
 
 
 def test_imu_determinism_and_seed_sensitivity():
     suite = SensorSuite(noise=NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4))
-    a, _ = synthesize_imu(SPEC, suite, seed=5)
-    b, _ = synthesize_imu(SPEC, suite, seed=5)
-    c, _ = synthesize_imu(SPEC, suite, seed=6)
+    a = synthesize_imu(SPEC, suite, seed=5)
+    b = synthesize_imu(SPEC, suite, seed=5)
+    c = synthesize_imu(SPEC, suite, seed=6)
     assert all(np.array_equal(x.gyro, y.gyro) for x, y in zip(a, b))
     assert not all(np.array_equal(x.gyro, y.gyro) for x, y in zip(a, c))
 
@@ -50,7 +48,7 @@ def test_imu_noise_scale():
     nd = NoiseDensities(gyro_noise=1e-3)
     suite = SensorSuite(noise=nd)
     long_spec = TrajectorySpec(kind="circle", speed=2.0, size=20.0, duration=50.0)
-    samples, _ = synthesize_imu(long_spec, suite, seed=1)
+    samples = synthesize_imu(long_spec, suite, seed=1)
     resid = []
     for s in samples:
         _, omega, _ = truth_at(long_spec, s.timestamp - 0.5 / suite.imu_rate)

@@ -73,8 +73,8 @@ def test_config_rejects_non_finite_rates_and_delay(field_name, value):
 
 
 # (section, key) of config fields checked where they enter; None is the
-# top level, "agent" is the one agent's entry and "suite" and "trajectory"
-# are sections of it.
+# top level, "agent" is the one agent's entry, "suite" and "trajectory" are
+# sections of it and "noise" is a section of "suite".
 CHECKED_FIELDS = [("network", "latency"), ("outliers", "rate"), ("gate", "v_emp"),
                   ("init", "yaw"), ("filter", "imu_buffer_capacity"),
                   ("filter", "max_clones"), ("landmarks", "count"), (None, "seed"),
@@ -82,9 +82,10 @@ CHECKED_FIELDS = [("network", "latency"), ("outliers", "rate"), ("gate", "v_emp"
                   ("suite", "fov_half_tangent"), ("suite", "min_depth"),
                   ("suite", "lever_arm"), ("suite", "cam_offset"),
                   ("trajectory", "altitude"), ("trajectory", "phase"),
-                  ("trajectory", "center")]
+                  ("trajectory", "center"), ("suite", "cam_rotation"),
+                  ("noise", "gravity")]
 AGENT_SECTIONS = ("suite", "trajectory")
-VECTOR_FIELDS = ("lever_arm", "cam_offset", "center")
+VECTOR_FIELDS = ("lever_arm", "cam_offset", "center", "cam_rotation", "gravity")
 
 
 def _config_with(section, key, value):
@@ -96,6 +97,8 @@ def _config_with(section, key, value):
         agent[key] = value
     elif section in AGENT_SECTIONS:
         agent.setdefault(section, {})[key] = value
+    elif section == "noise":
+        agent["suite"] = {"noise": {key: value}}
     else:
         d[section] = {key: value}
     return config_from_dict(d)
@@ -120,6 +123,15 @@ def _config_with(section, key, value):
     ("trajectory", "waypoints", [[0.0, 0.0], [5.0, float("nan")]]),
     ("agent", "agent_id", [1]),
     ("agent", "agent_id", -1),
+    ("suite", "cam_rotation", [[float("nan")] * 3] * 3),
+    ("suite", "cam_rotation", [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("suite", "cam_rotation", [1.0, 0.0, 0.0]),
+    ("noise", "gravity", [0.0, 0.0, float("nan")]),
+    ("noise", "gravity", [0.0, -9.81]),
+    ("agent", "use_gnss", "no"),
+    (None, "use_vision", "no"),
+    (None, "collaboration", 1),
+    ("gate", "enabled", "no"),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -137,8 +149,18 @@ def test_config_fields_are_finite_or_rejected(field, value):
         cfg = _config_with(section, key, value)
     except ConfigError:
         return
-    owner = cfg.agents[0] if section in AGENT_SECTIONS else cfg
-    got = getattr(owner if section is None else getattr(owner, section), key)
+    if section == "noise":
+        got = cfg.agents[0].suite.noise.gravity
+    else:
+        owner = cfg.agents[0] if section in AGENT_SECTIONS else cfg
+        got = getattr(owner if section is None else getattr(owner, section), key)
+    if key == "cam_rotation":
+        if got is None:
+            return  # the default nadir camera
+        got = sum(got, ())  # its rows, each a tuple
+    elif key == "gravity":
+        assert isinstance(got, np.ndarray)
+        got = tuple(got.tolist())
     values = got if key in VECTOR_FIELDS else (got,)
     assert isinstance(values, tuple)
     assert all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
@@ -268,9 +290,9 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
     streams, epochs, filters, applied = [], {}, [], []
 
     def imu_stream(*args):
-        samples, bias_truth = synth_imu(*args)
+        samples = synth_imu(*args)
         streams.append([s.timestamp for s in samples])
-        return samples, bias_truth
+        return samples
 
     def gnss_fixes(*args):
         fixes = synth_gnss(*args)
@@ -282,9 +304,9 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
         self.steps = []
         filters.append(self)
 
-    def recording_propagate(self, imu):
-        self.steps.append(imu.timestamp)
-        return propagate(self, imu)
+    def recording_propagate(self, *samples):
+        self.steps.extend(imu.timestamp for imu in samples)
+        return propagate(self, *samples)
 
     def recording_update(self, z, sigma):
         applied.append((epochs[z.tobytes()], self.state.timestamp))

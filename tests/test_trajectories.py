@@ -89,7 +89,7 @@ def test_strapdown_reproduces_trajectory():
     for k in range(1, 6001):
         t = k * dt
         _, omega, f = truth_at(spec, t - dt / 2.0)
-        state = mechanize(state, ImuSample(omega, f, t), dt)
+        state = mechanize(state, [ImuSample(omega, f, t)]).state
     truth_end, _, _ = truth_at(spec, 30.0)
     assert np.linalg.norm(state.nav.position - truth_end.position) < 1e-3
     assert np.linalg.norm(state.nav.velocity - truth_end.velocity) < 1e-3

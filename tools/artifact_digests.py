@@ -1,0 +1,137 @@
+"""Digest the artifacts of eleven fixed runs, to check that a change keeps
+every result byte for byte.
+
+    python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
+
+Run it on two trees (say, a clean checkout of the parent commit and the
+working tree) and compare the printed tables. The sets are:
+
+* the `run` configs perfbench writes for gnss-ins (120 s) and collab-swarm
+  (15 s);
+* the vio-mc config (30 s) under `montecarlo --runs 2 --jobs 1` for each of
+  `--filter liekf|riekf|ekf`;
+* `run_swarm(...).write()` of `consistency_config` for the three
+  conventions, `delay_config`, `gate_config` and `collab_config`, at their
+  default lengths.
+
+A set's digest is the first 16 hex digits of the sha256 over its sorted
+`<sha256>  <path relative to the set>` lines, one per file. `timing.csv`
+holds wall-clock times and is left out. BLAS is pinned to one thread, as
+the CLI does. `--files` also prints every file's own sha256.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+import yaml  # noqa: E402
+
+from perfbench import workloads  # noqa: E402
+from swarmnav import cli  # noqa: E402
+from swarmnav.sim import run_swarm  # noqa: E402
+
+EXCLUDED = {"timing.csv"}
+
+
+def _cli_run(argv):
+    code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"swarmnav {' '.join(argv)} exited {code}")
+
+
+def _perfbench_run(workload):
+    def run(seed, out):
+        cfg_path = out + ".yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(workload(seed, 1).config(), fh)
+        _cli_run(["run", "--config", cfg_path, "--out", out])
+    return run
+
+
+def _vio_mc(convention):
+    def run(seed, out):
+        cfg_path = out + ".yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(workloads.VioMc(seed, 1).config(), fh)
+        _cli_run(["montecarlo", "--config", cfg_path, "--runs", str(workloads.MC_RUNS),
+                  "--jobs", "1", "--filter", convention, "--out", out])
+    return run
+
+
+def _canned(make, **kwargs):
+    def run(seed, out):
+        run_swarm(make(seed=seed, **kwargs)).write(out)
+    return run
+
+
+SETS = (
+    ("gnss-ins (perfbench run)", _perfbench_run(workloads.GnssIns)),
+    ("collab-swarm (perfbench run)", _perfbench_run(workloads.CollabSwarm)),
+    ("vio-mc --filter liekf", _vio_mc("liekf")),
+    ("vio-mc --filter riekf", _vio_mc("riekf")),
+    ("vio-mc --filter ekf", _vio_mc("ekf")),
+    ("consistency_config liekf", _canned(cli.consistency_config, convention="liekf")),
+    ("consistency_config riekf", _canned(cli.consistency_config, convention="riekf")),
+    ("consistency_config ekf", _canned(cli.consistency_config, convention="ekf")),
+    ("delay_config", _canned(cli.delay_config)),
+    ("gate_config", _canned(cli.gate_config)),
+    ("collab_config", _canned(cli.collab_config)),
+)
+
+
+def file_digests(out):
+    """{relative path: sha256} of every artifact under `out`."""
+    found = {}
+    for dirpath, _, names in os.walk(out):
+        for name in names:
+            if name in EXCLUDED:
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+def set_digest(files):
+    lines = "".join(f"{files[p]}  {p}\n" for p in sorted(files))
+    return hashlib.sha256(lines.encode()).hexdigest()[:16]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--out", help="directory for the artifacts (default: a temporary one)")
+    parser.add_argument("--files", action="store_true", help="print each file's sha256 too")
+    args = parser.parse_args(argv)
+    base = args.out or tempfile.mkdtemp(prefix="swarmnav-digests-")
+    print(f"seed {args.seed}, artifacts under {base}")
+    print("| set | files | digest |")
+    print("| --- | --- | --- |")
+    for k, (name, run) in enumerate(SETS):
+        out = os.path.join(base, f"set{k:02d}")
+        if os.path.exists(out):
+            raise SystemExit(f"{out} exists; give an empty --out")
+        os.makedirs(os.path.dirname(out), exist_ok=True)
+        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+            run(args.seed, out)
+        files = file_digests(out)
+        print(f"| {name} | {len(files)} | `{set_digest(files)}` |", flush=True)
+        if args.files:
+            for p in sorted(files):
+                print(f"    {files[p]}  {p}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
