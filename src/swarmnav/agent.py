@@ -20,7 +20,6 @@ from . import state as st
 from .buffers import (
     HistoryBuffer,
     ImuBufferEntry,
-    SensorBufferEntry,
     apply_delayed_update,
     core_update_partitioned,
 )
@@ -55,7 +54,7 @@ class AgentFilter:
                  noise: NoiseDensities = None,
                  camera_extrinsics=None,
                  max_clones=6, max_features=30,
-                 imu_buffer_capacity=300, sensor_buffer_capacity=10):
+                 imu_buffer_capacity=300):
         lookup(convention)  # ValueError for an unknown name
         self.convention = convention
         self.noise = noise if noise is not None else NoiseDensities()
@@ -76,8 +75,6 @@ class AgentFilter:
         if state.error_dim > CORE_DIM:
             split_full(self.partition, covariance)
         self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
-        self.gnss_buffer = HistoryBuffer(sensor_buffer_capacity)
-        self.visual_buffer = HistoryBuffer(sensor_buffer_capacity)
         self.dropped_feature_ids = set()
 
     # ------------------------------------------------------------------
@@ -86,8 +83,7 @@ class AgentFilter:
     def sync(self):
         """Bring all cross blocks up to the current time."""
         for bid in self.partition.cross:
-            sync_cross(self.partition, self.imu_buffer,
-                       [self.gnss_buffer, self.visual_buffer], bid,
+            sync_cross(self.partition, self.imu_buffer, None, bid,
                        self.partition.timestamp)
         return self.partition
 
@@ -139,13 +135,12 @@ class AgentFilter:
         meas_core = LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
                                       meas.noise_cov, meas.timestamp)
         self.sync()
-        xi_core, xi_blocks, lam = core_update_partitioned(self.partition, meas_core)
+        xi_core, xi_blocks = core_update_partitioned(self.partition, meas_core)
         xi = np.zeros(self.state.error_dim)
         xi[:CORE_DIM] = xi_core
         for bid, xb in xi_blocks.items():
             xi[self.partition.block_slice(self.state, bid)] = xb
         self.state = retract(self.state, xi, self.convention)
-        self.gnss_buffer.push(SensorBufferEntry(lam, self.state.timestamp))
         return xi
 
     def update_gnss_delayed(self, z, sigma, snapshot, t_now):
@@ -174,21 +169,11 @@ class AgentFilter:
         result = update(self.state, P, meas, self.convention)
         self.state = result.state
         self.set_full_covariance(result.covariance)
-        self._push_visual(result.correction_term)
         return len(measurements)
 
     def update_collaborative(self, correspondences):
         """Covariance-intersection landmark constraints from a neighbor."""
-        n = collaborative_update(self, correspondences)
-        if n:
-            self._push_visual(np.eye(CORE_DIM))
-        return n
-
-    def _push_visual(self, correction_term):
-        t = self.state.timestamp
-        if self.visual_buffer.entries and self.visual_buffer.entries[-1].timestamp == t:
-            return  # one marker per epoch is enough for cross-block chaining
-        self.visual_buffer.push(SensorBufferEntry(correction_term, t))
+        return collaborative_update(self, correspondences)
 
     # ------------------------------------------------------------------
     # window management

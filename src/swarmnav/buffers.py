@@ -2,12 +2,11 @@
 measurements.
 
 Each agent keeps a high-rate IMU buffer of (transition, noise map, time,
-sample) steps plus small per-sensor buffers of (correction term, time). A
-measurement that completes late is updated against the snapshot taken at
-its epoch. The corrected covariance is transported to the present through
-the stored transition matrices, and the corrected mean is re-mechanized
-through the buffered samples in one segment call, instead of rewinding and
-replaying the filter.
+sample) steps. A measurement that completes late is updated against the
+snapshot taken at its epoch. The corrected covariance is transported to the
+present through the stored transition matrices, and the corrected mean is
+re-mechanized through the buffered samples in one segment call, instead of
+rewinding and replaying the filter.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ class ImuBufferEntry:
     Q: np.ndarray          # discrete process noise of the step
     timestamp: float
     imu: object = None     # the ImuSample driving the step (mean replay)
-
-
-@dataclass(frozen=True)
-class SensorBufferEntry:
-    correction_term: np.ndarray  # Lambda = I - K H over the core block
-    timestamp: float
 
 
 @dataclass
@@ -102,8 +95,8 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
     """Measurement update whose H touches only the core block, applied to a
     segmented covariance without assembling the full matrix.
 
-    Returns (xi_core, xi_sensor_blocks, Lambda_core) and mutates the
-    partition blocks in place:
+    Returns (xi_core, xi_sensor_blocks) and mutates the partition blocks in
+    place:
 
         P^C+      Joseph form
         P^{C,S}+  = Lambda P^{C,S}
@@ -122,7 +115,7 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
         partition.cross[bid] = Lam @ cross
         self_block = partition.sensor_self[bid] - K_s @ S @ K_s.T
         partition.sensor_self[bid] = (self_block + self_block.T) / 2.0
-    return xi_core, xi_blocks, Lam
+    return xi_core, xi_blocks
 
 
 def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
@@ -143,7 +136,7 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
     state_k, part_k = snapshot
     part_k = part_k.copy()
 
-    xi_core, xi_blocks, Lam = core_update_partitioned(part_k, meas_core)
+    xi_core, xi_blocks = core_update_partitioned(part_k, meas_core)
 
     # Transport the corrected covariance to t_now with the stored transition
     # products; sensor blocks are static so only the cross rows rotate.
@@ -167,6 +160,4 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
     replay = [entry.imu for entry in agent.imu_buffer.range_after(t_k, t_now)]
     agent.state = mechanize(state, replay, agent.noise.gravity).state
     agent.partition = part_k
-
-    agent.gnss_buffer.push(SensorBufferEntry(Lam, t_now))
     return xi

@@ -4,8 +4,9 @@ The full covariance is kept as a core block (navigation + biases + lever
 arm, 18x18), one cross block per sensor group, and the sensor groups' own
 blocks. Only the core is propagated at IMU rate; cross blocks are
 reconstructed on demand by left-multiplying the accumulated transition
-product (and any correction terms of updates that landed in between), which
-is exact because the sensor states are static under IMU propagation.
+product, which is exact because the sensor states are static under IMU
+propagation. Every update syncs the cross blocks first and corrects them in
+place, so a later sync has only IMU transitions left to chain.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
 cross-covariance is ever stored (the partition has no slot for one).
@@ -75,9 +76,14 @@ def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
 
 def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_id,
                t_now):
-    """Reconstruct a stale cross block at t_now by chaining, in time order,
-    the stored core transitions F_i and the correction terms Lambda of any
-    core updates that completed inside the stale interval."""
+    """Reconstruct a stale cross block at t_now by chaining the stored core
+    transitions F_i of the stale interval.
+
+    Updates correct the cross blocks in place, so there is nothing else to
+    chain. `sensor_buffer` must be None: the slot keeps the positional
+    layout that perfbench's tracer hook unpacks."""
+    if sensor_buffer is not None:
+        raise TypeError("sensor_buffer must be None")
     t_from = partition.last_sync[block_id]
     if t_now < t_from:
         raise ValueError("cannot synchronize backwards in time")
@@ -88,15 +94,9 @@ def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_
         # (a camera-off agent that has gone long without an update).
         partition.last_sync[block_id] = t_now
         return partition
-    events = [(e.timestamp, 0, e.F) for e in imu_buffer.range_after(t_from, t_now)]
-    if sensor_buffer is not None:
-        bufs = sensor_buffer if isinstance(sensor_buffer, (list, tuple)) else [sensor_buffer]
-        for buf in bufs:
-            for e in buf.range_after(t_from, t_now):
-                events.append((e.timestamp, 1, e.correction_term))
     op = np.eye(CORE_DIM)
-    for _, _, mat in sorted(events, key=lambda ev: (ev[0], ev[1])):
-        op = mat @ op
+    for e in imu_buffer.range_after(t_from, t_now):
+        op = e.F @ op
     partition.cross[block_id] = op @ partition.cross[block_id]
     partition.last_sync[block_id] = t_now
     return partition

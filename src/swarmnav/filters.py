@@ -163,7 +163,6 @@ class UpdateResult:
     covariance: np.ndarray
     correction: np.ndarray     # xi = K @ residual, full error dimension
     gain: np.ndarray
-    correction_term: np.ndarray  # Lambda = I - K H over the core block
 
 
 class KalmanStep(tuple):
@@ -183,8 +182,8 @@ def kalman_step(P, meas: LinearMeasurement):
     The Joseph form (I-KH) P (I-KH)' + K R K' is expanded to
     P - KHP - (KHP)' + K S K', which costs O(D^2 m) instead of O(D^3).
     Lambda = I - K H is returned over the top-left core block only (the
-    whole matrix when D < CORE_DIM): that is all the cross-block chaining
-    uses.
+    whole matrix when D < CORE_DIM): that is all the in-place cross-block
+    correction of `core_update_partitioned` uses.
     """
     H = meas.H
     if H.shape[1] != P.shape[0]:
@@ -213,9 +212,9 @@ def kalman_step(P, meas: LinearMeasurement):
 
 def update(state: SystemState, P_full, meas: LinearMeasurement, convention="liekf") -> UpdateResult:
     """Measurement update: gain, Joseph-stabilized covariance, retraction."""
-    K, Lam, P_post, xi = kalman_step(P_full, meas)
+    K, _, P_post, xi = kalman_step(P_full, meas)
     new_state = retract(state, xi, convention)
-    return UpdateResult(new_state, P_post, xi, K, Lam)
+    return UpdateResult(new_state, P_post, xi, K)
 
 
 def gnss_measurement(state: SystemState, z, sigma, convention="liekf") -> LinearMeasurement:

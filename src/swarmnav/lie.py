@@ -91,9 +91,10 @@ def check_rotation(R, tol=_ORTHO_TOL):
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {R.shape}")
-    if np.linalg.norm(R.T @ R - np.eye(3)) > tol:
+    # Negated tests, so that a NaN matrix fails them too.
+    if not np.linalg.norm(R.T @ R - np.eye(3)) <= tol:
         raise ValueError("matrix is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if not abs(np.linalg.det(R) - 1.0) <= tol:
         raise ValueError("matrix determinant is not +1")
     return R
 

@@ -131,11 +131,10 @@ class FilterOptions:
     feature_prior_sigma: float = 1.0
     min_track_length: int = 3
     imu_buffer_capacity: int = 300
-    sensor_buffer_capacity: int = 10
 
     def __post_init__(self):
         for name in ("max_clones", "clone_every", "min_track_length",
-                     "imu_buffer_capacity", "sensor_buffer_capacity"):
+                     "imu_buffer_capacity"):
             _check_count(name, getattr(self, name), 1)
         _check_count("max_features", self.max_features, 0)
         _check_finite("feature_prior_sigma", self.feature_prior_sigma)
@@ -397,7 +396,6 @@ class _AgentRuntime:
             max_clones=cfg.filter.max_clones,
             max_features=cfg.filter.max_features,
             imu_buffer_capacity=cfg.filter.imu_buffer_capacity,
-            sensor_buffer_capacity=cfg.filter.sensor_buffer_capacity,
         )
         self.gate_cfg = GateConfig(
             window=cfg.gate.window, v_emp=cfg.gate.v_emp,

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmnav.agent import AgentFilter
+from swarmnav.covariance import Correspondence
 from swarmnav.filters import (
     ImuSample,
     NoiseDensities,
+    feature_world_position,
     gnss_measurement,
     kalman_step,
     mechanize,
     update,
 )
 from swarmnav.lie import ExtendedPose, so3_exp, so3_log
-from swarmnav.state import CONVENTIONS, SystemState, retract
+from swarmnav.state import CONVENTIONS, Feature, SystemState, retract
 
 rng = np.random.default_rng(5)
 
@@ -286,3 +288,67 @@ def test_delayed_fix_replay_equals_chained_single_steps():
     for x, y in zip((state.nav.rotation, state.nav.velocity, state.nav.position),
                     (ag.state.nav.rotation, ag.state.nav.velocity, ag.state.nav.position)):
         assert x.tobytes() == y.tobytes()
+
+
+# ----------------------------------------------------------------------
+# cross-block bookkeeping
+
+
+def assert_cross_blocks_synced(ag):
+    for bid, t in ag.partition.last_sync.items():
+        assert t == ag.partition.timestamp, bid
+
+
+def drive_against_dense_shadow(ag, seed):
+    """Drive 10 IMU steps and compare the synced covariance with a dense
+    shadow propagated through the same buffered F, G, Q (core block of
+    F_full, identity elsewhere)."""
+    P = ag.full_covariance()
+    drive(ag, 10, seed=seed)
+    dim = P.shape[0]
+    for e in ag.imu_buffer.entries[-10:]:
+        F_full = np.eye(dim)
+        F_full[:18, :18] = e.F
+        P = F_full @ P @ F_full.T
+        P[:18, :18] += e.G @ e.Q @ e.G.T
+    got = ag.full_covariance()
+    assert np.max(np.abs(got - P)) / np.abs(P).max() <= 1e-12
+
+
+def test_updates_leave_cross_blocks_synced_and_chain_imu_only():
+    # Every update corrects the cross block in place and marks it synced, so
+    # a later sync chains the buffered IMU transitions and nothing else. A
+    # correction applied a second time at sync breaks the dense shadow.
+    ag = make_agent()
+    landmark = np.array([22.0, 2.0, 0.0])
+    for seed in (40, 41):
+        drive(ag, 40, seed=seed)
+        ag.augment_clone()
+    anchor = ag.state.clones[1]
+    X_a = anchor.rotation.T @ (landmark - anchor.position)
+    ag.add_feature(Feature(3, anchor.timestamp, np.append(X_a[:2], 1.0) / X_a[2]), 1.0)
+    assert ag.state.num_clones == 2 and ag.state.num_features == 1
+    drive(ag, 10, seed=42)
+
+    ag.update_gnss(ag.state.nav.position + np.array([0.05, -0.02, 0.03]), 0.05)
+    assert_cross_blocks_synced(ag)
+    drive_against_dense_shadow(ag, seed=43)
+
+    snap = ag.snapshot()
+    drive(ag, 10, seed=44)
+    ag.update_gnss_delayed(snap[0].nav.position + np.array([-0.03, 0.02, 0.01]),
+                           0.05, snap, ag.state.timestamp)
+    assert_cross_blocks_synced(ag)
+    drive_against_dense_shadow(ag, seed=45)
+
+    clone = ag.state.clones[0]
+    X = clone.rotation.T @ (landmark - clone.position)
+    assert ag.update_vision([(0, 0, X[:2] / X[2] + 0.002)], pixel_sigma=0.002) == 1
+    assert_cross_blocks_synced(ag)
+    drive_against_dense_shadow(ag, seed=46)
+
+    p_w, _ = feature_world_position(ag.state, 0)
+    c = Correspondence(3, p_w + np.array([0.1, -0.1, 0.05]), 0.01 * np.eye(3))
+    assert ag.update_collaborative([c]) == 1
+    assert_cross_blocks_synced(ag)
+    drive_against_dense_shadow(ag, seed=47)

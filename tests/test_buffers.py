@@ -3,6 +3,7 @@ update, each checked against a straightforward full-matrix reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmnav.agent import AgentFilter
 from swarmnav.buffers import (
@@ -74,6 +75,39 @@ def test_range_after_checks_horizon():
         buf.range_after(0.5, 3.0)
 
 
+# Nondecreasing timestamps on a coarse grid, so that ties are common.
+_TIMES = st.lists(st.integers(0, 4), min_size=0, max_size=25).map(
+    lambda steps: [0.5 * sum(steps[:k + 1]) for k in range(len(steps))])
+_BOUND = st.integers(-2, 60).map(lambda k: 0.25 * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=_TIMES, capacity=st.integers(1, 8), a=_BOUND, b=_BOUND)
+def test_history_buffer_properties(times, capacity, a, b):
+    buf = HistoryBuffer(capacity=capacity)
+    pushed = [ImuBufferEntry(None, None, None, t) for t in times]
+    for e in pushed:
+        buf.push(e)
+    n = len(pushed)
+    kept = pushed[n - min(n, capacity):]
+    assert len(buf) <= capacity
+    assert buf.entries == kept
+    evicted = pushed[:n - len(kept)]
+    assert buf.last_evicted == (evicted[-1].timestamp if evicted else None)
+
+    if evicted and a < evicted[-1].timestamp:
+        with pytest.raises(DelayExceedsHorizon):
+            buf.range_after(a, b)
+    else:
+        assert buf.range_after(a, b) == [e for e in kept if a < e.timestamp <= b]
+
+    if kept and kept[-1].timestamp > 0.0:
+        before = (list(buf.entries), list(buf._times), buf.last_evicted)
+        with pytest.raises(ValueError):
+            buf.push(ImuBufferEntry(None, None, None, kept[-1].timestamp - 0.25))
+        assert (buf.entries, buf._times, buf.last_evicted) == before
+
+
 # ----------------------------------------------------------------------
 # transport algebra
 
@@ -133,7 +167,7 @@ def test_core_update_matches_full_joseph():
     _, _, P_ref, xi_ref = kalman_step(P_full, LinearMeasurement(r, H_full, N, 0.0))
 
     meas = LinearMeasurement(r, H_core, N, 0.0)
-    xi_core, xi_blocks, lam = core_update_partitioned(part, meas)
+    xi_core, xi_blocks = core_update_partitioned(part, meas)
     assert np.allclose(xi_core, xi_ref[:CORE_DIM], atol=1e-10)
     assert np.allclose(xi_blocks["visual"], xi_ref[CORE_DIM:], atol=1e-10)
     assert np.allclose(part.core, P_ref[:CORE_DIM, :CORE_DIM], atol=1e-9)

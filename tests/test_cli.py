@@ -2,6 +2,7 @@
 merging and resume behavior."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -292,3 +293,40 @@ def test_canned_configs_construct():
     cfg = noiseless_config()
     assert cfg.init.yaw == 0.0
     assert not cfg.use_gnss
+
+
+def test_traced_cli_binds_every_target(tmp_path):
+    # perfbench's tracer wraps swarmnav functions by name and unpacks some
+    # of their positional arguments; a two-agent collaborative run must
+    # exit 0 under it and report no binding problem.
+    ring = [[k, [20.0 * math.cos(math.pi * k / 6), 20.0 * math.sin(math.pi * k / 6),
+                 3.0 * (k % 3)]] for k in range(12)]
+    traj = {"kind": "circle", "speed": 2.0, "size": 20.0, "duration": 3.0,
+            "altitude": 35.0}
+    noise = {"gyro_noise": 2e-4, "accel_noise": 2e-3, "gyro_walk": 1e-6,
+             "accel_walk": 1e-5}
+    cfg = {
+        "seed": 5, "convention": "liekf",
+        "landmarks": {"points": ring}, "filter": {"max_features": 12},
+        "gate": {"enabled": False}, "collaboration": True, "gnss_delay": 0.0,
+        "network": {"latency": 0.1, "jitter": 0.03, "drop_prob": 0.05},
+        "request_rate": 4.0,
+        "agents": [
+            {"agent_id": 0, "trajectory": traj, "suite": {"noise": noise}},
+            {"agent_id": 1, "use_gnss": False, "trajectory": dict(traj, phase=0.4),
+             "suite": {"noise": noise}},
+        ],
+    }
+    cfg_path = tmp_path / "collab.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = str(tmp_path / "spans.npz")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"), spans, "--",
+         "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        env=_clean_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(spans + ".json") as fh:
+        report = json.load(fh)
+    assert report["problems"] == []
+    assert report["exit"] == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, SensorBufferEntry
+from swarmnav.buffers import HistoryBuffer, ImuBufferEntry
 from swarmnav.covariance import (
     CiResult,
     Correspondence,
@@ -60,7 +60,6 @@ def test_lazy_sync_matches_shadow_full_filter():
     d_vis = 9
     part, P = make_partition(d_vis)
     imu_buf = HistoryBuffer(capacity=50)
-    sen_buf = HistoryBuffer(capacity=50)
     P_shadow = P.copy()
     t = 0.0
     for k in range(12):
@@ -76,15 +75,16 @@ def test_lazy_sync_matches_shadow_full_filter():
         P_shadow = F_full @ P_shadow @ F_full.T
         P_shadow[:CORE_DIM, :CORE_DIM] += G @ Q @ G.T
         if k in (4, 9):
-            # A core update: multiply by Lambda on the left the way the
-            # partitioned update does.
+            # A core update: sync the cross block, then multiply it by
+            # Lambda on the left in place, as the partitioned update does.
             Lam = np.eye(CORE_DIM) - 0.05 * random_spd(CORE_DIM, 0.1)
+            sync_cross(part, imu_buf, None, "visual", t)
             part.core = Lam @ part.core @ Lam.T
-            sen_buf.push(SensorBufferEntry(Lam, t))
+            part.cross["visual"] = Lam @ part.cross["visual"]
             L_full = np.eye(CORE_DIM + d_vis)
             L_full[:CORE_DIM, :CORE_DIM] = Lam
             P_shadow = L_full @ P_shadow @ L_full.T
-    sync_cross(part, imu_buf, sen_buf, "visual", t)
+    sync_cross(part, imu_buf, None, "visual", t)
     got = assemble_full(part)
     ref = (P_shadow + P_shadow.T) / 2
     assert np.max(np.abs(got - ref)) / np.abs(ref).max() < 1e-12
@@ -98,6 +98,9 @@ def test_sync_cross_no_op_and_backwards():
     assert np.array_equal(part.cross["visual"], before)
     with pytest.raises(ValueError):
         sync_cross(part, buf, None, "visual", part.timestamp - 1.0)
+    # Updates correct cross blocks in place; the third slot takes only None.
+    with pytest.raises(TypeError):
+        sync_cross(part, buf, [buf], "visual", part.timestamp)
 
 
 def test_propagate_core_only_leaves_cross_alone():

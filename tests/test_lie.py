@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from swarmnav.lie import (
     ExtendedPose,
+    check_rotation,
     compose,
     inverse,
     se23_exp,
@@ -71,6 +72,11 @@ def test_so3_log_rejects_non_rotation():
         so3_log(np.eye(3) * 2.0)
     with pytest.raises(ValueError):
         so3_log(np.diag([1.0, 1.0, -1.0]))  # determinant -1
+    nan = np.full((3, 3), np.nan)
+    with pytest.raises(ValueError):
+        check_rotation(nan)
+    with pytest.raises(ValueError):
+        so3_log(nan)
 
 
 def test_left_jacobian_finite_difference():

@@ -219,6 +219,8 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"agents": []})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2])
+    with pytest.raises(ConfigError):
+        config_from_dict({**base, "filter": {"sensor_buffer_capacity": 10}})
 
 
 def test_load_config_errors(tmp_path):
