@@ -11,7 +11,7 @@ shared map.
 
 import numpy as np
 
-from swarmnav.cli import collab_config
+from swarmnav.scenarios import collab_config
 from swarmnav.sim import run_swarm
 
 

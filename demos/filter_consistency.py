@@ -12,30 +12,16 @@ from that, while the group-error filter stays near it.
 
 import sys
 
-import numpy as np
-
-from swarmnav.cli import consistency_config
-from swarmnav.metrics import anees_interval
-from swarmnav.sim import run_swarm
-
-
-def average_nees(convention, runs):
-    pos, att = [], []
-    for r in range(runs):
-        art = run_swarm(consistency_config(seed=700 + r, convention=convention))
-        rows = np.asarray(art.agents[0]["nees"], dtype=float)
-        pos.append(rows[:, 1].mean())
-        att.append(rows[:, 2].mean())
-    return float(np.mean(pos)), float(np.mean(att))
+from swarmnav.scenarios import consistency
 
 
 def main():
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 10
-    lo, hi = anees_interval(runs, dof=3)
+    result = consistency(runs)
+    lo, hi = result.interval
     print(f"{runs} runs per convention; 95% consistency band "
           f"[{lo:.2f}, {hi:.2f}], ideal value 3\n")
-    for convention in ("liekf", "ekf"):
-        pos, att = average_nees(convention, runs)
+    for convention, (pos, att) in (("liekf", result.liekf), ("ekf", result.ekf)):
         print(f"{convention:>6}: position ANEES {pos:.2f}, "
               f"orientation ANEES {att:.2f}")
     print("\nValues above the band mean the filter reports less uncertainty "

@@ -9,8 +9,8 @@ data for comparison; it misses every subtle offset.
     python3 demos/gnss_outlier_gate.py
 """
 
-from swarmnav.cli import gate_config
 from swarmnav.metrics import gate_score
+from swarmnav.scenarios import gate_config
 from swarmnav.sim import run_swarm
 
 

@@ -10,7 +10,7 @@ so the two runs should land within a few centimeters of each other.
 
 import numpy as np
 
-from swarmnav.cli import delay_config
+from swarmnav.scenarios import delay_config
 from swarmnav.sim import run_swarm
 
 

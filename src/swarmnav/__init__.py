@@ -18,7 +18,7 @@ _EXPORTS = {
     "agent": ("AgentFilter",),
     "covariance": ("CiResult", "Correspondence", "CovariancePartition", "ci_fuse"),
     "filters": ("ImuSample", "LinearMeasurement", "NoiseDensities"),
-    "gate": ("GateConfig", "GateState", "GateVerdict", "adaptive_k", "evaluate"),
+    "gate": ("GateState", "GateVerdict", "adaptive_k", "evaluate"),
     "lie": ("ExtendedPose", "se23_exp", "se23_log", "so3_exp", "so3_log"),
     "metrics": ("anees", "anees_interval", "ate", "gate_score", "nees"),
     "sensors": ("LandmarkMap", "SensorSuite"),

@@ -161,8 +161,6 @@ def propagate_covariance(P_core, T: TransitionPair, Q_d, check=True):
 class UpdateResult:
     state: SystemState
     covariance: np.ndarray
-    correction: np.ndarray     # xi = K @ residual, full error dimension
-    gain: np.ndarray
 
 
 class KalmanStep(tuple):
@@ -212,9 +210,8 @@ def kalman_step(P, meas: LinearMeasurement):
 
 def update(state: SystemState, P_full, meas: LinearMeasurement, convention="liekf") -> UpdateResult:
     """Measurement update: gain, Joseph-stabilized covariance, retraction."""
-    K, _, P_post, xi = kalman_step(P_full, meas)
-    new_state = retract(state, xi, convention)
-    return UpdateResult(new_state, P_post, xi, K)
+    _, _, P_post, xi = kalman_step(P_full, meas)
+    return UpdateResult(retract(state, xi, convention), P_post)
 
 
 def gnss_measurement(state: SystemState, z, sigma, convention="liekf") -> LinearMeasurement:

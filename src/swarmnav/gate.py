@@ -21,22 +21,6 @@ SIGMA_FLOOR_MARGIN = 0.05  # m/s
 _SIGMA_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    window: int = 10          # ring capacity (accepted speeds)
-    v_emp: float = 5.0        # empirical max speed, m/s
-    dt: float = 0.1           # nominal GNSS period, s
-    fixed_threshold: float = None  # set to enable the fixed-threshold mode
-
-    def __post_init__(self):
-        if self.window < 3:
-            raise ValueError("window must be at least 3")
-        if self.v_emp <= 0:
-            raise ValueError("v_emp must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
 @dataclass
 class GateState:
     """Ring of accepted speeds plus the last accepted fix."""
@@ -81,13 +65,13 @@ def vio_kinematics(p_history, dt):
     return np.linalg.norm(v2), float(a)
 
 
-def evaluate(gate: GateState, p_gnss, v_vio, a_vio_mag, cfg: GateConfig,
-             timestamp=None) -> GateVerdict:
-    """Classify one GNSS fix and, when accepted, absorb it into the ring.
+def evaluate(gate: GateState, p_gnss, v_vio, a_vio_mag, cfg, timestamp) -> GateVerdict:
+    """Classify one GNSS fix taken at `timestamp` and, when accepted, absorb
+    it into the ring. `cfg` is a `sim.GateOptions`; its `window`, `v_emp`
+    and `fixed_threshold` apply.
 
-    The speed denominator is the time elapsed since the last accepted fix
-    (falling back to the nominal period when no timestamps are supplied), so
-    a fix following a rejected one is not judged on an inflated speed.
+    The speed denominator is the time elapsed since the last accepted fix,
+    so a fix following a rejected one is not judged on an inflated speed.
     Rejected fixes leave the gate state untouched.
     """
     p_gnss = np.asarray(p_gnss, dtype=float)
@@ -98,12 +82,9 @@ def evaluate(gate: GateState, p_gnss, v_vio, a_vio_mag, cfg: GateConfig,
         return GateVerdict(True, 0.0, np.inf, adaptive_k(speed_v, a_vio_mag, cfg.v_emp),
                            "warmup")
 
-    if timestamp is not None and gate.last_timestamp is not None:
-        elapsed = timestamp - gate.last_timestamp
-        if elapsed <= 0:
-            raise ValueError("GNSS timestamps must be increasing")
-    else:
-        elapsed = cfg.dt
+    elapsed = timestamp - gate.last_timestamp
+    if elapsed <= 0:
+        raise ValueError("GNSS timestamps must be increasing")
     speed = float(np.linalg.norm(p_gnss - gate.last_position) / elapsed)
 
     if cfg.fixed_threshold is not None:
@@ -133,7 +114,7 @@ def evaluate(gate: GateState, p_gnss, v_vio, a_vio_mag, cfg: GateConfig,
                        "within" if accepted else "outlier")
 
 
-def _accept(gate: GateState, p_gnss, speed, timestamp, cfg: GateConfig):
+def _accept(gate: GateState, p_gnss, speed, timestamp, cfg):
     if gate.last_position is not None:
         gate.speeds.append(speed)
         while len(gate.speeds) > cfg.window:

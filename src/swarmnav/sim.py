@@ -27,7 +27,7 @@ from .buffers import DelayExceedsHorizon
 from .conventions import CONVENTIONS
 from .covariance import Correspondence
 from .filters import NoiseDensities, UpdateRejected, feature_world_position
-from .gate import GateConfig, GateState, evaluate, vio_kinematics
+from .gate import GateState, evaluate, vio_kinematics
 from .metrics import AteReport, ate, nees
 from .network import BandwidthLedger, NetworkModel, SwarmMessage
 from .sensors import (
@@ -40,7 +40,7 @@ from .sensors import (
     synthesize_imu,
 )
 from .state import SystemState, nav_error, retract
-from .trajectories import TrajectorySpec, truth_at
+from .trajectories import TrajectorySpec, finite_vector, truth_at
 
 ARTIFACT_HEADER = "# swarmnav-artifact v1"
 
@@ -154,6 +154,17 @@ class LandmarkOptions:
         if not np.isfinite([self.alt_low, self.alt_high]).all():
             raise ConfigError(f"alt_low and alt_high must be finite, got "
                               f"{self.alt_low!r}, {self.alt_high!r}")
+        if self.points is not None:
+            try:
+                points = tuple((k, finite_vector("point", xyz, 3)) for k, xyz in self.points)
+            except (TypeError, ValueError):
+                raise ConfigError("points must be [id, [x, y, z]] pairs with finite "
+                                  f"coordinates, got {self.points!r}") from None
+            for k, _ in points:
+                _check_count("landmark id", k, 0)
+            if len({k for k, _ in points}) != len(points):
+                raise ConfigError("landmark ids must be unique")
+            object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -237,20 +248,17 @@ def config_from_dict(d):
         if "trajectory" not in ad:
             raise ConfigError(f"agents[{i}]: missing trajectory section")
         traj = _build(TrajectorySpec, ad["trajectory"], f"agents[{i}].trajectory")
-        suite_d = dict(ad.get("suite") or {})
-        if "noise" in suite_d:
-            noise_d = dict(suite_d.pop("noise") or {})
-            suite_d["noise"] = _build(NoiseDensities, noise_d, f"agents[{i}].suite.noise")
+        suite_d = ad.get("suite")
+        if isinstance(suite_d, dict) and "noise" in suite_d:
+            suite_d = dict(suite_d, noise=_build(NoiseDensities, suite_d["noise"],
+                                                 f"agents[{i}].suite.noise"))
         suite = _build(SensorSuite, suite_d, f"agents[{i}].suite")
         agent_id = ad.get("agent_id", i)
         _check_count(f"agents[{i}].agent_id", agent_id, 0)
         agents.append(AgentConfig(agent_id, traj, suite, ad.get("use_gnss", True)))
-    lm_d = dict(d.get("landmarks") or {})
-    if lm_d.get("points"):
-        lm_d["points"] = tuple((int(k), tuple(v)) for k, v in lm_d["points"])
     kwargs = dict(
         agents=tuple(agents),
-        landmarks=_build(LandmarkOptions, lm_d, "landmarks"),
+        landmarks=_build(LandmarkOptions, d.get("landmarks"), "landmarks"),
         network=_build(NetworkModel, d.get("network"), "network"),
         gate=_build(GateOptions, d.get("gate"), "gate"),
         outliers=_build(OutlierOptions, d.get("outliers"), "outliers"),
@@ -397,11 +405,6 @@ class _AgentRuntime:
             max_features=cfg.filter.max_features,
             imu_buffer_capacity=cfg.filter.imu_buffer_capacity,
         )
-        self.gate_cfg = GateConfig(
-            window=cfg.gate.window, v_emp=cfg.gate.v_emp,
-            dt=1.0 / suite.gnss_rate,
-            fixed_threshold=cfg.gate.fixed_threshold,
-        )
         self.gate = GateState()
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         self.imu_next = 0         # index of the first sample not yet applied
@@ -485,19 +488,16 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def handle_gnss(t, idx, fix):
         rt = runtimes[idx]
         ag = rt.filter
-        if len(rt.vio_positions) >= 3 and config.gate.enabled:
-            speed, accel = vio_kinematics([p for _, p in rt.vio_positions[-3:]],
-                                          rt.gate_cfg.dt)
-        else:
-            speed, accel = 0.0, 0.0
+        accepted = True
         if config.gate.enabled:
-            verdict = evaluate(rt.gate, fix.position, speed, accel, rt.gate_cfg,
-                               timestamp=t)
+            speed, accel = 0.0, 0.0
+            if len(rt.vio_positions) >= 3:
+                speed, accel = vio_kinematics([p for _, p in rt.vio_positions[-3:]],
+                                              1.0 / rt.cfg.suite.gnss_rate)
+            verdict = evaluate(rt.gate, fix.position, speed, accel, config.gate, t)
             rt.rows_gate.append((t, verdict.speed, verdict.threshold, verdict.k,
                                  verdict.accepted, fix.is_outlier))
             accepted = verdict.accepted
-        else:
-            accepted = True
         if accepted:
             sigma = max(rt.cfg.suite.gnss_sigma, 1e-6)
             try:

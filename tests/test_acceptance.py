@@ -8,40 +8,31 @@ import time
 import numpy as np
 import pytest
 
+from swarmnav import scenarios
 from swarmnav.agent import AgentFilter
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, repropagate
-from swarmnav.cli import (
-    collab_config,
-    consistency_config,
-    default_suite,
-    gate_config,
-    noiseless_config,
-)
 from swarmnav.covariance import (
     _ci_trace_objective,
     _ci_weighted_posterior,
     _golden_section,
-    CovariancePartition,
     Correspondence,
     ci_fuse,
-    propagate_core_only,
 )
 from swarmnav.filters import (
     ImuSample,
     LinearMeasurement,
-    NoiseDensities,
     feature_world_position,
     gnss_measurement,
     kalman_step,
     landmark_position_measurement,
     mechanize,
     transition,
-    transition_left,
     transition_right,
 )
 from swarmnav.gate import adaptive_k
 from swarmnav.lie import ExtendedPose, so3_exp
-from swarmnav.metrics import anees_interval, gate_score, nees
+from swarmnav.metrics import nees
+from swarmnav.scenarios import default_suite, gate_config, noiseless_config
 from swarmnav.sensors import synthesize_gnss, synthesize_imu
 from swarmnav.sim import run_swarm
 from swarmnav.state import CORE_DIM, Feature, SystemState, retract
@@ -106,26 +97,12 @@ def test_a1_left_transition_state_independent():
 
 
 def test_a2_monte_carlo_consistency():
-    runs = 50
-    lo, hi = anees_interval(runs, dof=3)
-    values = {}
-    for convention in ("liekf", "ekf"):
-        pos, att = [], []
-        for r in range(runs):
-            art = run_swarm(consistency_config(seed=100 + r,
-                                               convention=convention))
-            rows = np.asarray(art.agents[0]["nees"], dtype=float)
-            pos.append(rows[:, 1].mean())
-            att.append(rows[:, 2].mean())
-        values[convention] = (float(np.mean(pos)), float(np.mean(att)))
-    lp, la = values["liekf"]
-    ep, ea = values["ekf"]
-    in_band = lo <= lp <= hi and lo <= la <= hi
-    ordering = abs(ep - 3.0) + abs(ea - 3.0) > abs(lp - 3.0) + abs(la - 3.0)
-    report("A2", in_band and ordering,
-           f"95% interval [{lo:.3f}, {hi:.3f}] over {runs} runs; "
-           f"liekf ANEES pos {lp:.3f} att {la:.3f} (in band: {in_band}); "
-           f"ekf pos {ep:.3f} att {ea:.3f} (larger deviation: {ordering})")
+    r = scenarios.consistency(50)
+    (lo, hi), (lp, la), (ep, ea) = r.interval, r.liekf, r.ekf
+    report("A2", r.passed,
+           f"95% interval [{lo:.3f}, {hi:.3f}] over {r.runs} runs; "
+           f"liekf ANEES pos {lp:.3f} att {la:.3f} (in band: {r.in_band}); "
+           f"ekf pos {ep:.3f} att {ea:.3f} (larger deviation: {r.ordering})")
 
 
 def test_a3_delayed_update_matches_rewind_replay():
@@ -325,37 +302,14 @@ def test_a4_segmentation_equivalence_and_speed():
     rel = np.linalg.norm(got - shadow_after) / np.linalg.norm(shadow_after)
 
     # Part 2: propagation cost with a wide window, segmented vs dense.
-    rg = np.random.default_rng(44)
-    M, N, steps = 11, 50, 400
-    dim = CORE_DIM + 6 * M + 3 * N
-    A = rg.standard_normal((dim, dim))
-    P_full = A @ A.T / dim + np.eye(dim)
-    part = CovariancePartition(P_full[:CORE_DIM, :CORE_DIM].copy())
-    part.add_block("visual", dim - CORE_DIM)
-    T = transition_left([ImuSample(np.array([0.01, -0.02, 0.05]),
-                                   np.array([0.1, 0.0, 9.8]), 0.0)], [0.005])[0]
-    Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)
-    F_big = np.eye(dim)
-    F_big[:CORE_DIM, :CORE_DIM] = T.F
-    GQG = np.zeros((dim, dim))
-    GQG[:CORE_DIM, :CORE_DIM] = T.G @ Q @ T.G.T
-    tic = time.perf_counter()
-    for _ in range(steps):
-        propagate_core_only(part, T, Q)
-    t_core = time.perf_counter() - tic
-    P = P_full.copy()
-    tic = time.perf_counter()
-    for _ in range(steps):
-        P = F_big @ P @ F_big.T + GQG
-    t_full = time.perf_counter() - tic
-    ratio = t_full / max(t_core, 1e-12)
+    seg = scenarios.segmentation()
 
-    ok = rel < 1e-9 and ratio >= 3.0
+    ok = rel < 1e-9 and seg.passed
     report("A4", ok,
            f"segmented vs dense shadow over 5 s ({updates} GNSS updates, "
            f"{clones_added} clones, 1 landmark, 1 collaborative update): "
            f"relative Frobenius {rel:.2e} (tol 1e-9); core-only propagation "
-           f"{ratio:.1f}x faster at M=11, N=50 (need >= 3x)")
+           f"{seg.ratio:.1f}x faster at M={seg.clones}, N={seg.features} (need >= 3x)")
 
 
 def test_a5_repropagation_algebra():
@@ -391,11 +345,7 @@ def test_a5_repropagation_algebra():
 
 
 def test_a6_gate_benchmark():
-    art = run_swarm(gate_config(seed=5))
-    rows = art.agents[0]["gate"]
-    accepted = [bool(r[4]) for r in rows]
-    labels = [bool(r[5]) for r in rows]
-    recall, _, fpr = gate_score(accepted, labels)
+    scores = scenarios.gate()
     k0 = adaptive_k(0.0, 0.0, 5.0)
 
     # Sensitivity ordering: with subtle 0.5 m offsets (same injection
@@ -408,10 +358,9 @@ def test_a6_gate_benchmark():
     for ra, rf in zip(adaptive.agents[0]["gate"], fixed.agents[0]["gate"]):
         if ra[5] and not ra[4] and rf[4]:
             caught_only_by_adaptive += 1
-    ok = recall >= 0.95 and fpr <= 0.05 and k0 == 3.0 \
-        and caught_only_by_adaptive >= 1
+    ok = scores.passed and k0 == 3.0 and caught_only_by_adaptive >= 1
     report("A6", ok,
-           f"recall {recall:.3f} (>= 0.95), FPR {fpr:.3f} (<= 0.05), "
+           f"recall {scores.recall:.3f} (>= 0.95), FPR {scores.fpr:.3f} (<= 0.05), "
            f"k at zero acceleration = {k0} (exactly 3); "
            f"{caught_only_by_adaptive} subtle outliers caught only by the "
            f"adaptive threshold (need >= 1)")
@@ -420,28 +369,12 @@ def test_a6_gate_benchmark():
 def test_a7_collaboration_benefit():
     # Aggregated over 10 seeds: single-seed ATE of the ablation is a noisy
     # aligned-shape statistic, so the comparison is on seed means.
-    tr_on, tr_off, ate_on, ate_off, trace_lower = [], [], [], [], 0
-    for s in range(10):
-        on = run_swarm(collab_config(seed=400 + s, collaboration=True))
-        off = run_swarm(collab_config(seed=400 + s, collaboration=False))
-        a = np.mean([np.asarray(x["covariance"], dtype=float)[:, 1].mean()
-                     for x in on.agents])
-        b = np.mean([np.asarray(x["covariance"], dtype=float)[:, 1].mean()
-                     for x in off.agents])
-        tr_on.append(a)
-        tr_off.append(b)
-        trace_lower += a < b
-        ate_on.append(np.mean([x["ate"].rmse for x in on.agents]))
-        ate_off.append(np.mean([x["ate"].rmse for x in off.agents]))
-    m_tr_on, m_tr_off = np.mean(tr_on), np.mean(tr_off)
-    m_ate_on, m_ate_off = np.mean(ate_on), np.mean(ate_off)
-    ok = m_tr_on < m_tr_off and trace_lower == 10 \
-        and m_ate_on <= 1.05 * m_ate_off
-    report("A7", ok,
+    r = scenarios.collab(10)
+    report("A7", r.passed and r.trace_on < r.trace_off,
            f"two-agent shared-landmark runs, one agent GNSS-denied, 10 "
-           f"seeds: position covariance trace {m_tr_on:.3f} vs {m_tr_off:.3f}"
-           f" (lower on {trace_lower}/10 seeds), mean ATE {m_ate_on:.3f} vs "
-           f"{m_ate_off:.3f} m (within 1.05x: {m_ate_on <= 1.05 * m_ate_off})")
+           f"seeds: position covariance trace {r.trace_on:.3f} vs {r.trace_off:.3f}"
+           f" (lower on {r.trace_lower}/10 seeds), mean ATE {r.ate_on:.3f} vs "
+           f"{r.ate_off:.3f} m (within 1.05x: {r.ate_on <= 1.05 * r.ate_off})")
 
 
 def test_a8_ci_never_overconfident():

@@ -1,9 +1,11 @@
 """Command-line entry points: exit codes, artifact writing, Monte-Carlo
 merging and resume behavior."""
 
+import glob
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -11,15 +13,12 @@ import numpy as np
 import pytest
 import yaml
 
-from swarmnav.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    build_parser,
-    consistency_config,
-    main,
-    noiseless_config,
-)
+from swarmnav import scenarios
+from swarmnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE, build_parser, main
 from swarmnav.conventions import CONVENTIONS
+from swarmnav.scenarios import consistency_config, noiseless_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CONFIG_YAML = """\
 agents:
@@ -77,6 +76,23 @@ def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--suite", "nonexistent"])
     assert exc.value.code == 2
+
+
+def test_suite_prints_record_and_passes(capsys):
+    assert main(["suite", "--suite", "delay"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ATE with 100 ms delayed updates" in out
+    assert "suite delay: PASS" in out
+
+
+def test_failing_suite_exits_4(monkeypatch, capsys):
+    failing = scenarios.DelayResult(ate_delayed=1.0, ate_prompt=0.01, dropped=3,
+                                    passed=False)
+    monkeypatch.setattr(scenarios, "delay", lambda: failing)
+    assert main(["suite", "--suite", "delay"]) == EXIT_SUITE
+    out = capsys.readouterr().out
+    assert "dropped 3" in out
+    assert "suite delay: FAIL" in out
 
 
 def test_parser_requires_subcommand():
@@ -150,6 +166,14 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
     pytest.param("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02}\n    use_gnss: \"no\"",
                  id="use_gnss: no"),
     ("use_vision: false", "use_vision: \"no\""),
+    *(pytest.param("use_vision: false", f"use_vision: false\nlandmarks: {section}",
+                   id=f"landmarks: {section}")
+      for section in ("{points: 5}", "{points: [[1, 2]]}", "[1]",
+                      "{points: [[a, [1, 2, 3]]]}", "{points: [[1, [1, 2]]]}",
+                      "{points: [[true, [1, 2, 3]]]}", "{points: [[1, [1, .inf, 3]]]}",
+                      "{points: [[1, [1, 2, 3]], [1, [4, 5, 6]]]}")),
+    *(pytest.param("suite: {gnss_sigma: 0.02}", f"suite: {section}", id=f"suite: {section}")
+      for section in ("[1, 2]", "abc", "{noise: [1]}")),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"
@@ -254,7 +278,7 @@ print(json.dumps(seen))
 
 def _clean_env(**extra):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env.update(extra)
     return env
@@ -285,6 +309,10 @@ def test_plain_package_import_leaves_environment_alone():
     assert unchanged and missing == []
     code = "import json, sys, swarmnav; print(json.dumps('numpy' in sys.modules))"
     assert _probe(code, _clean_env()) is False
+    # The canned scenarios are library code too.
+    code = ("import json, os; before = dict(os.environ); import swarmnav.scenarios; "
+            "print(json.dumps(dict(os.environ) == before))")
+    assert _probe(code, _clean_env()) is True
 
 
 def test_canned_configs_construct():
@@ -319,10 +347,9 @@ def test_traced_cli_binds_every_target(tmp_path):
     }
     cfg_path = tmp_path / "collab.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spans = str(tmp_path / "spans.npz")
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "traced_cli.py"), spans, "--",
+        [sys.executable, os.path.join(ROOT, "perfbench", "traced_cli.py"), spans, "--",
          "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
         env=_clean_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -330,3 +357,16 @@ def test_traced_cli_binds_every_target(tmp_path):
         report = json.load(fh)
     assert report["problems"] == []
     assert report["exit"] == 0
+
+
+def test_demos_and_digest_tool_import():
+    # Runs each demo's imports without its main(), and the digest tool's
+    # argument parser, so a moved name breaks here rather than silently.
+    demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    assert demos
+    for path in demos:
+        assert callable(runpy.run_path(path, run_name="demo_import")["main"])
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "artifact_digests.py"), "--help"],
+        env=_clean_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

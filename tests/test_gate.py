@@ -6,12 +6,12 @@ import pytest
 
 from swarmnav.gate import (
     SIGMA_FLOOR_MARGIN,
-    GateConfig,
     GateState,
     adaptive_k,
     evaluate,
     vio_kinematics,
 )
+from swarmnav.sim import GateOptions
 
 
 def feed(gate, cfg, positions, v=0.0, a=0.0, t0=0.0, dt=0.1):
@@ -55,7 +55,7 @@ def test_vio_kinematics():
 
 
 def test_warmup_accepts_everything():
-    cfg = GateConfig(window=5, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=5, v_emp=5.0)
     gate = GateState()
     pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(5)]
     verdicts = feed(gate, cfg, pts)
@@ -65,7 +65,7 @@ def test_warmup_accepts_everything():
 
 
 def test_large_jump_rejected_after_warmup():
-    cfg = GateConfig(window=5, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=5, v_emp=5.0)
     gate = GateState()
     pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(8)]
     feed(gate, cfg, pts)
@@ -77,7 +77,7 @@ def test_large_jump_rejected_after_warmup():
 
 
 def test_rejection_leaves_state_untouched():
-    cfg = GateConfig(window=5, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=5, v_emp=5.0)
     gate = GateState()
     pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(7)]
     feed(gate, cfg, pts)
@@ -91,7 +91,7 @@ def test_rejection_leaves_state_untouched():
 def test_speed_uses_elapsed_time_since_last_accept():
     # After a rejection the next fix is judged over the doubled interval,
     # so a nominal-speed fix is not spuriously rejected.
-    cfg = GateConfig(window=3, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=3, v_emp=5.0)
     gate = GateState()
     pts = [np.array([0.1 * i, 0.0, 0.0]) for i in range(6)]
     feed(gate, cfg, pts)
@@ -103,7 +103,7 @@ def test_speed_uses_elapsed_time_since_last_accept():
 
 
 def test_sigma_floor_for_static_receiver():
-    cfg = GateConfig(window=4, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=4, v_emp=5.0)
     gate = GateState()
     still = [np.zeros(3)] * 6
     feed(gate, cfg, still)
@@ -115,7 +115,7 @@ def test_sigma_floor_for_static_receiver():
 
 
 def test_maneuver_relaxes_threshold():
-    cfg = GateConfig(window=4, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=4, v_emp=5.0)
     gate_a = GateState()
     gate_b = GateState()
     pts = [np.array([0.2 * i + 0.001 * (i % 2), 0.0, 0.0]) for i in range(7)]
@@ -130,7 +130,7 @@ def test_maneuver_relaxes_threshold():
 
 
 def test_fixed_threshold_mode():
-    cfg = GateConfig(window=3, v_emp=5.0, dt=0.1, fixed_threshold=3.0)
+    cfg = GateOptions(window=3, v_emp=5.0, fixed_threshold=3.0)
     gate = GateState()
     first = evaluate(gate, np.zeros(3), 0.0, 0.0, cfg, timestamp=0.0)
     assert first.accepted
@@ -144,17 +144,17 @@ def test_fixed_threshold_mode():
 
 
 def test_non_increasing_timestamps_raise():
-    cfg = GateConfig(window=3, v_emp=5.0, dt=0.1)
+    cfg = GateOptions(window=3, v_emp=5.0)
     gate = GateState()
     evaluate(gate, np.zeros(3), 0.0, 0.0, cfg, timestamp=1.0)
     with pytest.raises(ValueError):
         evaluate(gate, np.ones(3), 0.0, 0.0, cfg, timestamp=1.0)
+    with pytest.raises(TypeError):  # no nominal-period fallback
+        evaluate(gate, np.ones(3), 0.0, 0.0, cfg)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GateConfig(window=2)
+        GateOptions(window=2)
     with pytest.raises(ValueError):
-        GateConfig(v_emp=0.0)
-    with pytest.raises(ValueError):
-        GateConfig(dt=0.0)
+        GateOptions(v_emp=0.0)

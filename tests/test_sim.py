@@ -351,7 +351,7 @@ def test_delayed_gnss_smoke():
 
 
 def test_vision_engages():
-    from swarmnav.cli import ring_landmarks
+    from swarmnav.scenarios import ring_landmarks
     art = run_swarm(tiny_config(seed=4, duration=6.0,
                                 landmarks=ring_landmarks(8, 20.0)))
     assert art.counters["features_initialized"] > 0

@@ -38,7 +38,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 import yaml  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
-from swarmnav import cli  # noqa: E402
+from swarmnav import cli, scenarios  # noqa: E402
 from swarmnav.sim import run_swarm  # noqa: E402
 
 EXCLUDED = {"timing.csv"}
@@ -81,12 +81,12 @@ SETS = (
     ("vio-mc --filter liekf", _vio_mc("liekf")),
     ("vio-mc --filter riekf", _vio_mc("riekf")),
     ("vio-mc --filter ekf", _vio_mc("ekf")),
-    ("consistency_config liekf", _canned(cli.consistency_config, convention="liekf")),
-    ("consistency_config riekf", _canned(cli.consistency_config, convention="riekf")),
-    ("consistency_config ekf", _canned(cli.consistency_config, convention="ekf")),
-    ("delay_config", _canned(cli.delay_config)),
-    ("gate_config", _canned(cli.gate_config)),
-    ("collab_config", _canned(cli.collab_config)),
+    ("consistency_config liekf", _canned(scenarios.consistency_config, convention="liekf")),
+    ("consistency_config riekf", _canned(scenarios.consistency_config, convention="riekf")),
+    ("consistency_config ekf", _canned(scenarios.consistency_config, convention="ekf")),
+    ("delay_config", _canned(scenarios.delay_config)),
+    ("gate_config", _canned(scenarios.gate_config)),
+    ("collab_config", _canned(scenarios.collab_config)),
 )
 
 
