@@ -6,10 +6,10 @@ The filter takes its IMU stream in segments, all samples between two
 events: the biases are fixed across a segment, so the mean is mechanized and
 the left-invariant transitions are formed for the whole segment at once.
 The covariance is split into an 18-dim core (propagated every IMU step) and
-one "visual" group holding all clone and landmark entries; the cross block
-is brought up to date lazily from the buffered transitions just before it
-is needed, which keeps the per-step propagation cost independent of the
-window size.
+one sensor block holding all clone and landmark entries; the cross block
+between them is brought up to date lazily from the buffered transitions
+just before it is needed, which keeps the per-step propagation cost
+independent of the window size.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ class AgentFilter:
             )
         self.partition = CovariancePartition(covariance[:CORE_DIM, :CORE_DIM],
                                              timestamp=state.timestamp)
-        self.partition.add_block("visual", state.error_dim - CORE_DIM)
-        if state.error_dim > CORE_DIM:
-            split_full(self.partition, covariance)
+        split_full(self.partition, covariance)
         self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
         self.dropped_feature_ids = set()
 
@@ -81,11 +79,9 @@ class AgentFilter:
     # covariance access
 
     def sync(self):
-        """Bring all cross blocks up to the current time."""
-        for bid in self.partition.cross:
-            sync_cross(self.partition, self.imu_buffer, None, bid,
-                       self.partition.timestamp)
-        return self.partition
+        """Bring the cross block up to the current time."""
+        return sync_cross(self.partition, self.imu_buffer, None, "visual",
+                          self.partition.timestamp)
 
     def full_covariance(self):
         self.sync()
@@ -93,8 +89,7 @@ class AgentFilter:
 
     def set_full_covariance(self, P):
         split_full(self.partition, P)
-        for bid in self.partition.last_sync:
-            self.partition.last_sync[bid] = self.partition.timestamp
+        self.partition.synced_at = self.partition.timestamp
 
     def snapshot(self):
         """(state, synchronized partition copy) at the current time; used as
@@ -135,11 +130,7 @@ class AgentFilter:
         meas_core = LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
                                       meas.noise_cov, meas.timestamp)
         self.sync()
-        xi_core, xi_blocks = core_update_partitioned(self.partition, meas_core)
-        xi = np.zeros(self.state.error_dim)
-        xi[:CORE_DIM] = xi_core
-        for bid, xb in xi_blocks.items():
-            xi[self.partition.block_slice(self.state, bid)] = xb
+        xi = core_update_partitioned(self.partition, meas_core)
         self.state = retract(self.state, xi, self.convention)
         return xi
 
@@ -196,7 +187,7 @@ class AgentFilter:
             self.marginalize_clone(0)
         self.sync()
         at = 6 * self.state.num_clones
-        insert_block_rows(self.partition, "visual", at, self._clone_jacobian())
+        insert_block_rows(self.partition, at, self._clone_jacobian())
         self.state = st.augment_clone(self.state, self.camera_extrinsics,
                                       self.max_clones)
         return self.state.num_clones - 1
@@ -211,13 +202,13 @@ class AgentFilter:
                 self.dropped_feature_ids.add(self.state.features[j].feature_id)
                 self.remove_feature(j)
         self.sync()
-        remove_block_rows(self.partition, "visual", 6 * index, 6)
+        remove_block_rows(self.partition, 6 * index, 6)
         self.state = st.marginalize_clone(self.state, index)
 
     def add_feature(self, feature: Feature, prior_sigma):
         self.sync()
         at = 6 * self.state.num_clones + 3 * self.state.num_features
-        insert_block_rows(self.partition, "visual", at, None,
+        insert_block_rows(self.partition, at, None,
                           prior=np.eye(3) * prior_sigma ** 2)
         self.state = st.add_feature(self.state, feature, self.max_features)
         self.dropped_feature_ids.discard(feature.feature_id)
@@ -225,8 +216,7 @@ class AgentFilter:
 
     def remove_feature(self, index):
         self.sync()
-        remove_block_rows(self.partition, "visual",
-                          6 * self.state.num_clones + 3 * index, 3)
+        remove_block_rows(self.partition, 6 * self.state.num_clones + 3 * index, 3)
         self.state = st.remove_feature(self.state, index)
 
     def initialize_feature(self, feature_id, tracks, prior_sigma=1.0,

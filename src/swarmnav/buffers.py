@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import LinearMeasurement, kalman_step, mechanize
-from .state import retract
+from .state import CORE_DIM, retract
 
 
 class DelayExceedsHorizon(RuntimeError):
@@ -95,8 +95,8 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
     """Measurement update whose H touches only the core block, applied to a
     segmented covariance without assembling the full matrix.
 
-    Returns (xi_core, xi_sensor_blocks) and mutates the partition blocks in
-    place:
+    Returns the full-length correction (core entries, then sensor entries)
+    and mutates the partition blocks in place:
 
         P^C+      Joseph form
         P^{C,S}+  = Lambda P^{C,S}
@@ -104,18 +104,13 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
     """
     step = kalman_step(partition.core, meas_core)
     _, Lam, P_post, xi_core = step
-    H = meas_core.H
     S = step.S
     partition.core = P_post
-    xi_blocks = {}
-    for bid in list(partition.cross):
-        cross = partition.cross[bid]
-        K_s = np.linalg.solve(S, H @ cross).T
-        xi_blocks[bid] = K_s @ meas_core.residual
-        partition.cross[bid] = Lam @ cross
-        self_block = partition.sensor_self[bid] - K_s @ S @ K_s.T
-        partition.sensor_self[bid] = (self_block + self_block.T) / 2.0
-    return xi_core, xi_blocks
+    K_s = np.linalg.solve(S, meas_core.H @ partition.cross).T
+    partition.cross = Lam @ partition.cross
+    self_block = partition.sensor_self - K_s @ S @ K_s.T
+    partition.sensor_self = (self_block + self_block.T) / 2.0
+    return np.concatenate([xi_core, K_s @ meas_core.residual])
 
 
 def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
@@ -136,26 +131,20 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
     state_k, part_k = snapshot
     part_k = part_k.copy()
 
-    xi_core, xi_blocks = core_update_partitioned(part_k, meas_core)
+    xi = core_update_partitioned(part_k, meas_core)
 
     # Transport the corrected covariance to t_now with the stored transition
-    # products; sensor blocks are static so only the cross rows rotate.
-    P_m, _, Phi = repropagate(agent.imu_buffer, part_k.core, xi_core, t_k, t_now)
+    # products; sensor states are static so only the cross rows rotate.
+    P_m, _, Phi = repropagate(agent.imu_buffer, part_k.core, xi[:CORE_DIM], t_k, t_now)
     part_k.core = P_m
     part_k.timestamp = t_now
-    for bid in part_k.cross:
-        part_k.cross[bid] = Phi @ part_k.cross[bid]
-        part_k.last_sync[bid] = t_now
+    part_k.cross = Phi @ part_k.cross
+    part_k.synced_at = t_now
 
     # Mean: apply the correction at the epoch and re-integrate the buffered
     # IMU samples. This costs a handful of strapdown steps (no transition
     # matrices) and reproduces rewind-and-replay exactly, where a linear
     # transport of the correction would drop second-order bias terms.
-    xi = np.zeros(state_k.error_dim)
-    xi[:xi_core.shape[0]] = xi_core
-    for bid, xb in xi_blocks.items():
-        sl = agent.partition.block_slice(state_k, bid)
-        xi[sl] = xb
     state = retract(state_k, xi, agent.convention)
     replay = [entry.imu for entry in agent.imu_buffer.range_after(t_k, t_now)]
     agent.state = mechanize(state, replay, agent.noise.gravity).state

@@ -1,12 +1,13 @@
 """Segmented covariance bookkeeping and covariance-intersection fusion.
 
 The full covariance is kept as a core block (navigation + biases + lever
-arm, 18x18), one cross block per sensor group, and the sensor groups' own
-blocks. Only the core is propagated at IMU rate; cross blocks are
-reconstructed on demand by left-multiplying the accumulated transition
-product, which is exact because the sensor states are static under IMU
-propagation. Every update syncs the cross blocks first and corrects them in
-place, so a later sync has only IMU transitions left to chain.
+arm, 18x18), one sensor block holding every clone and landmark entry
+(clones first, then features), and the cross block between the two. Only
+the core is propagated at IMU rate; the cross block is reconstructed on
+demand by left-multiplying the accumulated transition product, which is
+exact because the sensor states are static under IMU propagation. Every
+update syncs the cross block first and corrects it in place, so a later
+sync has only IMU transitions left to chain.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
 cross-covariance is ever stored (the partition has no slot for one).
@@ -30,45 +31,36 @@ from .state import CORE_DIM, retract
 
 
 class StaleBlockError(RuntimeError):
-    """A cross block was requested without synchronizing it first."""
+    """The cross block was requested without synchronizing it first."""
 
 
 class CovariancePartition:
-    """Core covariance plus per-sensor-group cross and self blocks."""
+    """Core covariance, the sensor block of `dim` clone and landmark
+    entries, and the cross block between them."""
 
-    def __init__(self, core, timestamp=0.0):
+    def __init__(self, core, dim=0, timestamp=0.0):
         self.core = np.asarray(core, dtype=float)
-        self.cross = {}          # block id -> 18 x d
-        self.sensor_self = {}    # block id -> d x d
-        self.last_sync = {}      # block id -> timestamp of last cross sync
+        self.cross = np.zeros((CORE_DIM, dim))
+        self.sensor_self = np.zeros((dim, dim))
+        self.synced_at = timestamp   # time the cross block was last synced
         self.timestamp = timestamp
 
-    def add_block(self, block_id, dim):
-        self.cross[block_id] = np.zeros((CORE_DIM, dim))
-        self.sensor_self[block_id] = np.zeros((dim, dim))
-        self.last_sync[block_id] = self.timestamp
-
-    def block_dim(self, block_id):
-        return self.cross[block_id].shape[1]
-
-    def block_slice(self, state, block_id):
-        """Slice of the block inside the full error vector. The single
-        'visual' group covers all clone and feature entries."""
-        if block_id != "visual":
-            raise KeyError(block_id)
-        return slice(CORE_DIM, CORE_DIM + 6 * state.num_clones + 3 * state.num_features)
+    @property
+    def last_sync(self):
+        """{"visual": synced_at}, the block-id view perfbench's tracer reads."""
+        return {"visual": self.synced_at}
 
     def copy(self):
-        other = CovariancePartition(self.core.copy(), self.timestamp)
-        other.cross = {k: v.copy() for k, v in self.cross.items()}
-        other.sensor_self = {k: v.copy() for k, v in self.sensor_self.items()}
-        other.last_sync = dict(self.last_sync)
+        other = CovariancePartition(self.core.copy(), timestamp=self.timestamp)
+        other.cross = self.cross.copy()
+        other.sensor_self = self.sensor_self.copy()
+        other.synced_at = self.synced_at
         return other
 
 
 def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
-    """Advance only the core block; cross blocks are left untouched and
-    become stale (their pending transitions live in the IMU buffer). The
+    """Advance only the core block; the cross block is left untouched and
+    becomes stale (its pending transitions live in the IMU buffer). The
     partition clock is the caller's to set."""
     partition.core = propagate_covariance(partition.core, T, Q_d, check=False)
     return partition
@@ -79,72 +71,59 @@ def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_
     """Reconstruct a stale cross block at t_now by chaining the stored core
     transitions F_i of the stale interval.
 
-    Updates correct the cross blocks in place, so there is nothing else to
-    chain. `sensor_buffer` must be None: the slot keeps the positional
-    layout that perfbench's tracer hook unpacks."""
+    Updates correct the cross block in place, so there is nothing else to
+    chain. `sensor_buffer` must be None and `block_id` "visual": the slots
+    keep the positional layout that perfbench's tracer hook unpacks."""
     if sensor_buffer is not None:
         raise TypeError("sensor_buffer must be None")
-    t_from = partition.last_sync[block_id]
+    if block_id != "visual":
+        raise ValueError(f"unknown block id {block_id!r}")
+    t_from = partition.synced_at
     if t_now < t_from:
         raise ValueError("cannot synchronize backwards in time")
     if t_now == t_from:
         return partition
-    if partition.block_dim(block_id) == 0:
+    if partition.cross.shape[1] == 0:
         # Nothing to transport; the IMU buffer may no longer reach t_from
         # (a camera-off agent that has gone long without an update).
-        partition.last_sync[block_id] = t_now
+        partition.synced_at = t_now
         return partition
     op = np.eye(CORE_DIM)
     for e in imu_buffer.range_after(t_from, t_now):
         op = e.F @ op
-    partition.cross[block_id] = op @ partition.cross[block_id]
-    partition.last_sync[block_id] = t_now
+    partition.cross = op @ partition.cross
+    partition.synced_at = t_now
     return partition
 
 
 def assemble_full(partition: CovariancePartition):
-    """Symmetric full covariance [[core, cross], [cross', self]]. All blocks
-    must be synchronized to the partition's own timestamp."""
-    order = sorted(partition.cross)
-    for bid in order:
-        if partition.last_sync[bid] != partition.timestamp:
-            raise StaleBlockError(
-                f"block {bid!r} is stale (synced {partition.last_sync[bid]}, "
-                f"core at {partition.timestamp}); call sync_cross first"
-            )
-    dims = [CORE_DIM] + [partition.block_dim(b) for b in order]
-    D = sum(dims)
-    P = np.zeros((D, D))
-    P[:CORE_DIM, :CORE_DIM] = partition.core
-    off = CORE_DIM
-    for bid in order:
-        d = partition.block_dim(bid)
-        P[:CORE_DIM, off:off + d] = partition.cross[bid]
-        P[off:off + d, :CORE_DIM] = partition.cross[bid].T
-        P[off:off + d, off:off + d] = partition.sensor_self[bid]
-        off += d
+    """Symmetric full covariance [[core, cross], [cross', self]]. The cross
+    block must be synchronized to the partition's own timestamp."""
+    if partition.synced_at != partition.timestamp:
+        raise StaleBlockError(
+            f"cross block is stale (synced {partition.synced_at}, "
+            f"core at {partition.timestamp}); call sync_cross first"
+        )
+    P = np.block([[partition.core, partition.cross],
+                  [partition.cross.T, partition.sensor_self]])
     return (P + P.T) / 2.0
 
 
 def split_full(partition: CovariancePartition, P):
     """Write an assembled full covariance back into the partition blocks."""
     partition.core = np.array(P[:CORE_DIM, :CORE_DIM])
-    off = CORE_DIM
-    for bid in sorted(partition.cross):
-        d = partition.block_dim(bid)
-        partition.cross[bid] = np.array(P[:CORE_DIM, off:off + d])
-        partition.sensor_self[bid] = np.array(P[off:off + d, off:off + d])
-        off += d
+    partition.cross = np.array(P[:CORE_DIM, CORE_DIM:])
+    partition.sensor_self = np.array(P[CORE_DIM:, CORE_DIM:])
     return partition
 
 
-def insert_block_rows(partition: CovariancePartition, block_id, at, J, prior=None):
-    """Grow a sensor block by new states whose error is J @ core_error
+def insert_block_rows(partition: CovariancePartition, at, J, prior=None):
+    """Grow the sensor block by new states whose error is J @ core_error
     (clone augmentation) or independent with the given prior covariance
     (landmark initialization). `at` is the insertion offset inside the
     block; J is (k x 18) or None when `prior` is given."""
-    cross = partition.cross[block_id]
-    selfb = partition.sensor_self[block_id]
+    cross = partition.cross
+    selfb = partition.sensor_self
     if J is not None:
         new_cross = (J @ partition.core).T          # 18 x k
         new_self_cross = J @ cross                  # k x d
@@ -156,7 +135,7 @@ def insert_block_rows(partition: CovariancePartition, block_id, at, J, prior=Non
         new_self = np.asarray(prior, dtype=float)
     k = new_cross.shape[1]
     d = cross.shape[1]
-    partition.cross[block_id] = np.hstack([cross[:, :at], new_cross, cross[:, at:]])
+    partition.cross = np.hstack([cross[:, :at], new_cross, cross[:, at:]])
     grown = np.zeros((d + k, d + k))
     grown[:at, :at] = selfb[:at, :at]
     grown[:at, at + k:] = selfb[:at, at:]
@@ -167,15 +146,15 @@ def insert_block_rows(partition: CovariancePartition, block_id, at, J, prior=Non
     grown[at:at + k, at + k:] = new_self_cross[:, at:]
     grown[:at, at:at + k] = new_self_cross[:, :at].T
     grown[at + k:, at:at + k] = new_self_cross[:, at:].T
-    partition.sensor_self[block_id] = grown
+    partition.sensor_self = grown
     return partition
 
 
-def remove_block_rows(partition: CovariancePartition, block_id, at, size):
-    """Marginalize states out of a sensor block by dropping their rows."""
-    keep = np.r_[0:at, at + size:partition.block_dim(block_id)]
-    partition.cross[block_id] = partition.cross[block_id][:, keep]
-    partition.sensor_self[block_id] = partition.sensor_self[block_id][np.ix_(keep, keep)]
+def remove_block_rows(partition: CovariancePartition, at, size):
+    """Marginalize states out of the sensor block by dropping their rows."""
+    keep = np.r_[0:at, at + size:partition.cross.shape[1]]
+    partition.cross = partition.cross[:, keep]
+    partition.sensor_self = partition.sensor_self[np.ix_(keep, keep)]
     return partition
 
 

@@ -185,8 +185,7 @@ def segmentation():
     dim = 18 + 6 * M + 3 * N
     A = rng.standard_normal((dim, dim))
     P_full = A @ A.T / dim + np.eye(dim)
-    part = CovariancePartition(P_full[:18, :18].copy())
-    part.add_block("visual", dim - 18)
+    part = CovariancePartition(P_full[:18, :18].copy(), dim - 18)
     T = transition_left([ImuSample(np.array([0.01, -0.02, 0.05]),
                                    np.array([0.1, 0.0, 9.8]), 0.0)], [0.005])[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)

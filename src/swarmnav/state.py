@@ -80,39 +80,6 @@ class SystemState:
         return CORE_DIM + 6 * len(self.clones) + 3 * len(self.features)
 
 
-class StateIndexMap:
-    """Named block -> (offset, size) table for the error vector of (M, N)."""
-
-    def __init__(self, num_clones, num_features):
-        self.num_clones = num_clones
-        self.num_features = num_features
-        self.blocks = {
-            "att": (0, 3),
-            "vel": (3, 3),
-            "pos": (6, 3),
-            "bg": (9, 3),
-            "ba": (12, 3),
-            "lever": (15, 3),
-        }
-        for i in range(num_clones):
-            self.blocks[f"clone{i}"] = (CORE_DIM + 6 * i, 6)
-        base = CORE_DIM + 6 * num_clones
-        for j in range(num_features):
-            self.blocks[f"feature{j}"] = (base + 3 * j, 3)
-        self.dim = base + 3 * num_features
-
-    def offset(self, name):
-        return self.blocks[name][0]
-
-    def slice(self, name):
-        off, size = self.blocks[name]
-        return slice(off, off + size)
-
-    @staticmethod
-    def for_state(state: SystemState):
-        return StateIndexMap(state.num_clones, state.num_features)
-
-
 def nav_error(truth: ExtendedPose, estimate: ExtendedPose, convention="liekf"):
     """9-dim navigation error (attitude, velocity, position) in the given
     convention; the nav block of error_between without requiring matching
@@ -157,22 +124,19 @@ def retract(state: SystemState, correction, convention="liekf") -> SystemState:
         raise ValueError(
             f"correction has length {correction.shape}, state error dim is {state.error_dim}"
         )
-    idx = StateIndexMap.for_state(state)
     nav = conv.nav_retract(state.nav, correction[:9])
-    clones = []
-    for i, c in enumerate(state.clones):
-        e = correction[idx.slice(f"clone{i}")]
-        clones.append(CameraClone(c.rotation @ so3_exp(e[:3]), c.position + e[3:6], c.timestamp))
-    features = []
-    for j, f in enumerate(state.features):
-        features.append(replace(f, params=f.params + correction[idx.slice(f"feature{j}")]))
+    base = CORE_DIM + 6 * state.num_clones
+    clone_rows = correction[CORE_DIM:base].reshape(-1, 6)
+    feature_rows = correction[base:].reshape(-1, 3)
     return SystemState(
         nav=nav,
-        gyro_bias=state.gyro_bias + correction[idx.slice("bg")],
-        accel_bias=state.accel_bias + correction[idx.slice("ba")],
-        lever_arm=state.lever_arm + correction[idx.slice("lever")],
-        clones=tuple(clones),
-        features=tuple(features),
+        gyro_bias=state.gyro_bias + correction[9:12],
+        accel_bias=state.accel_bias + correction[12:15],
+        lever_arm=state.lever_arm + correction[15:18],
+        clones=tuple(CameraClone(c.rotation @ so3_exp(e[:3]), c.position + e[3:], c.timestamp)
+                     for c, e in zip(state.clones, clone_rows)),
+        features=tuple(replace(f, params=f.params + e)
+                       for f, e in zip(state.features, feature_rows)),
         timestamp=state.timestamp,
     )
 

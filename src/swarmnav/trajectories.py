@@ -59,8 +59,13 @@ class TrajectorySpec:
         # Tuples keep the spec hashable: the spline cache is keyed by it.
         object.__setattr__(self, "center", finite_vector("center", self.center, 2))
         if self.waypoints is not None:
-            object.__setattr__(self, "waypoints", tuple(
-                finite_vector("waypoints", w, 2) for w in self.waypoints))
+            points = tuple(finite_vector("waypoints", w, 2) for w in self.waypoints)
+            # The spline is closed, so the last point also leads to the first;
+            # a repeated point would make a zero-length segment.
+            if len(points) > 1 and any(p == q for p, q in zip(points, points[1:] + points[:1])):
+                raise ValueError("consecutive waypoints (the last and the first "
+                                 "included) must differ")
+            object.__setattr__(self, "waypoints", points)
 
 
 @lru_cache(maxsize=64)

@@ -12,6 +12,7 @@ from swarmnav import scenarios
 from swarmnav.agent import AgentFilter
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, repropagate
 from swarmnav.covariance import (
+    _REJECTED,
     _ci_trace_objective,
     _ci_weighted_posterior,
     _golden_section,
@@ -198,8 +199,7 @@ def test_a3_delayed_update_matches_rewind_replay():
             slow.state = state
             slow.partition.core = P
             slow.partition.timestamp = state.timestamp
-            for bid in slow.partition.last_sync:
-                slow.partition.last_sync[bid] = state.timestamp
+            slow.partition.synced_at = state.timestamp
             offset = len(slow.imu_buffer.entries) - len(rebuilt)
             for j, entry in enumerate(rebuilt):
                 slow.imu_buffer.entries[offset + j] = entry
@@ -377,11 +377,10 @@ def test_a7_collaboration_benefit():
            f"{r.ate_off:.3f} m (within 1.05x: {r.ate_on <= 1.05 * r.ate_off})")
 
 
-def test_a8_ci_never_overconfident():
+def _worst_fused_nees(fuse, trials):
+    """Worst mean NEES, over correlations -0.9/0/+0.9 between the local and
+    remote errors, of fuse(e_local, Pa, e_remote, Pb) -> (error, cov)."""
     rg = np.random.default_rng(88)
-    dim = 3
-    trials = 5000
-    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
     worst = 0.0
     for rho in (-0.9, 0.0, 0.9):
         Pa = np.diag([1.0, 2.0, 0.5])
@@ -392,9 +391,21 @@ def test_a8_ci_never_overconfident():
         vals = []
         for _ in range(trials):
             e = L @ rg.standard_normal(6)
-            out = ci_fuse(e[:3], Pa, e[3:], Pb)
-            vals.append(nees(out.mean, out.covariance))
+            vals.append(nees(*fuse(e[:3], Pa, e[3:], Pb)))
         worst = max(worst, float(np.mean(vals)))
+    return worst
+
+
+def test_a8_ci_never_overconfident():
+    dim = 3
+    trials = 5000
+    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
+
+    def fuse(e_local, Pa, e_remote, Pb):
+        out = ci_fuse(e_local, Pa, e_remote, Pb)
+        return out.mean, out.covariance
+
+    worst = _worst_fused_nees(fuse, trials)
     P = np.diag([1.0, 2.0, 0.5])
     x = np.array([0.3, -0.7, 1.1])
     same = ci_fuse(x, P, x, P)
@@ -405,6 +416,35 @@ def test_a8_ci_never_overconfident():
            f"fused NEES stays consistent for correlations -0.9/0/+0.9: "
            f"worst mean {worst:.3f} <= {bound:.3f} ({trials} trials each); "
            f"idempotent on identical inputs: {idem}")
+
+
+def test_a8_ci_update_path_never_overconfident():
+    # The simulator never calls ci_fuse: collaborative_update fuses through
+    # the closed-form trace objective and the CI-weighted Kalman step. Same
+    # check as A8 on that path, with the remote estimate as a direct
+    # measurement of the local state (H = I).
+    dim = 3
+    trials = 5000
+    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
+    skipped = 0
+
+    def fuse(e_local, Pa, e_remote, Pb):
+        nonlocal skipped
+        meas = LinearMeasurement(e_remote - e_local, np.eye(dim), Pb, 0.0)
+        w = _golden_section(_ci_trace_objective(Pa, meas))
+        result = _ci_weighted_posterior(Pa, meas, w)
+        if result is None or result is _REJECTED:
+            skipped += 1  # collaborative_update leaves the estimate alone
+            return e_local, Pa
+        _, _, P_post, xi = result
+        return e_local + xi, P_post
+
+    worst = _worst_fused_nees(fuse, trials)
+    ok = worst <= bound
+    report("A8u", ok,
+           f"CI update path NEES stays consistent for correlations -0.9/0/+0.9: "
+           f"worst mean {worst:.3f} <= {bound:.3f} ({trials} trials each, "
+           f"{skipped} left as the local estimate)")
 
 
 def test_a9_noiseless_sanity_and_determinism(tmp_path):

@@ -57,10 +57,10 @@ def test_snapshot_without_visual_states_after_long_gap():
     # update outlast the 300-sample IMU buffer (a GNSS gate lockout longer
     # than 1.5 s); the next snapshot must not need the evicted transitions.
     ag = make_agent()
-    assert ag.partition.block_dim("visual") == 0
+    assert ag.partition.cross.shape == (18, 0)
     drive(ag, n=400)
     state, part = ag.snapshot()
-    assert part.last_sync["visual"] == ag.state.timestamp
+    assert part.synced_at == ag.state.timestamp
     ag.update_gnss(state.nav.position + 0.1, 0.05)
 
 
@@ -295,8 +295,7 @@ def test_delayed_fix_replay_equals_chained_single_steps():
 
 
 def assert_cross_blocks_synced(ag):
-    for bid, t in ag.partition.last_sync.items():
-        assert t == ag.partition.timestamp, bid
+    assert ag.partition.synced_at == ag.partition.timestamp
 
 
 def drive_against_dense_shadow(ag, seed):

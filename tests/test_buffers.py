@@ -154,10 +154,9 @@ def test_core_update_matches_full_joseph():
     dim = CORE_DIM + d_vis
     A = rng.standard_normal((dim, dim))
     P_full = A @ A.T + np.eye(dim)
-    part = CovariancePartition(P_full[:CORE_DIM, :CORE_DIM].copy())
-    part.add_block("visual", d_vis)
-    part.cross["visual"] = P_full[:CORE_DIM, CORE_DIM:].copy()
-    part.sensor_self["visual"] = P_full[CORE_DIM:, CORE_DIM:].copy()
+    part = CovariancePartition(P_full[:CORE_DIM, :CORE_DIM].copy(), d_vis)
+    part.cross = P_full[:CORE_DIM, CORE_DIM:].copy()
+    part.sensor_self = P_full[CORE_DIM:, CORE_DIM:].copy()
 
     H_core = rng.standard_normal((3, CORE_DIM))
     N = 0.01 * np.eye(3)
@@ -167,12 +166,12 @@ def test_core_update_matches_full_joseph():
     _, _, P_ref, xi_ref = kalman_step(P_full, LinearMeasurement(r, H_full, N, 0.0))
 
     meas = LinearMeasurement(r, H_core, N, 0.0)
-    xi_core, xi_blocks = core_update_partitioned(part, meas)
-    assert np.allclose(xi_core, xi_ref[:CORE_DIM], atol=1e-10)
-    assert np.allclose(xi_blocks["visual"], xi_ref[CORE_DIM:], atol=1e-10)
+    xi = core_update_partitioned(part, meas)
+    assert xi.shape == (dim,)
+    assert np.allclose(xi, xi_ref, atol=1e-10)
     assert np.allclose(part.core, P_ref[:CORE_DIM, :CORE_DIM], atol=1e-9)
-    assert np.allclose(part.cross["visual"], P_ref[:CORE_DIM, CORE_DIM:], atol=1e-9)
-    assert np.allclose(part.sensor_self["visual"], P_ref[CORE_DIM:, CORE_DIM:],
+    assert np.allclose(part.cross, P_ref[:CORE_DIM, CORE_DIM:], atol=1e-9)
+    assert np.allclose(part.sensor_self, P_ref[CORE_DIM:, CORE_DIM:],
                        atol=1e-9)
 
 

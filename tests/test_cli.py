@@ -174,6 +174,11 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
                       "{points: [[1, [1, 2, 3]], [1, [4, 5, 6]]]}")),
     *(pytest.param("suite: {gnss_sigma: 0.02}", f"suite: {section}", id=f"suite: {section}")
       for section in ("[1, 2]", "abc", "{noise: [1]}")),
+    # Two consecutive equal waypoints, the last and the first included,
+    # make a zero-length spline segment.
+    *(pytest.param("kind: circle, speed: 2.0, size: 20.0",
+                   f"kind: waypoint-spline, waypoints: {points}", id=f"waypoints: {points}")
+      for points in ("[[0, 0], [0, 0], [5, 5]]", "[[0, 0], [5, 5], [0, 0]]")),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"

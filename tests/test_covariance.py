@@ -35,8 +35,7 @@ def random_spd(dim, scale=1.0):
 def make_partition(d_vis):
     dim = CORE_DIM + d_vis
     P = random_spd(dim)
-    part = CovariancePartition(P[:CORE_DIM, :CORE_DIM].copy())
-    part.add_block("visual", d_vis)
+    part = CovariancePartition(P[:CORE_DIM, :CORE_DIM].copy(), d_vis)
     split_full(part, P)
     return part, P
 
@@ -80,7 +79,7 @@ def test_lazy_sync_matches_shadow_full_filter():
             Lam = np.eye(CORE_DIM) - 0.05 * random_spd(CORE_DIM, 0.1)
             sync_cross(part, imu_buf, None, "visual", t)
             part.core = Lam @ part.core @ Lam.T
-            part.cross["visual"] = Lam @ part.cross["visual"]
+            part.cross = Lam @ part.cross
             L_full = np.eye(CORE_DIM + d_vis)
             L_full[:CORE_DIM, :CORE_DIM] = Lam
             P_shadow = L_full @ P_shadow @ L_full.T
@@ -93,24 +92,28 @@ def test_lazy_sync_matches_shadow_full_filter():
 def test_sync_cross_no_op_and_backwards():
     part, _ = make_partition(3)
     buf = HistoryBuffer(capacity=5)
-    before = part.cross["visual"].copy()
+    before = part.cross.copy()
     sync_cross(part, buf, None, "visual", part.timestamp)
-    assert np.array_equal(part.cross["visual"], before)
+    assert np.array_equal(part.cross, before)
     with pytest.raises(ValueError):
         sync_cross(part, buf, None, "visual", part.timestamp - 1.0)
-    # Updates correct cross blocks in place; the third slot takes only None.
+    # Updates correct the cross block in place; the third slot takes only
+    # None, and the one sensor block is "visual".
     with pytest.raises(TypeError):
         sync_cross(part, buf, [buf], "visual", part.timestamp)
+    with pytest.raises(ValueError):
+        sync_cross(part, buf, None, "gnss", part.timestamp)
+    assert part.last_sync == {"visual": part.timestamp}
 
 
 def test_propagate_core_only_leaves_cross_alone():
     part, _ = make_partition(6)
     core_before = part.core.copy()
-    cross_before = part.cross["visual"].copy()
+    cross_before = part.cross.copy()
     F = np.eye(CORE_DIM) * 0.9
     T = TransitionPair(F, np.zeros((CORE_DIM, 12)))
     propagate_core_only(part, T, np.zeros((12, 12)))
-    assert np.array_equal(part.cross["visual"], cross_before)
+    assert np.array_equal(part.cross, cross_before)
     assert np.allclose(part.core, F @ core_before @ F.T, atol=1e-12)
 
 
@@ -119,7 +122,7 @@ def test_insert_block_rows_clone_jacobian():
     # same operation done on the assembled matrix.
     part, P = make_partition(6)
     J = rng.standard_normal((6, CORE_DIM))
-    insert_block_rows(part, "visual", 6, J)
+    insert_block_rows(part, 6, J)
     dim = CORE_DIM + 6
     A = np.zeros((dim + 6, dim))
     A[:dim, :dim] = np.eye(dim)
@@ -131,7 +134,7 @@ def test_insert_block_rows_clone_jacobian():
 def test_insert_block_rows_in_middle():
     part, P = make_partition(6)
     J = rng.standard_normal((3, CORE_DIM))
-    insert_block_rows(part, "visual", 3, J)
+    insert_block_rows(part, 3, J)
     full = assemble_full(part)
     # Rows CORE+3..CORE+6 are the new states.
     sl_new = slice(CORE_DIM + 3, CORE_DIM + 6)
@@ -147,7 +150,7 @@ def test_insert_block_rows_in_middle():
 def test_insert_block_rows_with_prior():
     part, P = make_partition(3)
     prior = np.diag([4.0, 4.0, 9.0])
-    insert_block_rows(part, "visual", 3, None, prior=prior)
+    insert_block_rows(part, 3, None, prior=prior)
     full = assemble_full(part)
     sl = slice(CORE_DIM + 3, CORE_DIM + 6)
     assert np.allclose(full[sl, sl], prior)
@@ -156,7 +159,7 @@ def test_insert_block_rows_with_prior():
 
 def test_remove_block_rows():
     part, P = make_partition(9)
-    remove_block_rows(part, "visual", 3, 3)
+    remove_block_rows(part, 3, 3)
     keep = np.r_[0:CORE_DIM + 3, CORE_DIM + 6:CORE_DIM + 9]
     assert np.allclose(assemble_full(part), P[np.ix_(keep, keep)], atol=1e-12)
 

@@ -9,7 +9,6 @@ from swarmnav.state import (
     CORE_DIM,
     CameraClone,
     Feature,
-    StateIndexMap,
     SystemState,
     add_feature,
     augment_clone,
@@ -42,17 +41,36 @@ def random_state(num_clones=0, num_features=0, t=0.0):
     )
 
 
+def changed_parts(a, b):
+    """Names of the state parts that differ between a and b."""
+    parts = {"nav": (a.nav.as_matrix(), b.nav.as_matrix()),
+             "gyro_bias": (a.gyro_bias, b.gyro_bias),
+             "accel_bias": (a.accel_bias, b.accel_bias),
+             "lever_arm": (a.lever_arm, b.lever_arm)}
+    for i, (ca, cb) in enumerate(zip(a.clones, b.clones)):
+        parts[f"clone{i}.rotation"] = (ca.rotation, cb.rotation)
+        parts[f"clone{i}.position"] = (ca.position, cb.position)
+    for j, (fa, fb) in enumerate(zip(a.features, b.features)):
+        parts[f"feature{j}"] = (fa.params, fb.params)
+    return {name for name, (x, y) in parts.items() if not np.array_equal(x, y)}
+
+
 def test_error_dim_layout():
+    # The layout is what retract reads: a correction that is nonzero only
+    # inside one block moves only that block's part of the state.
     s = random_state(3, 5)
     assert s.error_dim == CORE_DIM + 18 + 15
-    idx = StateIndexMap.for_state(s)
-    assert idx.offset("att") == 0
-    assert idx.offset("pos") == 6
-    assert idx.offset("lever") == 15
-    assert idx.offset("clone0") == 18
-    assert idx.offset("clone2") == 30
-    assert idx.offset("feature0") == 36
-    assert idx.dim == s.error_dim
+    for rows, moved in ((slice(30, 33), {"clone2.rotation"}),
+                        (slice(33, 36), {"clone2.position"}),
+                        (slice(36, 39), {"feature0"}),
+                        (slice(48, 51), {"feature4"}),
+                        (slice(15, 18), {"lever_arm"}),
+                        (slice(12, 15), {"accel_bias"}),
+                        (slice(9, 12), {"gyro_bias"}),
+                        (slice(0, 9), {"nav"})):
+        e = np.zeros(s.error_dim)
+        e[rows] = [0.1, -0.2, 0.3] * ((rows.stop - rows.start) // 3)
+        assert changed_parts(s, retract(s, e)) == moved, rows
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
