@@ -73,7 +73,6 @@ class AgentFilter:
                                              timestamp=state.timestamp)
         split_full(self.partition, covariance)
         self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
-        self.dropped_feature_ids = set()
 
     # ------------------------------------------------------------------
     # covariance access
@@ -193,13 +192,10 @@ class AgentFilter:
         return self.state.num_clones - 1
 
     def marginalize_clone(self, index):
-        """Drop a window clone; landmarks anchored to it are dropped too and
-        their ids remembered so they are not immediately re-initialized from
-        stale tracks."""
+        """Drop a window clone and the landmarks anchored to it."""
         t_anchor = self.state.clones[index].timestamp
         for j in reversed(range(self.state.num_features)):
             if self.state.features[j].anchor_timestamp == t_anchor:
-                self.dropped_feature_ids.add(self.state.features[j].feature_id)
                 self.remove_feature(j)
         self.sync()
         remove_block_rows(self.partition, 6 * index, 6)
@@ -211,7 +207,6 @@ class AgentFilter:
         insert_block_rows(self.partition, at, None,
                           prior=np.eye(3) * prior_sigma ** 2)
         self.state = st.add_feature(self.state, feature, self.max_features)
-        self.dropped_feature_ids.discard(feature.feature_id)
         return self.state.num_features - 1
 
     def remove_feature(self, index):

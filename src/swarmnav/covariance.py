@@ -301,18 +301,19 @@ def collaborative_update(agent, correspondences):
     for c in correspondences:
         if c.feature_id not in local_ids:
             raise ValueError(f"landmark id {c.feature_id} is not in the local state")
+    # Posteriors are exactly symmetric: carrying P equals re-assembling it.
+    P = agent.full_covariance()
     applied = 0
     for c in correspondences:
         j = local_ids[c.feature_id]
         meas = landmark_position_measurement(agent.state, j, c.remote_position, c.remote_cov)
-        P = agent.full_covariance()
         w = _golden_section(_ci_trace_objective(P, meas))
         result = _ci_weighted_posterior(P, meas, w)
         if result is None or result is _REJECTED:
             continue  # no usable information balance at this weight
-        _, _, P_post, xi = result
+        _, _, P, xi = result
         agent.state = retract(agent.state, xi, agent.convention)
-        agent.set_full_covariance(P_post)
-        local_ids = {f.feature_id: jj for jj, f in enumerate(agent.state.features)}
         applied += 1
+    if applied:
+        agent.set_full_covariance(P)
     return applied

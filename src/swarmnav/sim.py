@@ -17,6 +17,7 @@ import heapq
 import itertools
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,6 +209,12 @@ class SimConfig:
         if len(ids) != len(set(ids)):
             raise ConfigError("agent ids must be unique")
         _check_finite("gnss_delay", self.gnss_delay, allow_zero=True)
+        for a in self.agents:
+            if self.use_gnss and a.use_gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
+                # A delayed update restores its epoch snapshot: a fix still in
+                # flight at the next epoch would lose that epoch's correction.
+                raise ConfigError(f"gnss_delay {self.gnss_delay!r} exceeds agent "
+                                  f"{a.agent_id}'s GNSS period 1/{a.suite.gnss_rate!r}")
         _check_finite("request_rate", self.request_rate)
         _check_finite("record_rate", self.record_rate)
 
@@ -408,9 +415,11 @@ class _AgentRuntime:
         self.gate = GateState()
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         self.imu_next = 0         # index of the first sample not yet applied
-        self.vio_positions = []
-        self.inflight = {}        # gnss epoch -> completion time
-        self.tracks = {}          # landmark id -> [(clone timestamp, uv), ...]
+        self.vio_positions = deque(maxlen=3)  # positions at the last GNSS epochs
+        self.busy_until = 0.0     # queue time of the last delayed fix's completion
+        # Landmarks outside the filter state only: id -> [(clone timestamp,
+        # uv), ...], one entry per window clone, oldest first.
+        self.tracks = {}
         self.frame_count = 0
         self.rows_traj = []
         self.rows_cov = []
@@ -491,8 +500,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         accepted = True
         if config.gate.enabled:
             speed, accel = 0.0, 0.0
-            if len(rt.vio_positions) >= 3:
-                speed, accel = vio_kinematics([p for _, p in rt.vio_positions[-3:]],
+            if len(rt.vio_positions) == 3:
+                speed, accel = vio_kinematics(rt.vio_positions,
                                               1.0 / rt.cfg.suite.gnss_rate)
             verdict = evaluate(rt.gate, fix.position, speed, accel, config.gate, t)
             rt.rows_gate.append((t, verdict.speed, verdict.threshold, verdict.k,
@@ -503,16 +512,16 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             try:
                 if config.gnss_delay > 0:
                     snap = ag.snapshot()
-                    done = t + config.gnss_delay
-                    rt.inflight[t] = done
-                    push(done, _GNSS_DONE, (idx, fix, snap))
+                    # On the queue's grid: deferred events are re-pushed to
+                    # this time and must then compare equal to it.
+                    rt.busy_until = round(t + config.gnss_delay, 9)
+                    push(rt.busy_until, _GNSS_DONE, (idx, fix, snap))
                 else:
                     ag.update_gnss(fix.position, sigma)
                     counters["gnss_applied"] += 1
             except UpdateRejected:
                 counters["gnss_rejected_numerical"] += 1
-        rt.vio_positions.append((t, ag.state.nav.position.copy()))
-        del rt.vio_positions[:-8]
+        rt.vio_positions.append(ag.state.nav.position.copy())
 
     def handle_gnss_done(t, idx, fix, snap):
         rt = runtimes[idx]
@@ -527,15 +536,14 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             counters["gnss_dropped_horizon"] += 1
         except UpdateRejected:
             counters["gnss_rejected_numerical"] += 1
-        rt.inflight.pop(fix.timestamp, None)
 
     def deferred(t, order, payload):
-        """Updates that touch the whole covariance must wait for in-flight
-        delayed GNSS corrections whose epoch snapshot they would clobber."""
-        pending = [done for done in runtimes[payload[0]].inflight.values() if done > t]
-        if pending:
-            push(max(pending), order, payload)
-        return bool(pending)
+        """Updates that touch the whole covariance must wait for an in-flight
+        delayed GNSS correction whose epoch snapshot they would clobber."""
+        busy_until = runtimes[payload[0]].busy_until
+        if busy_until > t:
+            push(busy_until, order, payload)
+        return busy_until > t
 
     def handle_camera(t, idx, frame):
         rt = runtimes[idx]
@@ -546,22 +554,18 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             return
         ag = rt.filter
         ci = ag.augment_clone()
-        for lid in list(ag.dropped_feature_ids):
-            rt.tracks.pop(lid, None)
-        ag.dropped_feature_ids.clear()
-        window_ts = {c.timestamp for c in ag.state.clones}
+        clone_at = {c.timestamp: i for i, c in enumerate(ag.state.clones)}
+        for lid, hist in list(rt.tracks.items()):
+            rt.tracks[lid] = [e for e in hist if e[0] in clone_at]
+            if not rt.tracks[lid]:
+                del rt.tracks[lid]
         in_state = {f.feature_id: j for j, f in enumerate(ag.state.features)}
         obs_now = []
         for lid, uv in frame.observations:
-            hist = [e for e in rt.tracks.get(lid, []) if e[0] in window_ts]
-            hist.append((ag.state.timestamp, uv))
-            rt.tracks[lid] = hist[-config.filter.max_clones:]
             if lid in in_state:
                 obs_now.append((ci, in_state[lid], uv))
-        for lid in list(rt.tracks):
-            rt.tracks[lid] = [e for e in rt.tracks[lid] if e[0] in window_ts]
-            if not rt.tracks[lid]:
-                del rt.tracks[lid]
+            else:
+                rt.tracks.setdefault(lid, []).append((ag.state.timestamp, uv))
         if obs_now:
             try:
                 counters["vision_rows"] += rt.filter.update_vision(
@@ -570,27 +574,24 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 pass
         observed = {lid for lid, _ in frame.observations}
         for lid in sorted(observed - set(in_state)):
-            hist = rt.tracks.get(lid, [])
+            hist = rt.tracks[lid]
             if len(hist) < config.filter.min_track_length:
                 continue
             if ag.state.num_features >= config.filter.max_features:
                 break
             # Anchor at the newest clone so the landmark outlives the window.
-            ordered = [hist[-1]] + hist[:-1]
-            clone_at = {c.timestamp: i for i, c in enumerate(ag.state.clones)}
-            if any(ts not in clone_at for ts, _ in ordered):
-                continue
-            tracks_idx = [(clone_at[ts], uv) for ts, uv in ordered]
+            tracks_idx = [(clone_at[ts], uv) for ts, uv in [hist[-1]] + hist[:-1]]
             try:
                 j = ag.initialize_feature(lid, tracks_idx,
                                           prior_sigma=config.filter.feature_prior_sigma,
                                           pixel_sigma=rt.cfg.suite.pixel_sigma,
                                           min_observations=config.filter.min_track_length)
             except UpdateRejected:
-                continue
+                continue  # added, but its first update was refused
             if j is not None:
                 counters["features_initialized"] += 1
-                rt.tracks.pop(lid, None)  # absorbed; only fresh frames from here
+        for f in ag.state.features:  # in the state: a later track starts afresh
+            rt.tracks.pop(f.feature_id, None)
 
     def handle_request(t, idx):
         rt = runtimes[idx]

@@ -151,7 +151,6 @@ def test_window_eviction_drops_anchored_features():
     ag.augment_clone()  # evicts the oldest clone and its anchored landmark
     assert ag.state.num_clones == 2
     assert ag.state.num_features == 0
-    assert 42 in ag.dropped_feature_ids
 
 
 def test_initialize_feature_from_tracks():

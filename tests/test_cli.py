@@ -159,6 +159,7 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
 @pytest.mark.parametrize("old,new", [
     ("seed: 4", "seed: -1"),
     ("gnss_delay: 0.0", "gnss_delay: 0.1\nfilter: {imu_buffer_capacity: 0}"),
+    ("gnss_delay: 0.0", "gnss_delay: 0.15"),
     ("gate: {enabled: false}", "gate: {enabled: false, beta: 0.5}"),
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: .nan}"),
     pytest.param(CONFIG_YAML[:CONFIG_YAML.index("seed")], "agents: [1]\n",

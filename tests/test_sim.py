@@ -3,6 +3,7 @@
 import math
 import numbers
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ def test_config_validation():
                           AgentConfig(0, traj, suite)))
     with pytest.raises(ConfigError):
         SimConfig(agents=(AgentConfig(0, traj, suite),), gnss_delay=-0.1)
+
+
+def test_gnss_delay_longer_than_the_fix_period_is_rejected():
+    # A delayed update restores its epoch snapshot, and GNSS epochs are never
+    # deferred: a fix still in flight at the next epoch would lose the
+    # correction of that epoch.
+    traj = TrajectorySpec(duration=5.0)
+    agents = (AgentConfig(0, traj, SensorSuite(gnss_rate=10.0)),
+              AgentConfig(1, traj, SensorSuite(gnss_rate=5.0)))
+    with pytest.raises(ConfigError, match="gnss_delay"):
+        SimConfig(agents=agents, gnss_delay=0.15)
+    # Equal to the period: the completion lands at or before the next epoch.
+    SimConfig(agents=agents, gnss_delay=0.1)
+    # Agents without GNSS have no fixes to overlap.
+    SimConfig(agents=agents, gnss_delay=0.15, use_gnss=False)
+    SimConfig(agents=(replace(agents[0], use_gnss=False), agents[1]), gnss_delay=0.2)
 
 
 @pytest.mark.parametrize("field_name,value", [
@@ -348,6 +365,90 @@ def test_delayed_gnss_smoke():
     assert art.counters["gnss_applied"] > 0
     assert art.counters["gnss_dropped_horizon"] == 0
     assert art.agents[0]["ate"].rmse < 0.3
+
+
+def _record_filter_calls(monkeypatch, names):
+    """Wrap AgentFilter methods to log (agent index, method, queue time,
+    state before the call, args) per call; the queue time is the last
+    `advance` target."""
+    clock, filters, calls = [0.0], [], []
+    advance, init = sim._AgentRuntime.advance, AgentFilter.__init__
+
+    def timed_advance(self, t):
+        clock.append(t)
+        return advance(self, t)
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        filters.append(self)
+
+    def wrap(name, method):
+        def recording(self, *args, **kw):
+            calls.append((filters.index(self), name, clock[-1], self.state, args))
+            return method(self, *args, **kw)
+        return recording
+
+    monkeypatch.setattr(sim._AgentRuntime, "advance", timed_advance)
+    monkeypatch.setattr(AgentFilter, "__init__", recording_init)
+    for name in names:
+        monkeypatch.setattr(AgentFilter, name, wrap(name, getattr(AgentFilter, name)))
+    return calls
+
+
+def test_whole_covariance_updates_wait_for_delayed_fixes(monkeypatch):
+    # With a 50 ms delay, frames such as the one at 4/30 s fall inside a
+    # fix's (epoch, completion) window. Clone augmentation, vision and CI
+    # updates would clobber the epoch snapshot there, so they must be
+    # deferred out of every window, and deferring must lose no keyframe.
+    from swarmnav.scenarios import collab_config
+    delay = 0.05
+    names = ("snapshot", "augment_clone", "update_vision", "update_collaborative")
+    runs = {}
+    for d in (delay, 0.0):
+        calls = _record_filter_calls(monkeypatch, names)
+        run_swarm(replace(collab_config(seed=5, duration=4.0), gnss_delay=d))
+        runs[d] = calls
+        monkeypatch.undo()
+
+    windows = [(agent, t, round(t + delay, 9))
+               for agent, name, t, _, _ in runs[delay] if name == "snapshot"]
+    assert windows
+    for agent, name, t, _, _ in runs[delay]:
+        assert not any(a == agent and lo < t < hi for a, lo, hi in windows), (name, t)
+    assert any(name == "update_collaborative" for _, name, _, _, _ in runs[delay])
+
+    def keyframes(calls):
+        return [(agent, t) for agent, name, t, _, _ in calls if name == "augment_clone"]
+
+    # Some keyframe of the prompt run lies inside a window of the delayed one.
+    assert any(a == agent and lo < t < hi
+               for agent, t in keyframes(runs[0.0]) for a, lo, hi in windows)
+    assert sorted(a for a, _ in keyframes(runs[delay])) == \
+        sorted(a for a, _ in keyframes(runs[0.0]))
+
+
+def test_tracks_restart_when_a_landmark_leaves_the_state(monkeypatch):
+    # A landmark dropped with its anchor clone is re-initialized only from
+    # frames observed after the drop, and no landmark in the state is
+    # initialized a second time.
+    from swarmnav.scenarios import ring_landmarks
+    calls = _record_filter_calls(monkeypatch, ("marginalize_clone", "initialize_feature"))
+    run_swarm(tiny_config(seed=4, duration=6.0, landmarks=ring_landmarks(8, 20.0)))
+    dropped_at, reinitialized = {}, 0
+    for _, name, t, state, args in calls:
+        if name == "marginalize_clone":
+            t_anchor = state.clones[args[0]].timestamp
+            for f in state.features:
+                if f.anchor_timestamp == t_anchor:
+                    dropped_at[f.feature_id] = state.timestamp
+            continue
+        feature_id, tracks = args
+        assert feature_id not in {f.feature_id for f in state.features}, (feature_id, t)
+        if feature_id in dropped_at:
+            reinitialized += 1
+            assert all(state.clones[ci].timestamp >= dropped_at[feature_id]
+                       for ci, _ in tracks), (feature_id, t)
+    assert reinitialized > 0
 
 
 def test_vision_engages():

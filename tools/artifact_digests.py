@@ -1,4 +1,4 @@
-"""Digest the artifacts of eleven fixed runs, to check that a change keeps
+"""Digest the artifacts of twelve fixed runs, to check that a change keeps
 every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
@@ -12,7 +12,10 @@ working tree) and compare the printed tables. The sets are:
   `--filter liekf|riekf|ekf`;
 * `run_swarm(...).write()` of `consistency_config` for the three
   conventions, `delay_config`, `gate_config` and `collab_config`, at their
-  default lengths.
+  default lengths;
+* `collab_config` with GNSS on both agents, 50 ms late: camera frames and
+  CI replies that fall inside a fix's (epoch, completion) window are
+  deferred, so this set checks the deferral rule.
 
 A set's digest is the first 16 hex digits of the sha256 over its sorted
 `<sha256>  <path relative to the set>` lines, one per file. `timing.csv`
@@ -28,6 +31,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -69,6 +73,12 @@ def _vio_mc(convention):
     return run
 
 
+def _delayed_collab(seed):
+    cfg = scenarios.collab_config(seed=seed)
+    return replace(cfg, gnss_delay=0.05,
+                   agents=tuple(replace(a, use_gnss=True) for a in cfg.agents))
+
+
 def _canned(make, **kwargs):
     def run(seed, out):
         run_swarm(make(seed=seed, **kwargs)).write(out)
@@ -87,6 +97,7 @@ SETS = (
     ("delay_config", _canned(scenarios.delay_config)),
     ("gate_config", _canned(scenarios.gate_config)),
     ("collab_config", _canned(scenarios.collab_config)),
+    ("collab_config, delayed GNSS", _canned(_delayed_collab)),
 )
 
 
