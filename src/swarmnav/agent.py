@@ -4,7 +4,7 @@ GNSS / vision / collaborative update paths.
 
 The filter takes its IMU stream in segments, all samples between two
 events: the biases are fixed across a segment, so the mean is mechanized and
-the left-invariant transitions are formed for the whole segment at once.
+the convention's transitions are formed for the whole segment at once.
 The covariance is split into an 18-dim core (propagated every IMU step) and
 one sensor block holding all clone and landmark entries; the cross block
 between them is brought up to date lazily from the buffered transitions
@@ -102,10 +102,14 @@ class AgentFilter:
     def propagate(self, *samples: ImuSample):
         """Advance through a segment of IMU samples, oldest first.
 
-        The mean is mechanized over the whole segment in one call and the
-        convention's transitions come per segment too; the core covariance
-        and the IMU buffer still advance one step per sample.
+        The mean is mechanized over the whole segment in one call, and the
+        convention's transitions, linearized at the navigation states the
+        mechanization passes through, are formed in one stacked call too;
+        the core covariance and the IMU buffer still advance one step per
+        sample. An empty segment changes nothing.
         """
+        if not samples:
+            return self.state
         gravity = self.noise.gravity
         seg = mechanize(self.state, samples, gravity)
         steps = lookup(self.convention).transition(self.state, samples, seg.dts,

@@ -21,7 +21,7 @@ defined estimate-minus-truth; the finite-difference tests pin the signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,15 +55,6 @@ class TransitionPair:
     G: np.ndarray
 
 
-def _embed_core(F15, G15):
-    """Lift 15-dim nav+bias matrices to the 18-dim core (lever arm static)."""
-    F = np.eye(CORE_DIM)
-    F[:15, :15] = F15
-    G = np.zeros((CORE_DIM, NOISE_DIM))
-    G[:15, :] = G15
-    return F, G
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -78,13 +69,20 @@ _G_LEFT[9:15, 6:12] = np.eye(6)
 _read_only(_G_LEFT)
 
 
+def _checked_dts(dts):
+    """A segment's step lengths as an array; ValueError unless all are
+    positive (NaN fails too)."""
+    dts = np.asarray(dts, dtype=float)
+    if not np.all(dts > 0):
+        raise ValueError("dt must be positive")
+    return dts
+
+
 def transition_left(samples, dts) -> list:
     """Left-invariant transitions of a segment of IMU samples, one per
     sample; each is a pure function of (gyro, accel, dt). The generators
     are stacked and exponentiated in one call."""
-    dts = np.asarray(dts, dtype=float)
-    if not np.all(dts > 0):
-        raise ValueError("dt must be positive")
+    dts = _checked_dts(dts)
     w = np.array([s.gyro for s in samples], dtype=float)
     f = np.array([s.accel for s in samples], dtype=float)
     Sw = skew(w)
@@ -101,82 +99,99 @@ def transition_left(samples, dts) -> list:
     return [TransitionPair(F_k, _G_LEFT) for F_k in _read_only(F)]
 
 
-def transition_right(state_estimate, imu, dt, gravity=None) -> TransitionPair:
-    """Right-invariant transition; depends on the state estimate."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def transition_right(dts, navs, gravity=None) -> list:
+    """Right-invariant transitions of a segment, one per step; each is a
+    function of the step's dt and the navigation state it starts from
+    (navs[i]), not of the IMU sample or the biases. The generators are
+    stacked and exponentiated in one call."""
+    dts = _checked_dts(dts)
+    R = np.array([nav.rotation for nav in navs])
     g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    R = state_estimate.nav.rotation
-    v = state_estimate.nav.velocity
-    p = state_estimate.nav.position
-    A = np.zeros((15, 15))
-    A[3:6, 0:3] = skew(g)
-    A[6:9, 3:6] = np.eye(3)
-    A[0:3, 9:12] = -R
-    A[3:6, 9:12] = -skew(v) @ R
-    A[6:9, 9:12] = -skew(p) @ R
-    A[3:6, 12:15] = -R
-    F15 = expm(A * dt)
-    G15 = np.zeros((15, NOISE_DIM))
-    G15[0:3, 0:3] = R
-    G15[3:6, 0:3] = skew(v) @ R
-    G15[6:9, 0:3] = skew(p) @ R
-    G15[3:6, 3:6] = R
-    G15[9:15, 6:12] = np.eye(6)
-    F, G = _embed_core(F15, G15)
-    return TransitionPair(F, G)
+    SvR = skew(np.array([nav.velocity for nav in navs])) @ R
+    SpR = skew(np.array([nav.position for nav in navs])) @ R
+    n = len(dts)
+    A = np.zeros((n, 15, 15))
+    A[:, 3:6, 0:3] = skew(g)
+    A[:, 6:9, 3:6] = np.eye(3)
+    A[:, 0:3, 9:12] = -R
+    A[:, 3:6, 9:12] = -SvR
+    A[:, 6:9, 9:12] = -SpR
+    A[:, 3:6, 12:15] = -R
+    F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
+    F[:, :15, :15] = expm(A * dts[:, None, None])
+    G = np.zeros((n, CORE_DIM, NOISE_DIM))
+    G[:, 0:3, 0:3] = R
+    G[:, 3:6, 0:3] = SvR
+    G[:, 6:9, 0:3] = SpR
+    G[:, 3:6, 3:6] = R
+    G[:, 9:15, 6:12] = np.eye(6)
+    return [TransitionPair(F_k, G_k) for F_k, G_k in zip(_read_only(F), _read_only(G))]
+
+
+def _cross(x, y):
+    """Row-wise cross product, bit for bit np.cross."""
+    return np.stack([x[:, 1] * y[:, 2] - x[:, 2] * y[:, 1],
+                     x[:, 2] * y[:, 0] - x[:, 0] * y[:, 2],
+                     x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]], axis=-1)
 
 
 def _dJ1a_dpsi(psi, a):
-    """Derivative of so3_left_jacobian(psi) @ a with respect to psi."""
-    theta = np.linalg.norm(psi)
+    """Derivative of so3_left_jacobian(psi[i]) @ a[i] with respect to
+    psi[i], for stacks of vectors; below theta = 1e-4 a series replaces
+    the closed form."""
+    # Row-wise dot products: bit for bit np.linalg.norm of each vector.
+    theta = np.sqrt(np.vecdot(psi, psi))
+    small = theta < 1e-4
+    th = np.where(small, 1.0, theta)
     Sa = skew(a)
-    pxa = np.cross(psi, a)
-    pxpxa = np.cross(psi, pxa)
-    if theta < 1e-4:
-        return -0.5 * Sa - (skew(pxa) + skew(psi) @ Sa) / 6.0
-    t2 = theta * theta
-    b = (1.0 - np.cos(theta)) / t2
-    c = (theta - np.sin(theta)) / (t2 * theta)
-    db = (theta * np.sin(theta) - 2.0 * (1.0 - np.cos(theta))) / (t2 * theta)
-    dc = ((1.0 - np.cos(theta)) * theta - 3.0 * (theta - np.sin(theta))) / (t2 * t2)
-    n = psi / theta
-    return (
-        np.outer(pxa, n) * db
-        - b * Sa
-        + np.outer(pxpxa, n) * dc
-        + c * (-skew(pxa) - skew(psi) @ Sa)
+    Spsi_Sa = skew(psi) @ Sa
+    pxa = _cross(psi, a)
+    pxpxa = _cross(psi, pxa)
+    S_pxa = skew(pxa)
+    t2 = th * th
+    b = (1.0 - np.cos(th)) / t2
+    c = (th - np.sin(th)) / (t2 * th)
+    db = (th * np.sin(th) - 2.0 * (1.0 - np.cos(th))) / (t2 * th)
+    dc = ((1.0 - np.cos(th)) * th - 3.0 * (th - np.sin(th))) / (t2 * t2)
+    n = psi / th[:, None]
+    closed = (
+        pxa[:, :, None] * n[:, None, :] * db[:, None, None]
+        - b[:, None, None] * Sa
+        + pxpxa[:, :, None] * n[:, None, :] * dc[:, None, None]
+        + c[:, None, None] * (-S_pxa - Spsi_Sa)
     )
+    if not small.any():
+        return closed
+    return np.where(small[:, None, None], -0.5 * Sa - (S_pxa + Spsi_Sa) / 6.0, closed)
 
 
-def transition_ekf(state_estimate, imu, dt) -> TransitionPair:
-    """Conventional error-state EKF Jacobian of the mechanization
-    (body-frame attitude error, additive velocity/position errors)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    R = state_estimate.nav.rotation
-    w = imu.gyro - state_estimate.gyro_bias
-    a = imu.accel - state_estimate.accel_bias
-    psi = w * dt
-    Gamma = so3_exp(psi)
-    Jr = so3_left_jacobian(-psi)
+def transition_ekf(state_estimate, samples, dts, navs) -> list:
+    """Conventional error-state EKF Jacobians of the mechanization of a
+    segment (body-frame attitude error, additive velocity/position errors),
+    one per sample, each linearized at the navigation state its step
+    starts from (navs[i]) and the biases of `state_estimate`."""
+    dts = _checked_dts(dts)
+    R = np.array([nav.rotation for nav in navs])
+    n = len(dts)
+    dt = dts[:, None, None]
+    psi = (np.array([imu.gyro for imu in samples]) - state_estimate.gyro_bias) * dts[:, None]
+    a = np.array([imu.accel for imu in samples]) - state_estimate.accel_bias
     J1 = so3_left_jacobian(psi)
     G2 = so3_gamma2(psi)
-    D1 = _dJ1a_dpsi(psi, a)
-    F = np.eye(CORE_DIM)
-    F[0:3, 0:3] = Gamma.T
-    F[0:3, 9:12] = -Jr * dt
-    F[3:6, 0:3] = -R @ skew(J1 @ a) * dt
-    F[3:6, 9:12] = -R @ D1 * dt * dt
-    F[3:6, 12:15] = -R @ J1 * dt
-    F[6:9, 0:3] = -R @ skew(G2 @ a) * dt * dt
-    F[6:9, 3:6] = np.eye(3) * dt
-    F[6:9, 12:15] = -R @ G2 * dt * dt
-    G = np.zeros((CORE_DIM, NOISE_DIM))
-    G[0:3, 0:3] = np.eye(3)
-    G[3:6, 3:6] = R
-    G[9:15, 6:12] = np.eye(6)
-    return TransitionPair(F, G)
+    F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
+    F[:, 0:3, 0:3] = so3_exp(psi).transpose(0, 2, 1)
+    F[:, 0:3, 9:12] = -so3_left_jacobian(-psi) * dt
+    F[:, 3:6, 0:3] = -R @ skew((J1 @ a[:, :, None])[:, :, 0]) * dt
+    F[:, 3:6, 9:12] = -R @ _dJ1a_dpsi(psi, a) * dt * dt
+    F[:, 3:6, 12:15] = -R @ J1 * dt
+    F[:, 6:9, 0:3] = -R @ skew((G2 @ a[:, :, None])[:, :, 0]) * dt * dt
+    F[:, 6:9, 3:6] = np.eye(3) * dt
+    F[:, 6:9, 12:15] = -R @ G2 * dt * dt
+    G = np.zeros((n, CORE_DIM, NOISE_DIM))
+    G[:, 0:3, 0:3] = np.eye(3)
+    G[:, 3:6, 3:6] = R
+    G[:, 9:15, 6:12] = np.eye(6)
+    return [TransitionPair(F_k, G_k) for F_k, G_k in zip(_read_only(F), _read_only(G))]
 
 
 def _nav_block(att, pos):
@@ -210,26 +225,19 @@ class Convention:
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
     # (state, samples, dts, navs, gravity) -> one TransitionPair per sample,
-    # where navs[i] is the navigation state sample i starts from (see
-    # filters.mechanize) and the biases are those of `state`.
+    # formed for the whole segment in one call, where navs[i] is the
+    # navigation state sample i starts from (see filters.mechanize) and the
+    # biases are those of `state`.
     transition: Callable
     clone_attitude: Callable  # (R, R_ic) -> d(clone attitude) / d(attitude error)
     point_jacobian: Callable  # (R, p, x) -> 3x9 d(p + R x) / d(nav error)
 
 
-def _per_step(step):
-    """A segment transition made of one-step transitions, each linearized at
-    the state the step starts from."""
-    def transition(state, samples, dts, navs, gravity):
-        return [step(replace(state, nav=nav), imu, dt, gravity)
-                for nav, imu, dt in zip(navs, samples, dts)]
-    return transition
-
-
 # The transitions are called through their module-level names, so a
-# rebinding of those names (instrumentation) reaches every call. The
-# left-invariant transition depends on the samples alone and takes a whole
-# segment per call; the other two depend on the state and go step by step.
+# rebinding of those names (instrumentation) reaches every call. Each takes
+# a whole segment per call and forms its transitions in one stacked pass:
+# the left-invariant one from the samples alone, the other two also from
+# the navigation state each step starts from.
 CONVENTIONS = {
     "liekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(inverse(truth), est)),
@@ -246,15 +254,16 @@ CONVENTIONS = {
     "riekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(est, inverse(truth))),
         nav_retract=lambda nav, e: compose(se23_exp(e), nav),
-        transition=_per_step(
-            lambda state, imu, dt, gravity: transition_right(state, imu, dt, gravity)),
+        transition=lambda state, samples, dts, navs, gravity: transition_right(
+            dts, navs, gravity),
         clone_attitude=lambda R, R_ic: (R @ R_ic).T,
         point_jacobian=lambda R, p, x: _nav_block(-skew(p + R @ x), np.eye(3)),
     ),
     "ekf": Convention(
         nav_error=_ekf_error,
         nav_retract=_ekf_retract,
-        transition=_per_step(lambda state, imu, dt, gravity: transition_ekf(state, imu, dt)),
+        transition=lambda state, samples, dts, navs, gravity: transition_ekf(
+            state, samples, dts, navs),
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), np.eye(3)),
     ),

@@ -4,9 +4,9 @@ measurement models.
 The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
 matrices for the velocity and position columns). The transition matrices of
-a step depend on the error convention and live in ``swarmnav.conventions``;
-``transition_left``, ``transition_right`` and ``transition_ekf`` are
-importable from here as well.
+an IMU segment depend on the error convention and live in
+``swarmnav.conventions``; ``transition_left``, ``transition_right`` and
+``transition_ekf`` are importable from here as well.
 """
 
 from __future__ import annotations

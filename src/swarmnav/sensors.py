@@ -155,33 +155,39 @@ def synthesize_bearings(spec: TrajectorySpec, suite: SensorSuite, lmap: Landmark
     """Normalized-plane landmark observations with field-of-view and depth
     culling; association is by landmark id. With `snap_rate` set, frame
     times are snapped onto that sampling grid (so clones line up with
-    propagated filter states)."""
+    propagated filter states).
+
+    The truth is evaluated for all frame times at once, and all landmarks
+    of a frame are projected at once; the visible ones, in map order, draw
+    two standard normals each for their pixel noise."""
     rng = np.random.default_rng(seed)
     R_ic, p_ic = suite.camera_extrinsics
+    ids = [lid for lid, _ in lmap.points]
+    P = np.array([pw for _, pw in lmap.points], dtype=float).reshape(-1, 3)
     dt = 1.0 / suite.camera_rate
     n = int(np.floor(spec.duration / dt))
-    frames = []
+    times = []
     last_t = 0.0
     for k in range(1, n + 1):
         t = k * dt
         if snap_rate is not None:
             t = round(t * snap_rate) / snap_rate
-        if t <= last_t or t > spec.duration:
-            continue
-        last_t = t
-        pose, _, _ = truth_at(spec, t)
-        R_c = pose.rotation @ R_ic
-        p_c = pose.position + pose.rotation @ p_ic
-        obs = []
-        for lid, pw in lmap.points:
-            X = R_c.T @ (np.asarray(pw) - p_c)
-            if not (suite.min_depth < X[2] < suite.max_depth):
-                continue
-            uv = X[:2] / X[2]
-            if np.max(np.abs(uv)) > suite.fov_half_tangent:
-                continue
-            obs.append((lid, uv + suite.pixel_sigma * rng.standard_normal(2)))
-        frames.append(CameraFrame(t, tuple(obs)))
+        if last_t < t <= spec.duration:
+            times.append(t)
+            last_t = t
+    R, _, p, _, _ = kinematics(spec, np.array(times))
+    frames = []
+    for t, R_k, p_k in zip(times, R, p):
+        R_c = R_k @ R_ic
+        p_c = p_k + R_k @ p_ic
+        X = (R_c.T @ (P - p_c).T).T
+        seen = np.flatnonzero((suite.min_depth < X[:, 2]) & (X[:, 2] < suite.max_depth))
+        uv = X[seen, :2] / X[seen, 2:]
+        # Negated, so that a NaN coordinate passes the cut.
+        in_fov = ~(np.max(np.abs(uv), axis=1) > suite.fov_half_tangent)
+        seen = seen[in_fov]
+        uv = uv[in_fov] + suite.pixel_sigma * rng.standard_normal((len(seen), 2))
+        frames.append(CameraFrame(t, tuple(zip([ids[i] for i in seen], uv))))
     return frames
 
 

@@ -213,6 +213,15 @@ def test_propagate_requires_forward_time():
         ag.propagate(ImuSample(np.zeros(3), np.zeros(3), ag.state.timestamp))
 
 
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+def test_an_empty_segment_changes_nothing(convention):
+    ag = make_agent(convention)
+    drive(ag, 2)
+    state, P = ag.state, ag.full_covariance()
+    assert ag.propagate() is state
+    assert np.array_equal(ag.full_covariance(), P)
+
+
 # ----------------------------------------------------------------------
 # IMU segments
 

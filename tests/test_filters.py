@@ -20,7 +20,6 @@ from swarmnav.filters import (
     stack_measurements,
     transition,
     transition_left,
-    transition_right,
     update,
 )
 from swarmnav.lie import ExtendedPose, so3_exp
@@ -155,7 +154,7 @@ def test_transition_bias_coupling_signs():
     assert np.allclose(F[0:3, 9:12], -np.eye(3) * dt, atol=1e-5)
     assert np.allclose(F[3:6, 12:15], -np.eye(3) * dt, atol=1e-5)
     s = random_nav_state()
-    Fr = transition_right(s, imu, dt).F
+    Fr = transition("riekf", s, imu, dt).F
     assert np.allclose(Fr[0:3, 9:12], -s.nav.rotation * dt, atol=1e-5)
 
 
@@ -196,6 +195,67 @@ def test_transition_rejects_bad_dt():
         transition_left([imu], [-0.1])
     with pytest.raises(ValueError):
         transition("foo", random_nav_state(), imu, 0.01)
+
+
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.01])
+def test_every_convention_rejects_a_non_positive_or_nan_dt(convention, dt):
+    imu = ImuSample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.0)
+    with pytest.raises(ValueError):
+        transition(convention, random_nav_state(), imu, dt)
+
+
+def _segment_near_the_series_cutoff(state, n, scale, t0=0.0):
+    """n IMU samples whose rotation increments all have the angle
+    scale * 1e-4, where the EKF transition switches to its series."""
+    samples = []
+    t = t0
+    for _ in range(n):
+        dt = rng.uniform(1e-3, 1e-2)
+        t += dt
+        u = rng.standard_normal(3)
+        w = scale * 1e-4 / dt * u / np.linalg.norm(u)
+        samples.append(ImuSample(state.gyro_bias + w, rng.uniform(-12, 12, 3), t))
+    return samples
+
+
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
+    # Each stacked transition equals the same function called on its one
+    # sample, dt and starting nav. The segments of 1..29 samples start with
+    # one at exactly the gyro bias (a zero rotation increment), then up to
+    # two just below the EKF series cutoff (angle 1e-4); three more lie
+    # below it, above it and across it.
+    step = CONVENTIONS[convention].transition
+    segments = []
+    for n in range(1, 30):
+        state = random_nav_state()
+        samples = [ImuSample(state.gyro_bias.copy(), rng.uniform(-12, 12, 3), 0.004)]
+        samples += _segment_near_the_series_cutoff(state, min(n - 1, 2), 0.999, 0.004)
+        samples += [random_imu(state, samples[-1].timestamp + 0.005 * (k + 1))
+                    for k in range(n - len(samples))]
+        segments.append((state, samples))
+    for scale in (0.999, 1.001):
+        state = random_nav_state()
+        segments.append((state, _segment_near_the_series_cutoff(state, 7, scale)))
+    state = random_nav_state()
+    below = _segment_near_the_series_cutoff(state, 5, 0.999)
+    segments.append((state, below + _segment_near_the_series_cutoff(
+        state, 5, 1.001, below[-1].timestamp)))
+    thetas = []
+    for state, samples in segments:
+        seg = mechanize(state, samples, GRAVITY)
+        stacked = step(state, samples, seg.dts, seg.navs, GRAVITY)
+        assert len(stacked) == len(samples)
+        for imu, dt, nav, T in zip(samples, seg.dts, seg.navs, stacked):
+            thetas.append(np.linalg.norm((imu.gyro - state.gyro_bias) * dt))
+            (one,) = step(state, [imu], [dt], [nav], GRAVITY)
+            assert T.F.tobytes() == one.F.tobytes()
+            assert T.G.tobytes() == one.G.tobytes()
+    thetas = np.array(thetas)
+    assert np.any(thetas == 0.0)
+    assert np.any((thetas > 0.99e-4) & (thetas < 1e-4))
+    assert np.any((thetas > 1e-4) & (thetas < 1.01e-4))
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,34 @@ def test_depth_and_fov_culling():
     assert 0 not in seen and 1 not in seen
 
 
+def test_bearing_noise_follows_map_order():
+    # Each visible landmark draws its two pixel-noise normals in map order,
+    # as in one draw per landmark; the projections are the per-landmark
+    # ones, bit for bit.
+    suite = SensorSuite(pixel_sigma=0.01)
+    lmap = grid_landmarks((0.0, 0.0), 40.0, 60, (-5.0, 30.0), seed=2)
+    frames = synthesize_bearings(SPEC, suite, lmap, seed=7)
+    rng = np.random.default_rng(7)
+    R_ic, p_ic = suite.camera_extrinsics
+    visible = 0
+    for fr in frames:
+        pose, _, _ = truth_at(SPEC, fr.timestamp)
+        R_c = pose.rotation @ R_ic
+        p_c = pose.position + pose.rotation @ p_ic
+        expected = []
+        for lid, pw in lmap.points:
+            X = R_c.T @ (pw - p_c)
+            if suite.min_depth < X[2] < suite.max_depth:
+                uv = X[:2] / X[2]
+                if np.max(np.abs(uv)) <= suite.fov_half_tangent:
+                    expected.append((lid, uv + suite.pixel_sigma * rng.standard_normal(2)))
+        assert [lid for lid, _ in fr.observations] == [lid for lid, _ in expected]
+        for (_, uv), (_, ref) in zip(fr.observations, expected):
+            assert uv.tobytes() == ref.tobytes()
+        visible += len(expected)
+    assert 0 < visible < 60 * len(frames)
+
+
 def test_grid_landmarks():
     lmap = grid_landmarks((1.0, 2.0), 10.0, 25, (0.0, 3.0), seed=3)
     assert len(lmap.points) == 25
