@@ -1,5 +1,8 @@
 """Command-line interface: single runs, Monte-Carlo batches and suites.
 
+A `montecarlo` batch merges the `summary.yaml` each run writes, so a
+resumed batch merges to the same bytes as a fresh one.
+
 Exit codes: 0 success, 2 configuration problems, 3 numerical/runtime
 failures, 4 suite criteria not met.
 """
@@ -23,7 +26,7 @@ import yaml
 from .conventions import CONVENTIONS
 from .filters import UpdateRejected
 from .metrics import anees_interval
-from .sim import ARTIFACT_HEADER, ConfigError, SimConfig, load_config, run_swarm
+from .sim import ARTIFACT_HEADER, ConfigError, SimConfig, load_config, map_runs, run_swarm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,26 +78,18 @@ def _mc_single(payload):
     config, run_id, out_dir = payload
     from dataclasses import replace
     artifacts = run_swarm(replace(config, seed=config.seed + run_id))
-    run_dir = os.path.join(out_dir, f"run{run_id:03d}")
-    artifacts.write(run_dir)
-    return run_id, artifacts.summary(), [a["nees"] for a in artifacts.agents]
+    artifacts.write(os.path.join(out_dir, f"run{run_id:03d}"))
+    return artifacts.summary()
 
 
-def _load_completed_run(out_dir, run_id):
-    """Summary + NEES rows of an already finished run, or None."""
-    run_dir = os.path.join(out_dir, f"run{run_id:03d}")
-    spath = os.path.join(run_dir, "summary.yaml")
-    if not os.path.exists(spath):
+def _load_summary(out_dir, run_id):
+    """The summary of an already finished run, or None."""
+    path = os.path.join(out_dir, f"run{run_id:03d}", "summary.yaml")
+    if not os.path.exists(path):
         return None
-    with open(spath) as fh:
+    with open(path) as fh:
         fh.readline()  # artifact header
-        summary = yaml.safe_load(fh)
-    nees_rows = []
-    for a in summary["agents"]:
-        path = os.path.join(run_dir, f"nees_agent{a['agent_id']}.csv")
-        rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        nees_rows.append([tuple(r) for r in rows])
-    return summary, nees_rows
+        return yaml.safe_load(fh)
 
 
 def cmd_montecarlo(args):
@@ -102,48 +97,24 @@ def cmd_montecarlo(args):
     runs = args.runs
     out_dir = args.out or _default_out("montecarlo")
     os.makedirs(out_dir, exist_ok=True)
-    results = {}
-    todo = []
-    for run_id in range(runs):
-        done = _load_completed_run(out_dir, run_id)
-        if done is not None:
-            results[run_id] = done
-        else:
-            todo.append((config, run_id, out_dir))
-    # A forked pool starts every worker up front; start no more than the
-    # runs left to do.
-    workers = min(args.jobs, len(todo))
-    if todo:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for run_id, summary, nees_rows in pool.map(_mc_single, todo):
-                    results[run_id] = (summary, nees_rows)
-        else:
-            for payload in todo:
-                run_id, summary, nees_rows = _mc_single(payload)
-                results[run_id] = (summary, nees_rows)
-
-    n_agents = len(results[0][0]["agents"])
+    summaries = [_load_summary(out_dir, run_id) for run_id in range(runs)]
+    todo = [(config, run_id, out_dir) for run_id, s in enumerate(summaries) if s is None]
+    for (_, run_id, _), summary in zip(todo, map_runs(_mc_single, todo, args.jobs)):
+        summaries[run_id] = summary
     lo, hi = anees_interval(runs) if runs >= 2 else (float("nan"), float("nan"))
     merged = {"schema": 1, "runs": runs, "convention": config.convention,
               "anees_interval_95": [lo, hi],
               "degenerate_interval": runs < 2, "agents": []}
-    for ai in range(n_agents):
-        pos_means, att_means, ates = [], [], []
-        for run_id in sorted(results):
-            summary, nees_rows = results[run_id]
-            rows = np.asarray(nees_rows[ai], dtype=float)
-            if len(rows):
-                pos_means.append(rows[:, 1].mean())
-                att_means.append(rows[:, 2].mean())
-            ates.append(summary["agents"][ai]["ate_rmse"])
-        merged["agents"].append({
-            "agent_id": summary["agents"][ai]["agent_id"],
-            "position_anees": float(np.mean(pos_means)) if pos_means else None,
-            "orientation_anees": float(np.mean(att_means)) if att_means else None,
-            "mean_ate": float(np.mean(ates)),
-        })
+    for ai, agent in enumerate(summaries[0]["agents"]):
+        entry = {"agent_id": agent["agent_id"]}
+        for name, key in (("position_anees", "mean_position_nees"),
+                          ("orientation_anees", "mean_orientation_nees"),
+                          ("mean_ate", "ate_rmse")):
+            # A run without NEES rows has None there; average the others.
+            values = [s["agents"][ai][key] for s in summaries
+                      if s["agents"][ai][key] is not None]
+            entry[name] = float(np.mean(values)) if values else None
+        merged["agents"].append(entry)
     with open(os.path.join(out_dir, "montecarlo_summary.yaml"), "w") as fh:
         fh.write(ARTIFACT_HEADER + "\n")
         yaml.safe_dump(merged, fh, sort_keys=True)

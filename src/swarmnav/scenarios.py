@@ -1,9 +1,11 @@
 """The canned scenario configs and the experiments run on them, which
-`swarmnav suite` prints and the acceptance tests assert on. Importing this
-module sets no environment variable."""
+`swarmnav suite` prints and the acceptance tests assert on. The Monte-Carlo
+experiments map their runs over every usable core and read run summaries.
+Importing this module sets no environment variable."""
 
 from __future__ import annotations
 
+import os
 import time
 from collections import namedtuple
 from dataclasses import replace
@@ -23,6 +25,7 @@ from .sim import (
     LandmarkOptions,
     OutlierOptions,
     SimConfig,
+    map_runs,
     run_swarm,
 )
 from .trajectories import TrajectorySpec
@@ -147,20 +150,28 @@ CollabResult = namedtuple("CollabResult",
                           "per_seed trace_on trace_off ate_on ate_off trace_lower passed")
 
 
+def _summary(config):
+    return run_swarm(config).summary()
+
+
+def _batch(configs):
+    """The summaries of `configs`, in order, run over every usable core."""
+    return map_runs(_summary, configs, len(os.sched_getaffinity(0)))
+
+
 def consistency(runs=50):
     """(position, orientation) ANEES of the left-invariant filter and the
     EKF over `runs` seeds, and the 95% band `interval` liekf must be in."""
     lo, hi = anees_interval(runs)
-    values = {}
-    for convention in ("liekf", "ekf"):
-        pos, att = [], []
-        for r in range(runs):
-            art = run_swarm(consistency_config(seed=100 + r, convention=convention))
-            rows = np.asarray(art.agents[0]["nees"], dtype=float)
-            pos.append(rows[:, 1].mean())
-            att.append(rows[:, 2].mean())
-        values[convention] = (float(np.mean(pos)), float(np.mean(att)))
-    (lp, la), (ep, ea) = values["liekf"], values["ekf"]
+    summaries = _batch([consistency_config(seed=100 + r, convention=c)
+                        for c in ("liekf", "ekf") for r in range(runs)])
+
+    def anees(agents):
+        return tuple(float(np.mean([a[key] for a in agents]))
+                     for key in ("mean_position_nees", "mean_orientation_nees"))
+
+    agents = [s["agents"][0] for s in summaries]
+    (lp, la), (ep, ea) = anees(agents[:runs]), anees(agents[runs:])
     in_band = lo <= lp <= hi and lo <= la <= hi
     ordering = abs(ep - 3.0) + abs(ea - 3.0) > abs(lp - 3.0) + abs(la - 3.0)
     return ConsistencyResult(runs, (lo, hi), (lp, la), (ep, ea),
@@ -220,13 +231,12 @@ def collab(seeds=10):
     """Position covariance trace and ATE with collaboration on and off, per
     seed and on the seed means. Traces are compared per seed; ATE (a noisy
     aligned-shape statistic for the ablation) on the seed means."""
+    summaries = _batch([collab_config(seed=400 + s, collaboration=on)
+                        for s in range(seeds) for on in (True, False)])
     per_seed = []
-    for s in range(seeds):
-        arts = [run_swarm(collab_config(seed=400 + s, collaboration=on))
-                for on in (True, False)]
-        traces = [np.mean([np.asarray(a["covariance"], dtype=float)[:, 1].mean()
-                           for a in art.agents]) for art in arts]
-        ates = [np.mean([a["ate"].rmse for a in art.agents]) for art in arts]
+    for pair in zip(summaries[::2], summaries[1::2]):  # (on, off) per seed
+        traces = [np.mean([a["mean_position_cov_trace"] for a in s["agents"]]) for s in pair]
+        ates = [np.mean([a["ate_rmse"] for a in s["agents"]]) for s in pair]
         per_seed.append((*traces, *ates))
     tr_on, tr_off, ate_on, ate_off = (np.mean(col) for col in zip(*per_seed))
     trace_lower = sum(a < b for a, b, _, _ in per_seed)

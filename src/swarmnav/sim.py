@@ -372,19 +372,33 @@ class RunArtifacts:
         _write_csv(os.path.join(out_dir, "timing.csv"),
                    ["metric", "seconds"],
                    sorted(self.timing.items()))
-        with open(os.path.join(out_dir, "summary.yaml"), "w") as fh:
+        # Last and atomically: a resumed batch takes it to mean "finished".
+        path = os.path.join(out_dir, "summary.yaml")
+        with open(path + ".tmp", "w") as fh:
             fh.write(ARTIFACT_HEADER + "\n")
             yaml.safe_dump(self.summary(), fh, sort_keys=True)
+        os.replace(path + ".tmp", path)
         return out_dir
+
+
+def map_runs(fn, items, workers):
+    """[fn(item) for item in items] over at most `workers` processes, and no
+    more than items (a pool starts them all up front); serial below two."""
+    workers = min(workers, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
 # the event loop
 
 # Event ordering at equal timestamps: the agent's IMU cursor first, then
-# completions of delayed updates (so a new epoch's snapshot sees them), then
-# new measurement epochs, camera frames, networking, recording. Every payload
-# starts with the index of the agent the event acts on.
+# completions of delayed updates with the events held for them (so a new
+# epoch's snapshot sees both), then new measurement epochs, camera frames,
+# networking, recording. Every payload starts with the agent's index.
 _GNSS_DONE, _GNSS, _CAMERA, _REQUEST, _MSG, _RECORD = range(6)
 
 
@@ -416,7 +430,7 @@ class _AgentRuntime:
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = deque(maxlen=3)  # positions at the last GNSS epochs
-        self.busy_until = 0.0     # queue time of the last delayed fix's completion
+        self.held = None  # (order, payload) held for the delayed fix in flight
         # Landmarks outside the filter state only: id -> [(clone timestamp,
         # uv), ...], one entry per window clone, oldest first.
         self.tracks = {}
@@ -512,10 +526,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             try:
                 if config.gnss_delay > 0:
                     snap = ag.snapshot()
-                    # On the queue's grid: deferred events are re-pushed to
-                    # this time and must then compare equal to it.
-                    rt.busy_until = round(t + config.gnss_delay, 9)
-                    push(rt.busy_until, _GNSS_DONE, (idx, fix, snap))
+                    rt.held = []
+                    push(t + config.gnss_delay, _GNSS_DONE, (idx, fix, snap))
                 else:
                     ag.update_gnss(fix.position, sigma)
                     counters["gnss_applied"] += 1
@@ -525,6 +537,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
 
     def handle_gnss_done(t, idx, fix, snap):
         rt = runtimes[idx]
+        held, rt.held = rt.held, None
         sigma = max(rt.cfg.suite.gnss_sigma, 1e-6)
         try:
             # Use the filter's own clock: the cursor has already applied the
@@ -536,18 +549,22 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             counters["gnss_dropped_horizon"] += 1
         except UpdateRejected:
             counters["gnss_rejected_numerical"] += 1
+        # Held events run right after the fix, before an epoch at this time
+        # opens the next window, stably sorted as the queue would order them.
+        for order, payload in sorted(held, key=lambda e: e[0]):
+            handlers[order](t, *payload)
 
-    def deferred(t, order, payload):
-        """Updates that touch the whole covariance must wait for an in-flight
+    def deferred(order, payload):
+        """Updates that touch the whole covariance are held for an in-flight
         delayed GNSS correction whose epoch snapshot they would clobber."""
-        busy_until = runtimes[payload[0]].busy_until
-        if busy_until > t:
-            push(busy_until, order, payload)
-        return busy_until > t
+        held = runtimes[payload[0]].held
+        if held is not None:
+            held.append((order, payload))
+        return held is not None
 
     def handle_camera(t, idx, frame):
         rt = runtimes[idx]
-        if deferred(t, _CAMERA, (idx, frame)):
+        if deferred(_CAMERA, (idx, frame)):
             return
         rt.frame_count += 1
         if (rt.frame_count - 1) % config.filter.clone_every != 0:
@@ -633,7 +650,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             else:
                 counters["messages_dropped"] += 1
             return
-        if deferred(t, _MSG, (idx, msg)):
+        if deferred(_MSG, (idx, msg)):
             return
         in_state = {f.feature_id for f in ag.state.features}
         corr = [Correspondence(lid, p, cov) for lid, p, cov in msg.payload

@@ -121,26 +121,26 @@ def test_montecarlo_single_run_degenerate(config_path, tmp_path, capsys):
 
 def test_montecarlo_merges_and_resumes(config_path, tmp_path, capsys):
     out = str(tmp_path / "mc")
+    merged = os.path.join(out, "montecarlo_summary.yaml")
     assert main(["montecarlo", "--config", config_path, "--runs", "3",
                  "--out", out]) == EXIT_OK
-    with open(os.path.join(out, "montecarlo_summary.yaml")) as fh:
+    with open(merged) as fh:
         fh.readline()
-        first = yaml.safe_load(fh)
-    assert first["runs"] == 3
+        assert yaml.safe_load(fh)["runs"] == 3
     assert {f"run{i:03d}" for i in range(3)} <= set(os.listdir(out))
-    # Corrupting nothing and re-running must reuse the finished runs and
-    # reproduce the merge exactly.
+    with open(merged, "rb") as fh:
+        fresh = fh.read()
+    # Re-running must reuse the finished runs and reproduce the merge
+    # byte for byte, with the old merged file in place and without it.
     stamp = os.path.getmtime(os.path.join(out, "run001", "summary.yaml"))
-    assert main(["montecarlo", "--config", config_path, "--runs", "3",
-                 "--out", out]) == EXIT_OK
-    assert os.path.getmtime(os.path.join(out, "run001", "summary.yaml")) == stamp
-    with open(os.path.join(out, "montecarlo_summary.yaml")) as fh:
-        fh.readline()
-        second = yaml.safe_load(fh)
-    assert np.isclose(first["agents"][0]["position_anees"],
-                      second["agents"][0]["position_anees"])
-    assert np.isclose(first["agents"][0]["mean_ate"],
-                      second["agents"][0]["mean_ate"])
+    for remove_merged in (False, True):
+        if remove_merged:
+            os.remove(merged)
+        assert main(["montecarlo", "--config", config_path, "--runs", "3",
+                     "--out", out]) == EXIT_OK
+        assert os.path.getmtime(os.path.join(out, "run001", "summary.yaml")) == stamp
+        with open(merged, "rb") as fh:
+            assert fh.read() == fresh, remove_merged
 
 
 def test_montecarlo_parallel_matches_serial(config_path, tmp_path):

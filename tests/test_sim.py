@@ -289,6 +289,20 @@ def test_run_is_byte_deterministic(tmp_path, convention):
         assert fa.read() != fc.read()
 
 
+def test_summary_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    # A resumed batch takes summary.yaml's presence to mean the run finished
+    # and merges its numbers, so a write that fails must leave none behind.
+    art = run_swarm(tiny_config(duration=1.0))
+
+    def failing_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(yaml, "safe_dump", failing_dump)
+    with pytest.raises(OSError):
+        art.write(tmp_path / "out")
+    assert not os.path.exists(tmp_path / "out" / "summary.yaml")
+
+
 def test_run_tracks_error():
     art = run_swarm(tiny_config(seed=2, duration=5.0))
     assert art.agents[0]["ate"].rmse < 0.2
@@ -425,6 +439,21 @@ def test_whole_covariance_updates_wait_for_delayed_fixes(monkeypatch):
                for agent, t in keyframes(runs[0.0]) for a, lo, hi in windows)
     assert sorted(a for a, _ in keyframes(runs[delay])) == \
         sorted(a for a, _ in keyframes(runs[0.0]))
+
+
+def test_vision_runs_when_the_delay_equals_the_gnss_period():
+    # At a delay of one 10 Hz period each fix completes at the next epoch,
+    # which opens the next fix's window at once. The frames held for the
+    # first fix must run when it lands, not wait for a window that never
+    # closes.
+    from swarmnav.scenarios import ring_landmarks
+    counts = {}
+    for d in (0.099, 0.1):
+        art = run_swarm(tiny_config(seed=4, duration=6.0, gnss_delay=d,
+                                    landmarks=ring_landmarks(8, 20.0)))
+        counts[d] = (art.counters["features_initialized"], art.counters["vision_rows"])
+    assert counts[0.1][0] > 0 and counts[0.1][1] > 0
+    assert counts[0.1] == counts[0.099]
 
 
 def test_tracks_restart_when_a_landmark_leaves_the_state(monkeypatch):

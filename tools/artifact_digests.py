@@ -1,4 +1,4 @@
-"""Digest the artifacts of twelve fixed runs, to check that a change keeps
+"""Digest the artifacts of fourteen fixed runs, to check that a change keeps
 every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
@@ -9,13 +9,15 @@ working tree) and compare the printed tables. The sets are:
 * the `run` configs perfbench writes for gnss-ins (120 s) and collab-swarm
   (15 s);
 * the vio-mc config (30 s) under `montecarlo --runs 2 --jobs 1` for each of
-  `--filter liekf|riekf|ekf`;
+  `--filter liekf|riekf|ekf`, and the liekf batch resumed: run, delete
+  `montecarlo_summary.yaml`, run again (it must digest as the fresh one);
 * `run_swarm(...).write()` of `consistency_config` for the three
   conventions, `delay_config`, `gate_config` and `collab_config`, at their
   default lengths;
 * `collab_config` with GNSS on both agents, 50 ms late: camera frames and
-  CI replies that fall inside a fix's (epoch, completion) window are
-  deferred, so this set checks the deferral rule.
+  CI replies that fall inside a fix's (epoch, completion) window are held
+  until the fix lands, so this set checks the deferral rule; and the same
+  at 100 ms, the GNSS period, where each fix completes at the next epoch.
 
 A set's digest is the first 16 hex digits of the sha256 over its sorted
 `<sha256>  <path relative to the set>` lines, one per file. `timing.csv`
@@ -63,20 +65,26 @@ def _perfbench_run(workload):
     return run
 
 
-def _vio_mc(convention):
+def _vio_mc(convention, resumed=False):
     def run(seed, out):
         cfg_path = out + ".yaml"
         with open(cfg_path, "w") as fh:
             yaml.safe_dump(workloads.VioMc(seed, 1).config(), fh)
-        _cli_run(["montecarlo", "--config", cfg_path, "--runs", str(workloads.MC_RUNS),
-                  "--jobs", "1", "--filter", convention, "--out", out])
+        argv = ["montecarlo", "--config", cfg_path, "--runs", str(workloads.MC_RUNS),
+                "--jobs", "1", "--filter", convention, "--out", out]
+        _cli_run(argv)
+        if resumed:
+            os.remove(os.path.join(out, "montecarlo_summary.yaml"))
+            _cli_run(argv)
     return run
 
 
-def _delayed_collab(seed):
-    cfg = scenarios.collab_config(seed=seed)
-    return replace(cfg, gnss_delay=0.05,
-                   agents=tuple(replace(a, use_gnss=True) for a in cfg.agents))
+def _delayed_collab(delay):
+    def make(seed):
+        cfg = scenarios.collab_config(seed=seed)
+        return replace(cfg, gnss_delay=delay,
+                       agents=tuple(replace(a, use_gnss=True) for a in cfg.agents))
+    return make
 
 
 def _canned(make, **kwargs):
@@ -91,13 +99,15 @@ SETS = (
     ("vio-mc --filter liekf", _vio_mc("liekf")),
     ("vio-mc --filter riekf", _vio_mc("riekf")),
     ("vio-mc --filter ekf", _vio_mc("ekf")),
+    ("vio-mc --filter liekf, resumed", _vio_mc("liekf", resumed=True)),
     ("consistency_config liekf", _canned(scenarios.consistency_config, convention="liekf")),
     ("consistency_config riekf", _canned(scenarios.consistency_config, convention="riekf")),
     ("consistency_config ekf", _canned(scenarios.consistency_config, convention="ekf")),
     ("delay_config", _canned(scenarios.delay_config)),
     ("gate_config", _canned(scenarios.gate_config)),
     ("collab_config", _canned(scenarios.collab_config)),
-    ("collab_config, delayed GNSS", _canned(_delayed_collab)),
+    ("collab_config, delayed GNSS", _canned(_delayed_collab(0.05))),
+    ("collab_config, GNSS delayed one period", _canned(_delayed_collab(0.1))),
 )
 
 
