@@ -211,7 +211,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UpdateRejected, np.linalg.LinAlgError, FloatingPointError,
+    except (UpdateRejected, np.linalg.LinAlgError, ArithmeticError,
             ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

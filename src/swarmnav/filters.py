@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import number, vector
 from .conventions import GRAVITY, TransitionPair, lookup
 from .conventions import transition_ekf, transition_left, transition_right  # re-exported
 from .lie import (
@@ -26,7 +27,6 @@ from .lie import (
     so3_left_jacobian,
 )
 from .state import CORE_DIM, SystemState, retract
-from .trajectories import finite_vector
 
 
 class UpdateRejected(RuntimeError):
@@ -52,10 +52,9 @@ class NoiseDensities:
 
     def __post_init__(self):
         gravity = GRAVITY if self.gravity is None else self.gravity
-        object.__setattr__(self, "gravity", np.array(finite_vector("gravity", gravity, 3)))
+        object.__setattr__(self, "gravity", np.array(vector("gravity", gravity, 3)))
         for name in ("gyro_noise", "accel_noise", "gyro_walk", "accel_walk"):
-            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative and finite")
+            number(name, getattr(self, name), low=0)
         sig = np.array(
             [self.gyro_noise] * 3 + [self.accel_noise] * 3
             + [self.gyro_walk] * 3 + [self.accel_walk] * 3

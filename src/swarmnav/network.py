@@ -8,8 +8,9 @@ constants so bandwidth totals are comparable across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .checks import number
 
 REQUEST_BYTES = 2050       # 2.05 kB per request message
 FULL_BYTES = 190700        # 190.7 kB per full payload message
@@ -40,13 +41,9 @@ class NetworkModel:
     drop_prob: float = 0.0
 
     def __post_init__(self):
-        # Negated comparisons, so that NaN fails them too.
-        if not (0 <= self.latency < math.inf and 0 <= self.jitter < math.inf):
-            raise ValueError("latency and jitter must be finite and non-negative")
-        if self.latency - self.jitter < 0:
-            raise ValueError("jitter may not exceed the fixed latency")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop probability must be in [0, 1]")
+        number("latency", self.latency, low=0)
+        number("jitter", self.jitter, low=0, high=self.latency)
+        number("drop_prob", self.drop_prob, 0, 1)
 
     def sample_delivery(self, rng):
         """(delivered, latency) for one message."""

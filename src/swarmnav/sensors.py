@@ -12,25 +12,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import ConfigError, number, vector
 from .filters import ImuSample, NoiseDensities
 from .lie import check_rotation
-from .trajectories import TrajectorySpec, finite_vector, kinematics, truth_at
+from .trajectories import TrajectorySpec, kinematics, truth_at
 
 
 def _rotation_rows(value):
-    """A camera rotation as a tuple of three finite, orthonormal rows;
-    ValueError otherwise."""
+    """A camera rotation as a tuple of three finite, orthonormal rows."""
     try:
-        R = np.asarray(value, dtype=float)
-        ok = R.shape == (3, 3) and np.isfinite(R).all()
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"cam_rotation must be a 3x3 matrix of finite numbers, got {value!r}")
+        R = np.array([vector("cam_rotation", row, 3) for row in value])
+    except (TypeError, ConfigError):
+        R = None
+    if R is None or R.shape != (3, 3):
+        raise ConfigError(f"cam_rotation must be a 3x3 matrix of finite numbers, "
+                          f"got {value!r}")
     try:
         check_rotation(R)
     except ValueError as exc:
-        raise ValueError(f"cam_rotation: {exc}") from None
+        raise ConfigError(f"cam_rotation: {exc}") from None
     return tuple(map(tuple, R.tolist()))
 
 
@@ -50,18 +50,15 @@ class SensorSuite:
     max_depth: float = 80.0           # m
 
     def __post_init__(self):
-        # Negated comparisons, so that NaN fails them too.
         for name in ("imu_rate", "gnss_rate", "camera_rate", "fov_half_tangent",
                      "max_depth"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            number(name, getattr(self, name), positive=True)
         for name in ("gnss_sigma", "pixel_sigma", "min_depth"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            number(name, getattr(self, name), low=0)
         if not self.min_depth < self.max_depth:
-            raise ValueError("min_depth must be below max_depth")
+            raise ConfigError("min_depth must be below max_depth")
         for name in ("lever_arm", "cam_offset"):
-            object.__setattr__(self, name, finite_vector(name, getattr(self, name), 3))
+            object.__setattr__(self, name, vector(name, getattr(self, name), 3))
         if self.cam_rotation is not None:
             object.__setattr__(self, "cam_rotation", _rotation_rows(self.cam_rotation))
 

@@ -9,25 +9,30 @@ pending sample up to the event's time as one segment
 (`_AgentRuntime.advance`). All randomness is drawn from generators spawned
 off the one config seed, so identical configs produce identical artifacts
 byte for byte.
+
+The config dataclasses are the config file's schema: `config_from_dict`
+builds each section from its dataclass's fields and rejects unknown keys at
+every level; the dataclasses check every value before a run starts.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import numbers
 import time
+import typing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
 
 from .agent import AgentFilter
 from .buffers import DelayExceedsHorizon
+from .checks import ConfigError, count, flag, number, vector
 from .conventions import CONVENTIONS
 from .covariance import Correspondence
-from .filters import NoiseDensities, UpdateRejected, feature_world_position
+from .filters import UpdateRejected, feature_world_position
 from .gate import GateState, evaluate, vio_kinematics
 from .metrics import AteReport, ate, nees
 from .network import BandwidthLedger, NetworkModel, SwarmMessage
@@ -41,35 +46,9 @@ from .sensors import (
     synthesize_imu,
 )
 from .state import SystemState, nav_error, retract
-from .trajectories import TrajectorySpec, finite_vector, truth_at
+from .trajectories import TrajectorySpec, truth_at
 
 ARTIFACT_HEADER = "# swarmnav-artifact v1"
-
-
-class ConfigError(ValueError):
-    """Invalid or incomplete simulation configuration."""
-
-
-def _check_finite(name, value, allow_zero=False):
-    """A finite positive number (or zero, when allowed). The comparisons are
-    negated so that NaN fails them too."""
-    low = "non-negative" if allow_zero else "positive"
-    if not isinstance(value, numbers.Real) or not (
-            (0.0 <= value if allow_zero else 0.0 < value) and value < np.inf):
-        raise ConfigError(f"{name} must be a finite {low} number, got {value!r}")
-
-
-def _check_flag(name, value):
-    """A real bool: a string such as "no" would otherwise read as true."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-
-
-def _check_count(name, value, low):
-    """An integer of at least `low`; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or not value >= low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +59,11 @@ class GateOptions:
     fixed_threshold: float = None
 
     def __post_init__(self):
-        _check_flag("enabled", self.enabled)
-        _check_count("window", self.window, 3)
-        _check_finite("v_emp", self.v_emp)
+        flag("enabled", self.enabled)
+        count("window", self.window, 3)
+        number("v_emp", self.v_emp, positive=True)
         if self.fixed_threshold is not None:
-            _check_finite("fixed_threshold", self.fixed_threshold)
+            number("fixed_threshold", self.fixed_threshold, positive=True)
 
 
 @dataclass(frozen=True)
@@ -93,10 +72,8 @@ class OutlierOptions:
     magnitude: float = 10.0
 
     def __post_init__(self):
-        _check_finite("magnitude", self.magnitude, allow_zero=True)
-        _check_finite("rate", self.rate, allow_zero=True)
-        if self.rate > 1.0:
-            raise ConfigError(f"rate must be at most 1, got {self.rate!r}")
+        number("magnitude", self.magnitude, low=0)
+        number("rate", self.rate, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +91,7 @@ class InitUncertainty:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            _check_finite(name, value, allow_zero=True)
+            number(name, value, low=0)
 
     def sigmas(self):
         return np.array(
@@ -136,9 +113,9 @@ class FilterOptions:
     def __post_init__(self):
         for name in ("max_clones", "clone_every", "min_track_length",
                      "imu_buffer_capacity"):
-            _check_count(name, getattr(self, name), 1)
-        _check_count("max_features", self.max_features, 0)
-        _check_finite("feature_prior_sigma", self.feature_prior_sigma)
+            count(name, getattr(self, name), 1)
+        count("max_features", self.max_features, 0)
+        number("feature_prior_sigma", self.feature_prior_sigma, positive=True)
 
 
 @dataclass(frozen=True)
@@ -150,19 +127,18 @@ class LandmarkOptions:
     points: tuple = None  # explicit ((id, (x, y, z)), ...) overrides the grid
 
     def __post_init__(self):
-        _check_count("count", self.count, 0)
-        _check_finite("extent", self.extent)
-        if not np.isfinite([self.alt_low, self.alt_high]).all():
-            raise ConfigError(f"alt_low and alt_high must be finite, got "
-                              f"{self.alt_low!r}, {self.alt_high!r}")
+        count("count", self.count, 0)
+        number("extent", self.extent, positive=True)
+        number("alt_low", self.alt_low)
+        number("alt_high", self.alt_high)
         if self.points is not None:
             try:
-                points = tuple((k, finite_vector("point", xyz, 3)) for k, xyz in self.points)
+                points = tuple((k, vector("point", xyz, 3)) for k, xyz in self.points)
             except (TypeError, ValueError):
                 raise ConfigError("points must be [id, [x, y, z]] pairs with finite "
                                   f"coordinates, got {self.points!r}") from None
             for k, _ in points:
-                _check_count("landmark id", k, 0)
+                count("landmark id", k, 0)
             if len({k for k, _ in points}) != len(points):
                 raise ConfigError("landmark ids must be unique")
             object.__setattr__(self, "points", points)
@@ -172,11 +148,12 @@ class LandmarkOptions:
 class AgentConfig:
     agent_id: int
     trajectory: TrajectorySpec
-    suite: SensorSuite
+    suite: SensorSuite = field(default_factory=SensorSuite)
     use_gnss: bool = True  # lets individual agents fly GNSS-denied
 
     def __post_init__(self):
-        _check_flag("use_gnss", self.use_gnss)
+        count("agent_id", self.agent_id, 0)
+        flag("use_gnss", self.use_gnss)
 
 
 @dataclass(frozen=True)
@@ -201,22 +178,23 @@ class SimConfig:
         if not self.agents:
             raise ConfigError("at least one agent is required")
         if not isinstance(self.convention, str) or self.convention not in CONVENTIONS:
-            raise ConfigError(f"unknown filter variant {self.convention!r}")
-        _check_count("seed", self.seed, 0)
+            raise ConfigError(f"convention must be one of {sorted(CONVENTIONS)}, "
+                              f"got {self.convention!r}")
+        count("seed", self.seed, 0)
         for name in ("use_gnss", "use_vision", "collaboration"):
-            _check_flag(name, getattr(self, name))
+            flag(name, getattr(self, name))
         ids = [a.agent_id for a in self.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent ids must be unique")
-        _check_finite("gnss_delay", self.gnss_delay, allow_zero=True)
+        number("gnss_delay", self.gnss_delay, low=0)
         for a in self.agents:
             if self.use_gnss and a.use_gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
                 # A delayed update restores its epoch snapshot: a fix still in
                 # flight at the next epoch would lose that epoch's correction.
                 raise ConfigError(f"gnss_delay {self.gnss_delay!r} exceeds agent "
                                   f"{a.agent_id}'s GNSS period 1/{a.suite.gnss_rate!r}")
-        _check_finite("request_rate", self.request_rate)
-        _check_finite("record_rate", self.record_rate)
+        number("request_rate", self.request_rate, positive=True)
+        number("record_rate", self.record_rate, positive=True)
 
     @property
     def duration(self):
@@ -227,59 +205,40 @@ class SimConfig:
 # config file loading
 
 
-def _build(cls, d, path):
+def _build(cls, d, path="", **defaults):
+    """The config dataclass `cls` from the mapping `d`, None giving its
+    defaults. A field typed as a config dataclass is built from its own
+    sub-mapping, and `agents` from a list of agent mappings, each numbered
+    by its position unless it sets `agent_id`. Unknown keys are rejected at
+    every level; `path` names the mapping in error messages."""
+    where = path or "config"
     if d is None:
         d = {}
     if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(d) - valid
+        raise ConfigError(f"{where}: expected a mapping")
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    types = typing.get_type_hints(cls)
+    kwargs = dict(defaults)
+    for key, value in d.items():
+        if key == "agents":
+            if not isinstance(value, list):
+                raise ConfigError("agents must be a list of mappings")
+            value = tuple(_build(AgentConfig, ad, f"agents[{i}]", agent_id=i)
+                          for i, ad in enumerate(value))
+        elif is_dataclass(types[key]):
+            value = _build(types[key], value, f"{path}.{key}" if path else key)
+        kwargs[key] = value
     try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a mapping")
-    if "agents" not in d or not d["agents"]:
-        raise ConfigError("config must define at least one agent")
-    if not isinstance(d["agents"], list) \
-            or not all(isinstance(ad, dict) for ad in d["agents"]):
-        raise ConfigError("agents must be a list of mappings")
-    agents = []
-    for i, ad in enumerate(d["agents"]):
-        if "trajectory" not in ad:
-            raise ConfigError(f"agents[{i}]: missing trajectory section")
-        traj = _build(TrajectorySpec, ad["trajectory"], f"agents[{i}].trajectory")
-        suite_d = ad.get("suite")
-        if isinstance(suite_d, dict) and "noise" in suite_d:
-            suite_d = dict(suite_d, noise=_build(NoiseDensities, suite_d["noise"],
-                                                 f"agents[{i}].suite.noise"))
-        suite = _build(SensorSuite, suite_d, f"agents[{i}].suite")
-        agent_id = ad.get("agent_id", i)
-        _check_count(f"agents[{i}].agent_id", agent_id, 0)
-        agents.append(AgentConfig(agent_id, traj, suite, ad.get("use_gnss", True)))
-    kwargs = dict(
-        agents=tuple(agents),
-        landmarks=_build(LandmarkOptions, d.get("landmarks"), "landmarks"),
-        network=_build(NetworkModel, d.get("network"), "network"),
-        gate=_build(GateOptions, d.get("gate"), "gate"),
-        outliers=_build(OutlierOptions, d.get("outliers"), "outliers"),
-        filter=_build(FilterOptions, d.get("filter"), "filter"),
-        init=_build(InitUncertainty, d.get("init"), "init"),
-    )
-    for key in ("convention", "seed", "use_gnss", "use_vision", "collaboration",
-                "request_rate", "gnss_delay", "record_rate"):
-        if key in d:
-            kwargs[key] = d[key]
-    unknown = set(d) - set(kwargs)
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-    return SimConfig(**kwargs)
+    """The `SimConfig` a parsed YAML mapping describes; ConfigError if none."""
+    return _build(SimConfig, d)
 
 
 def load_config(path):

@@ -13,24 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .checks import ConfigError, number, vector
 from .conventions import GRAVITY
 from .lie import ExtendedPose
 
 KINDS = ("circle", "square", "figure-eight", "waypoint-spline")
-
-
-def finite_vector(name, value, n):
-    """`value` as a tuple of n finite floats; ValueError otherwise."""
-    try:
-        v = np.asarray(value, dtype=float)
-        ok = v.shape == (n,) and np.isfinite(v).all()
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be {n} finite numbers, got {value!r}")
-    return tuple(v.tolist())
 
 
 @dataclass(frozen=True)
@@ -47,24 +35,25 @@ class TrajectorySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        # Negated comparisons, so that NaN fails them too.
-        if not all(0 < v < np.inf for v in (self.speed, self.size, self.duration)):
-            raise ValueError("speed, size and duration must be positive and finite")
+            raise ConfigError(f"unknown trajectory kind {self.kind!r}")
+        for name in ("speed", "size", "duration"):
+            number(name, getattr(self, name), positive=True)
         for name in ("altitude", "alt_amplitude", "phase"):
-            if not -np.inf < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite")
+            number(name, getattr(self, name))
         if self.kind == "waypoint-spline" and not self.waypoints:
-            raise ValueError("waypoint-spline needs waypoints")
+            raise ConfigError("waypoint-spline needs waypoints")
         # Tuples keep the spec hashable: the spline cache is keyed by it.
-        object.__setattr__(self, "center", finite_vector("center", self.center, 2))
+        object.__setattr__(self, "center", vector("center", self.center, 2))
         if self.waypoints is not None:
-            points = tuple(finite_vector("waypoints", w, 2) for w in self.waypoints)
+            if not isinstance(self.waypoints, (list, tuple)):
+                raise ConfigError(f"waypoints must be a list of [x, y] points, "
+                                  f"got {self.waypoints!r}")
+            points = tuple(vector("waypoints", w, 2) for w in self.waypoints)
             # The spline is closed, so the last point also leads to the first;
             # a repeated point would make a zero-length segment.
             if len(points) > 1 and any(p == q for p, q in zip(points, points[1:] + points[:1])):
-                raise ValueError("consecutive waypoints (the last and the first "
-                                 "included) must differ")
+                raise ConfigError("consecutive waypoints (the last and the first "
+                                  "included) must differ")
             object.__setattr__(self, "waypoints", points)
 
 
@@ -72,6 +61,7 @@ class TrajectorySpec:
 def _spline_for(spec: TrajectorySpec):
     """Periodic planar spline through the trajectory's waypoint polygon,
     cached by the (frozen, hashable) spec value."""
+    from scipy.interpolate import CubicSpline  # here: circles and eights need none
     if spec.kind == "square":
         a = spec.size
         corners = np.array([[0, 0], [a, 0], [a, a], [0, a]], dtype=float)

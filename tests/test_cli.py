@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from swarmnav import scenarios
-from swarmnav.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE, build_parser, main
+from swarmnav.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE, build_parser, main
 from swarmnav.conventions import CONVENTIONS
 from swarmnav.scenarios import consistency_config, noiseless_config
 
@@ -209,6 +209,15 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "gnss_delay" in capsys.readouterr().err
 
 
+def test_overflowing_run_exits_3(tmp_path, capsys):
+    # A finite, positive speed whose square overflows inside the run.
+    p = tmp_path / "fast.yaml"
+    p.write_text(CONFIG_YAML.replace("speed: 2.0", "speed: 1.0e+155"))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
+        == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-3"],
                                    ["--jobs", "0"]])
 def test_montecarlo_rejects_non_positive_counts(config_path, tmp_path, flags, capsys):
@@ -319,6 +328,14 @@ def test_plain_package_import_leaves_environment_alone():
     code = ("import json, os; before = dict(os.environ); import swarmnav.scenarios; "
             "print(json.dumps(dict(os.environ) == before))")
     assert _probe(code, _clean_env()) is True
+
+
+def test_cli_import_skips_scipy_stats_and_interpolate():
+    # Only an ANEES interval needs scipy.stats, and only a spline trajectory
+    # scipy.interpolate; each is imported where it is used.
+    code = ("import json, sys, swarmnav.cli; print(json.dumps("
+            "[m in sys.modules for m in ('scipy.stats', 'scipy.interpolate')]))")
+    assert _probe(code, _clean_env()) == [False, False]
 
 
 def test_canned_configs_construct():

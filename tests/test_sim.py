@@ -3,7 +3,8 @@
 import math
 import numbers
 import os
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import swarmnav.sim as sim
 from swarmnav.agent import AgentFilter
+from swarmnav.filters import NoiseDensities
 from swarmnav.sensors import SensorSuite
 from swarmnav.sim import (
     ARTIFACT_HEADER,
@@ -149,6 +151,12 @@ def _config_with(section, key, value):
     (None, "use_vision", "no"),
     (None, "collaboration", 1),
     ("gate", "enabled", "no"),
+    # A bool is not a number, though Python compares it as 0 or 1.
+    ("suite", "imu_rate", True),
+    ("trajectory", "speed", True),
+    ("network", "drop_prob", True),
+    ("gate", "v_emp", True),
+    ("suite", "lever_arm", [True, 0.0, 0.0]),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -180,7 +188,8 @@ def test_config_fields_are_finite_or_rejected(field, value):
         got = tuple(got.tolist())
     values = got if key in VECTOR_FIELDS else (got,)
     assert isinstance(values, tuple)
-    assert all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
+    assert all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and math.isfinite(v) for v in values)
 
 
 def test_config_rejects_gate_beta():
@@ -238,6 +247,45 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict([1, 2])
     with pytest.raises(ConfigError):
         config_from_dict({**base, "filter": {"sensor_buffer_capacity": 10}})
+    with pytest.raises(ConfigError, match="use_gps"):
+        config_from_dict({"agents": [{"trajectory": {"duration": 4.0},
+                                      "use_gps": False}]})
+    # Keys of mixed types are still listed, not compared.
+    with pytest.raises(ConfigError, match="foo"):
+        config_from_dict({**base, 1: 2, "foo": 3})
+
+
+def _mapping(cls, nested=None):
+    """Mappings for the config dataclass `cls`: some of its field names and
+    some junk keys, with mixed values, and `nested` sub-mappings."""
+    names = [f.name for f in fields(cls)]
+    keys = st.one_of(st.sampled_from(names), st.text(max_size=3), st.integers(-2, 2))
+    values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                       st.text(max_size=3),
+                       st.lists(st.one_of(st.floats(), st.integers(-2, 2)), max_size=4))
+    return st.builds(lambda flat, sub: {**flat, **sub},
+                     st.dictionaries(keys, values, max_size=4),
+                     st.fixed_dictionaries({}, optional=nested or {}))
+
+
+_AGENT = _mapping(AgentConfig, {
+    "trajectory": _mapping(TrajectorySpec),
+    "suite": _mapping(SensorSuite, {"noise": _mapping(NoiseDensities)}),
+})
+_ROOT = _mapping(SimConfig, {
+    "agents": st.lists(_AGENT, max_size=3),
+    **{name: _mapping(tp) for name, tp in typing.get_type_hints(SimConfig).items()
+       if is_dataclass(tp)},
+})
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=_ROOT)
+def test_any_config_mapping_gives_a_config_or_a_config_error(d):
+    try:
+        assert isinstance(config_from_dict(d), SimConfig)
+    except ConfigError:
+        pass
 
 
 def test_load_config_errors(tmp_path):
