@@ -103,17 +103,14 @@ class AgentFilter:
         """Advance through a segment of IMU samples, oldest first.
 
         The mean is mechanized over the whole segment in one call, and the
-        convention's transitions, linearized at the navigation states the
-        mechanization passes through, are formed in one stacked call too;
-        the core covariance and the IMU buffer still advance one step per
-        sample. An empty segment changes nothing.
+        convention's transitions are formed from that segment's record in
+        one stacked call too; the core covariance and the IMU buffer still
+        advance one step per sample. An empty segment changes nothing.
         """
         if not samples:
             return self.state
-        gravity = self.noise.gravity
-        seg = mechanize(self.state, samples, gravity)
-        steps = lookup(self.convention).transition(self.state, samples, seg.dts,
-                                                   seg.navs, gravity)
+        seg = mechanize(self.state, samples, self.noise.gravity)
+        steps = lookup(self.convention).transition(seg)
         for imu, dt, T in zip(samples, seg.dts, steps):
             Q = self.noise.discrete_q(dt)
             propagate_core_only(self.partition, T, Q)

@@ -13,6 +13,9 @@ With the closed-form zero-order-hold strapdown integrator the left-invariant
 transition exp(A dt) transports navigation errors through a step exactly
 and depends only on the IMU sample (Barrau & Bonnabel, IEEE TAC 2017). That
 makes the buffered re-propagation of delayed measurements bit-faithful.
+Every transition of an IMU segment reads the terms ``filters.mechanize``
+computed once for it; the left-invariant one reads only the raw rates and
+step lengths.
 
 Sign note: the bias-coupling blocks of A (left and right variants) carry the
 opposite sign of the common textbook presentation because errors here are
@@ -35,8 +38,6 @@ from .lie import (
     se23_log,
     skew,
     so3_exp,
-    so3_gamma2,
-    so3_left_jacobian,
     so3_log,
 )
 
@@ -69,26 +70,15 @@ _G_LEFT[9:15, 6:12] = np.eye(6)
 _read_only(_G_LEFT)
 
 
-def _checked_dts(dts):
-    """A segment's step lengths as an array; ValueError unless all are
-    positive (NaN fails too)."""
-    dts = np.asarray(dts, dtype=float)
-    if not np.all(dts > 0):
-        raise ValueError("dt must be positive")
-    return dts
-
-
-def transition_left(samples, dts) -> list:
-    """Left-invariant transitions of a segment of IMU samples, one per
-    sample; each is a pure function of (gyro, accel, dt). The generators
-    are stacked and exponentiated in one call."""
-    dts = _checked_dts(dts)
-    w = np.array([s.gyro for s in samples], dtype=float)
-    f = np.array([s.accel for s in samples], dtype=float)
-    Sw = skew(w)
+def transition_left(gyro, accel, dts) -> list:
+    """Left-invariant transitions of a segment, one per sample, from its
+    raw rates (n x 3 stacks) and step lengths alone; each is a pure
+    function of (gyro, accel, dt). The generators are stacked and
+    exponentiated in one call."""
+    Sw = skew(gyro)
     A = np.zeros((len(dts), 15, 15))
     A[:, 0:3, 0:3] = -Sw
-    A[:, 3:6, 0:3] = -skew(f)
+    A[:, 3:6, 0:3] = -skew(accel)
     A[:, 3:6, 3:6] = -Sw
     A[:, 6:9, 3:6] = np.eye(3)
     A[:, 6:9, 6:9] = -Sw
@@ -99,26 +89,23 @@ def transition_left(samples, dts) -> list:
     return [TransitionPair(F_k, _G_LEFT) for F_k in _read_only(F)]
 
 
-def transition_right(dts, navs, gravity=None) -> list:
-    """Right-invariant transitions of a segment, one per step; each is a
-    function of the step's dt and the navigation state it starts from
-    (navs[i]), not of the IMU sample or the biases. The generators are
-    stacked and exponentiated in one call."""
-    dts = _checked_dts(dts)
-    R = np.array([nav.rotation for nav in navs])
-    g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    SvR = skew(np.array([nav.velocity for nav in navs])) @ R
-    SpR = skew(np.array([nav.position for nav in navs])) @ R
-    n = len(dts)
+def transition_right(seg) -> list:
+    """Right-invariant transitions of a mechanized segment (a
+    `filters.Strapdown`), one per step; each is a function of the step's dt
+    and the navigation state it starts from, not of the IMU sample or the
+    biases. The generators are stacked and exponentiated in one call."""
+    R, n = seg.R, len(seg.dts)
+    SvR = skew(seg.v) @ R
+    SpR = skew(seg.p) @ R
     A = np.zeros((n, 15, 15))
-    A[:, 3:6, 0:3] = skew(g)
+    A[:, 3:6, 0:3] = skew(seg.gravity)
     A[:, 6:9, 3:6] = np.eye(3)
     A[:, 0:3, 9:12] = -R
     A[:, 3:6, 9:12] = -SvR
     A[:, 6:9, 9:12] = -SpR
     A[:, 3:6, 12:15] = -R
     F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
-    F[:, :15, :15] = expm(A * dts[:, None, None])
+    F[:, :15, :15] = expm(A * seg.dts[:, None, None])
     G = np.zeros((n, CORE_DIM, NOISE_DIM))
     G[:, 0:3, 0:3] = R
     G[:, 3:6, 0:3] = SvR
@@ -165,26 +152,21 @@ def _dJ1a_dpsi(psi, a):
     return np.where(small[:, None, None], -0.5 * Sa - (S_pxa + Spsi_Sa) / 6.0, closed)
 
 
-def transition_ekf(state_estimate, samples, dts, navs) -> list:
+def transition_ekf(seg) -> list:
     """Conventional error-state EKF Jacobians of the mechanization of a
     segment (body-frame attitude error, additive velocity/position errors),
-    one per sample, each linearized at the navigation state its step
-    starts from (navs[i]) and the biases of `state_estimate`."""
-    dts = _checked_dts(dts)
-    R = np.array([nav.rotation for nav in navs])
-    n = len(dts)
-    dt = dts[:, None, None]
-    psi = (np.array([imu.gyro for imu in samples]) - state_estimate.gyro_bias) * dts[:, None]
-    a = np.array([imu.accel for imu in samples]) - state_estimate.accel_bias
-    J1 = so3_left_jacobian(psi)
-    G2 = so3_gamma2(psi)
+    one per sample, each linearized at the pose its step starts from and the
+    biases of the mechanization `seg`, whose rotation terms it reads; the
+    left Jacobian of -psi is the transpose of that of psi."""
+    R, J1, G2, n = seg.R, seg.J1, seg.G2, len(seg.dts)
+    dt = seg.dts[:, None, None]
     F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
-    F[:, 0:3, 0:3] = so3_exp(psi).transpose(0, 2, 1)
-    F[:, 0:3, 9:12] = -so3_left_jacobian(-psi) * dt
-    F[:, 3:6, 0:3] = -R @ skew((J1 @ a[:, :, None])[:, :, 0]) * dt
-    F[:, 3:6, 9:12] = -R @ _dJ1a_dpsi(psi, a) * dt * dt
+    F[:, 0:3, 0:3] = seg.Gamma.transpose(0, 2, 1)
+    F[:, 0:3, 9:12] = -J1.transpose(0, 2, 1) * dt
+    F[:, 3:6, 0:3] = -R @ skew(seg.J1a) * dt
+    F[:, 3:6, 9:12] = -R @ _dJ1a_dpsi(seg.psi, seg.a) * dt * dt
     F[:, 3:6, 12:15] = -R @ J1 * dt
-    F[:, 6:9, 0:3] = -R @ skew((G2 @ a[:, :, None])[:, :, 0]) * dt * dt
+    F[:, 6:9, 0:3] = -R @ skew(seg.G2a) * dt * dt
     F[:, 6:9, 3:6] = np.eye(3) * dt
     F[:, 6:9, 12:15] = -R @ G2 * dt * dt
     G = np.zeros((n, CORE_DIM, NOISE_DIM))
@@ -224,20 +206,17 @@ class Convention:
 
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
-    # (state, samples, dts, navs, gravity) -> one TransitionPair per sample,
-    # formed for the whole segment in one call, where navs[i] is the
-    # navigation state sample i starts from (see filters.mechanize) and the
-    # biases are those of `state`.
+    # (segment) -> one TransitionPair per sample, formed for the whole
+    # segment in one call from its record, a `filters.Strapdown`.
     transition: Callable
     clone_attitude: Callable  # (R, R_ic) -> d(clone attitude) / d(attitude error)
     point_jacobian: Callable  # (R, p, x) -> 3x9 d(p + R x) / d(nav error)
 
 
 # The transitions are called through their module-level names, so a
-# rebinding of those names (instrumentation) reaches every call. Each takes
-# a whole segment per call and forms its transitions in one stacked pass:
-# the left-invariant one from the samples alone, the other two also from
-# the navigation state each step starts from.
+# rebinding of those names (instrumentation) reaches every call. Each forms
+# a whole mechanized segment's transitions in one stacked pass: the
+# left-invariant one from the raw rates and step lengths alone.
 CONVENTIONS = {
     "liekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(inverse(truth), est)),
@@ -247,23 +226,21 @@ CONVENTIONS = {
         # transitions stored for delayed-update transport are exactly the
         # ones a rewind would recompute. The linearization error this trades
         # away is of order |bias| * dt.
-        transition=lambda state, samples, dts, navs, gravity: transition_left(samples, dts),
+        transition=lambda seg: transition_left(seg.gyro, seg.accel, seg.dts),
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), R),
     ),
     "riekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(est, inverse(truth))),
         nav_retract=lambda nav, e: compose(se23_exp(e), nav),
-        transition=lambda state, samples, dts, navs, gravity: transition_right(
-            dts, navs, gravity),
+        transition=lambda seg: transition_right(seg),
         clone_attitude=lambda R, R_ic: (R @ R_ic).T,
         point_jacobian=lambda R, p, x: _nav_block(-skew(p + R @ x), np.eye(3)),
     ),
     "ekf": Convention(
         nav_error=_ekf_error,
         nav_retract=_ekf_retract,
-        transition=lambda state, samples, dts, navs, gravity: transition_ekf(
-            state, samples, dts, navs),
+        transition=lambda seg: transition_ekf(seg),
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), np.eye(3)),
     ),

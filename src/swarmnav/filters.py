@@ -3,10 +3,10 @@ measurement models.
 
 The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
-matrices for the velocity and position columns). The transition matrices of
-an IMU segment depend on the error convention and live in
-``swarmnav.conventions``; ``transition_left``, ``transition_right`` and
-``transition_ekf`` are importable from here as well.
+matrices for the velocity and position columns). Its record of a segment,
+a ``Strapdown``, is what the convention's transitions in
+``swarmnav.conventions`` are formed from; ``transition_left``,
+``transition_right`` and ``transition_ekf`` are importable from here too.
 """
 
 from __future__ import annotations
@@ -86,11 +86,24 @@ def stack_measurements(measurements):
 
 
 class Strapdown(NamedTuple):
-    """A mechanized IMU segment."""
+    """A mechanized IMU segment, each term computed once; row k of each
+    stack belongs to sample k."""
 
     state: SystemState   # after the last sample
-    navs: list           # navs[i]: the navigation state sample i starts from
-    dts: list            # step lengths, by the filter clock's subtraction chain
+    dts: np.ndarray      # step lengths, by the filter clock's subtraction chain
+    gyro: np.ndarray     # raw rates
+    accel: np.ndarray
+    psi: np.ndarray      # bias-corrected rotation increments, (gyro - bias) * dt
+    a: np.ndarray        # bias-corrected specific force
+    Gamma: np.ndarray    # so3_exp(psi)
+    J1: np.ndarray       # so3_left_jacobian(psi)
+    G2: np.ndarray       # so3_gamma2(psi)
+    J1a: np.ndarray      # J1 @ a
+    G2a: np.ndarray      # G2 @ a
+    R: np.ndarray        # the navigation state each step starts from
+    v: np.ndarray
+    p: np.ndarray
+    gravity: np.ndarray
 
 
 def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
@@ -112,31 +125,37 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
             raise ValueError(f"IMU sample at t={imu.timestamp} is not after state t={t}")
         dts.append(dt)
         t = t + dt
-    if not dts:
-        return Strapdown(state, [], [])
+    n = len(dts)
     g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    dt_col = np.array(dts)[:, None]
-    psi = (np.array([imu.gyro for imu in samples]) - state.gyro_bias) * dt_col
-    a = (np.array([imu.accel for imu in samples]) - state.accel_bias)[:, :, None]
-    Gamma = so3_exp(psi)
-    J1a = (so3_left_jacobian(psi) @ a)[:, :, 0]
-    G2a = (so3_gamma2(psi) @ a)[:, :, 0]
+    steps = np.array(dts)
+    dt_col = steps[:, None]
+    gyro = np.array([imu.gyro for imu in samples], dtype=float).reshape(n, 3)
+    accel = np.array([imu.accel for imu in samples], dtype=float).reshape(n, 3)
+    psi = (gyro - state.gyro_bias) * dt_col
+    a = accel - state.accel_bias
+    Gamma, J1, G2 = so3_exp(psi), so3_left_jacobian(psi), so3_gamma2(psi)
+    J1a = (J1 @ a[:, :, None])[:, :, 0]
+    G2a = (G2 @ a[:, :, None])[:, :, 0]
     g_dt = g * dt_col
     g_dt2 = 0.5 * g * dt_col * dt_col
     R, v, p = state.nav.rotation, state.nav.velocity, state.nav.position
-    navs = []
+    Rs, vs, ps = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
     for k, dt in enumerate(dts):
-        navs.append(ExtendedPose(R, v, p))
+        Rs[k], vs[k], ps[k] = R, v, p
         R, v, p = (R @ Gamma[k],
                    v + R @ J1a[k] * dt + g_dt[k],
                    p + v * dt + R @ G2a[k] * dt * dt + g_dt2[k])
-    return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t), navs, dts)
+    return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t),
+                     steps, gyro, accel, psi, a, Gamma, J1, G2, J1a, G2a,
+                     Rs, vs, ps, g)
 
 
 def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionPair:
-    """Core transition of one strapdown step in the given convention."""
-    return lookup(convention).transition(state_estimate, [imu], [dt],
-                                         [state_estimate.nav], gravity)[0]
+    """Core transition of one strapdown step in the given convention, with
+    the step mechanized from a zero clock so that its length is dt exactly."""
+    seg = mechanize(replace(state_estimate, timestamp=0.0), [replace(imu, timestamp=dt)],
+                    gravity)
+    return lookup(convention).transition(seg)[0]
 
 
 def _check_psd(P, tol=1e-9):

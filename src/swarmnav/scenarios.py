@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .covariance import CovariancePartition, propagate_core_only
-from .filters import ImuSample, NoiseDensities, transition_left
+from .filters import NoiseDensities, transition_left
 from .metrics import anees_interval, gate_score
 from .network import NetworkModel
 from .sensors import SensorSuite
@@ -197,8 +197,8 @@ def segmentation():
     A = rng.standard_normal((dim, dim))
     P_full = A @ A.T / dim + np.eye(dim)
     part = CovariancePartition(P_full[:18, :18].copy(), dim - 18)
-    T = transition_left([ImuSample(np.array([0.01, -0.02, 0.05]),
-                                   np.array([0.1, 0.0, 9.8]), 0.0)], [0.005])[0]
+    T = transition_left(np.array([[0.01, -0.02, 0.05]]), np.array([[0.1, 0.0, 9.8]]),
+                        np.array([0.005]))[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)
     F_full = np.eye(dim)
     F_full[:18, :18] = T.F

@@ -188,6 +188,9 @@ class SimConfig:
             raise ConfigError("agent ids must be unique")
         number("gnss_delay", self.gnss_delay, low=0)
         for a in self.agents:
+            if 1.0 / a.suite.imu_rate > self.duration:  # no sample in the run
+                raise ConfigError(f"agent {a.agent_id}'s IMU period 1/imu_rate = 1/"
+                                  f"{a.suite.imu_rate!r} exceeds the duration {self.duration!r}")
             if self.use_gnss and a.use_gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
                 # A delayed update restores its epoch snapshot: a fix still in
                 # flight at the next epoch would lose that epoch's correction.
@@ -664,6 +667,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             report = ate(rows[:, 0], rows[:, 1:4], rows[:, 0], rows[:, 4:7])
         else:
             report = AteReport(0.0, 0.0, np.zeros(3))
+        if not np.isfinite(report.rmse):
+            raise FloatingPointError(f"agent {rt.cfg.agent_id}: ATE {report.rmse}")
         agents_out.append({
             "agent_id": rt.cfg.agent_id,
             "trajectory": rt.rows_traj,

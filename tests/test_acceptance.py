@@ -28,6 +28,7 @@ from swarmnav.filters import (
     landmark_position_measurement,
     mechanize,
     transition,
+    transition_left,
 )
 from swarmnav.gate import adaptive_k
 from swarmnav.lie import ExtendedPose, so3_exp
@@ -177,7 +178,8 @@ def test_a3_delayed_update_matches_rewind_replay():
             for entry in replay:
                 dt = entry.timestamp - prev_t
                 prev_t = entry.timestamp
-                T = transition("liekf", state, entry.imu, dt, noise.gravity)
+                T = transition_left(entry.imu.gyro[None], entry.imu.accel[None],
+                                    np.array([dt]))[0]
                 Q = noise.discrete_q(dt)
                 P = T.F @ P @ T.F.T + T.G @ Q @ T.G.T
                 mats.append((T, Q, P.copy()))

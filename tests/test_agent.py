@@ -1,10 +1,13 @@
 """Per-agent filter: the segmented update paths against full-matrix
 references, window management and landmark initialization."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmnav import lie
 from swarmnav.agent import AgentFilter
 from swarmnav.covariance import Correspondence
 from swarmnav.filters import (
@@ -296,6 +299,28 @@ def test_delayed_fix_replay_equals_chained_single_steps():
     for x, y in zip((state.nav.rotation, state.nav.velocity, state.nav.position),
                     (ag.state.nav.rotation, ag.state.nav.velocity, ag.state.nav.position)):
         assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+def test_a_segment_forms_its_rotation_terms_once(convention, monkeypatch):
+    # mechanize forms the rotation increments, J1 and Gamma2 of a segment in
+    # one stacked call each, and the transitions read them from its record.
+    ag = make_agent(convention)
+    stream = segment_stream(ag, n=7)
+    calls = dict.fromkeys(("so3_exp", "so3_left_jacobian", "so3_gamma2"), 0)
+    for name in calls:
+        original = getattr(lie, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("swarmnav") \
+                    and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    ag.propagate(*stream)
+    assert calls == {"so3_exp": 1, "so3_left_jacobian": 1, "so3_gamma2": 1}
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,8 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
     *(pytest.param("kind: circle, speed: 2.0, size: 20.0",
                    f"kind: waypoint-spline, waypoints: {points}", id=f"waypoints: {points}")
       for points in ("[[0, 0], [0, 0], [5, 5]]", "[[0, 0], [5, 5], [0, 0]]")),
+    # An IMU period longer than the 3 s run: no sample would fall inside it.
+    ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02, imu_rate: 0.3}"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"
@@ -209,10 +211,17 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "gnss_delay" in capsys.readouterr().err
 
 
-def test_overflowing_run_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("old,new", [
     # A finite, positive speed whose square overflows inside the run.
+    pytest.param("speed: 2.0", "speed: 1.0e+155", id="speed"),
+    # A finite altitude swing that drives the estimate to inf: the run must
+    # not report an infinite ATE as a result.
+    pytest.param("duration: 3.0", "alt_amplitude: 1.0e+300, duration: 2.0",
+                 id="alt_amplitude"),
+])
+def test_overflowing_run_exits_3(tmp_path, capsys, old, new):
     p = tmp_path / "fast.yaml"
-    p.write_text(CONFIG_YAML.replace("speed: 2.0", "speed: 1.0e+155"))
+    p.write_text(CONFIG_YAML.replace(old, new))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
         == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Propagation and measurement models, validated with finite differences
 against the mechanization and the measurement functions themselves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,11 @@ def random_nav_state(t=0.0, biases=True):
         lever_arm=np.array([0.1, 0.0, 0.05]),
         clones=(), features=(), timestamp=t,
     )
+
+
+def left_step(imu, dt):
+    """The left-invariant transition of one sample, from its raw rates."""
+    return transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))[0]
 
 
 def random_imu(state, t):
@@ -150,7 +157,7 @@ def test_transition_bias_coupling_signs():
     # attitude error negatively.
     imu = ImuSample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.005)
     dt = 0.005
-    F = transition_left([imu], [dt])[0].F
+    F = left_step(imu, dt).F
     assert np.allclose(F[0:3, 9:12], -np.eye(3) * dt, atol=1e-5)
     assert np.allclose(F[3:6, 12:15], -np.eye(3) * dt, atol=1e-5)
     s = random_nav_state()
@@ -160,9 +167,9 @@ def test_transition_bias_coupling_signs():
 
 def test_transition_left_state_independent():
     imu = ImuSample(np.array([0.3, 0.1, -0.2]), np.array([1.0, 0.0, 9.0]), 0.0)
-    ref = transition_left([imu], [0.004])[0]
+    ref = left_step(imu, 0.004)
     for _ in range(10):
-        again = transition_left([imu], [0.004])[0]
+        again = left_step(imu, 0.004)
         assert np.array_equal(ref.F, again.F)
         assert np.array_equal(ref.G, again.G)
 
@@ -175,7 +182,7 @@ def test_left_invariant_log_linear_error_transport():
     e = np.zeros(18)
     e[:9] = 0.2 * rng.standard_normal(9)
     est = retract(truth, e, "liekf")
-    F = transition_left([imu], [0.005])[0].F
+    F = left_step(imu, 0.005).F
     e_next = error_between(mechanize(truth, [imu]).state,
                            mechanize(est, [imu]).state, "liekf")
     assert np.allclose(e_next, F @ e, atol=1e-11)
@@ -192,7 +199,7 @@ def test_transition_lever_arm_static():
 def test_transition_rejects_bad_dt():
     imu = ImuSample(np.zeros(3), np.zeros(3), 0.0)
     with pytest.raises(ValueError):
-        transition_left([imu], [-0.1])
+        transition("liekf", random_nav_state(), imu, -0.1)
     with pytest.raises(ValueError):
         transition("foo", random_nav_state(), imu, 0.01)
 
@@ -221,11 +228,12 @@ def _segment_near_the_series_cutoff(state, n, scale, t0=0.0):
 
 @pytest.mark.parametrize("convention", sorted(CONVENTIONS))
 def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
-    # Each stacked transition equals the same function called on its one
-    # sample, dt and starting nav. The segments of 1..29 samples start with
-    # one at exactly the gyro bias (a zero rotation increment), then up to
-    # two just below the EKF series cutoff (angle 1e-4); three more lie
-    # below it, above it and across it.
+    # Each stacked transition equals the same function formed from a
+    # one-sample mechanization of its sample from the same start pose and
+    # clock. The segments of 1..29 samples start with one at exactly the
+    # gyro bias (a zero rotation increment), then up to two just below the
+    # EKF series cutoff (angle 1e-4); three more lie below it, above it and
+    # across it.
     step = CONVENTIONS[convention].transition
     segments = []
     for n in range(1, 30):
@@ -245,11 +253,17 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     thetas = []
     for state, samples in segments:
         seg = mechanize(state, samples, GRAVITY)
-        stacked = step(state, samples, seg.dts, seg.navs, GRAVITY)
+        stacked = step(seg)
         assert len(stacked) == len(samples)
-        for imu, dt, nav, T in zip(samples, seg.dts, seg.navs, stacked):
+        clock = state.timestamp
+        for k, (imu, dt, T) in enumerate(zip(samples, seg.dts, stacked)):
             thetas.append(np.linalg.norm((imu.gyro - state.gyro_bias) * dt))
-            (one,) = step(state, [imu], [dt], [nav], GRAVITY)
+            start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
+                            timestamp=clock)
+            one_seg = mechanize(start, [imu], GRAVITY)
+            assert one_seg.dts[0] == dt
+            clock = one_seg.state.timestamp
+            (one,) = step(one_seg)
             assert T.F.tobytes() == one.F.tobytes()
             assert T.G.tobytes() == one.G.tobytes()
     thetas = np.array(thetas)
@@ -264,7 +278,7 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
 
 def test_propagate_covariance_formula():
     imu = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
-    T = transition_left([imu], [0.01])[0]
+    T = left_step(imu, 0.01)
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.01)
     A = rng.standard_normal((18, 18))
     P = A @ A.T + np.eye(18)

@@ -157,6 +157,8 @@ def _config_with(section, key, value):
     ("network", "drop_prob", True),
     ("gate", "v_emp", True),
     ("suite", "lever_arm", [True, 0.0, 0.0]),
+    # An IMU period longer than the 4 s run.
+    ("suite", "imu_rate", 0.2),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
