@@ -12,15 +12,18 @@ shared map.
 import numpy as np
 
 from swarmnav.scenarios import collab_config
-from swarmnav.sim import run_swarm
+from swarmnav.sim import column, run_swarm
+
+
+def mean_trace(agent):
+    return column(agent["covariance"], "covariance", "position_trace").mean()
 
 
 def describe(label, artifacts):
     print(f"--- {label} ---")
     for a in artifacts.agents:
-        rows = np.asarray(a["covariance"], dtype=float)
         print(f"  agent {a['agent_id']}: ATE {a['ate'].rmse:.4f} m, "
-              f"mean position-cov trace {rows[:, 1].mean():.4f} m^2")
+              f"mean position-cov trace {mean_trace(a):.4f} m^2")
     total = sum(b for _, b in artifacts.bandwidth.values())
     msgs = {c: n for c, (n, _) in artifacts.bandwidth.items()}
     print(f"  traffic: {total} bytes {msgs}, "
@@ -33,10 +36,8 @@ def main():
     off = run_swarm(collab_config(seed=404, collaboration=False))
     describe("collaboration on", on)
     describe("collaboration off", off)
-    tr_on = np.mean([np.asarray(a["covariance"], dtype=float)[:, 1].mean()
-                     for a in on.agents])
-    tr_off = np.mean([np.asarray(a["covariance"], dtype=float)[:, 1].mean()
-                      for a in off.agents])
+    tr_on = np.mean([mean_trace(a) for a in on.agents])
+    tr_off = np.mean([mean_trace(a) for a in off.agents])
     print(f"\nmean position-cov trace: {tr_on:.4f} with collaboration vs "
           f"{tr_off:.4f} without ({tr_off / tr_on:.1f}x)")
 

@@ -11,14 +11,17 @@ data for comparison; it misses every subtle offset.
 
 from swarmnav.metrics import gate_score
 from swarmnav.scenarios import gate_config
-from swarmnav.sim import run_swarm
+from swarmnav.sim import column, run_swarm
+
+
+def verdicts(artifacts):
+    """(accepted, is_outlier) flags of agent 0's gate rows."""
+    return column(artifacts.agents[0]["gate"], "gate", "accepted", "is_outlier").T > 0
 
 
 def score(artifacts):
-    rows = artifacts.agents[0]["gate"]
-    accepted = [bool(r[4]) for r in rows]
-    labels = [bool(r[5]) for r in rows]
-    return gate_score(accepted, labels), len(rows)
+    accepted, labels = verdicts(artifacts)
+    return gate_score(accepted, labels), len(accepted)
 
 
 def main():
@@ -35,9 +38,8 @@ def main():
     (rf, _, ff), _ = score(fixed)
     print(f"  adaptive: recall {ra:.3f}, FPR {fa:.3f}")
     print(f"  fixed:    recall {rf:.3f}, FPR {ff:.3f}")
-    only = sum(1 for x, y in zip(adaptive.agents[0]["gate"],
-                                 fixed.agents[0]["gate"])
-               if x[5] and not x[4] and y[4])
+    (accepted, outlier), (accepted_fixed, _) = verdicts(adaptive), verdicts(fixed)
+    only = int((outlier & ~accepted & accepted_fixed).sum())
     print(f"  {only} outliers caught only by the adaptive gate")
 
 

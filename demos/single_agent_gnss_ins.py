@@ -11,14 +11,14 @@ so the two runs should land within a few centimeters of each other.
 import numpy as np
 
 from swarmnav.scenarios import delay_config
-from swarmnav.sim import run_swarm
+from swarmnav.sim import column, run_swarm
 
 
 def describe(label, artifacts):
     a = artifacts.agents[0]
-    rows = np.asarray(a["covariance"], dtype=float)
+    traces = column(a["covariance"], "covariance", "position_trace")
     print(f"{label:>18}: ATE {a['ate'].rmse:.4f} m, "
-          f"final position-cov trace {rows[-1, 1]:.5f} m^2, "
+          f"final position-cov trace {traces[-1]:.5f} m^2, "
           f"{artifacts.counters['gnss_applied']} fixes applied, "
           f"{artifacts.counters['gnss_dropped_horizon']} dropped")
 
@@ -30,8 +30,8 @@ def main():
     describe("prompt fixes", prompt)
     describe("100 ms delayed", delayed)
 
-    p = np.asarray(prompt.agents[0]["trajectory"], dtype=float)[:, 1:4]
-    d = np.asarray(delayed.agents[0]["trajectory"], dtype=float)[:, 1:4]
+    p = column(prompt.agents[0]["trajectory"], "trajectory", "est_x", "est_z")
+    d = column(delayed.agents[0]["trajectory"], "trajectory", "est_x", "est_z")
     gap = np.sqrt(np.mean(np.sum((p - d) ** 2, axis=1)))
     print(f"\nRMS distance between the two estimates: {gap:.4f} m")
     print("The delayed run never rewinds the filter; corrections are "

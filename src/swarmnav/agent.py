@@ -123,12 +123,17 @@ class AgentFilter:
     # ------------------------------------------------------------------
     # updates
 
+    def _gnss_core(self, state, z, sigma):
+        """The antenna-position measurement of `state` on the core error, with
+        sigma floored so that a zero gives a non-singular innovation."""
+        meas = gnss_measurement(state, z, max(sigma, 1e-6), self.convention)
+        return LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
+                                 meas.noise_cov, meas.timestamp)
+
     def update_gnss(self, z, sigma):
         """Immediate antenna-position update, applied through the segmented
         core-block path (no full-matrix assembly)."""
-        meas = gnss_measurement(self.state, z, sigma, self.convention)
-        meas_core = LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
-                                      meas.noise_cov, meas.timestamp)
+        meas_core = self._gnss_core(self.state, z, sigma)
         self.sync()
         xi = core_update_partitioned(self.partition, meas_core)
         self.state = retract(self.state, xi, self.convention)
@@ -138,10 +143,7 @@ class AgentFilter:
         """Apply a GNSS fix whose processing finished at t_now against the
         epoch snapshot, transporting the correction forward through the
         buffered transitions."""
-        state_k, _ = snapshot
-        meas = gnss_measurement(state_k, z, sigma, self.convention)
-        meas_core = LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
-                                      meas.noise_cov, state_k.timestamp)
+        meas_core = self._gnss_core(snapshot[0], z, sigma)
         return apply_delayed_update(self, meas_core, t_now, snapshot=snapshot)
 
     def update_vision(self, observations, pixel_sigma):

@@ -21,12 +21,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np
-import yaml
 
 from .conventions import CONVENTIONS
 from .filters import UpdateRejected
 from .metrics import anees_interval
-from .sim import ARTIFACT_HEADER, ConfigError, SimConfig, load_config, map_runs, run_swarm
+from .sim import ConfigError, SimConfig, load_config, map_runs, read_yaml, run_swarm, write_yaml
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,12 +83,7 @@ def _mc_single(payload):
 
 def _load_summary(out_dir, run_id):
     """The summary of an already finished run, or None."""
-    path = os.path.join(out_dir, f"run{run_id:03d}", "summary.yaml")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        fh.readline()  # artifact header
-        return yaml.safe_load(fh)
+    return read_yaml(os.path.join(out_dir, f"run{run_id:03d}", "summary.yaml"))
 
 
 def cmd_montecarlo(args):
@@ -115,9 +109,7 @@ def cmd_montecarlo(args):
                       if s["agents"][ai][key] is not None]
             entry[name] = float(np.mean(values)) if values else None
         merged["agents"].append(entry)
-    with open(os.path.join(out_dir, "montecarlo_summary.yaml"), "w") as fh:
-        fh.write(ARTIFACT_HEADER + "\n")
-        yaml.safe_dump(merged, fh, sort_keys=True)
+    write_yaml(os.path.join(out_dir, "montecarlo_summary.yaml"), merged)
     print(f"{runs} runs merged; 95% ANEES interval [{lo:.3f}, {hi:.3f}]"
           + (" (degenerate: single run)" if runs < 2 else ""))
     for a in merged["agents"]:

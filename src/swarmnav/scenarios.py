@@ -25,6 +25,7 @@ from .sim import (
     LandmarkOptions,
     OutlierOptions,
     SimConfig,
+    column,
     map_runs,
     run_swarm,
 )
@@ -219,11 +220,9 @@ def segmentation():
 
 def gate():
     """Recall and false-positive rate of the adaptive gate on 10 m outliers."""
-    art = run_swarm(gate_config(seed=5))
-    rows = art.agents[0]["gate"]
-    accepted = [bool(r[4]) for r in rows]
-    labels = [bool(r[5]) for r in rows]
-    recall, precision, fpr = gate_score(accepted, labels)
+    rows = run_swarm(gate_config(seed=5)).agents[0]["gate"]
+    recall, precision, fpr = gate_score(column(rows, "gate", "accepted"),
+                                        column(rows, "gate", "is_outlier"))
     return GateResult(recall, precision, fpr, recall >= 0.95 and fpr <= 0.05)
 
 

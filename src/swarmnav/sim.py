@@ -34,7 +34,7 @@ from .conventions import CONVENTIONS
 from .covariance import Correspondence
 from .filters import UpdateRejected, feature_world_position
 from .gate import GateState, evaluate, vio_kinematics
-from .metrics import AteReport, ate, nees
+from .metrics import ate, nees
 from .network import BandwidthLedger, NetworkModel, SwarmMessage
 from .sensors import (
     LandmarkMap,
@@ -198,6 +198,8 @@ class SimConfig:
                                   f"{a.agent_id}'s GNSS period 1/{a.suite.gnss_rate!r}")
         number("request_rate", self.request_rate, positive=True)
         number("record_rate", self.record_rate, positive=True)
+        if 1.0 / self.record_rate > self.duration:  # no record, so no ATE
+            raise ConfigError(f"1/record_rate exceeds the duration {self.duration!r}")
 
     @property
     def duration(self):
@@ -277,10 +279,47 @@ def _write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_yaml(path, data):
+    """`data` as YAML under the artifact header, whole or not at all."""
+    import os
+    with open(path + ".tmp", "w") as fh:
+        fh.write(ARTIFACT_HEADER + "\n")
+        yaml.safe_dump(data, fh, sort_keys=True)
+    os.replace(path + ".tmp", path)
+
+
+def read_yaml(path):
+    """What `write_yaml` wrote to `path`, or None if there is no such file."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except FileNotFoundError:
+        return None
+
+
+# Each agent's tables, written as `<table>_agent<id>.csv`: their columns in
+# row order. Only the handlers in `run_swarm` rely on the order; all else
+# reads by name. Readers outside may index, so new columns go last.
+AGENT_TABLES = {
+    "trajectory": ("t", "est_x", "est_y", "est_z", "truth_x", "truth_y", "truth_z"),
+    "covariance": ("t", "position_trace", "orientation_trace"),
+    "nees": ("t", "position_nees", "orientation_nees"),
+    "gate": ("t", "speed", "threshold", "k", "accepted", "is_outlier"),
+}
+
+
+def column(rows, table, first, last=None):
+    """Column `first` of `table`'s rows as floats, or a view of `first` to `last`."""
+    header = AGENT_TABLES[table]
+    j = header.index(first)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return values[:, j] if last is None else values[:, j:header.index(last) + 1]
+
+
 @dataclass
 class RunArtifacts:
     config: SimConfig
-    agents: list            # per-agent dict of result tables
+    agents: list            # per agent: "agent_id", "ate" and a row list per table
     bandwidth: dict         # class -> (count, bytes)
     timing: dict            # wall-clock measurements, excluded from determinism
     counters: dict
@@ -296,18 +335,17 @@ class RunArtifacts:
             "counters": {k: int(v) for k, v in self.counters.items()},
         }
         for a in self.agents:
-            rep = a["ate"]
-            nees_rows = np.array(a["nees"]) if a["nees"] else np.zeros((0, 3))
-            cov_rows = np.array(a["covariance"]) if a["covariance"] else np.zeros((0, 3))
-            gate_rows = a["gate"]
+            def mean(table, name):
+                return float(column(a[table], table, name).mean()) if a[table] else None
+            accepted = int(column(a["gate"], "gate", "accepted").sum())
             out["agents"].append({
                 "agent_id": int(a["agent_id"]),
-                "ate_rmse": float(rep.rmse),
-                "mean_position_nees": float(nees_rows[:, 1].mean()) if len(nees_rows) else None,
-                "mean_orientation_nees": float(nees_rows[:, 2].mean()) if len(nees_rows) else None,
-                "mean_position_cov_trace": float(cov_rows[:, 1].mean()) if len(cov_rows) else None,
-                "gate_accepted": int(sum(1 for g in gate_rows if g[4])),
-                "gate_rejected": int(sum(1 for g in gate_rows if not g[4])),
+                "ate_rmse": float(a["ate"].rmse),
+                "mean_position_nees": mean("nees", "position_nees"),
+                "mean_orientation_nees": mean("nees", "orientation_nees"),
+                "mean_position_cov_trace": mean("covariance", "position_trace"),
+                "gate_accepted": accepted,
+                "gate_rejected": len(a["gate"]) - accepted,
             })
         return out
 
@@ -315,31 +353,17 @@ class RunArtifacts:
         import os
         os.makedirs(out_dir, exist_ok=True)
         for a in self.agents:
-            i = a["agent_id"]
-            _write_csv(os.path.join(out_dir, f"trajectory_agent{i}.csv"),
-                       ["t", "est_x", "est_y", "est_z", "truth_x", "truth_y", "truth_z"],
-                       a["trajectory"])
-            _write_csv(os.path.join(out_dir, f"covariance_agent{i}.csv"),
-                       ["t", "position_trace", "orientation_trace"],
-                       a["covariance"])
-            _write_csv(os.path.join(out_dir, f"nees_agent{i}.csv"),
-                       ["t", "position_nees", "orientation_nees"],
-                       a["nees"])
-            _write_csv(os.path.join(out_dir, f"gate_agent{i}.csv"),
-                       ["t", "speed", "threshold", "k", "accepted", "is_outlier"],
-                       a["gate"])
+            for table, columns in AGENT_TABLES.items():
+                _write_csv(os.path.join(out_dir, f"{table}_agent{a['agent_id']}.csv"),
+                           columns, a[table])
         _write_csv(os.path.join(out_dir, "bandwidth.csv"),
                    ["class", "messages", "bytes"],
                    [(c, n, b) for c, (n, b) in sorted(self.bandwidth.items())])
         _write_csv(os.path.join(out_dir, "timing.csv"),
                    ["metric", "seconds"],
                    sorted(self.timing.items()))
-        # Last and atomically: a resumed batch takes it to mean "finished".
-        path = os.path.join(out_dir, "summary.yaml")
-        with open(path + ".tmp", "w") as fh:
-            fh.write(ARTIFACT_HEADER + "\n")
-            yaml.safe_dump(self.summary(), fh, sort_keys=True)
-        os.replace(path + ".tmp", path)
+        # Last: a resumed batch takes it to mean "finished".
+        write_yaml(os.path.join(out_dir, "summary.yaml"), self.summary())
         return out_dir
 
 
@@ -396,11 +420,7 @@ class _AgentRuntime:
         # Landmarks outside the filter state only: id -> [(clone timestamp,
         # uv), ...], one entry per window clone, oldest first.
         self.tracks = {}
-        self.frame_count = 0
-        self.rows_traj = []
-        self.rows_cov = []
-        self.rows_nees = []
-        self.rows_gate = []
+        self.tables = {name: [] for name in AGENT_TABLES}
 
     def advance(self, t):
         """Propagate the pending IMU samples up to time t as one segment.
@@ -458,7 +478,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             frames = synthesize_bearings(acfg.trajectory, acfg.suite, lmap,
                                          bearings_seed,
                                          snap_rate=acfg.suite.imu_rate)
-            for fr in frames:
+            for fr in frames[::config.filter.clone_every]:  # the keyframes
                 if fr.timestamp <= duration:
                     push(fr.timestamp, _CAMERA, (idx, fr))
         if config.collaboration and len(config.agents) > 1:
@@ -480,18 +500,17 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 speed, accel = vio_kinematics(rt.vio_positions,
                                               1.0 / rt.cfg.suite.gnss_rate)
             verdict = evaluate(rt.gate, fix.position, speed, accel, config.gate, t)
-            rt.rows_gate.append((t, verdict.speed, verdict.threshold, verdict.k,
-                                 verdict.accepted, fix.is_outlier))
+            rt.tables["gate"].append((t, verdict.speed, verdict.threshold, verdict.k,
+                                      verdict.accepted, fix.is_outlier))
             accepted = verdict.accepted
         if accepted:
-            sigma = max(rt.cfg.suite.gnss_sigma, 1e-6)
             try:
                 if config.gnss_delay > 0:
                     snap = ag.snapshot()
                     rt.held = []
                     push(t + config.gnss_delay, _GNSS_DONE, (idx, fix, snap))
                 else:
-                    ag.update_gnss(fix.position, sigma)
+                    ag.update_gnss(fix.position, rt.cfg.suite.gnss_sigma)
                     counters["gnss_applied"] += 1
             except UpdateRejected:
                 counters["gnss_rejected_numerical"] += 1
@@ -500,11 +519,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def handle_gnss_done(t, idx, fix, snap):
         rt = runtimes[idx]
         held, rt.held = rt.held, None
-        sigma = max(rt.cfg.suite.gnss_sigma, 1e-6)
         try:
             # Use the filter's own clock: the cursor has already applied the
             # sample at this epoch, and buffered timestamps must match exactly.
-            rt.filter.update_gnss_delayed(fix.position, sigma, snap,
+            rt.filter.update_gnss_delayed(fix.position, rt.cfg.suite.gnss_sigma, snap,
                                           rt.filter.state.timestamp)
             counters["gnss_applied"] += 1
         except DelayExceedsHorizon:
@@ -527,9 +545,6 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def handle_camera(t, idx, frame):
         rt = runtimes[idx]
         if deferred(_CAMERA, (idx, frame)):
-            return
-        rt.frame_count += 1
-        if (rt.frame_count - 1) % config.filter.clone_every != 0:
             return
         ag = rt.filter
         ci = ag.augment_clone()
@@ -629,16 +644,15 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         ag = rt.filter
         truth_pose, _, _ = truth_at(rt.cfg.trajectory, t)
         est = ag.state.nav
-        rt.rows_traj.append((t, est.position[0], est.position[1], est.position[2],
-                             truth_pose.position[0], truth_pose.position[1],
-                             truth_pose.position[2]))
+        rt.tables["trajectory"].append((t, *est.position, *truth_pose.position))
         core = ag.partition.core
-        rt.rows_cov.append((t, np.trace(core[6:9, 6:9]), np.trace(core[0:3, 0:3])))
+        rt.tables["covariance"].append((t, np.trace(core[6:9, 6:9]),
+                                        np.trace(core[0:3, 0:3])))
         e = nav_error(truth_pose, est, config.convention)
         try:
             pn = nees(e[6:9], core[6:9, 6:9])
             on = nees(e[0:3], core[0:3, 0:3])
-            rt.rows_nees.append((t, pn, on))
+            rt.tables["nees"].append((t, pn, on))
         except ValueError:
             pass
 
@@ -662,21 +676,13 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
 
     agents_out = []
     for rt in runtimes:
-        rows = np.array(rt.rows_traj)
-        if len(rows):
-            report = ate(rows[:, 0], rows[:, 1:4], rows[:, 0], rows[:, 4:7])
-        else:
-            report = AteReport(0.0, 0.0, np.zeros(3))
+        rows = rt.tables["trajectory"]
+        times = column(rows, "trajectory", "t")
+        report = ate(times, column(rows, "trajectory", "est_x", "est_z"),
+                     times, column(rows, "trajectory", "truth_x", "truth_z"))
         if not np.isfinite(report.rmse):
             raise FloatingPointError(f"agent {rt.cfg.agent_id}: ATE {report.rmse}")
-        agents_out.append({
-            "agent_id": rt.cfg.agent_id,
-            "trajectory": rt.rows_traj,
-            "covariance": rt.rows_cov,
-            "nees": rt.rows_nees,
-            "gate": rt.rows_gate,
-            "ate": report,
-        })
+        agents_out.append({"agent_id": rt.cfg.agent_id, **rt.tables, "ate": report})
     timing = {"wall_total": time.perf_counter() - t_start}
     bandwidth = {c: (ledger.counts[c], ledger.bytes[c]) for c in ledger.counts}
     return RunArtifacts(config, agents_out, bandwidth, timing, counters)

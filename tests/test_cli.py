@@ -182,6 +182,8 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
       for points in ("[[0, 0], [0, 0], [5, 5]]", "[[0, 0], [5, 5], [0, 0]]")),
     # An IMU period longer than the 3 s run: no sample would fall inside it.
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02, imu_rate: 0.3}"),
+    # A record period longer than the 3 s run: no record, so no ATE.
+    ("use_vision: false", "use_vision: false\nrecord_rate: 0.1"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"

@@ -23,6 +23,7 @@ from swarmnav.sim import (
     GateOptions,
     InitUncertainty,
     LandmarkOptions,
+    OutlierOptions,
     SimConfig,
     config_from_dict,
     load_config,
@@ -159,6 +160,8 @@ def _config_with(section, key, value):
     ("suite", "lever_arm", [True, 0.0, 0.0]),
     # An IMU period longer than the 4 s run.
     ("suite", "imu_rate", 0.2),
+    # A record period longer than the 4 s run: no record, so no ATE.
+    (None, "record_rate", 0.2),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -300,7 +303,9 @@ def test_load_config_errors(tmp_path):
 
 
 def test_run_produces_artifacts(tmp_path):
-    art = run_swarm(tiny_config())
+    # With the gate on and some outliers, so that the gate table has rows.
+    art = run_swarm(tiny_config(gate=GateOptions(),
+                                outliers=OutlierOptions(rate=0.2, magnitude=0.5)))
     out = art.write(tmp_path / "out")
     names = sorted(os.listdir(out))
     assert "trajectory_agent0.csv" in names
@@ -320,7 +325,27 @@ def test_run_produces_artifacts(tmp_path):
         fh.readline()
         summary = yaml.safe_load(fh)
     assert summary["schema"] == 1
-    assert summary["agents"][0]["ate_rmse"] < 1.0
+    agent = summary["agents"][0]
+    assert agent["ate_rmse"] < 1.0
+    # Every table is written under its declared columns, and the summary's
+    # means and counts are those of the written rows.
+    written = {}
+    for table, columns in sim.AGENT_TABLES.items():
+        path = os.path.join(out, f"{table}_agent0.csv")
+        with open(path) as fh:
+            assert fh.readline().strip() == ARTIFACT_HEADER
+            header = fh.readline().strip().split(",")
+        assert tuple(header) == columns
+        values = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        written[table] = {name: values[:, j] for j, name in enumerate(header)}
+    for key, table, name in (("mean_position_nees", "nees", "position_nees"),
+                             ("mean_orientation_nees", "nees", "orientation_nees"),
+                             ("mean_position_cov_trace", "covariance", "position_trace")):
+        assert agent[key] == pytest.approx(written[table][name].mean(), rel=1e-9)
+    accepted = written["gate"]["accepted"]
+    assert agent["gate_accepted"] == np.sum(accepted == 1) > 0
+    assert agent["gate_rejected"] == np.sum(accepted == 0) > 0
+    assert agent["gate_accepted"] + agent["gate_rejected"] == len(accepted) == 30
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
