@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "agent": ("AgentFilter",),
-    "covariance": ("CiResult", "Correspondence", "CovariancePartition", "ci_fuse"),
+    "covariance": ("Correspondence", "CovariancePartition"),
     "filters": ("ImuSample", "LinearMeasurement", "NoiseDensities"),
     "gate": ("GateState", "GateVerdict", "adaptive_k", "evaluate"),
     "lie": ("ExtendedPose", "se23_exp", "se23_log", "so3_exp", "so3_log"),
-    "metrics": ("anees", "anees_interval", "ate", "gate_score", "nees"),
+    "metrics": ("anees_interval", "ate", "gate_score", "nees"),
     "sensors": ("LandmarkMap", "SensorSuite"),
     "sim": ("RunArtifacts", "SimConfig", "load_config", "run_swarm"),
     "state": ("SystemState", "error_between", "retract"),

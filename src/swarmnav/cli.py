@@ -81,9 +81,21 @@ def _mc_single(payload):
     return artifacts.summary()
 
 
-def _load_summary(out_dir, run_id):
-    """The summary of an already finished run, or None."""
-    return read_yaml(os.path.join(out_dir, f"run{run_id:03d}", "summary.yaml"))
+def _load_summary(config, run_id, out_dir):
+    """The summary of an already finished run of this batch, or None. A
+    summary of another batch (its convention, seed or agent ids differ)
+    raises ConfigError, before anything is run or overwritten."""
+    run_dir = os.path.join(out_dir, f"run{run_id:03d}")
+    summary = read_yaml(os.path.join(run_dir, "summary.yaml"))
+    if summary is None:
+        return None
+    found = (summary.get("convention"), summary.get("seed"),
+             [a.get("agent_id") for a in summary.get("agents", [])])
+    expected = (config.convention, config.seed + run_id, [a.agent_id for a in config.agents])
+    if found != expected:
+        raise ConfigError(f"{run_dir} holds a run of another batch: its convention, seed "
+                          f"and agent ids are {found}, this batch's are {expected}")
+    return summary
 
 
 def cmd_montecarlo(args):
@@ -91,7 +103,7 @@ def cmd_montecarlo(args):
     runs = args.runs
     out_dir = args.out or _default_out("montecarlo")
     os.makedirs(out_dir, exist_ok=True)
-    summaries = [_load_summary(out_dir, run_id) for run_id in range(runs)]
+    summaries = [_load_summary(config, run_id, out_dir) for run_id in range(runs)]
     todo = [(config, run_id, out_dir) for run_id, s in enumerate(summaries) if s is None]
     for (_, run_id, _), summary in zip(todo, map_runs(_mc_single, todo, args.jobs)):
         summaries[run_id] = summary
@@ -127,10 +139,10 @@ SUITES = ("consistency", "delay", "segmentation", "gate", "collab")
 def cmd_suite(args):
     from . import scenarios  # here, so that `run` and `montecarlo` load no more
     name = args.suite
-    # --runs sizes the two Monte-Carlo suites; the others take no count.
-    sized = args.runs is not None and name in ("consistency", "collab")
+    if args.runs is not None and name not in ("consistency", "collab"):
+        raise ConfigError(f"--runs sizes only the consistency and collab suites, not {name}")
     experiment = getattr(scenarios, name)
-    r = experiment(args.runs) if sized else experiment()
+    r = experiment() if args.runs is None else experiment(args.runs)
     if name == "consistency":
         (lo, hi), (lp, la), (ep, ea) = r.interval, r.liekf, r.ekf
         print(f"interval [{lo:.3f}, {hi:.3f}] for {r.runs} runs")

@@ -62,7 +62,7 @@ def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
     """Advance only the core block; the cross block is left untouched and
     becomes stale (its pending transitions live in the IMU buffer). The
     partition clock is the caller's to set."""
-    partition.core = propagate_covariance(partition.core, T, Q_d, check=False)
+    partition.core = propagate_covariance(partition.core, T, Q_d)
     return partition
 
 
@@ -158,20 +158,6 @@ def remove_block_rows(partition: CovariancePartition, at, size):
     return partition
 
 
-@dataclass(frozen=True)
-class CiResult:
-    mean: np.ndarray
-    covariance: np.ndarray
-    weight: float
-
-
-def _check_spd(P, name):
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} covariance is not symmetric positive definite")
-
-
 def _golden_section(f, lo=0.0, hi=1.0, iters=40):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -191,31 +177,6 @@ def _golden_section(f, lo=0.0, hi=1.0, iters=40):
     # Trace can be monotone; check the interval ends too.
     candidates = [(f(lo), lo), (f(hi), hi), (f(x), x)]
     return min(candidates)[1]
-
-
-def ci_fuse(local_mean, local_cov, remote_mean, remote_cov) -> CiResult:
-    """Covariance-intersection fusion of two estimates with unknown
-    cross-correlation: P^-1 = w Pa^-1 + (1-w) Pb^-1, w chosen to minimize
-    the fused trace."""
-    Pa = np.asarray(local_cov, dtype=float)
-    Pb = np.asarray(remote_cov, dtype=float)
-    xa = np.asarray(local_mean, dtype=float)
-    xb = np.asarray(remote_mean, dtype=float)
-    if Pa.shape != Pb.shape:
-        raise ValueError("covariance dimensions do not match")
-    _check_spd(Pa, "local")
-    _check_spd(Pb, "remote")
-    Ia = np.linalg.inv(Pa)
-    Ib = np.linalg.inv(Pb)
-
-    def fused_cov(w):
-        return np.linalg.inv(w * Ia + (1.0 - w) * Ib)
-
-    w = _golden_section(lambda w: np.trace(fused_cov(w)))
-    P = fused_cov(w)
-    P = (P + P.T) / 2.0
-    mean = P @ (w * (Ia @ xa) + (1.0 - w) * (Ib @ xb))
-    return CiResult(mean, P, float(w))
 
 
 @dataclass(frozen=True)

@@ -158,19 +158,8 @@ def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionP
     return lookup(convention).transition(seg)[0]
 
 
-def _check_psd(P, tol=1e-9):
-    P = np.asarray(P)
-    try:
-        np.linalg.cholesky(P + tol * np.eye(P.shape[0]))
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(P).min())
-        raise ValueError(f"covariance is not PSD (min eigenvalue {min_eig:.3e})")
-
-
-def propagate_covariance(P_core, T: TransitionPair, Q_d, check=True):
+def propagate_covariance(P_core, T: TransitionPair, Q_d):
     """F P F' + G Q G', re-symmetrized."""
-    if check:
-        _check_psd(P_core)
     P = T.F @ P_core @ T.F.T + T.G @ Q_d @ T.G.T
     return (P + P.T) / 2.0
 

@@ -1,4 +1,4 @@
-"""Evaluation mathematics: NEES/ANEES with chi-square intervals, absolute
+"""Evaluation mathematics: NEES, the chi-square interval for ANEES, absolute
 trajectory error with yaw+translation alignment, and gate scoring."""
 
 from __future__ import annotations
@@ -38,24 +38,6 @@ def anees_interval(runs, dof=3, confidence=0.95):
     lo = chi2.ppf(alpha / 2.0, runs * dof) / runs
     hi = chi2.ppf(1.0 - alpha / 2.0, runs * dof) / runs
     return float(lo), float(hi)
-
-
-def anees(samples_by_run, dof=3):
-    """Average NEES across runs.
-
-    `samples_by_run` is a sequence of per-run NEES sequences (aligned in
-    time or simply pooled per run). Returns (value, (lo, hi), degenerate)
-    where the interval is the 95% chi-square band for the run count and
-    `degenerate` flags a single-run (zero-width-confidence) estimate.
-    """
-    runs = len(samples_by_run)
-    if runs == 0:
-        raise ValueError("no runs")
-    per_run = np.array([np.mean(np.asarray(s, dtype=float)) for s in samples_by_run])
-    value = float(per_run.mean())
-    degenerate = runs < 2
-    lo, hi = anees_interval(max(runs, 1), dof)
-    return value, (lo, hi), degenerate
 
 
 def _associate(est_times, truth_times):

@@ -167,12 +167,12 @@ def consistency(runs=50):
     summaries = _batch([consistency_config(seed=100 + r, convention=c)
                         for c in ("liekf", "ekf") for r in range(runs)])
 
-    def anees(agents):
+    def anees_of(agents):
         return tuple(float(np.mean([a[key] for a in agents]))
                      for key in ("mean_position_nees", "mean_orientation_nees"))
 
     agents = [s["agents"][0] for s in summaries]
-    (lp, la), (ep, ea) = anees(agents[:runs]), anees(agents[runs:])
+    (lp, la), (ep, ea) = anees_of(agents[:runs]), anees_of(agents[runs:])
     in_band = lo <= lp <= hi and lo <= la <= hi
     ordering = abs(ep - 3.0) + abs(ea - 3.0) > abs(lp - 3.0) + abs(la - 3.0)
     return ConsistencyResult(runs, (lo, hi), (lp, la), (ep, ea),

@@ -162,7 +162,3 @@ def truth_at(spec: TrajectorySpec, t):
     R, v, p, omega, f = kinematics(spec, t)
     return ExtendedPose(R, v, p), omega, f
 
-
-def truth_states(spec: TrajectorySpec, times):
-    """Truth poses at the given times (list of ExtendedPose)."""
-    return [truth_at(spec, t)[0] for t in times]

@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import pathlib
 import runpy
 import subprocess
 import sys
@@ -154,6 +155,42 @@ def test_montecarlo_parallel_matches_serial(config_path, tmp_path):
         with open(os.path.join(serial, name)) as fa, \
              open(os.path.join(parallel, name)) as fb:
             assert fa.read() == fb.read()
+
+
+def _tree_bytes(root):
+    return {os.path.relpath(path, root): pathlib.Path(path).read_bytes()
+            for path in glob.glob(os.path.join(root, "**", "*"), recursive=True)
+            if os.path.isfile(path)}
+
+
+@pytest.mark.parametrize("flags,old,new", [
+    (["--filter", "ekf"], "", ""),
+    (["--seed", "5"], "", ""),
+    ([], "  - trajectory:", "  - agent_id: 3\n    trajectory:"),
+], ids=["convention", "seed", "agent ids"])
+def test_montecarlo_refuses_runs_of_another_batch(config_path, tmp_path, capsys,
+                                                  flags, old, new):
+    # A finished run is reused only by the batch it belongs to; another
+    # batch exits 2, names the run, and overwrites nothing.
+    out = str(tmp_path / "mc")
+    assert main(["montecarlo", "--config", config_path, "--runs", "2",
+                 "--out", out]) == EXIT_OK
+    before = _tree_bytes(out)
+    other = tmp_path / "other.yaml"
+    other.write_text(CONFIG_YAML.replace(old, new))
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(other), "--runs", "2",
+                 "--out", out, *flags]) == EXIT_CONFIG
+    assert os.path.join(out, "run000") in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("suite", ["delay", "segmentation", "gate"])
+def test_suite_runs_flag_needs_a_monte_carlo_suite(monkeypatch, capsys, suite):
+    monkeypatch.setattr(scenarios, suite, lambda *a: pytest.fail(f"{suite} ran"))
+    assert main(["suite", "--suite", suite, "--runs", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "consistency" in err and "collab" in err
 
 
 @pytest.mark.parametrize("old,new", [

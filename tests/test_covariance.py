@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry
 from swarmnav.covariance import (
-    CiResult,
+    _REJECTED,
     Correspondence,
     CovariancePartition,
     StaleBlockError,
+    _ci_trace_objective,
+    _ci_weighted_posterior,
     _golden_section,
     assemble_full,
-    ci_fuse,
     collaborative_update,
     insert_block_rows,
     propagate_core_only,
@@ -21,7 +22,7 @@ from swarmnav.covariance import (
     split_full,
     sync_cross,
 )
-from swarmnav.filters import TransitionPair
+from swarmnav.filters import LinearMeasurement, TransitionPair
 from swarmnav.state import CORE_DIM
 
 rng = np.random.default_rng(31)
@@ -177,13 +178,26 @@ def test_golden_section_quadratic():
     assert _golden_section(lambda w: -w) == 1.0
 
 
+def ci_update(x_local, P_local, x_remote, P_remote):
+    """One CI update as `collaborative_update` applies it: the remote
+    estimate is a direct measurement (H = I) of the local one. Returns the
+    fused mean, covariance and weight; a weight with no usable update
+    leaves the local estimate as it is."""
+    meas = LinearMeasurement(x_remote - x_local, np.eye(len(x_local)), P_remote, 0.0)
+    w = _golden_section(_ci_trace_objective(P_local, meas))
+    result = _ci_weighted_posterior(P_local, meas, w)
+    if result is None or result is _REJECTED:
+        return x_local, P_local, w
+    _, _, P, xi = result
+    return x_local + xi, P, w
+
+
 def test_ci_fuse_identical_inputs_idempotent():
     P = random_spd(3)
     x = rng.standard_normal(3)
-    out = ci_fuse(x, P, x, P)
-    assert isinstance(out, CiResult)
-    assert np.allclose(out.mean, x, atol=1e-9)
-    assert np.allclose(out.covariance, P, atol=1e-9)
+    mean, cov, _ = ci_update(x, P, x, P)
+    assert np.allclose(mean, x, atol=1e-9)
+    assert np.allclose(cov, P, atol=1e-9)
 
 
 def test_ci_fuse_prefers_tighter_estimate():
@@ -191,32 +205,30 @@ def test_ci_fuse_prefers_tighter_estimate():
     Pb = np.eye(3) * 100.0
     xa = np.zeros(3)
     xb = np.ones(3) * 5.0
-    out = ci_fuse(xa, Pa, xb, Pb)
-    assert out.weight > 0.99
-    assert np.linalg.norm(out.mean - xa) < 0.1
-    assert np.trace(out.covariance) <= np.trace(Pa) * 1.0001
+    mean, cov, w = ci_update(xa, Pa, xb, Pb)
+    assert w > 0.99
+    assert np.linalg.norm(mean - xa) < 0.1
+    assert np.trace(cov) <= np.trace(Pa) * 1.0001
 
 
 def test_ci_fuse_never_overconfident():
-    # The fused information never exceeds the sum of the inputs, and the
-    # fused covariance upper-bounds the true one for any correlation.
+    # The fused information never exceeds the sum of the inputs', and the
+    # weight search never ends above the trace of either input.
     for _ in range(10):
         Pa, Pb = random_spd(3), random_spd(3)
-        out = ci_fuse(np.zeros(3), Pa, np.zeros(3), Pb)
-        I_f = np.linalg.inv(out.covariance)
+        _, cov, _ = ci_update(np.zeros(3), Pa, np.zeros(3), Pb)
+        I_f = np.linalg.inv(cov)
         I_sum = np.linalg.inv(Pa) + np.linalg.inv(Pb)
         assert np.all(np.linalg.eigvalsh(I_sum - I_f) > -1e-9)
-        # CI upper bound: P_fused >= (w Pa^-1 + (1-w) Pb^-1)^-1 trivially
-        # with equality; what matters is P_fused - Pa and P_fused - Pb are
-        # not both negative definite unless the weight says so.
-        assert np.trace(out.covariance) <= max(np.trace(Pa), np.trace(Pb)) + 1e-9
+        assert np.trace(cov) <= max(np.trace(Pa), np.trace(Pb)) + 1e-9
 
 
 def test_ci_fuse_validates_inputs():
+    # A remote covariance of the wrong dimension, or not positive definite.
     with pytest.raises(ValueError):
-        ci_fuse(np.zeros(3), np.eye(3), np.zeros(2), np.eye(2))
+        ci_update(np.zeros(3), np.eye(3), np.zeros(3), np.eye(2))
     with pytest.raises(ValueError):
-        ci_fuse(np.zeros(3), -np.eye(3), np.zeros(3), np.eye(3))
+        ci_update(np.zeros(3), np.eye(3), np.zeros(3), -np.eye(3))
 
 
 def test_collaborative_update_rejects_unknown_landmark():
@@ -236,10 +248,6 @@ def test_collaborative_update_rejects_unknown_landmark():
 def test_ci_trace_objective_matches_full_update():
     # The closed-form weight objective must equal the trace of the actual
     # CI-weighted posterior computed the expensive way.
-    from swarmnav.covariance import _REJECTED, _ci_trace_objective, \
-        _ci_weighted_posterior
-    from swarmnav.filters import LinearMeasurement
-
     P = random_spd(20)
     H = np.zeros((3, 20))
     H[:, 9:12] = np.eye(3)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from swarmnav.metrics import anees, anees_interval, ate, gate_score, nees
+from swarmnav.cli import EXIT_OK, main
+from swarmnav.metrics import anees_interval, ate, gate_score, nees
+from swarmnav.sim import read_yaml
 
 rng = np.random.default_rng(17)
 
@@ -44,15 +46,26 @@ def test_anees_interval_matches_chi2():
         anees_interval(0)
 
 
-def test_anees_aggregation():
-    runs = [list(2.0 + 0.5 * rng.standard_normal(100)) for _ in range(20)]
-    value, (lo, hi), degenerate = anees(runs)
-    assert np.isclose(value, np.mean([np.mean(r) for r in runs]))
-    assert not degenerate
-    _, _, single = anees(runs[:1])
-    assert single
-    with pytest.raises(ValueError):
-        anees([])
+def test_anees_aggregation(tmp_path):
+    # montecarlo's merged ANEES and ATE are the means of its runs' summaries.
+    config = tmp_path / "config.yaml"
+    config.write_text("agents:\n"
+                      "  - trajectory: {kind: circle, speed: 2.0, size: 20.0, duration: 2.0}\n"
+                      "seed: 8\ngate: {enabled: false}\ncollaboration: false\n"
+                      "gnss_delay: 0.0\nuse_vision: false\n")
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(config), "--runs", "3",
+                 "--out", str(out)]) == EXIT_OK
+    merged = read_yaml(str(out / "montecarlo_summary.yaml"))
+    runs = [read_yaml(str(out / f"run{i:03d}" / "summary.yaml"))["agents"][0]
+            for i in range(3)]
+    agent = merged["agents"][0]
+    for name, key in (("position_anees", "mean_position_nees"),
+                      ("orientation_anees", "mean_orientation_nees"),
+                      ("mean_ate", "ate_rmse")):
+        assert agent[name] == np.mean([r[key] for r in runs]), name
+    assert agent["position_anees"] > 0.0
+    assert tuple(merged["anees_interval_95"]) == anees_interval(3)
 
 
 def _circle(n=200):

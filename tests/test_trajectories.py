@@ -7,7 +7,7 @@ import pytest
 from swarmnav.filters import GRAVITY, ImuSample, mechanize
 from swarmnav.lie import ExtendedPose
 from swarmnav.state import SystemState
-from swarmnav.trajectories import TrajectorySpec, truth_at, truth_states
+from swarmnav.trajectories import TrajectorySpec, kinematics, truth_at
 
 
 def numeric_derivatives(spec, t, h=1e-5):
@@ -96,10 +96,17 @@ def test_strapdown_reproduces_trajectory():
 
 
 def test_truth_states_helper():
-    spec = TrajectorySpec(kind="circle", duration=10.0)
-    poses = truth_states(spec, [0.0, 5.0, 10.0])
-    assert len(poses) == 3
-    assert all(isinstance(p, ExtendedPose) for p in poses)
+    # The stacked truth that synthesize_imu and synthesize_bearings read
+    # equals truth_at at each time, bit for bit.
+    times = np.array([0.0, 2.5, 5.0, 10.0])
+    for kind in ("circle", "square", "figure-eight"):
+        spec = TrajectorySpec(kind=kind, duration=10.0)
+        stacked = kinematics(spec, times)
+        for k, t in enumerate(times):
+            pose, omega, f = truth_at(spec, t)
+            assert isinstance(pose, ExtendedPose)
+            for got, want in zip(stacked, (pose.rotation, pose.velocity, pose.position, omega, f)):
+                assert np.array_equal(got[k], want), (kind, t)
 
 
 def test_spec_validation():
