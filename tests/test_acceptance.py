@@ -2,6 +2,7 @@
 verbose run doubles as a results table for the whole benchmark set."""
 
 import contextlib
+import functools
 import os
 import time
 
@@ -396,36 +397,62 @@ def _worst_fused_nees(fuse, trials):
     return worst
 
 
-def test_a8_ci_never_overconfident():
-    # The path collaborative_update runs: the closed-form trace objective
-    # and the CI-weighted Kalman step, with the remote estimate as a direct
-    # measurement of the local state (H = I).
-    dim = 3
-    trials = 5000
-    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
+def _ci_update_fuse(e_local, Pa, e_remote, Pb):
+    """The path collaborative_update runs: the closed-form trace objective
+    and the CI-weighted Kalman step, with the remote estimate as a direct
+    measurement of the local state (H = I). Returns (error, cov, skipped)."""
+    meas = LinearMeasurement(e_remote - e_local, np.eye(len(e_local)), Pb, 0.0)
+    w = _golden_section(_ci_trace_objective(Pa, meas))
+    result = _ci_weighted_posterior(Pa, meas, w)
+    if result is None or result is _REJECTED:
+        return e_local, Pa, True  # collaborative_update leaves the estimate alone
+    _, _, P_post, xi = result
+    return e_local + xi, P_post, False
+
+
+@functools.lru_cache(maxsize=None)
+def _ci_update_sweep(trials=5000):
+    """Worst mean NEES of _ci_update_fuse over the three correlations, and
+    how many trials it left as the local estimate. Cached so A8 and A8u,
+    which both read it, draw the trials once per session."""
     skipped = 0
 
     def fuse(e_local, Pa, e_remote, Pb):
         nonlocal skipped
-        meas = LinearMeasurement(e_remote - e_local, np.eye(dim), Pb, 0.0)
-        w = _golden_section(_ci_trace_objective(Pa, meas))
-        result = _ci_weighted_posterior(Pa, meas, w)
-        if result is None or result is _REJECTED:
-            skipped += 1  # collaborative_update leaves the estimate alone
-            return e_local, Pa
-        _, _, P_post, xi = result
-        return e_local + xi, P_post
+        e, P, left = _ci_update_fuse(e_local, Pa, e_remote, Pb)
+        skipped += left
+        return e, P
 
-    worst = _worst_fused_nees(fuse, trials)
+    return _worst_fused_nees(fuse, trials), skipped
+
+
+def test_a8_ci_never_overconfident():
+    dim = 3
+    trials = 5000
+    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
+    worst, skipped = _ci_update_sweep(trials)
     detail = (f"fused NEES stays consistent for correlations -0.9/0/+0.9: "
               f"worst mean {worst:.3f} <= {bound:.3f} ({trials} trials each, "
               f"{skipped} left as the local estimate)")
     P = np.diag([1.0, 2.0, 0.5])
     x = np.array([0.3, -0.7, 1.1])
-    mean, cov = fuse(x, P, x, P)
+    mean, cov, _ = _ci_update_fuse(x, P, x, P)
     idem = np.allclose(mean, x, atol=1e-9) and np.allclose(cov, P, atol=1e-9)
     report("A8", worst <= bound and idem,
            f"{detail}; idempotent on identical inputs: {idem}")
+
+
+def test_a8_ci_update_path_never_overconfident():
+    # The NEES bound alone, on the path collaborative_update runs; A8 adds
+    # idempotence. Both read the one cached sweep.
+    dim = 3
+    trials = 5000
+    bound = dim + 3.0 * np.sqrt(2.0 * dim / trials)
+    worst, skipped = _ci_update_sweep(trials)
+    report("A8u", worst <= bound,
+           f"CI update path NEES stays consistent for correlations -0.9/0/+0.9: "
+           f"worst mean {worst:.3f} <= {bound:.3f} ({trials} trials each, "
+           f"{skipped} left as the local estimate)")
 
 
 def test_a9_noiseless_sanity_and_determinism(tmp_path):
