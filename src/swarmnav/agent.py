@@ -7,9 +7,9 @@ events: the biases are fixed across a segment, so the mean is mechanized and
 the convention's transitions are formed for the whole segment at once.
 The covariance is split into an 18-dim core (propagated every IMU step) and
 one sensor block holding all clone and landmark entries; the cross block
-between them is brought up to date lazily from the buffered transitions
-just before it is needed, which keeps the per-step propagation cost
-independent of the window size.
+between them is caught up lazily, from the product of the core transitions
+it owes, just before it is needed, which keeps the per-step propagation
+cost independent of the window size. The IMU buffer serves delayed fixes.
 """
 
 from __future__ import annotations

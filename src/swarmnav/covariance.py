@@ -3,11 +3,11 @@
 The full covariance is kept as a core block (navigation + biases + lever
 arm, 18x18), one sensor block holding every clone and landmark entry
 (clones first, then features), and the cross block between the two. Only
-the core is propagated at IMU rate; the cross block is reconstructed on
-demand by left-multiplying the accumulated transition product, which is
-exact because the sensor states are static under IMU propagation. Every
-update syncs the cross block first and corrects it in place, so a later
-sync has only IMU transitions left to chain.
+the core is propagated at IMU rate; each step's core transition is folded
+into the partition's `owed` product, and the cross block is caught up on
+demand by left-multiplying it once, which is exact because the sensor
+states are static under IMU propagation. Every update syncs the cross block
+first and corrects it in place, so `owed` holds only IMU transitions.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
 cross-covariance is ever stored (the partition has no slot for one).
@@ -43,6 +43,7 @@ class CovariancePartition:
         self.cross = np.zeros((CORE_DIM, dim))
         self.sensor_self = np.zeros((dim, dim))
         self.synced_at = timestamp   # time the cross block was last synced
+        self.owed = None   # product of the core transitions since, newest left
         self.timestamp = timestamp
 
     @property
@@ -55,43 +56,35 @@ class CovariancePartition:
         other.cross = self.cross.copy()
         other.sensor_self = self.sensor_self.copy()
         other.synced_at = self.synced_at
+        other.owed = self.owed  # replaced, never written in place
         return other
 
 
 def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
-    """Advance only the core block; the cross block is left untouched and
-    becomes stale (its pending transitions live in the IMU buffer). The
+    """Advance only the core block; the cross block goes stale, and (when it
+    has columns) owes the step's transition, folded into `owed`. The
     partition clock is the caller's to set."""
     partition.core = propagate_covariance(partition.core, T, Q_d)
+    if partition.cross.shape[1]:
+        owed = np.eye(CORE_DIM) if partition.owed is None else partition.owed
+        partition.owed = T.F @ owed
     return partition
 
 
 def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_id,
                t_now):
-    """Reconstruct a stale cross block at t_now by chaining the stored core
-    transitions F_i of the stale interval.
-
-    Updates correct the cross block in place, so there is nothing else to
-    chain. `sensor_buffer` must be None and `block_id` "visual": the slots
-    keep the positional layout that perfbench's tracer hook unpacks."""
+    """Catch the cross block up to t_now, the partition's time, by applying
+    the transitions it owes. `imu_buffer` is unused, `sensor_buffer` must be
+    None and `block_id` "visual": perfbench's tracer hook unpacks the slots."""
     if sensor_buffer is not None:
         raise TypeError("sensor_buffer must be None")
     if block_id != "visual":
         raise ValueError(f"unknown block id {block_id!r}")
-    t_from = partition.synced_at
-    if t_now < t_from:
+    if t_now < partition.synced_at:
         raise ValueError("cannot synchronize backwards in time")
-    if t_now == t_from:
-        return partition
-    if partition.cross.shape[1] == 0:
-        # Nothing to transport; the IMU buffer may no longer reach t_from
-        # (a camera-off agent that has gone long without an update).
-        partition.synced_at = t_now
-        return partition
-    op = np.eye(CORE_DIM)
-    for e in imu_buffer.range_after(t_from, t_now):
-        op = e.F @ op
-    partition.cross = op @ partition.cross
+    if partition.owed is not None:
+        partition.cross = partition.owed @ partition.cross
+        partition.owed = None
     partition.synced_at = t_now
     return partition
 
@@ -114,6 +107,7 @@ def split_full(partition: CovariancePartition, P):
     partition.core = np.array(P[:CORE_DIM, :CORE_DIM])
     partition.cross = np.array(P[:CORE_DIM, CORE_DIM:])
     partition.sensor_self = np.array(P[CORE_DIM:, CORE_DIM:])
+    partition.owed = None
     return partition
 
 
@@ -158,13 +152,13 @@ def remove_block_rows(partition: CovariancePartition, at, size):
     return partition
 
 
-def _golden_section(f, lo=0.0, hi=1.0, iters=40):
+def _golden_section(f):  # minimizer of f over [0, 1]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -175,7 +169,7 @@ def _golden_section(f, lo=0.0, hi=1.0, iters=40):
             fd = f(d)
     x = (a + b) / 2.0
     # Trace can be monotone; check the interval ends too.
-    candidates = [(f(lo), lo), (f(hi), hi), (f(x), x)]
+    candidates = [(f(0.0), 0.0), (f(1.0), 1.0), (f(x), x)]
     return min(candidates)[1]
 
 

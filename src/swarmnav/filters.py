@@ -276,16 +276,15 @@ def feature_world_position(state: SystemState, feature_index):
     return p_w, D
 
 
-def bearing_measurement(state: SystemState, clone_index, feature_index, uv, sigma,
-                        min_depth=1e-3):
+def bearing_measurement(state: SystemState, clone_index, feature_index, uv, sigma):
     """Normalized-image-plane observation of an in-state landmark from a
-    window clone. Returns None when the predicted depth is non-positive
+    window clone. Returns None when the predicted depth is at most 1 mm
     (measurement skipped). Independent of the nav error convention because
     H only touches clone and feature blocks."""
     clone = state.clones[clone_index]
     p_w, D_pw = feature_world_position(state, feature_index)
     X = clone.rotation.T @ (p_w - clone.position)
-    if X[2] <= min_depth:
+    if X[2] <= 1e-3:
         return None
     uv_pred, Pi = _projection(X)
     # Camera-frame point Jacobian: observing clone blocks plus the chain

@@ -86,15 +86,15 @@ def so3_exp(phi):
         + _per_matrix(0.5 - t2 / 24.0 + t2 * t2 / 720.0) * SS)
 
 
-def check_rotation(R, tol=_ORTHO_TOL):
+def check_rotation(R):
     """Raise ValueError unless R is orthonormal with determinant +1."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {R.shape}")
     # Negated tests, so that a NaN matrix fails them too.
-    if not np.linalg.norm(R.T @ R - np.eye(3)) <= tol:
+    if not np.linalg.norm(R.T @ R - np.eye(3)) <= _ORTHO_TOL:
         raise ValueError("matrix is not orthonormal")
-    if not abs(np.linalg.det(R) - 1.0) <= tol:
+    if not abs(np.linalg.det(R) - 1.0) <= _ORTHO_TOL:
         raise ValueError("matrix determinant is not +1")
     return R
 

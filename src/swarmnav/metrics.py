@@ -27,14 +27,14 @@ def nees(error, cov):
     return float(y @ y)
 
 
-def anees_interval(runs, dof=3, confidence=0.95):
+def anees_interval(runs, dof=3):
     """95% acceptance interval for the run-averaged NEES of a consistent
     filter: chi-square quantiles with runs*dof degrees of freedom, scaled
     by the run count."""
     from scipy.stats import chi2  # here, so a single run skips the import
     if runs < 1:
         raise ValueError("need at least one run")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     lo = chi2.ppf(alpha / 2.0, runs * dof) / runs
     hi = chi2.ppf(1.0 - alpha / 2.0, runs * dof) / runs
     return float(lo), float(hi)

@@ -191,11 +191,17 @@ class SimConfig:
             if 1.0 / a.suite.imu_rate > self.duration:  # no sample in the run
                 raise ConfigError(f"agent {a.agent_id}'s IMU period 1/imu_rate = 1/"
                                   f"{a.suite.imu_rate!r} exceeds the duration {self.duration!r}")
-            if self.use_gnss and a.use_gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
+            gnss = self.use_gnss and a.use_gnss
+            if gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
                 # A delayed update restores its epoch snapshot: a fix still in
                 # flight at the next epoch would lose that epoch's correction.
                 raise ConfigError(f"gnss_delay {self.gnss_delay!r} exceeds agent "
                                   f"{a.agent_id}'s GNSS period 1/{a.suite.gnss_rate!r}")
+            # A delayed fix is carried through the IMU steps since its epoch.
+            need = int(np.ceil(self.gnss_delay * a.suite.imu_rate - 1e-9))
+            if gnss and self.filter.imu_buffer_capacity < need:
+                raise ConfigError(f"imu_buffer_capacity {self.filter.imu_buffer_capacity!r} holds "
+                                  f"less than agent {a.agent_id}'s gnss_delay: need {need}")
         number("request_rate", self.request_rate, positive=True)
         number("record_rate", self.record_rate, positive=True)
         if 1.0 / self.record_rate > self.duration:  # no record, so no ATE

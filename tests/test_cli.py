@@ -18,6 +18,7 @@ from swarmnav import scenarios
 from swarmnav.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE, build_parser, main
 from swarmnav.conventions import CONVENTIONS
 from swarmnav.scenarios import consistency_config, noiseless_config
+from swarmnav.sim import load_config, run_swarm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,6 +48,34 @@ def test_run_ok(config_path, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "summary.yaml"))
     text = capsys.readouterr().out
     assert "ATE" in text
+
+
+SPARSE_KEYFRAMES_YAML = """\
+seed: 1
+use_gnss: false
+gate: {enabled: false}
+collaboration: false
+landmarks: {points: [[0, [20, 0, 0]], [1, [0, 20, 3]], [2, [-20, 0, 6]], [3, [0, -20, 0]],
+                     [4, [14, 14, 3]], [5, [-14, 14, 0]], [6, [-14, -14, 6]], [7, [14, -14, 3]]]}
+agents:
+  - trajectory: {kind: circle, speed: 2.0, size: 20.0, duration: 8.0, altitude: 35.0}
+    suite: {camera_rate: 1.0}
+"""
+
+
+def test_keyframes_further_apart_than_the_imu_buffer_run(tmp_path, capsys):
+    # A 1 Hz camera keyframes every 6 s, while the 300-sample IMU buffer
+    # spans 1.5 s: the cross block owes more transitions than the buffer
+    # still holds when the second keyframe syncs it.
+    p = tmp_path / "sparse.yaml"
+    p.write_text(SPARSE_KEYFRAMES_YAML)
+    art = run_swarm(load_config(str(p)))
+    assert np.isfinite(art.agents[0]["ate"].rmse)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+    assert {"summary.yaml", "nees_agent0.csv", "covariance_agent0.csv"} \
+        <= set(os.listdir(out))
+    assert "artifacts written" in capsys.readouterr().out
 
 
 def test_run_seed_and_filter_overrides(config_path, tmp_path):
@@ -197,6 +226,9 @@ def test_suite_runs_flag_needs_a_monte_carlo_suite(monkeypatch, capsys, suite):
     ("seed: 4", "seed: -1"),
     ("gnss_delay: 0.0", "gnss_delay: 0.1\nfilter: {imu_buffer_capacity: 0}"),
     ("gnss_delay: 0.0", "gnss_delay: 0.15"),
+    # 19 IMU steps at 200 Hz end short of a fix taken 0.1 s ago.
+    pytest.param("gnss_delay: 0.0", "gnss_delay: 0.1\nfilter: {imu_buffer_capacity: 19}",
+                 id="imu_buffer_capacity: 19, gnss_delay: 0.1"),
     ("gate: {enabled: false}", "gate: {enabled: false, beta: 0.5}"),
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: .nan}"),
     pytest.param(CONFIG_YAML[:CONFIG_YAML.index("seed")], "agents: [1]\n",

@@ -57,17 +57,31 @@ def test_lazy_sync_matches_shadow_full_filter():
     # Core-only propagation with deferred cross-block sync must reproduce
     # the covariance a full-matrix filter maintains eagerly, including
     # core-block updates (Lambda factors) interleaved with the transitions.
+    # The synced cross block must also equal, bit for bit, the reference
+    # that chains the same F's out of a history buffer at each sync.
     d_vis = 9
     part, P = make_partition(d_vis)
     imu_buf = HistoryBuffer(capacity=50)
+    chained = part.cross.copy()
+    t_synced = 0.0
     P_shadow = P.copy()
     t = 0.0
+
+    def sync(t):
+        nonlocal chained, t_synced
+        sync_cross(part, imu_buf, None, "visual", t)
+        op = np.eye(CORE_DIM)
+        for e in imu_buf.range_after(t_synced, t):
+            op = e.F @ op
+        chained, t_synced = op @ chained, t
+        assert np.array_equal(part.cross, chained)
+
     for k in range(12):
         t = round(t + 0.01, 9)
         F = np.eye(CORE_DIM) + 0.02 * rng.standard_normal((CORE_DIM, CORE_DIM))
         G = rng.standard_normal((CORE_DIM, 6))
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
-        part.core = F @ part.core @ F.T + G @ Q @ G.T
+        propagate_core_only(part, TransitionPair(F, G), Q)
         part.timestamp = t
         imu_buf.push(ImuBufferEntry(F, G, Q, t))
         F_full = np.eye(CORE_DIM + d_vis)
@@ -78,13 +92,15 @@ def test_lazy_sync_matches_shadow_full_filter():
             # A core update: sync the cross block, then multiply it by
             # Lambda on the left in place, as the partitioned update does.
             Lam = np.eye(CORE_DIM) - 0.05 * random_spd(CORE_DIM, 0.1)
-            sync_cross(part, imu_buf, None, "visual", t)
+            sync(t)
             part.core = Lam @ part.core @ Lam.T
             part.cross = Lam @ part.cross
+            chained = Lam @ chained
             L_full = np.eye(CORE_DIM + d_vis)
             L_full[:CORE_DIM, :CORE_DIM] = Lam
             P_shadow = L_full @ P_shadow @ L_full.T
-    sync_cross(part, imu_buf, None, "visual", t)
+    sync(t)
+    assert part.owed is None
     got = assemble_full(part)
     ref = (P_shadow + P_shadow.T) / 2
     assert np.max(np.abs(got - ref)) / np.abs(ref).max() < 1e-12

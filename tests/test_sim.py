@@ -162,6 +162,9 @@ def _config_with(section, key, value):
     ("suite", "imu_rate", 0.2),
     # A record period longer than the 4 s run: no record, so no ATE.
     (None, "record_rate", 0.2),
+    # Fewer IMU steps than the default 20 ms GNSS delay spans at 200 Hz:
+    # every delayed fix would leave the buffer before it lands.
+    ("filter", "imu_buffer_capacity", 3),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -454,6 +457,27 @@ def test_delayed_gnss_smoke():
     assert art.counters["gnss_applied"] > 0
     assert art.counters["gnss_dropped_horizon"] == 0
     assert art.agents[0]["ate"].rmse < 0.3
+
+
+@pytest.mark.parametrize("imu_rate,capacity", [(200.0, 19), (150.0, 14),
+                                               (203.0, 20), (97.0, 9)])
+def test_imu_buffer_must_span_the_gnss_delay(imu_rate, capacity):
+    # ceil(0.1 s * imu_rate) steps are the least that reach a fix's epoch;
+    # one fewer dropped every fix (or some of them) without an error.
+    def config(capacity):
+        return tiny_config(gnss_delay=0.1, use_vision=False,
+                           agents=(AgentConfig(0, TrajectorySpec(duration=4.0),
+                                               SensorSuite(imu_rate=imu_rate)),),
+                           filter=FilterOptions(imu_buffer_capacity=capacity))
+    with pytest.raises(ConfigError, match="imu_buffer_capacity"):
+        config(capacity)
+    art = run_swarm(config(capacity + 1))
+    assert art.counters["gnss_applied"] == 39
+    assert art.counters["gnss_dropped_horizon"] == 0
+    # GNSS-denied agents and prompt fixes need no buffer.
+    tiny_config(gnss_delay=0.1, use_gnss=False,
+                filter=FilterOptions(imu_buffer_capacity=1))
+    tiny_config(filter=FilterOptions(imu_buffer_capacity=1))
 
 
 def _record_filter_calls(monkeypatch, names):

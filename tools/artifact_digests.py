@@ -1,4 +1,4 @@
-"""Digest the artifacts of fourteen fixed runs, to check that a change keeps
+"""Digest the artifacts of fifteen fixed runs, to check that a change keeps
 every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
@@ -17,7 +17,10 @@ working tree) and compare the printed tables. The sets are:
 * `collab_config` with GNSS on both agents, 50 ms late: camera frames and
   CI replies that fall inside a fix's (epoch, completion) window are held
   until the fix lands, so this set checks the deferral rule; and the same
-  at 100 ms, the GNSS period, where each fix completes at the next epoch.
+  at 100 ms, the GNSS period, where each fix completes at the next epoch;
+* `collab_config`'s GNSS-denied agent alone, collaboration off, with a
+  5 Hz camera: keyframes 1.2 s apart, so each cross-block sync catches up
+  240 IMU transitions at once.
 
 A set's digest is the first 16 hex digits of the sha256 over its sorted
 `<sha256>  <path relative to the set>` lines, one per file. `timing.csv`
@@ -87,6 +90,12 @@ def _delayed_collab(delay):
     return make
 
 
+def _sparse_keyframes(seed):
+    cfg = scenarios.collab_config(seed=seed, collaboration=False)
+    agent = cfg.agents[1]
+    return replace(cfg, agents=(replace(agent, suite=replace(agent.suite, camera_rate=5.0)),))
+
+
 def _canned(make, **kwargs):
     def run(seed, out):
         run_swarm(make(seed=seed, **kwargs)).write(out)
@@ -108,6 +117,7 @@ SETS = (
     ("collab_config", _canned(scenarios.collab_config)),
     ("collab_config, delayed GNSS", _canned(_delayed_collab(0.05))),
     ("collab_config, GNSS delayed one period", _canned(_delayed_collab(0.1))),
+    ("collab_config agent 1 alone, 5 Hz camera", _canned(_sparse_keyframes)),
 )
 
 
