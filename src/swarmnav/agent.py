@@ -35,13 +35,12 @@ from .covariance import (
 )
 from .filters import (
     ImuSample,
-    LinearMeasurement,
     NoiseDensities,
     bearing_measurement,
     gnss_measurement,
+    kalman_step,
     mechanize,
     stack_measurements,
-    update,
 )
 from .conventions import lookup
 from .state import CORE_DIM, Feature, SystemState, retract
@@ -50,7 +49,7 @@ from .state import CORE_DIM, Feature, SystemState, retract
 class AgentFilter:
     """One vehicle's filter with buffered history for delayed measurements."""
 
-    def __init__(self, state: SystemState, covariance, convention="liekf",
+    def __init__(self, state: SystemState, covariance, convention,
                  noise: NoiseDensities = None,
                  camera_extrinsics=None,
                  max_clones=6, max_features=30,
@@ -123,17 +122,10 @@ class AgentFilter:
     # ------------------------------------------------------------------
     # updates
 
-    def _gnss_core(self, state, z, sigma):
-        """The antenna-position measurement of `state` on the core error, with
-        sigma floored so that a zero gives a non-singular innovation."""
-        meas = gnss_measurement(state, z, max(sigma, 1e-6), self.convention)
-        return LinearMeasurement(meas.residual, meas.H[:, :CORE_DIM],
-                                 meas.noise_cov, meas.timestamp)
-
     def update_gnss(self, z, sigma):
         """Immediate antenna-position update, applied through the segmented
         core-block path (no full-matrix assembly)."""
-        meas_core = self._gnss_core(self.state, z, sigma)
+        meas_core = gnss_measurement(self.state, z, sigma, self.convention)
         self.sync()
         xi = core_update_partitioned(self.partition, meas_core)
         self.state = retract(self.state, xi, self.convention)
@@ -143,7 +135,7 @@ class AgentFilter:
         """Apply a GNSS fix whose processing finished at t_now against the
         epoch snapshot, transporting the correction forward through the
         buffered transitions."""
-        meas_core = self._gnss_core(snapshot[0], z, sigma)
+        meas_core = gnss_measurement(snapshot[0], z, sigma, self.convention)
         return apply_delayed_update(self, meas_core, t_now, snapshot=snapshot)
 
     def update_vision(self, observations, pixel_sigma):
@@ -158,10 +150,9 @@ class AgentFilter:
         if not measurements:
             return 0
         meas = stack_measurements(measurements)
-        P = self.full_covariance()
-        result = update(self.state, P, meas, self.convention)
-        self.state = result.state
-        self.set_full_covariance(result.covariance)
+        step = kalman_step(self.full_covariance(), meas)
+        self.state = retract(self.state, step.xi, self.convention)
+        self.set_full_covariance(step.P_post)
         return len(measurements)
 
     def update_collaborative(self, correspondences):

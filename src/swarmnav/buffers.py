@@ -103,14 +103,12 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
         P^{S,S}+  = P^{S,S} - K_S S K_S'
     """
     step = kalman_step(partition.core, meas_core)
-    _, Lam, P_post, xi_core = step
-    S = step.S
-    partition.core = P_post
-    K_s = np.linalg.solve(S, meas_core.H @ partition.cross).T
-    partition.cross = Lam @ partition.cross
-    self_block = partition.sensor_self - K_s @ S @ K_s.T
+    partition.core = step.P_post
+    K_s = np.linalg.solve(step.S, meas_core.H @ partition.cross).T
+    partition.cross = (np.eye(CORE_DIM) - step.K @ meas_core.H) @ partition.cross
+    self_block = partition.sensor_self - K_s @ step.S @ K_s.T
     partition.sensor_self = (self_block + self_block.T) / 2.0
-    return np.concatenate([xi_core, K_s @ meas_core.residual])
+    return np.concatenate([step.xi, K_s @ meas_core.residual])
 
 
 def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):

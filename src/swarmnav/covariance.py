@@ -183,24 +183,19 @@ class Correspondence:
     remote_cov: np.ndarray
 
 
-_REJECTED = object()
-
-
 def _ci_weighted_posterior(P, meas: LinearMeasurement, w):
-    """Posterior covariance of the CI-weighted update (local inflated by
-    1/w, remote pseudo-measurement inflated by 1/(1-w)). Returns None for
-    the no-op limit w -> 1 and _REJECTED when the inflation makes the
+    """The Kalman step of the CI-weighted update (local inflated by 1/w,
+    remote pseudo-measurement inflated by 1/(1-w)), or None when no update
+    is made: at the no-op limit w -> 1, and when the inflation makes the
     update numerically unusable."""
-    if w >= 1.0 - 1e-9:
-        return None  # uninformative remote: no-op
-    if w < 1e-6:
-        return _REJECTED  # discarding all local information entirely
+    if w >= 1.0 - 1e-9 or w < 1e-6:
+        return None  # an uninformative remote, or all local information discarded
     P_inf = P / w
     m = LinearMeasurement(meas.residual, meas.H, meas.noise_cov / (1.0 - w), meas.timestamp)
     try:
         return kalman_step(P_inf, m)
     except UpdateRejected:
-        return _REJECTED
+        return None
 
 
 def _ci_trace_objective(P, meas: LinearMeasurement):
@@ -263,11 +258,11 @@ def collaborative_update(agent, correspondences):
         j = local_ids[c.feature_id]
         meas = landmark_position_measurement(agent.state, j, c.remote_position, c.remote_cov)
         w = _golden_section(_ci_trace_objective(P, meas))
-        result = _ci_weighted_posterior(P, meas, w)
-        if result is None or result is _REJECTED:
+        step = _ci_weighted_posterior(P, meas, w)
+        if step is None:
             continue  # no usable information balance at this weight
-        _, _, P, xi = result
-        agent.state = retract(agent.state, xi, agent.convention)
+        P = step.P_post
+        agent.state = retract(agent.state, step.xi, agent.convention)
         applied += 1
     if applied:
         agent.set_full_covariance(P)

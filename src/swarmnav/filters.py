@@ -26,7 +26,7 @@ from .lie import (
     so3_gamma2,
     so3_left_jacobian,
 )
-from .state import CORE_DIM, SystemState, retract
+from .state import CORE_DIM, SystemState
 
 
 class UpdateRejected(RuntimeError):
@@ -80,8 +80,12 @@ def stack_measurements(measurements):
         raise ValueError("nothing to stack")
     r = np.concatenate([m.residual for m in measurements])
     H = np.vstack([m.H for m in measurements])
-    from scipy.linalg import block_diag
-    N = block_diag(*[m.noise_cov for m in measurements])
+    N = np.zeros((len(r), len(r)))
+    i = 0
+    for m in measurements:
+        k = len(m.residual)
+        N[i:i + k, i:i + k] = m.noise_cov
+        i += k
     return LinearMeasurement(r, H, N, measurements[-1].timestamp)
 
 
@@ -164,21 +168,15 @@ def propagate_covariance(P_core, T: TransitionPair, Q_d):
     return (P + P.T) / 2.0
 
 
-@dataclass(frozen=True)
-class UpdateResult:
-    state: SystemState
-    covariance: np.ndarray
+class KalmanStep(NamedTuple):
+    """One update: gain, posterior covariance, correction and the
+    innovation covariance (for callers that extend the update to blocks
+    outside P)."""
 
-
-class KalmanStep(tuple):
-    """(K, Lambda, P_post, xi) of one update. The innovation covariance S
-    rides along as `.S` for callers that extend the update to blocks
-    outside P."""
-
-    def __new__(cls, K, Lam, P_post, xi, S):
-        step = super().__new__(cls, (K, Lam, P_post, xi))
-        step.S = S
-        return step
+    P_post: np.ndarray
+    xi: np.ndarray
+    K: np.ndarray
+    S: np.ndarray
 
 
 def kalman_step(P, meas: LinearMeasurement):
@@ -186,9 +184,6 @@ def kalman_step(P, meas: LinearMeasurement):
 
     The Joseph form (I-KH) P (I-KH)' + K R K' is expanded to
     P - KHP - (KHP)' + K S K', which costs O(D^2 m) instead of O(D^3).
-    Lambda = I - K H is returned over the top-left core block only (the
-    whole matrix when D < CORE_DIM): that is all the in-place cross-block
-    correction of `core_update_partitioned` uses.
     """
     H = meas.H
     if H.shape[1] != P.shape[0]:
@@ -209,29 +204,21 @@ def kalman_step(P, meas: LinearMeasurement):
     KHP = K @ PHt.T
     P_post = P - KHP - KHP.T + (K @ S) @ K.T
     P_post = (P_post + P_post.T) / 2.0
-    xi = K @ meas.residual
-    c = min(P.shape[0], CORE_DIM)
-    Lam = np.eye(c) - K[:c] @ H[:, :c]
-    return KalmanStep(K, Lam, P_post, xi, S)
+    return KalmanStep(P_post, K @ meas.residual, K, S)
 
 
-def update(state: SystemState, P_full, meas: LinearMeasurement, convention="liekf") -> UpdateResult:
-    """Measurement update: gain, Joseph-stabilized covariance, retraction."""
-    _, _, P_post, xi = kalman_step(P_full, meas)
-    return UpdateResult(retract(state, xi, convention), P_post)
-
-
-def gnss_measurement(state: SystemState, z, sigma, convention="liekf") -> LinearMeasurement:
+def gnss_measurement(state: SystemState, z, sigma, convention) -> LinearMeasurement:
     """World-frame antenna position measurement z = p + R * lever + noise.
 
     H is the derivative of the predicted measurement through the active
     convention's retraction, so that residual ~ H @ (truth-relative error).
+    It spans the 18-dim core error, the only block a fix touches.
     """
     R = state.nav.rotation
     p = state.nav.position
     lb = state.lever_arm
     h = p + R @ lb
-    H = np.zeros((3, state.error_dim))
+    H = np.zeros((3, CORE_DIM))
     H[:, 0:9] = lookup(convention).point_jacobian(R, p, lb)
     H[:, 15:18] = R
     N = np.eye(3) * sigma ** 2

@@ -40,28 +40,17 @@ def anees_interval(runs, dof=3):
     return float(lo), float(hi)
 
 
-def _associate(est_times, truth_times):
-    """Index of the nearest truth time for each estimate time."""
-    truth_times = np.asarray(truth_times, dtype=float)
-    order = np.argsort(truth_times)
-    ts = truth_times[order]
-    idx = np.searchsorted(ts, est_times)
-    idx = np.clip(idx, 1, len(ts) - 1)
-    left = ts[idx - 1]
-    right = ts[idx]
-    pick = np.where(np.abs(est_times - left) <= np.abs(right - est_times), idx - 1, idx)
-    return order[pick]
-
-
-def ate(est_times, est_positions, truth_times, truth_positions) -> AteReport:
-    """Absolute trajectory error: nearest-time association, closed-form
-    yaw+translation alignment (roll/pitch/scale are observable from GNSS and
-    gravity, so only 4 degrees of freedom are free), RMSE of the residuals."""
-    est_times = np.asarray(est_times, dtype=float)
+def ate(est_positions, truth_positions) -> AteReport:
+    """Absolute trajectory error of estimate and truth rows taken at the same
+    times: closed-form yaw+translation alignment (roll/pitch/scale are
+    observable from GNSS and gravity, so only 4 degrees of freedom are
+    free), RMSE of the residuals."""
     P = np.asarray(est_positions, dtype=float)
-    if len(est_times) == 0 or len(truth_times) == 0:
+    Q = np.asarray(truth_positions, dtype=float)
+    if len(P) == 0:
         raise ValueError("empty trajectory")
-    Q = np.asarray(truth_positions, dtype=float)[_associate(est_times, truth_times)]
+    if P.shape != Q.shape:
+        raise ValueError(f"estimate rows {P.shape} and truth rows {Q.shape} differ")
     pc = P - P.mean(axis=0)
     qc = Q - Q.mean(axis=0)
     # Planar Procrustes for the yaw angle.

@@ -192,6 +192,12 @@ class SimConfig:
                 raise ConfigError(f"agent {a.agent_id}'s IMU period 1/imu_rate = 1/"
                                   f"{a.suite.imu_rate!r} exceeds the duration {self.duration!r}")
             gnss = self.use_gnss and a.use_gnss
+            # Each sigma is the filter's noise for that sensor: at zero the
+            # filter takes every measurement as exact and grows overconfident.
+            for used, name in ((gnss, "gnss_sigma"), (self.use_vision, "pixel_sigma")):
+                if used and getattr(a.suite, name) == 0:
+                    raise ConfigError(f"agent {a.agent_id}'s {name} is 0; the filter "
+                                      f"needs a positive noise for a sensor it uses")
             if gnss and self.gnss_delay > 1.0 / a.suite.gnss_rate:
                 # A delayed update restores its epoch snapshot: a fix still in
                 # flight at the next epoch would lose that epoch's correction.
@@ -683,9 +689,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     agents_out = []
     for rt in runtimes:
         rows = rt.tables["trajectory"]
-        times = column(rows, "trajectory", "t")
-        report = ate(times, column(rows, "trajectory", "est_x", "est_z"),
-                     times, column(rows, "trajectory", "truth_x", "truth_z"))
+        report = ate(column(rows, "trajectory", "est_x", "est_z"),
+                     column(rows, "trajectory", "truth_x", "truth_z"))
         if not np.isfinite(report.rmse):
             raise FloatingPointError(f"agent {rt.cfg.agent_id}: ATE {report.rmse}")
         agents_out.append({"agent_id": rt.cfg.agent_id, **rt.tables, "ate": report})

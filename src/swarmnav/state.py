@@ -80,7 +80,7 @@ class SystemState:
         return CORE_DIM + 6 * len(self.clones) + 3 * len(self.features)
 
 
-def nav_error(truth: ExtendedPose, estimate: ExtendedPose, convention="liekf"):
+def nav_error(truth: ExtendedPose, estimate: ExtendedPose, convention):
     """9-dim navigation error (attitude, velocity, position) in the given
     convention; the nav block of error_between without requiring matching
     clone/feature structure."""
@@ -98,7 +98,7 @@ def _check_matching(truth: SystemState, estimate: SystemState):
             raise ValueError("feature identities do not match")
 
 
-def error_between(truth: SystemState, estimate: SystemState, convention="liekf"):
+def error_between(truth: SystemState, estimate: SystemState, convention):
     """Error vector e such that estimate == retract(truth, e)."""
     conv = lookup(convention)
     _check_matching(truth, estimate)
@@ -116,7 +116,7 @@ def error_between(truth: SystemState, estimate: SystemState, convention="liekf")
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def retract(state: SystemState, correction, convention="liekf") -> SystemState:
+def retract(state: SystemState, correction, convention) -> SystemState:
     """Apply an error vector to a state; exact inverse of error_between."""
     conv = lookup(convention)
     correction = np.asarray(correction, dtype=float)

@@ -13,7 +13,6 @@ from swarmnav import scenarios
 from swarmnav.agent import AgentFilter
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, repropagate
 from swarmnav.covariance import (
-    _REJECTED,
     _ci_trace_objective,
     _ci_weighted_posterior,
     _golden_section,
@@ -158,9 +157,9 @@ def test_a3_delayed_update_matches_rewind_replay():
             replay = list(slow.imu_buffer.range_after(state_k.timestamp,
                                                       slow.state.timestamp))
             meas = gnss_measurement(state_k, z, suite.gnss_sigma, "liekf")
-            _, _, P_epoch, xi = kalman_step(part_k.core, LinearMeasurement(
-                meas.residual, meas.H[:, :CORE_DIM], meas.noise_cov,
-                state_k.timestamp))
+            step = kalman_step(part_k.core, LinearMeasurement(
+                meas.residual, meas.H, meas.noise_cov, state_k.timestamp))
+            P_epoch, xi = step.P_post, step.xi
 
             # Timed, buffered path: transport through the stored transitions.
             tic = time.perf_counter()
@@ -262,9 +261,9 @@ def test_a4_segmentation_equivalence_and_speed():
             meas = gnss_measurement(ag.state, next_fix.position,
                                     suite.gnss_sigma, "liekf")
             H = np.zeros((3, d))
-            H[:, :CORE_DIM] = meas.H[:, :CORE_DIM]
-            _, _, shadow, _ = kalman_step(shadow, LinearMeasurement(
-                meas.residual, H, meas.noise_cov, s.timestamp))
+            H[:, :CORE_DIM] = meas.H
+            shadow = kalman_step(shadow, LinearMeasurement(
+                meas.residual, H, meas.noise_cov, s.timestamp)).P_post
             ag.update_gnss(next_fix.position, suite.gnss_sigma)
             updates += 1
             next_fix = next(fix_iter, None)
@@ -296,7 +295,7 @@ def test_a4_segmentation_equivalence_and_speed():
 
     w = _golden_section(_ci_trace_objective(shadow, meas))
     r = _ci_weighted_posterior(shadow, meas, w)
-    shadow_after = r[2] if isinstance(r, tuple) else shadow
+    shadow_after = shadow if r is None else r.P_post
     applied = ag.update_collaborative([remote])
     assert applied == 1
     got = ag.full_covariance()
@@ -403,11 +402,10 @@ def _ci_update_fuse(e_local, Pa, e_remote, Pb):
     measurement of the local state (H = I). Returns (error, cov, skipped)."""
     meas = LinearMeasurement(e_remote - e_local, np.eye(len(e_local)), Pb, 0.0)
     w = _golden_section(_ci_trace_objective(Pa, meas))
-    result = _ci_weighted_posterior(Pa, meas, w)
-    if result is None or result is _REJECTED:
+    step = _ci_weighted_posterior(Pa, meas, w)
+    if step is None:
         return e_local, Pa, True  # collaborative_update leaves the estimate alone
-    _, _, P_post, xi = result
-    return e_local + xi, P_post, False
+    return e_local + step.xi, step.P_post, False
 
 
 @functools.lru_cache(maxsize=None)

@@ -163,7 +163,8 @@ def test_core_update_matches_full_joseph():
     r = rng.standard_normal(3)
     H_full = np.zeros((3, dim))
     H_full[:, :CORE_DIM] = H_core
-    _, _, P_ref, xi_ref = kalman_step(P_full, LinearMeasurement(r, H_full, N, 0.0))
+    ref = kalman_step(P_full, LinearMeasurement(r, H_full, N, 0.0))
+    P_ref, xi_ref = ref.P_post, ref.xi
 
     meas = LinearMeasurement(r, H_core, N, 0.0)
     xi = core_update_partitioned(part, meas)

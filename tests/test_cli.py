@@ -231,6 +231,8 @@ def test_suite_runs_flag_needs_a_monte_carlo_suite(monkeypatch, capsys, suite):
                  id="imu_buffer_capacity: 19, gnss_delay: 0.1"),
     ("gate: {enabled: false}", "gate: {enabled: false, beta: 0.5}"),
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: .nan}"),
+    # The filter's GNSS noise: zero makes every fix's innovation singular.
+    ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.0}"),
     pytest.param(CONFIG_YAML[:CONFIG_YAML.index("seed")], "agents: [1]\n",
                  id="agents: [1]"),
     pytest.param("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02}\n    use_gnss: \"no\"",

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry
 from swarmnav.covariance import (
-    _REJECTED,
     Correspondence,
     CovariancePartition,
     StaleBlockError,
@@ -201,11 +200,10 @@ def ci_update(x_local, P_local, x_remote, P_remote):
     leaves the local estimate as it is."""
     meas = LinearMeasurement(x_remote - x_local, np.eye(len(x_local)), P_remote, 0.0)
     w = _golden_section(_ci_trace_objective(P_local, meas))
-    result = _ci_weighted_posterior(P_local, meas, w)
-    if result is None or result is _REJECTED:
+    step = _ci_weighted_posterior(P_local, meas, w)
+    if step is None:
         return x_local, P_local, w
-    _, _, P, xi = result
-    return x_local + xi, P, w
+    return x_local + step.xi, step.P_post, w
 
 
 def test_ci_fuse_identical_inputs_idempotent():
@@ -272,8 +270,8 @@ def test_ci_trace_objective_matches_full_update():
     f = _ci_trace_objective(P, meas)
     for w in (1e-3, 0.1, 0.37, 0.5, 0.82, 0.999):
         r = _ci_weighted_posterior(P, meas, w)
-        assert r is not None and r is not _REJECTED
-        assert np.isclose(f(w), np.trace(r[2]), rtol=1e-9), w
+        assert r is not None
+        assert np.isclose(f(w), np.trace(r.P_post), rtol=1e-9), w
     assert f(1.0) == np.trace(P)
     assert f(1e-8) == np.inf
 

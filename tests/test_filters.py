@@ -22,11 +22,11 @@ from swarmnav.filters import (
     stack_measurements,
     transition,
     transition_left,
-    update,
 )
 from swarmnav.lie import ExtendedPose, so3_exp
 from swarmnav.state import (
     CONVENTIONS,
+    CORE_DIM,
     CameraClone,
     Feature,
     SystemState,
@@ -303,13 +303,12 @@ def test_kalman_step_matches_textbook():
     H = rng.standard_normal((2, 6))
     N = np.diag([0.1, 0.2])
     r = rng.standard_normal(2)
-    K, IKH, P_post, xi = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    step = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
     S = H @ P @ H.T + N
     K_ref = P @ H.T @ np.linalg.inv(S)
-    assert np.allclose(K, K_ref, atol=1e-10)
-    assert np.allclose(P_post, P - K_ref @ S @ K_ref.T, atol=1e-9)
-    assert np.allclose(xi, K_ref @ r)
-    assert np.allclose(IKH, np.eye(6) - K_ref @ H)
+    assert np.allclose(step.K, K_ref, atol=1e-10)
+    assert np.allclose(step.P_post, P - K_ref @ S @ K_ref.T, atol=1e-9)
+    assert np.allclose(step.xi, K_ref @ r)
 
 
 def test_kalman_step_rejects_singular():
@@ -331,7 +330,8 @@ def test_kalman_step_matches_joseph_form_at_full_window(m):
     H = rng.standard_normal((m, D))
     N = np.diag(rng.uniform(0.05, 0.5, m))
     r = rng.standard_normal(m)
-    K, Lam, P_post, xi = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    step = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    K, P_post, xi = step.K, step.P_post, step.xi
     S = H @ P @ H.T + N
     K_ref = P @ H.T @ np.linalg.inv(S)
     IKH = np.eye(D) - K_ref @ H
@@ -340,8 +340,6 @@ def test_kalman_step_matches_joseph_form_at_full_window(m):
     assert np.allclose(P_post, P_ref, rtol=1e-9, atol=1e-12)
     assert np.array_equal(P_post, P_post.T)
     assert np.allclose(xi, K_ref @ r, rtol=1e-9, atol=1e-12)
-    assert Lam.shape == (18, 18)
-    assert np.allclose(Lam, IKH[:18, :18], rtol=1e-9, atol=1e-12)
 
 
 def test_kalman_step_rejects_ill_conditioned():
@@ -359,6 +357,8 @@ def test_kalman_step_rejects_ill_conditioned():
 
 
 def test_stack_measurements():
+    from scipy.linalg import block_diag
+
     m1 = LinearMeasurement(np.ones(2), np.ones((2, 5)), np.eye(2), 1.0)
     m2 = LinearMeasurement(2 * np.ones(3), 2 * np.ones((3, 5)), 2 * np.eye(3), 2.0)
     m = stack_measurements([m1, m2])
@@ -366,6 +366,12 @@ def test_stack_measurements():
     assert m.H.shape == (5, 5)
     assert np.allclose(m.noise_cov[:2, 2:], 0.0)
     assert m.timestamp == 2.0
+    # Unequal blocks with distinct entries land on the diagonal as placed.
+    local = np.random.default_rng(7)
+    blocks = [local.standard_normal((k, k)) for k in (2, 3, 1, 2)]
+    ms = [LinearMeasurement(np.zeros(len(N)), np.zeros((len(N), 4)), N, 0.0)
+          for N in blocks]
+    assert np.array_equal(stack_measurements(ms).noise_cov, block_diag(*blocks))
     with pytest.raises(ValueError):
         stack_measurements([])
 
@@ -399,10 +405,17 @@ def test_gnss_jacobian(convention):
     def build(s):
         return gnss_measurement(s, z, 0.02, convention)
 
-    H = build(truth).H
-    J = numeric_meas_jacobian(build, truth, convention)
-    assert np.max(np.abs(J + H)) < 1e-6
-    assert np.allclose(build(truth).residual, 0.0, atol=1e-12)
+    # With a window, H still spans only the core: clone and landmark
+    # errors do not move the antenna.
+    windowed = replace(truth, clones=(CameraClone(np.eye(3), truth.nav.position, 0.0),),
+                       features=(Feature(0, 0.0, np.array([0.2, -0.1, 0.12])),))
+    for s in (truth, windowed):
+        H = build(s).H
+        assert H.shape == (3, CORE_DIM)
+        J = numeric_meas_jacobian(build, s, convention)
+        assert np.max(np.abs(J[:, :CORE_DIM] + H)) < 1e-6
+        assert np.max(np.abs(J[:, CORE_DIM:]), initial=0.0) < 1e-6
+        assert np.allclose(build(s).residual, 0.0, atol=1e-12)
 
 
 def windowed_state():
@@ -425,8 +438,8 @@ def test_feature_world_position_jacobian():
     for k in range(truth.error_dim):
         e = np.zeros(truth.error_dim)
         e[k] = eps
-        pp, _ = feature_world_position(retract(truth, e), 0)
-        pm, _ = feature_world_position(retract(truth, -e), 0)
+        pp, _ = feature_world_position(retract(truth, e, "liekf"), 0)
+        pm, _ = feature_world_position(retract(truth, -e, "liekf"), 0)
         assert np.allclose((pp - pm) / (2 * eps), D[:, k], atol=1e-5)
 
 
@@ -492,8 +505,9 @@ def test_update_reduces_error():
     P = 0.04 * np.eye(18)
     z = truth.nav.position + truth.nav.rotation @ truth.lever_arm
     meas = gnss_measurement(est, z, 1e-3, "liekf")
-    res = update(est, P, meas, "liekf")
+    step = kalman_step(P, meas)
+    updated = retract(est, step.xi, "liekf")
     before = np.linalg.norm(est.nav.position - truth.nav.position)
-    after = np.linalg.norm(res.state.nav.position - truth.nav.position)
+    after = np.linalg.norm(updated.nav.position - truth.nav.position)
     assert after < before
-    assert np.trace(res.covariance) < np.trace(P)
+    assert np.trace(step.P_post) < np.trace(P)

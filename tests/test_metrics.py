@@ -74,42 +74,41 @@ def _circle(n=200):
 
 
 def test_ate_zero_for_identical():
-    t = np.linspace(0, 10, 200)
     P = _circle()
-    rep = ate(t, P, t, P)
+    rep = ate(P, P)
     assert rep.rmse < 1e-12
 
 
 def test_ate_removes_yaw_and_translation():
-    t = np.linspace(0, 10, 200)
     Q = _circle()
     yaw = 0.4
     c, s = np.cos(yaw), np.sin(yaw)
     Rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
     P = (Rz.T @ (Q - np.array([1.0, -2.0, 0.5])).T).T
-    rep = ate(t, P, t, Q)
+    rep = ate(P, Q)
     assert rep.rmse < 1e-9
     assert np.isclose(rep.yaw, yaw, atol=1e-9)
 
 
 def test_ate_of_noisy_estimate():
-    t = np.linspace(0, 10, 5000)
     th = np.linspace(0, 2 * np.pi, 5000)
     Q = np.c_[10 * np.cos(th), 10 * np.sin(th), np.zeros(5000)]
     P = Q + 0.1 * rng.standard_normal(Q.shape)
-    rep = ate(t, P, t, Q)
+    rep = ate(P, Q)
     assert np.isclose(rep.rmse, 0.1 * np.sqrt(3), rtol=0.05)
 
 
 def test_ate_nearest_time_association():
-    truth_t = np.array([0.0, 1.0, 2.0, 3.0])
+    # Rows are taken at the same times, so row k of the estimate is paired
+    # with row k of the truth, whatever positions lie nearer.
     truth_p = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
-    est_t = np.array([0.95, 2.05])
-    est_p = np.array([[1, 0, 0], [2, 0, 0]], dtype=float)
-    rep = ate(est_t, est_p, truth_t, truth_p)
-    assert rep.rmse < 1e-9
+    est_p = truth_p + np.array([0.4, 0.0, 0.0])
+    assert ate(est_p, truth_p).rmse < 1e-9
+    assert ate(est_p[[1, 0, 2, 3]], truth_p).rmse > 0.5
     with pytest.raises(ValueError):
-        ate([], np.zeros((0, 3)), truth_t, truth_p)
+        ate(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        ate(est_p[:3], truth_p)
 
 
 def test_gate_score_confusion():

@@ -165,6 +165,9 @@ def _config_with(section, key, value):
     # Fewer IMU steps than the default 20 ms GNSS delay spans at 200 Hz:
     # every delayed fix would leave the buffer before it lands.
     ("filter", "imu_buffer_capacity", 3),
+    # Each sigma is the filter's noise for a sensor the agent uses.
+    ("suite", "gnss_sigma", 0.0),
+    ("suite", "pixel_sigma", 0.0),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):

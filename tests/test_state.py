@@ -70,7 +70,7 @@ def test_error_dim_layout():
                         (slice(0, 9), {"nav"})):
         e = np.zeros(s.error_dim)
         e[rows] = [0.1, -0.2, 0.3] * ((rows.stop - rows.start) // 3)
-        assert changed_parts(s, retract(s, e)) == moved, rows
+        assert changed_parts(s, retract(s, e, "liekf")) == moved, rows
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -122,11 +122,11 @@ def test_conventions_differ():
 
 def test_structure_mismatch_raises():
     with pytest.raises(ValueError):
-        error_between(random_state(1, 0), random_state(2, 0))
+        error_between(random_state(1, 0), random_state(2, 0), "liekf")
     with pytest.raises(ValueError):
-        error_between(random_state(0, 1), random_state(0, 2))
+        error_between(random_state(0, 1), random_state(0, 2), "liekf")
     with pytest.raises(ValueError):
-        retract(random_state(1, 1), np.zeros(5))
+        retract(random_state(1, 1), np.zeros(5), "liekf")
     with pytest.raises(ValueError):
         nav_error(random_state().nav, random_state().nav, "foo")
 
