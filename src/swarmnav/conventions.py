@@ -17,6 +17,13 @@ Every transition of an IMU segment reads the terms ``filters.mechanize``
 computed once for it; the left-invariant one reads only the raw rates and
 step lengths.
 
+The ``liekf`` and ``riekf`` transitions are exp(A dt) of each step's 15x15
+generator, formed for a whole segment by one numpy call, ``_expm``: a Taylor
+polynomial of fixed degree after each matrix is scaled by its own 1-norm.
+Nothing in that rule reads another matrix of the stack (a degree or a
+scaling taken from the stack's largest norm would), so each sample's F is
+the one a one-sample call forms, bit for bit.
+
 Sign note: the bias-coupling blocks of A (left and right variants) carry the
 opposite sign of the common textbook presentation because errors here are
 defined estimate-minus-truth; the finite-difference tests pin the signs.
@@ -24,11 +31,11 @@ defined estimate-minus-truth; the finite-difference tests pin the signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lie import (
     ExtendedPose,
@@ -70,6 +77,38 @@ _G_LEFT[9:15, 6:12] = np.eye(6)
 _read_only(_G_LEFT)
 
 
+# The Taylor coefficients 1/k! up to degree 12, and the 1-norm to which
+# each generator is scaled: the first omitted term, 0.25^13 / 13!, is below
+# the unit roundoff.
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
+_THETA = 0.25
+
+
+def _expm(A):
+    """The matrix exponential of each matrix of a stack (n x m x m), by
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005). Each
+    matrix is divided by the power of two that brings its own 1-norm to at
+    most _THETA, its degree-12 Taylor polynomial is evaluated in powers of
+    X^4 (Paterson-Stockmeyer), and the result is squared back as often.
+    Every step of a matrix reads that matrix alone, so a stacked call
+    returns, bit for bit, what one call per matrix would."""
+    _, s = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA)
+    s = np.maximum(s, 0)
+    X = np.ldexp(A, -s[:, None, None])
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    c = _TAYLOR
+    eye = np.eye(A.shape[-1])
+    E = c[8] * eye + c[9] * X + c[10] * X2 + c[11] * X3 + c[12] * X4
+    E = c[4] * eye + c[5] * X + c[6] * X2 + c[7] * X3 + X4 @ E
+    E = eye + X + c[2] * X2 + c[3] * X3 + X4 @ E
+    for j in range(s.max(initial=0)):
+        sq = s > j
+        E[sq] = E[sq] @ E[sq]
+    return E
+
+
 def transition_left(gyro, accel, dts) -> list:
     """Left-invariant transitions of a segment, one per sample, from its
     raw rates (n x 3 stacks) and step lengths alone; each is a pure
@@ -85,7 +124,7 @@ def transition_left(gyro, accel, dts) -> list:
     A[:, 0:3, 9:12] = -np.eye(3)
     A[:, 3:6, 12:15] = -np.eye(3)
     F = np.tile(np.eye(CORE_DIM), (len(dts), 1, 1))
-    F[:, :15, :15] = expm(A * dts[:, None, None])
+    F[:, :15, :15] = _expm(A * dts[:, None, None])
     return [TransitionPair(F_k, _G_LEFT) for F_k in _read_only(F)]
 
 
@@ -105,7 +144,7 @@ def transition_right(seg) -> list:
     A[:, 6:9, 9:12] = -SpR
     A[:, 3:6, 12:15] = -R
     F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
-    F[:, :15, :15] = expm(A * seg.dts[:, None, None])
+    F[:, :15, :15] = _expm(A * seg.dts[:, None, None])
     G = np.zeros((n, CORE_DIM, NOISE_DIM))
     G[:, 0:3, 0:3] = R
     G[:, 3:6, 0:3] = SvR

@@ -3,6 +3,7 @@ trajectory error with yaw+translation alignment, and gate scoring."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,70 @@ def nees(error, cov):
     return float(y @ y)
 
 
+def _gamma_p(a, x):
+    """Regularized lower incomplete gamma P(a, x): its series below
+    x = a + 1, one minus the continued fraction of Q(a, x) above (modified
+    Lentz; Press et al., Numerical Recipes, 6.2)."""
+    if x <= 0.0:
+        return 0.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    tiny = 1e-300
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return front * total
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for n in range(1, 100_000):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return 1.0 - front * h
+
+
+def _chi2_quantile(p, dof):
+    """The p-quantile of the chi-square distribution with `dof` degrees of
+    freedom: Newton's method on P(dof/2, x/2) = p, from the Wilson-Hilferty
+    approximation with a rational normal quantile (Abramowitz & Stegun
+    26.2.23)."""
+    a = dof / 2.0
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
+        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3)
+    z = z if p > 0.5 else -z
+    w = 2.0 / (9.0 * dof)
+    y = a * max(1.0 - w + z * math.sqrt(w), 0.1) ** 3
+    for _ in range(100):
+        density = math.exp((a - 1.0) * math.log(y) - y - math.lgamma(a))
+        step = (_gamma_p(a, y) - p) / density
+        y = max(y - step, y / 2.0)
+        if abs(step) <= 4e-16 * y:
+            break
+    return 2.0 * y
+
+
 def anees_interval(runs, dof=3):
     """95% acceptance interval for the run-averaged NEES of a consistent
     filter: chi-square quantiles with runs*dof degrees of freedom, scaled
-    by the run count."""
-    from scipy.stats import chi2  # here, so a single run skips the import
+    by the run count. The quantiles come from `_chi2_quantile`, in plain
+    Python floats."""
     if runs < 1:
         raise ValueError("need at least one run")
     alpha = 1.0 - 0.95
-    lo = chi2.ppf(alpha / 2.0, runs * dof) / runs
-    hi = chi2.ppf(1.0 - alpha / 2.0, runs * dof) / runs
+    lo = _chi2_quantile(alpha / 2.0, runs * dof) / runs
+    hi = _chi2_quantile(1.0 - alpha / 2.0, runs * dof) / runs
     return float(lo), float(hi)
 
 

@@ -133,16 +133,17 @@ def synthesize_imu(spec: TrajectorySpec, suite: SensorSuite, seed):
 
 
 def synthesize_gnss(spec: TrajectorySpec, suite: SensorSuite, seed):
-    """Antenna-position fixes: p + R @ lever_arm plus white noise."""
+    """Antenna-position fixes: p + R @ lever_arm plus white noise. The truth
+    is evaluated for all fix times at once."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / suite.gnss_rate
     n = int(np.floor(spec.duration / dt))
     lb = np.asarray(suite.lever_arm, dtype=float)
+    times = [k * dt for k in range(1, n + 1)]
+    pose, _, _ = truth_at(spec, np.array(times))
     fixes = []
-    for k in range(1, n + 1):
-        t = k * dt
-        pose, _, _ = truth_at(spec, t)
-        z = pose.position + pose.rotation @ lb + suite.gnss_sigma * rng.standard_normal(3)
+    for t, R, p in zip(times, pose.rotation, pose.position):
+        z = p + R @ lb + suite.gnss_sigma * rng.standard_normal(3)
         fixes.append(GnssFix(t, z))
     return fixes
 

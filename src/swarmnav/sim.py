@@ -34,6 +34,7 @@ from .conventions import CONVENTIONS
 from .covariance import Correspondence
 from .filters import UpdateRejected, feature_world_position
 from .gate import GateState, evaluate, vio_kinematics
+from .lie import ExtendedPose
 from .metrics import ate, nees
 from .network import BandwidthLedger, NetworkModel, SwarmMessage
 from .sensors import (
@@ -401,13 +402,15 @@ _GNSS_DONE, _GNSS, _CAMERA, _REQUEST, _MSG, _RECORD = range(6)
 
 
 class _AgentRuntime:
-    def __init__(self, cfg: SimConfig, acfg: AgentConfig, imu_seed, init_seed):
+    def __init__(self, cfg: SimConfig, acfg: AgentConfig, imu_seed, init_seed,
+                 record_times):
         self.cfg = acfg
         suite = acfg.suite
         rng_init = np.random.default_rng(init_seed)
-        truth0, _, _ = truth_at(acfg.trajectory, 0.0)
+        # The truth at 0 and at every record epoch, in one pass.
+        self.truth, _, _ = truth_at(acfg.trajectory, np.array([0.0, *record_times]))
         truth_state = SystemState(
-            nav=truth0,
+            nav=self.truth_pose(0),
             gyro_bias=np.zeros(3),
             accel_bias=np.zeros(3),
             lever_arm=np.asarray(suite.lever_arm, dtype=float),
@@ -433,6 +436,11 @@ class _AgentRuntime:
         # uv), ...], one entry per window clone, oldest first.
         self.tracks = {}
         self.tables = {name: [] for name in AGENT_TABLES}
+
+    def truth_pose(self, k):
+        """The true pose at time 0 (k = 0) or at the k-th record epoch."""
+        return ExtendedPose(self.truth.rotation[k], self.truth.velocity[k],
+                            self.truth.position[k])
 
     def advance(self, t):
         """Propagate the pending IMU samples up to time t as one segment.
@@ -472,10 +480,17 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def push(t, order, payload):
         heapq.heappush(heap, (round(t, 9), order, next(seq), payload))
 
+    # Record epochs k / record_rate, rounded like the queue's times.
+    record_times = []
+    k = 1
+    while k / config.record_rate <= duration + 1e-9:
+        record_times.append(round(k / config.record_rate, 9))
+        k += 1
+
     runtimes = []
     for idx, acfg in enumerate(config.agents):
         imu_seed, gnss_seed, bearings_seed, init_seed = agent_seeds[idx].spawn(4)
-        runtimes.append(_AgentRuntime(config, acfg, imu_seed, init_seed))
+        runtimes.append(_AgentRuntime(config, acfg, imu_seed, init_seed, record_times))
         if config.use_gnss and acfg.use_gnss:
             fixes = synthesize_gnss(acfg.trajectory, acfg.suite, gnss_seed)
             if config.outliers.rate > 0:
@@ -495,10 +510,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                     push(fr.timestamp, _CAMERA, (idx, fr))
         if config.collaboration and len(config.agents) > 1:
             push(1.0 / config.request_rate, _REQUEST, (idx,))
-        k = 1
-        while k / config.record_rate <= duration + 1e-9:
-            push(k / config.record_rate, _RECORD, (idx,))
-            k += 1
+        for k, t in enumerate(record_times, start=1):
+            push(t, _RECORD, (idx, k))
 
     # ------------------------------------------------------------------
 
@@ -651,10 +664,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         except (UpdateRejected, ValueError):
             pass
 
-    def handle_record(t, idx):
+    def handle_record(t, idx, k):
         rt = runtimes[idx]
         ag = rt.filter
-        truth_pose, _, _ = truth_at(rt.cfg.trajectory, t)
+        truth_pose = rt.truth_pose(k)
         est = ag.state.nav
         rt.tables["trajectory"].append((t, *est.position, *truth_pose.position))
         core = ag.partition.core

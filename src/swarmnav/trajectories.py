@@ -59,9 +59,12 @@ class TrajectorySpec:
 
 @lru_cache(maxsize=64)
 def _spline_for(spec: TrajectorySpec):
-    """Periodic planar spline through the trajectory's waypoint polygon,
-    cached by the (frozen, hashable) spec value."""
-    from scipy.interpolate import CubicSpline  # here: circles and eights need none
+    """Periodic cubic spline through the trajectory's waypoint polygon,
+    cached by the (frozen, hashable) spec value: the knot times (n + 1, the
+    last one is the period) and, per interval, the coefficients of
+    y + b*x + c*x^2 + d*x^3 in the time x since its first knot (4 x n x 2,
+    constant terms first). The second derivatives at the knots solve the
+    cyclic tridiagonal system of C2 continuity, once per spec."""
     if spec.kind == "square":
         a = spec.size
         corners = np.array([[0, 0], [a, 0], [a, a], [0, a]], dtype=float)
@@ -77,7 +80,36 @@ def _spline_for(spec: TrajectorySpec):
     closed = np.vstack([pts, pts[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
     t_knots = np.concatenate([[0.0], np.cumsum(seg)]) / spec.speed
-    return CubicSpline(t_knots, closed, bc_type="periodic"), t_knots[-1]
+    h = np.diff(t_knots)
+    slope = np.diff(closed, axis=0) / h[:, None]
+    # With M[i] the second derivative at knot i, row i reads
+    #   h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+    #     = 6 (slope[i] - slope[i-1]), indices modulo n.
+    # With n = 2 both neighbours are the same knot, so their terms add.
+    n = len(h)
+    i = np.arange(n)
+    K = np.zeros((n, n))
+    np.add.at(K, (i, i - 1), np.roll(h, 1))
+    np.add.at(K, (i, (i + 1) % n), h)
+    K[i, i] += 2.0 * (np.roll(h, 1) + h)
+    M = np.linalg.solve(K, 6.0 * (slope - np.roll(slope, 1, axis=0)))
+    M_next = np.roll(M, -1, axis=0)
+    coef = np.stack([pts, slope - h[:, None] * (2.0 * M + M_next) / 6.0,
+                     M / 2.0, (M_next - M) / (6.0 * h[:, None])])
+    # The cache hands these arrays to every caller.
+    t_knots.flags.writeable = coef.flags.writeable = False
+    return t_knots, coef
+
+
+def _spline_state(t_knots, coef, tau):
+    """(xy, v_xy, a_xy) of a `_spline_for` spline at the times tau in
+    [0, period], by Horner on each time's interval."""
+    k = np.clip(np.searchsorted(t_knots, tau, side="right") - 1, 0, len(t_knots) - 2)
+    x = np.asarray(tau - t_knots[k])[..., None]
+    y, b, c, d = coef[:, k]
+    return (y + x * (b + x * (c + x * d)),
+            b + x * (2.0 * c + x * (3.0 * d)),
+            2.0 * c + x * (6.0 * d))
 
 
 def _planar_state(spec: TrajectorySpec, t):
@@ -106,9 +138,8 @@ def _planar_state(spec: TrajectorySpec, t):
         xy = np.asarray(spec.waypoints[0], dtype=float) + np.asarray(spec.center)
         still = np.zeros(t.shape + (2,))
         return xy + still, still, still
-    spline, period = _spline_for(spec)
-    tau = (t + spec.phase) % period
-    return spline(tau), spline(tau, 1), spline(tau, 2)
+    t_knots, coef = _spline_for(spec)
+    return _spline_state(t_knots, coef, (t + spec.phase) % t_knots[-1])
 
 
 def _altitude_state(spec: TrajectorySpec, t):
@@ -157,8 +188,11 @@ def kinematics(spec: TrajectorySpec, t):
 
 
 def truth_at(spec: TrajectorySpec, t):
-    """Ground truth at time t: (ExtendedPose, body angular rate rad/s,
-    body specific force m/s^2)."""
+    """Ground truth at the times t, a scalar or an array: (ExtendedPose,
+    body angular rate rad/s, body specific force m/s^2). For an array the
+    pose holds stacks, and row k is what the call at t[k] alone gives, bit
+    for bit; so a stream evaluates its truth in one call. ValueError if
+    any time is outside [0, duration]."""
     R, v, p, omega, f = kinematics(spec, t)
     return ExtendedPose(R, v, p), omega, f
 

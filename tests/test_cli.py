@@ -420,6 +420,30 @@ def test_cli_import_skips_scipy_stats_and_interpolate():
     assert _probe(code, _clean_env()) == [False, False]
 
 
+def test_no_scipy_module_in_a_run_or_a_batch(tmp_path):
+    # SciPy is a test-only reference. No scipy module is loaded by the CLI
+    # import, by a run of a circle or of a square (a spline), or by a
+    # Monte-Carlo batch (its ANEES interval).
+    circle = tmp_path / "circle.yaml"
+    circle.write_text(CONFIG_YAML)
+    square = tmp_path / "square.yaml"
+    square.write_text(CONFIG_YAML.replace("kind: circle", "kind: square"))
+    steps = [["run", "--config", str(circle), "--out", str(tmp_path / "circle")],
+             ["run", "--config", str(square), "--out", str(tmp_path / "square")],
+             ["montecarlo", "--config", str(circle), "--runs", "2", "--jobs", "1",
+              "--out", str(tmp_path / "mc")]]
+    code = ("import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import swarmnav.cli as cli\n"
+            "seen = [scipy_modules()]\n"
+            f"for argv in {steps!r}:\n"
+            "    assert cli.main(argv) == cli.EXIT_OK, argv\n"
+            "    seen.append(scipy_modules())\n"
+            "print(json.dumps(seen))")
+    assert _probe(code, _clean_env()) == [[], [], [], []]
+
+
 def test_canned_configs_construct():
     assert consistency_config(seed=1).convention == "liekf"
     assert consistency_config(convention="ekf").convention == "ekf"

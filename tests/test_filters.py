@@ -23,7 +23,8 @@ from swarmnav.filters import (
     transition,
     transition_left,
 )
-from swarmnav.lie import ExtendedPose, so3_exp
+from swarmnav.conventions import _THETA
+from swarmnav.lie import ExtendedPose, skew, so3_exp
 from swarmnav.state import (
     CONVENTIONS,
     CORE_DIM,
@@ -270,6 +271,107 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     assert np.any(thetas == 0.0)
     assert np.any((thetas > 0.99e-4) & (thetas < 1e-4))
     assert np.any((thetas > 1e-4) & (thetas < 1.01e-4))
+
+
+def _stress_segment(rg, n=60):
+    """A start state and n IMU samples with step lengths log-uniform in
+    [1e-3, 0.5] s and body rates up to 3 rad/s, so that the generators'
+    1-norms lie on both sides of the exponential's scaling threshold."""
+    state = SystemState(
+        nav=ExtendedPose(so3_exp(rg.uniform(-1.5, 1.5, 3)), rg.uniform(-3, 3, 3),
+                         rg.uniform(-10, 10, 3)),
+        gyro_bias=0.02 * rg.standard_normal(3), accel_bias=0.1 * rg.standard_normal(3),
+        lever_arm=np.array([0.1, 0.0, 0.05]), clones=(), features=(), timestamp=0.0,
+    )
+    dts = np.exp(rg.uniform(np.log(1e-3), np.log(0.5), n))
+    u = rg.standard_normal((n, 3))
+    w = u / np.linalg.norm(u, axis=1, keepdims=True) * rg.uniform(0.0, 3.0, (n, 1))
+    samples = [ImuSample(state.gyro_bias + w_k, rg.uniform(-12, 12, 3), t)
+               for w_k, t in zip(w, np.cumsum(dts))]
+    return state, samples
+
+
+def _generators(convention, seg):
+    """Each step's 15x15 generator A times its dt, from the textbook
+    blocks: what the reference exponential is taken of."""
+    n = len(seg.dts)
+    A = np.zeros((n, 15, 15))
+    if convention == "liekf":
+        Sw = skew(seg.gyro)
+        A[:, 0:3, 0:3] = -Sw
+        A[:, 3:6, 0:3] = -skew(seg.accel)
+        A[:, 3:6, 3:6] = -Sw
+        A[:, 6:9, 6:9] = -Sw
+        A[:, 0:3, 9:12] = -np.eye(3)
+        A[:, 3:6, 12:15] = -np.eye(3)
+    else:
+        R = seg.R
+        A[:, 3:6, 0:3] = skew(seg.gravity)
+        A[:, 0:3, 9:12] = -R
+        A[:, 3:6, 9:12] = -skew(seg.v) @ R
+        A[:, 6:9, 9:12] = -skew(seg.p) @ R
+        A[:, 3:6, 12:15] = -R
+    A[:, 6:9, 3:6] = np.eye(3)
+    return A * seg.dts[:, None, None]
+
+
+@pytest.mark.parametrize("convention", ["liekf", "riekf"])
+def test_stacked_transitions_across_the_scaling_threshold_match_one_sample_calls(convention):
+    # Each matrix of a stack is scaled by its own 1-norm. A degree or a
+    # scaling chosen from the stack's largest norm would make a sample's F
+    # depend on the other samples of its segment, and buffered transitions
+    # would then differ from what a rewind recomputes.
+    rg = np.random.default_rng(19)
+    state, samples = _stress_segment(rg)
+    seg = mechanize(state, samples, GRAVITY)
+    norms = np.abs(_generators(convention, seg)).sum(axis=-2).max(axis=-1)
+    assert norms.min() < _THETA and norms.max() > 8.0 * _THETA
+    step = CONVENTIONS[convention].transition
+    clock = state.timestamp
+    for k, (imu, T) in enumerate(zip(samples, step(seg))):
+        start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
+                        timestamp=clock)
+        one_seg = mechanize(start, [imu], GRAVITY)
+        assert one_seg.dts[0] == seg.dts[k]
+        clock = one_seg.state.timestamp
+        (one,) = step(one_seg)
+        assert T.F.tobytes() == one.F.tobytes()
+        assert T.G.tobytes() == one.G.tobytes()
+
+
+def _a1_segments():
+    """A1's 1,000 samples and step lengths (test_acceptance.py: same seed,
+    same draws in the same order), each mechanized from the first of its 10
+    random linearization states."""
+    rg = np.random.default_rng(2024)
+    for _ in range(1000):
+        imu = ImuSample(rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3), 0.0)
+        dt = rg.uniform(1e-3, 1e-2)
+        states = [SystemState(
+            nav=ExtendedPose(so3_exp(rg.uniform(-2, 2, 3)), rg.uniform(-5, 5, 3),
+                             rg.uniform(-50, 50, 3)),
+            gyro_bias=0.01 * rg.standard_normal(3),
+            accel_bias=0.05 * rg.standard_normal(3),
+            lever_arm=np.array([0.1, 0.0, 0.05]),
+            clones=(), features=(), timestamp=0.0,
+        ) for _ in range(10)]
+        yield mechanize(states[0], [replace(imu, timestamp=dt)], GRAVITY)
+
+
+@pytest.mark.parametrize("convention", ["liekf", "riekf"])
+def test_transitions_match_scipy_expm(convention):
+    # SciPy is a test-only reference: on A1's samples and on the stress
+    # stack, each F is within 1e-13 of expm, max |dF| / max |F|.
+    from scipy.linalg import expm
+
+    def worst(seg):
+        ref = expm(_generators(convention, seg))
+        got = [T.F[:15, :15] for T in CONVENTIONS[convention].transition(seg)]
+        return max(np.max(np.abs(g - r)) / np.max(np.abs(r)) for g, r in zip(got, ref))
+
+    assert max(worst(seg) for seg in _a1_segments()) <= 1e-13
+    state, samples = _stress_segment(np.random.default_rng(19))
+    assert worst(mechanize(state, samples, GRAVITY)) <= 1e-13
 
 
 # ----------------------------------------------------------------------

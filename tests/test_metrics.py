@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from swarmnav.cli import EXIT_OK, main
-from swarmnav.metrics import anees_interval, ate, gate_score, nees
+from swarmnav.metrics import _chi2_quantile, anees_interval, ate, gate_score, nees
 from swarmnav.sim import read_yaml
 
 rng = np.random.default_rng(17)
@@ -44,6 +44,17 @@ def test_anees_interval_matches_chi2():
     assert 3.6 < hi < 3.8
     with pytest.raises(ValueError):
         anees_interval(0)
+
+
+def test_chi2_quantile_matches_scipy():
+    # SciPy is a test-only reference: both tails of the 95% interval for
+    # 3 * runs degrees of freedom, within 1e-12 relative.
+    worst = 0.0
+    for runs in [*range(1, 301), 1000, 5000]:
+        for p in (0.025, 0.975):
+            want = chi2.ppf(p, 3 * runs)
+            worst = max(worst, abs(_chi2_quantile(p, 3 * runs) - want) / want)
+    assert worst <= 1e-12
 
 
 def test_anees_aggregation(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import swarmnav.sim as sim
 from swarmnav.agent import AgentFilter
 from swarmnav.filters import NoiseDensities
-from swarmnav.sensors import SensorSuite
+from swarmnav.sensors import SensorSuite, synthesize_gnss
 from swarmnav.sim import (
     ARTIFACT_HEADER,
     AgentConfig,
@@ -25,12 +25,13 @@ from swarmnav.sim import (
     LandmarkOptions,
     OutlierOptions,
     SimConfig,
+    column,
     config_from_dict,
     load_config,
     run_swarm,
 )
 from swarmnav.state import CONVENTIONS
-from swarmnav.trajectories import TrajectorySpec
+from swarmnav.trajectories import KINDS, TrajectorySpec, truth_at
 
 
 def tiny_config(seed=0, duration=3.0, **kw):
@@ -613,3 +614,33 @@ def test_init_uncertainty_sigmas():
     assert sig.shape == (18,)
     assert sig[2] == InitUncertainty().yaw
     assert sig[0] == InitUncertainty().roll_pitch
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_truth_in_one_pass_equals_per_time_truth(kind):
+    # synthesize_gnss and the record handler each evaluate the truth once,
+    # on the array of their times. Every fix, and every truth row of the
+    # trajectory table, is what one truth_at call per time gives, byte for
+    # byte.
+    spec = TrajectorySpec(kind=kind, speed=2.0, size=20.0, duration=3.0,
+                          waypoints=((0.0, 0.0), (30.0, 5.0), (20.0, 25.0), (-5.0, 15.0))
+                          if kind == "waypoint-spline" else None)
+    suite = SensorSuite()
+    fixes = synthesize_gnss(spec, suite, seed=3)
+    rng = np.random.default_rng(3)
+    lever = np.asarray(suite.lever_arm, dtype=float)
+    dt = 1.0 / suite.gnss_rate
+    assert len(fixes) == int(np.floor(spec.duration / dt))
+    for k, fix in enumerate(fixes, start=1):
+        pose, _, _ = truth_at(spec, k * dt)
+        z = pose.position + pose.rotation @ lever + suite.gnss_sigma * rng.standard_normal(3)
+        assert fix.timestamp == k * dt
+        assert fix.position.tobytes() == z.tobytes()
+    cfg = tiny_config(agents=(AgentConfig(0, spec, suite),), use_vision=False)
+    rows = run_swarm(cfg).agents[0]["trajectory"]
+    times = column(rows, "trajectory", "t")
+    truth = column(rows, "trajectory", "truth_x", "truth_z")
+    assert len(rows) == 30
+    for t, p in zip(times, truth):
+        pose, _, _ = truth_at(spec, t)
+        assert p.tobytes() == pose.position.tobytes()

@@ -7,7 +7,16 @@ import pytest
 from swarmnav.filters import GRAVITY, ImuSample, mechanize
 from swarmnav.lie import ExtendedPose
 from swarmnav.state import SystemState
-from swarmnav.trajectories import TrajectorySpec, kinematics, truth_at
+from swarmnav.trajectories import (
+    KINDS,
+    TrajectorySpec,
+    _spline_for,
+    _spline_state,
+    kinematics,
+    truth_at,
+)
+
+WAYPOINTS = ((0.0, 0.0), (30.0, 5.0), (20.0, 25.0), (-5.0, 15.0))
 
 
 def numeric_derivatives(spec, t, h=1e-5):
@@ -96,11 +105,12 @@ def test_strapdown_reproduces_trajectory():
 
 
 def test_truth_states_helper():
-    # The stacked truth that synthesize_imu and synthesize_bearings read
+    # The stacked truth that the sensor streams and the record handler read
     # equals truth_at at each time, bit for bit.
     times = np.array([0.0, 2.5, 5.0, 10.0])
-    for kind in ("circle", "square", "figure-eight"):
-        spec = TrajectorySpec(kind=kind, duration=10.0)
+    for kind in KINDS:
+        spec = TrajectorySpec(kind=kind, duration=10.0, waypoints=WAYPOINTS
+                              if kind == "waypoint-spline" else None)
         stacked = kinematics(spec, times)
         for k, t in enumerate(times):
             pose, omega, f = truth_at(spec, t)
@@ -121,6 +131,9 @@ def test_spec_validation():
         truth_at(spec, 6.0)
     with pytest.raises(ValueError):
         truth_at(spec, -0.1)
+    for times in ([0.0, 5.0 + 1e-9], [-1e-9, 2.0]):
+        with pytest.raises(ValueError):
+            truth_at(spec, np.array(times))
 
 
 def test_spline_cache_follows_the_spec_value():
@@ -131,3 +144,20 @@ def test_spline_cache_follows_the_spec_value():
         size = 10.0 + 0.5 * k
         pose, _, _ = truth_at(TrajectorySpec(kind="square", size=size, duration=30.0), 0.0)
         assert np.allclose(pose.position[:2], -size / 2.0, atol=1e-9), size
+
+
+def test_spline_matches_scipy_periodic_cubic_spline():
+    # SciPy is a test-only reference: on the square and on a 4-point
+    # waypoint spline, the value and both derivatives are within 1e-13 of
+    # CubicSpline(..., bc_type="periodic"), max |error| / max |value|.
+    from scipy.interpolate import CubicSpline
+    for spec in (TrajectorySpec(kind="square", duration=100.0),
+                 TrajectorySpec(kind="waypoint-spline", duration=100.0,
+                                center=(3.0, -4.0), waypoints=WAYPOINTS)):
+        t_knots, coef = _spline_for(spec)
+        ref = CubicSpline(t_knots, np.vstack([coef[0], coef[0][:1]]), bc_type="periodic")
+        tau = np.linspace(0.0, t_knots[-1], 2001)
+        for order, got in enumerate(_spline_state(t_knots, coef, tau)):
+            want = ref(tau, order)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                (spec.kind, order)
