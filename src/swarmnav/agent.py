@@ -10,6 +10,8 @@ one sensor block holding all clone and landmark entries; the cross block
 between them is caught up lazily, from the product of the core transitions
 it owes, just before it is needed, which keeps the per-step propagation
 cost independent of the window size. The IMU buffer serves delayed fixes.
+The state's timestamp is the filter's only clock: syncs, snapshots and the
+completion of a delayed fix all read it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class AgentFilter:
                 f"covariance is {covariance.shape}, state error dim is {state.error_dim}"
             )
         self.partition = CovariancePartition(covariance[:CORE_DIM, :CORE_DIM],
-                                             timestamp=state.timestamp)
+                                             synced_at=state.timestamp)
         split_full(self.partition, covariance)
         self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
 
@@ -79,7 +81,7 @@ class AgentFilter:
     def sync(self):
         """Bring the cross block up to the current time."""
         return sync_cross(self.partition, self.imu_buffer, None, "visual",
-                          self.partition.timestamp)
+                          self.state.timestamp)
 
     def full_covariance(self):
         self.sync()
@@ -87,7 +89,7 @@ class AgentFilter:
 
     def set_full_covariance(self, P):
         split_full(self.partition, P)
-        self.partition.synced_at = self.partition.timestamp
+        self.partition.synced_at = self.state.timestamp
 
     def snapshot(self):
         """(state, synchronized partition copy) at the current time; used as
@@ -115,8 +117,6 @@ class AgentFilter:
             propagate_core_only(self.partition, T, Q)
             self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
         self.state = seg.state
-        # The partition clock's one writer: the state clock.
-        self.partition.timestamp = self.state.timestamp
         return self.state
 
     # ------------------------------------------------------------------
@@ -131,12 +131,12 @@ class AgentFilter:
         self.state = retract(self.state, xi, self.convention)
         return xi
 
-    def update_gnss_delayed(self, z, sigma, snapshot, t_now):
-        """Apply a GNSS fix whose processing finished at t_now against the
-        epoch snapshot, transporting the correction forward through the
+    def update_gnss_delayed(self, z, sigma, snapshot):
+        """Apply a GNSS fix taken at the epoch snapshot, whose processing
+        finishes now, transporting the correction forward through the
         buffered transitions."""
         meas_core = gnss_measurement(snapshot[0], z, sigma, self.convention)
-        return apply_delayed_update(self, meas_core, t_now, snapshot=snapshot)
+        return apply_delayed_update(self, meas_core, snapshot)
 
     def update_vision(self, observations, pixel_sigma):
         """Stacked normalized-image observations (clone_index, feature_index,

@@ -3,10 +3,10 @@ measurements.
 
 Each agent keeps a high-rate IMU buffer of (transition, noise map, time,
 sample) steps. A measurement that completes late is updated against the
-snapshot taken at its epoch. The corrected covariance is transported to the
-present through the stored transition matrices, and the corrected mean is
-re-mechanized through the buffered samples in one segment call, instead of
-rewinding and replaying the filter.
+snapshot taken at its epoch, whose state time is that epoch. The corrected
+covariance is transported to the agent's state time through the stored
+transition matrices, and the corrected mean is re-mechanized through the
+buffered samples in one segment call, instead of rewinding and replaying.
 """
 
 from __future__ import annotations
@@ -111,22 +111,22 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
     return np.concatenate([step.xi, K_s @ meas_core.residual])
 
 
-def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
-    """Apply a core-block measurement taken at meas_core.timestamp whose
-    processing completes at t_now.
+def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
+    """Apply a core-block measurement taken at the epoch of `snapshot`, the
+    (state, partition) pair captured then, whose processing completes at
+    the agent's current state time.
 
-    The gain and correction are computed against `snapshot`, the
-    (state, partition) pair captured at the measurement epoch, then the
-    posterior mean/covariance are transported to t_now through the buffered
-    transitions.
+    The gain and correction are computed against the snapshot, then the
+    posterior mean/covariance are transported to the agent's time through
+    the buffered transitions.
 
     Raises DelayExceedsHorizon when the epoch has left the IMU buffer; the
     caller should drop the measurement and report it.
     """
-    t_k = meas_core.timestamp
-    if t_k > t_now:
-        raise ValueError("measurement timestamp is after the completion time")
     state_k, part_k = snapshot
+    t_k, t_now = state_k.timestamp, agent.state.timestamp
+    if t_k > t_now:
+        raise ValueError("snapshot is newer than the agent")
     part_k = part_k.copy()
 
     xi = core_update_partitioned(part_k, meas_core)
@@ -135,7 +135,6 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, t_now, snapshot):
     # products; sensor states are static so only the cross rows rotate.
     P_m, _, Phi = repropagate(agent.imu_buffer, part_k.core, xi[:CORE_DIM], t_k, t_now)
     part_k.core = P_m
-    part_k.timestamp = t_now
     part_k.cross = Phi @ part_k.cross
     part_k.synced_at = t_now
 

@@ -7,7 +7,9 @@ the core is propagated at IMU rate; each step's core transition is folded
 into the partition's `owed` product, and the cross block is caught up on
 demand by left-multiplying it once, which is exact because the sensor
 states are static under IMU propagation. Every update syncs the cross block
-first and corrects it in place, so `owed` holds only IMU transitions.
+first and corrects it in place, so `owed` holds only IMU transitions, and
+the cross block is stale exactly when it owes one. The partition keeps no
+clock: a sync is to the agent's state time.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
 cross-covariance is ever stored (the partition has no slot for one).
@@ -38,13 +40,12 @@ class CovariancePartition:
     """Core covariance, the sensor block of `dim` clone and landmark
     entries, and the cross block between them."""
 
-    def __init__(self, core, dim=0, timestamp=0.0):
+    def __init__(self, core, dim=0, synced_at=0.0):
         self.core = np.asarray(core, dtype=float)
         self.cross = np.zeros((CORE_DIM, dim))
         self.sensor_self = np.zeros((dim, dim))
-        self.synced_at = timestamp   # time the cross block was last synced
+        self.synced_at = synced_at   # time the cross block was last synced
         self.owed = None   # product of the core transitions since, newest left
-        self.timestamp = timestamp
 
     @property
     def last_sync(self):
@@ -52,18 +53,16 @@ class CovariancePartition:
         return {"visual": self.synced_at}
 
     def copy(self):
-        other = CovariancePartition(self.core.copy(), timestamp=self.timestamp)
+        other = CovariancePartition(self.core.copy(), synced_at=self.synced_at)
         other.cross = self.cross.copy()
         other.sensor_self = self.sensor_self.copy()
-        other.synced_at = self.synced_at
         other.owed = self.owed  # replaced, never written in place
         return other
 
 
 def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
     """Advance only the core block; the cross block goes stale, and (when it
-    has columns) owes the step's transition, folded into `owed`. The
-    partition clock is the caller's to set."""
+    has columns) owes the step's transition, folded into `owed`."""
     partition.core = propagate_covariance(partition.core, T, Q_d)
     if partition.cross.shape[1]:
         owed = np.eye(CORE_DIM) if partition.owed is None else partition.owed
@@ -73,9 +72,9 @@ def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
 
 def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_id,
                t_now):
-    """Catch the cross block up to t_now, the partition's time, by applying
-    the transitions it owes. `imu_buffer` is unused, `sensor_buffer` must be
-    None and `block_id` "visual": perfbench's tracer hook unpacks the slots."""
+    """Catch the cross block up to t_now, the agent's state time, by
+    applying the transitions it owes. `imu_buffer` is unused, `sensor_buffer`
+    must be None and `block_id` "visual": perfbench's tracer unpacks the slots."""
     if sensor_buffer is not None:
         raise TypeError("sensor_buffer must be None")
     if block_id != "visual":
@@ -91,11 +90,11 @@ def sync_cross(partition: CovariancePartition, imu_buffer, sensor_buffer, block_
 
 def assemble_full(partition: CovariancePartition):
     """Symmetric full covariance [[core, cross], [cross', self]]. The cross
-    block must be synchronized to the partition's own timestamp."""
-    if partition.synced_at != partition.timestamp:
+    block must owe no transition."""
+    if partition.owed is not None:
         raise StaleBlockError(
-            f"cross block is stale (synced {partition.synced_at}, "
-            f"core at {partition.timestamp}); call sync_cross first"
+            f"cross block is stale (synced at {partition.synced_at}, transitions "
+            "owed since); call sync_cross first"
         )
     P = np.block([[partition.core, partition.cross],
                   [partition.cross.T, partition.sensor_self]])
@@ -191,7 +190,7 @@ def _ci_weighted_posterior(P, meas: LinearMeasurement, w):
     if w >= 1.0 - 1e-9 or w < 1e-6:
         return None  # an uninformative remote, or all local information discarded
     P_inf = P / w
-    m = LinearMeasurement(meas.residual, meas.H, meas.noise_cov / (1.0 - w), meas.timestamp)
+    m = LinearMeasurement(meas.residual, meas.H, meas.noise_cov / (1.0 - w))
     try:
         return kalman_step(P_inf, m)
     except UpdateRejected:

@@ -71,7 +71,6 @@ class LinearMeasurement:
     residual: np.ndarray
     H: np.ndarray
     noise_cov: np.ndarray
-    timestamp: float
 
 
 def stack_measurements(measurements):
@@ -86,7 +85,7 @@ def stack_measurements(measurements):
         k = len(m.residual)
         N[i:i + k, i:i + k] = m.noise_cov
         i += k
-    return LinearMeasurement(r, H, N, measurements[-1].timestamp)
+    return LinearMeasurement(r, H, N)
 
 
 class Strapdown(NamedTuple):
@@ -222,7 +221,7 @@ def gnss_measurement(state: SystemState, z, sigma, convention) -> LinearMeasurem
     H[:, 0:9] = lookup(convention).point_jacobian(R, p, lb)
     H[:, 15:18] = R
     N = np.eye(3) * sigma ** 2
-    return LinearMeasurement(np.asarray(z, dtype=float) - h, H, N, state.timestamp)
+    return LinearMeasurement(np.asarray(z, dtype=float) - h, H, N)
 
 
 def _projection(X):
@@ -282,7 +281,7 @@ def bearing_measurement(state: SystemState, clone_index, feature_index, uv, sigm
     D_X[:, off_c + 3:off_c + 6] += -clone.rotation.T
     H = Pi @ D_X
     N = np.eye(2) * sigma ** 2
-    return LinearMeasurement(np.asarray(uv, dtype=float) - uv_pred, H, N, state.timestamp)
+    return LinearMeasurement(np.asarray(uv, dtype=float) - uv_pred, H, N)
 
 
 def landmark_position_measurement(state: SystemState, feature_index, z, noise_cov):
@@ -290,4 +289,4 @@ def landmark_position_measurement(state: SystemState, feature_index, z, noise_co
     collaborative updates with a remote agent's estimate)."""
     p_w, D = feature_world_position(state, feature_index)
     return LinearMeasurement(np.asarray(z, dtype=float) - p_w, D,
-                             np.asarray(noise_cov, dtype=float), state.timestamp)
+                             np.asarray(noise_cov, dtype=float))

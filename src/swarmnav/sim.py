@@ -17,6 +17,7 @@ every level; the dataclasses check every value before a run starts.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import time
@@ -429,6 +430,8 @@ class _AgentRuntime:
         )
         self.gate = GateState()
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
+        # Rounded like the queue's times, so IMU steps go first at equal times.
+        self.imu_times = [round(imu.timestamp, 9) for imu in self.imu]
         self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = deque(maxlen=3)  # positions at the last GNSS epochs
         self.held = None  # (order, payload) held for the delayed fix in flight
@@ -443,14 +446,11 @@ class _AgentRuntime:
                             self.truth.position[k])
 
     def advance(self, t):
-        """Propagate the pending IMU samples up to time t as one segment.
-        Rounded like the queue's times, so IMU steps go first at equal times."""
-        imu, i = self.imu, self.imu_next
-        j = i
-        while j < len(imu) and round(imu[j].timestamp, 9) <= t:
-            j += 1
+        """Propagate the pending IMU samples up to time t as one segment."""
+        i = self.imu_next
+        j = bisect.bisect_right(self.imu_times, t, lo=i)
         if j > i:
-            self.filter.propagate(*imu[i:j])
+            self.filter.propagate(*self.imu[i:j])
         self.imu_next = j
 
 
@@ -480,11 +480,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def push(t, order, payload):
         heapq.heappush(heap, (round(t, 9), order, next(seq), payload))
 
-    # Record epochs k / record_rate, rounded like the queue's times.
-    record_times = []
-    k = 1
-    while k / config.record_rate <= duration + 1e-9:
-        record_times.append(round(k / config.record_rate, 9))
+    # Record epochs k / record_rate, rounded like the queue's times, to duration.
+    record_times, k = [], 1
+    while (t := round(k / config.record_rate, 9)) <= duration:
+        record_times.append(t)
         k += 1
 
     runtimes = []
@@ -545,10 +544,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         rt = runtimes[idx]
         held, rt.held = rt.held, None
         try:
-            # Use the filter's own clock: the cursor has already applied the
-            # sample at this epoch, and buffered timestamps must match exactly.
-            rt.filter.update_gnss_delayed(fix.position, rt.cfg.suite.gnss_sigma, snap,
-                                          rt.filter.state.timestamp)
+            rt.filter.update_gnss_delayed(fix.position, rt.cfg.suite.gnss_sigma, snap)
             counters["gnss_applied"] += 1
         except DelayExceedsHorizon:
             counters["gnss_dropped_horizon"] += 1

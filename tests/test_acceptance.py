@@ -158,7 +158,7 @@ def test_a3_delayed_update_matches_rewind_replay():
                                                       slow.state.timestamp))
             meas = gnss_measurement(state_k, z, suite.gnss_sigma, "liekf")
             step = kalman_step(part_k.core, LinearMeasurement(
-                meas.residual, meas.H, meas.noise_cov, state_k.timestamp))
+                meas.residual, meas.H, meas.noise_cov))
             P_epoch, xi = step.P_post, step.xi
 
             # Timed, buffered path: transport through the stored transitions.
@@ -193,12 +193,10 @@ def test_a3_delayed_update_matches_rewind_replay():
             rebuilt = [ImuBufferEntry(T.F, T.G, Q, entry.timestamp, entry.imu)
                        for entry, (T, Q, _) in zip(replay, mats)]
 
-            fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k],
-                                     fast.state.timestamp)
+            fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k])
 
             slow.state = state
             slow.partition.core = P
-            slow.partition.timestamp = state.timestamp
             slow.partition.synced_at = state.timestamp
             offset = len(slow.imu_buffer.entries) - len(rebuilt)
             for j, entry in enumerate(rebuilt):
@@ -263,7 +261,7 @@ def test_a4_segmentation_equivalence_and_speed():
             H = np.zeros((3, d))
             H[:, :CORE_DIM] = meas.H
             shadow = kalman_step(shadow, LinearMeasurement(
-                meas.residual, H, meas.noise_cov, s.timestamp)).P_post
+                meas.residual, H, meas.noise_cov)).P_post
             ag.update_gnss(next_fix.position, suite.gnss_sigma)
             updates += 1
             next_fix = next(fix_iter, None)
@@ -400,7 +398,7 @@ def _ci_update_fuse(e_local, Pa, e_remote, Pb):
     """The path collaborative_update runs: the closed-form trace objective
     and the CI-weighted Kalman step, with the remote estimate as a direct
     measurement of the local state (H = I). Returns (error, cov, skipped)."""
-    meas = LinearMeasurement(e_remote - e_local, np.eye(len(e_local)), Pb, 0.0)
+    meas = LinearMeasurement(e_remote - e_local, np.eye(len(e_local)), Pb)
     w = _golden_section(_ci_trace_objective(Pa, meas))
     step = _ci_weighted_posterior(Pa, meas, w)
     if step is None:

@@ -93,8 +93,7 @@ def test_segmented_gnss_update_matches_full(convention):
     meas = gnss_measurement(shadow_state, z, 0.02, convention)
     # The fix's core-width H, padded with zeros over the clone blocks.
     H = np.pad(meas.H, ((0, 0), (0, shadow_P.shape[0] - meas.H.shape[1])))
-    ref = kalman_step(shadow_P, LinearMeasurement(meas.residual, H, meas.noise_cov,
-                                                  meas.timestamp))
+    ref = kalman_step(shadow_P, LinearMeasurement(meas.residual, H, meas.noise_cov))
     ref_state = retract(shadow_state, ref.xi, convention)
 
     ag.update_gnss(z, 0.02)
@@ -261,7 +260,7 @@ def assert_same_bits(a, b):
                     (b.state.nav.rotation, b.state.nav.velocity, b.state.nav.position)):
         assert x.tobytes() == y.tobytes()
     assert a.partition.core.tobytes() == b.partition.core.tobytes()
-    assert a.partition.timestamp == b.partition.timestamp
+    assert a.partition.synced_at == b.partition.synced_at
     assert len(a.imu_buffer) == len(b.imu_buffer)
     for e, f in zip(a.imu_buffer.entries, b.imu_buffer.entries):
         assert e.timestamp == f.timestamp and e.imu is f.imu
@@ -295,7 +294,7 @@ def test_delayed_fix_replay_equals_chained_single_steps():
     snap = ag.snapshot()
     ag.propagate(*stream[10:])
     z = snap[0].nav.position + np.array([0.3, -0.2, 0.1])
-    xi = ag.update_gnss_delayed(z, 0.05, snap, ag.state.timestamp)
+    xi = ag.update_gnss_delayed(z, 0.05, snap)
     state = retract(snap[0], xi, ag.convention)
     for s in stream[10:]:
         state = mechanize(state, [s], ag.noise.gravity).state
@@ -332,7 +331,7 @@ def test_a_segment_forms_its_rotation_terms_once(convention, monkeypatch):
 
 
 def assert_cross_blocks_synced(ag):
-    assert ag.partition.synced_at == ag.partition.timestamp
+    assert ag.partition.synced_at == ag.state.timestamp
 
 
 def drive_against_dense_shadow(ag, seed):
@@ -373,7 +372,7 @@ def test_updates_leave_cross_blocks_synced_and_chain_imu_only():
     snap = ag.snapshot()
     drive(ag, 10, seed=44)
     ag.update_gnss_delayed(snap[0].nav.position + np.array([-0.03, 0.02, 0.01]),
-                           0.05, snap, ag.state.timestamp)
+                           0.05, snap)
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=45)
 

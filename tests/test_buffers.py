@@ -1,6 +1,8 @@
 """History buffers, delayed-update transport and the partitioned core
 update, each checked against a straightforward full-matrix reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,10 +165,10 @@ def test_core_update_matches_full_joseph():
     r = rng.standard_normal(3)
     H_full = np.zeros((3, dim))
     H_full[:, :CORE_DIM] = H_core
-    ref = kalman_step(P_full, LinearMeasurement(r, H_full, N, 0.0))
+    ref = kalman_step(P_full, LinearMeasurement(r, H_full, N))
     P_ref, xi_ref = ref.P_post, ref.xi
 
-    meas = LinearMeasurement(r, H_core, N, 0.0)
+    meas = LinearMeasurement(r, H_core, N)
     xi = core_update_partitioned(part, meas)
     assert xi.shape == (dim,)
     assert np.allclose(xi, xi_ref, atol=1e-10)
@@ -225,7 +227,7 @@ def test_apply_delayed_update_equals_rewind_replay():
     snap = ag.snapshot()
     for s in stream[k_epoch + 1:]:
         ag.propagate(s)
-    ag.update_gnss_delayed(z, 0.02, snap, ag.state.timestamp)
+    ag.update_gnss_delayed(z, 0.02, snap)
 
     dp = np.abs(ag.state.nav.position - ref.state.nav.position).max()
     dv = np.abs(ag.state.nav.velocity - ref.state.nav.velocity).max()
@@ -246,7 +248,7 @@ def test_apply_delayed_update_zero_delay_matches_prompt():
         late.propagate(s)
     z = prompt.state.nav.position + prompt.state.nav.rotation @ prompt.state.lever_arm
     prompt.update_gnss(z, 0.02)
-    late.update_gnss_delayed(z, 0.02, late.snapshot(), late.state.timestamp)
+    late.update_gnss_delayed(z, 0.02, late.snapshot())
     assert np.allclose(prompt.state.nav.position, late.state.nav.position, atol=1e-12)
     assert np.allclose(prompt.partition.core, late.partition.core, atol=1e-12)
 
@@ -255,9 +257,11 @@ def test_apply_delayed_update_rejects_backwards_completion():
     ag = _make_agent()
     for s in _imu_stream(10, 0.005):
         ag.propagate(s)
-    meas = LinearMeasurement(np.zeros(3), np.zeros((3, CORE_DIM)), np.eye(3), 0.08)
+    meas = LinearMeasurement(np.zeros(3), np.zeros((3, CORE_DIM)), np.eye(3))
+    snap = ag.snapshot()
+    ag.state = replace(ag.state, timestamp=0.01)  # the snapshot is now newer
     with pytest.raises(ValueError):
-        apply_delayed_update(ag, meas, 0.01, snapshot=ag.snapshot())
+        apply_delayed_update(ag, meas, snap)
 
 
 def test_delay_beyond_horizon_raises():
@@ -270,4 +274,4 @@ def test_delay_beyond_horizon_raises():
     for s in stream[1:]:  # the epoch leaves the 5-step buffer
         ag.propagate(s)
     with pytest.raises(DelayExceedsHorizon):
-        ag.update_gnss_delayed(np.zeros(3), 0.02, snap, ag.state.timestamp)
+        ag.update_gnss_delayed(np.zeros(3), 0.02, snap)

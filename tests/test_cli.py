@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, artifact writing, Monte-Carlo
 merging and resume behavior."""
 
+import csv
 import glob
 import json
 import math
@@ -298,6 +299,19 @@ def test_overflowing_run_exits_3(tmp_path, capsys, old, new):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
         == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_record_epochs_stay_inside_a_duration_off_the_grid(tmp_path):
+    # The 30th record epoch at 10 Hz, 3.0 s, lies half a nanosecond past the
+    # duration: truth must never be asked for there.
+    p = tmp_path / "short.yaml"
+    p.write_text(CONFIG_YAML.replace("duration: 3.0", "duration: 2.9999999995"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == EXIT_OK
+    with open(out / "trajectory_agent0.csv") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert rows and float(rows[-1]["t"]) <= 2.9999999995
 
 
 @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-3"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmnav.agent import AgentFilter
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry
 from swarmnav.covariance import (
     Correspondence,
@@ -21,8 +22,8 @@ from swarmnav.covariance import (
     split_full,
     sync_cross,
 )
-from swarmnav.filters import LinearMeasurement, TransitionPair
-from swarmnav.state import CORE_DIM
+from swarmnav.filters import ImuSample, LinearMeasurement, TransitionPair
+from swarmnav.state import CORE_DIM, SystemState
 
 rng = np.random.default_rng(31)
 
@@ -46,10 +47,24 @@ def test_assemble_split_roundtrip():
 
 
 def test_assemble_raises_when_stale():
+    # The core took a step and no sync followed: the cross block owes the
+    # step's transition, so assembling it now would pair a stale cross block
+    # with a propagated core.
     part, _ = make_partition(6)
-    part.timestamp = 2.0  # core moved on, cross did not
+    T = TransitionPair(np.eye(CORE_DIM) * 0.9, np.zeros((CORE_DIM, 12)))
+    propagate_core_only(part, T, np.zeros((12, 12)))
     with pytest.raises(StaleBlockError):
         assemble_full(part)
+
+
+def test_assemble_without_sensor_columns_needs_no_sync():
+    # With no sensor columns there is no cross block to owe a transition, so
+    # a step leaves the covariance whole although the state clock has moved
+    # past the last sync.
+    ag = AgentFilter(SystemState.identity(), np.eye(CORE_DIM) * 0.01, "liekf")
+    ag.propagate(ImuSample(np.zeros(3), np.array([0.0, 0.0, 9.81]), 0.005))
+    assert ag.partition.synced_at < ag.state.timestamp
+    assert np.array_equal(assemble_full(ag.partition), ag.partition.core)
 
 
 def test_lazy_sync_matches_shadow_full_filter():
@@ -81,7 +96,6 @@ def test_lazy_sync_matches_shadow_full_filter():
         G = rng.standard_normal((CORE_DIM, 6))
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
         propagate_core_only(part, TransitionPair(F, G), Q)
-        part.timestamp = t
         imu_buf.push(ImuBufferEntry(F, G, Q, t))
         F_full = np.eye(CORE_DIM + d_vis)
         F_full[:CORE_DIM, :CORE_DIM] = F
@@ -109,17 +123,17 @@ def test_sync_cross_no_op_and_backwards():
     part, _ = make_partition(3)
     buf = HistoryBuffer(capacity=5)
     before = part.cross.copy()
-    sync_cross(part, buf, None, "visual", part.timestamp)
+    sync_cross(part, buf, None, "visual", part.synced_at)
     assert np.array_equal(part.cross, before)
     with pytest.raises(ValueError):
-        sync_cross(part, buf, None, "visual", part.timestamp - 1.0)
+        sync_cross(part, buf, None, "visual", part.synced_at - 1.0)
     # Updates correct the cross block in place; the third slot takes only
     # None, and the one sensor block is "visual".
     with pytest.raises(TypeError):
-        sync_cross(part, buf, [buf], "visual", part.timestamp)
+        sync_cross(part, buf, [buf], "visual", part.synced_at)
     with pytest.raises(ValueError):
-        sync_cross(part, buf, None, "gnss", part.timestamp)
-    assert part.last_sync == {"visual": part.timestamp}
+        sync_cross(part, buf, None, "gnss", part.synced_at)
+    assert part.last_sync == {"visual": 0.0}
 
 
 def test_propagate_core_only_leaves_cross_alone():
@@ -198,7 +212,7 @@ def ci_update(x_local, P_local, x_remote, P_remote):
     estimate is a direct measurement (H = I) of the local one. Returns the
     fused mean, covariance and weight; a weight with no usable update
     leaves the local estimate as it is."""
-    meas = LinearMeasurement(x_remote - x_local, np.eye(len(x_local)), P_remote, 0.0)
+    meas = LinearMeasurement(x_remote - x_local, np.eye(len(x_local)), P_remote)
     w = _golden_section(_ci_trace_objective(P_local, meas))
     step = _ci_weighted_posterior(P_local, meas, w)
     if step is None:
@@ -266,7 +280,7 @@ def test_ci_trace_objective_matches_full_update():
     H = np.zeros((3, 20))
     H[:, 9:12] = np.eye(3)
     H[:, 0:3] = 0.3 * rng.standard_normal((3, 3))
-    meas = LinearMeasurement(rng.standard_normal(3), H, random_spd(3, 0.1), 0.0)
+    meas = LinearMeasurement(rng.standard_normal(3), H, random_spd(3, 0.1))
     f = _ci_trace_objective(P, meas)
     for w in (1e-3, 0.1, 0.37, 0.5, 0.82, 0.999):
         r = _ci_weighted_posterior(P, meas, w)
@@ -289,7 +303,7 @@ def test_ci_trace_objective_eigenbasis_matches_direct_solve(seed, dim, rows, w):
     H = rg.standard_normal((rows, dim))
     B = rg.standard_normal((rows, rows))
     R = B @ B.T / rows + 0.05 * np.eye(rows)
-    f = _ci_trace_objective(P, LinearMeasurement(np.zeros(rows), H, R, 0.0))
+    f = _ci_trace_objective(P, LinearMeasurement(np.zeros(rows), H, R))
     # The formula the eigenbasis form replaces: one solve per weight.
     PHt = P @ H.T
     S = H @ PHt / w + R / (1.0 - w)

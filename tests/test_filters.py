@@ -405,7 +405,7 @@ def test_kalman_step_matches_textbook():
     H = rng.standard_normal((2, 6))
     N = np.diag([0.1, 0.2])
     r = rng.standard_normal(2)
-    step = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    step = kalman_step(P, LinearMeasurement(r, H, N))
     S = H @ P @ H.T + N
     K_ref = P @ H.T @ np.linalg.inv(S)
     assert np.allclose(step.K, K_ref, atol=1e-10)
@@ -415,12 +415,12 @@ def test_kalman_step_matches_textbook():
 
 def test_kalman_step_rejects_singular():
     P = np.zeros((3, 3))
-    meas = LinearMeasurement(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2)), 0.0)
+    meas = LinearMeasurement(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(UpdateRejected):
         kalman_step(P, meas)
     with pytest.raises(ValueError):
         kalman_step(np.eye(4), LinearMeasurement(np.zeros(2), np.zeros((2, 3)),
-                                                 np.eye(2), 0.0))
+                                                 np.eye(2)))
 
 
 @pytest.mark.parametrize("m", [3, 42])
@@ -432,7 +432,7 @@ def test_kalman_step_matches_joseph_form_at_full_window(m):
     H = rng.standard_normal((m, D))
     N = np.diag(rng.uniform(0.05, 0.5, m))
     r = rng.standard_normal(m)
-    step = kalman_step(P, LinearMeasurement(r, H, N, 0.0))
+    step = kalman_step(P, LinearMeasurement(r, H, N))
     K, P_post, xi = step.K, step.P_post, step.xi
     S = H @ P @ H.T + N
     K_ref = P @ H.T @ np.linalg.inv(S)
@@ -447,13 +447,13 @@ def test_kalman_step_matches_joseph_form_at_full_window(m):
 def test_kalman_step_rejects_ill_conditioned():
     # S = R here: positive definite, but with condition number 1e13.
     zero = LinearMeasurement(np.zeros(3), np.zeros((3, 3)),
-                             np.diag([1.0, 1.0, 1e-13]), 0.0)
+                             np.diag([1.0, 1.0, 1e-13]))
     with pytest.raises(UpdateRejected):
         kalman_step(np.eye(3), zero)
     ok = LinearMeasurement(np.zeros(3), np.zeros((3, 3)),
-                           np.diag([1.0, 1.0, 1e-11]), 0.0)
+                           np.diag([1.0, 1.0, 1e-11]))
     kalman_step(np.eye(3), ok)
-    nan = LinearMeasurement(np.zeros(2), np.eye(2), np.full((2, 2), np.nan), 0.0)
+    nan = LinearMeasurement(np.zeros(2), np.eye(2), np.full((2, 2), np.nan))
     with pytest.raises(UpdateRejected):
         kalman_step(np.eye(2), nan)
 
@@ -461,17 +461,16 @@ def test_kalman_step_rejects_ill_conditioned():
 def test_stack_measurements():
     from scipy.linalg import block_diag
 
-    m1 = LinearMeasurement(np.ones(2), np.ones((2, 5)), np.eye(2), 1.0)
-    m2 = LinearMeasurement(2 * np.ones(3), 2 * np.ones((3, 5)), 2 * np.eye(3), 2.0)
+    m1 = LinearMeasurement(np.ones(2), np.ones((2, 5)), np.eye(2))
+    m2 = LinearMeasurement(2 * np.ones(3), 2 * np.ones((3, 5)), 2 * np.eye(3))
     m = stack_measurements([m1, m2])
     assert m.residual.shape == (5,)
     assert m.H.shape == (5, 5)
     assert np.allclose(m.noise_cov[:2, 2:], 0.0)
-    assert m.timestamp == 2.0
     # Unequal blocks with distinct entries land on the diagonal as placed.
     local = np.random.default_rng(7)
     blocks = [local.standard_normal((k, k)) for k in (2, 3, 1, 2)]
-    ms = [LinearMeasurement(np.zeros(len(N)), np.zeros((len(N), 4)), N, 0.0)
+    ms = [LinearMeasurement(np.zeros(len(N)), np.zeros((len(N), 4)), N)
           for N in blocks]
     assert np.array_equal(stack_measurements(ms).noise_cov, block_diag(*blocks))
     with pytest.raises(ValueError):

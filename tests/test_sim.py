@@ -427,9 +427,9 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
         applied.append((epochs[z.tobytes()], self.state.timestamp))
         return update_gnss(self, z, sigma)
 
-    def recording_delayed(self, z, sigma, snapshot, t_now):
+    def recording_delayed(self, z, sigma, snapshot):
         applied.append((epochs[z.tobytes()], snapshot[0].timestamp))
-        return update_delayed(self, z, sigma, snapshot, t_now)
+        return update_delayed(self, z, sigma, snapshot)
 
     monkeypatch.setattr(sim, "synthesize_imu", imu_stream)
     monkeypatch.setattr(sim, "synthesize_gnss", gnss_fixes)
