@@ -12,6 +12,8 @@ it owes, just before it is needed, which keeps the per-step propagation
 cost independent of the window size. The IMU buffer serves delayed fixes.
 The state's timestamp is the filter's only clock: syncs, snapshots and the
 completion of a delayed fix all read it.
+The window is the state's stacked arrays (``swarmnav.state``); a clone's
+anchored landmarks are dropped before the clone.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .filters import (
     stack_measurements,
 )
 from .conventions import lookup
-from .state import CORE_DIM, Feature, SystemState, retract
+from .state import CORE_DIM, SystemState, retract
 
 
 class AgentFilter:
@@ -187,21 +189,21 @@ class AgentFilter:
 
     def marginalize_clone(self, index):
         """Drop a window clone and the landmarks anchored to it."""
-        t_anchor = self.state.clones[index].timestamp
-        for j in reversed(range(self.state.num_features)):
-            if self.state.features[j].anchor_timestamp == t_anchor:
-                self.remove_feature(j)
+        for j in reversed(np.flatnonzero(self.state.feature_anchors == index)):
+            self.remove_feature(j)
         self.sync()
         remove_block_rows(self.partition, 6 * index, 6)
         self.state = st.marginalize_clone(self.state, index)
 
-    def add_feature(self, feature: Feature, prior_sigma):
+    def add_feature(self, feature_id, anchor, params, prior_sigma):
+        """Add a landmark on window clone row `anchor`, with an uncorrelated prior."""
+        state = st.add_feature(self.state, feature_id, anchor, params, self.max_features)
         self.sync()
         at = 6 * self.state.num_clones + 3 * self.state.num_features
         insert_block_rows(self.partition, at, None,
                           prior=np.eye(3) * prior_sigma ** 2)
-        self.state = st.add_feature(self.state, feature, self.max_features)
-        return self.state.num_features - 1
+        self.state = state
+        return state.num_features - 1
 
     def remove_feature(self, index):
         self.sync()
@@ -211,7 +213,8 @@ class AgentFilter:
     def initialize_feature(self, feature_id, tracks, prior_sigma=1.0,
                            pixel_sigma=1.0 / 500.0, min_observations=3):
         """Triangulate a tracked point from window clones and add it as an
-        inverse-depth landmark, then absorb the track as a stacked update.
+        inverse-depth landmark anchored at the first track's clone, then
+        absorb the track as a stacked update.
 
         `tracks` is a list of (clone_index, uv) normalized observations.
         Returns the landmark's state index, or None when triangulation is not
@@ -224,19 +227,17 @@ class AgentFilter:
             return None
         # Sanity: the triangulated point must actually explain the track;
         # a bad linearization point here would poison the filter.
+        Rs, ps = self.state.clone_rotations, self.state.clone_positions
         for ci, uv in tracks:
-            clone = self.state.clones[ci]
-            X = clone.rotation.T @ (p_w - clone.position)
+            X = Rs[ci].T @ (p_w - ps[ci])
             if X[2] <= 1e-3 or np.max(np.abs(X[:2] / X[2] - uv)) > 0.05:
                 return None
         ai, _ = tracks[0]
-        anchor = self.state.clones[ai]
-        X_a = anchor.rotation.T @ (p_w - anchor.position)
+        X_a = Rs[ai].T @ (p_w - ps[ai])
         if X_a[2] <= 1e-3:
             return None
         params = np.array([X_a[0] / X_a[2], X_a[1] / X_a[2], 1.0 / X_a[2]])
-        feature = Feature(feature_id, anchor.timestamp, params)
-        j = self.add_feature(feature, prior_sigma)
+        j = self.add_feature(feature_id, ai, params, prior_sigma)
         obs = [(ci, j, uv) for ci, uv in tracks]
         self.update_vision(obs, pixel_sigma)
         return j
@@ -246,12 +247,11 @@ class AgentFilter:
         A = np.zeros((3, 3))
         b = np.zeros(3)
         for clone_index, uv in tracks:
-            clone = self.state.clones[clone_index]
-            d = clone.rotation @ np.array([uv[0], uv[1], 1.0])
+            d = self.state.clone_rotations[clone_index] @ np.array([uv[0], uv[1], 1.0])
             d = d / np.linalg.norm(d)
             M = np.eye(3) - np.outer(d, d)
             A += M
-            b += M @ clone.position
+            b += M @ self.state.clone_positions[clone_index]
         if np.linalg.cond(A) > 1e8:
             return None
         return np.linalg.solve(A, b)

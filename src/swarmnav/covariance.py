@@ -246,7 +246,7 @@ def collaborative_update(agent, correspondences):
     """
     if not correspondences:
         raise ValueError("empty correspondence set")
-    local_ids = {f.feature_id: j for j, f in enumerate(agent.state.features)}
+    local_ids = {fid: j for j, fid in enumerate(agent.state.feature_ids.tolist())}
     for c in correspondences:
         if c.feature_id not in local_ids:
             raise ValueError(f"landmark id {c.feature_id} is not in the local state")

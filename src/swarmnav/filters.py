@@ -7,6 +7,9 @@ matrices for the velocity and position columns). Its record of a segment,
 a ``Strapdown``, is what the convention's transitions in
 ``swarmnav.conventions`` are formed from; ``transition_left``,
 ``transition_right`` and ``transition_ekf`` are importable from here too.
+
+The vision models read the state's window arrays directly: a landmark's
+anchor clone is the row ``state.feature_anchors[j]``.
 """
 
 from __future__ import annotations
@@ -232,25 +235,17 @@ def _projection(X):
     return uv, J
 
 
-def _anchor_clone_index(state: SystemState, feature):
-    for i, c in enumerate(state.clones):
-        if c.timestamp == feature.anchor_timestamp:
-            return i
-    raise ValueError(f"anchor clone at t={feature.anchor_timestamp} not in window")
-
-
 def feature_world_position(state: SystemState, feature_index):
     """Landmark position in the world frame, plus Jacobian over the error
     vector (anchor clone and feature blocks)."""
-    f = state.features[feature_index]
-    ai = _anchor_clone_index(state, f)
-    anchor = state.clones[ai]
-    alpha, beta, rho = f.params
+    ai = state.feature_anchors[feature_index]
+    R_a = state.clone_rotations[ai]
+    alpha, beta, rho = state.feature_params[feature_index]
     X_a = np.array([alpha / rho, beta / rho, 1.0 / rho])
-    p_w = anchor.position + anchor.rotation @ X_a
+    p_w = state.clone_positions[ai] + R_a @ X_a
     D = np.zeros((3, state.error_dim))
     off_a = CORE_DIM + 6 * ai
-    D[:, off_a:off_a + 3] = -anchor.rotation @ skew(X_a)
+    D[:, off_a:off_a + 3] = -R_a @ skew(X_a)
     D[:, off_a + 3:off_a + 6] = np.eye(3)
     dXa = np.array([
         [1.0 / rho, 0.0, -alpha / rho ** 2],
@@ -258,7 +253,7 @@ def feature_world_position(state: SystemState, feature_index):
         [0.0, 0.0, -1.0 / rho ** 2],
     ])
     off_f = CORE_DIM + 6 * state.num_clones + 3 * feature_index
-    D[:, off_f:off_f + 3] = anchor.rotation @ dXa
+    D[:, off_f:off_f + 3] = R_a @ dXa
     return p_w, D
 
 
@@ -267,18 +262,18 @@ def bearing_measurement(state: SystemState, clone_index, feature_index, uv, sigm
     window clone. Returns None when the predicted depth is at most 1 mm
     (measurement skipped). Independent of the nav error convention because
     H only touches clone and feature blocks."""
-    clone = state.clones[clone_index]
+    R_c = state.clone_rotations[clone_index]
     p_w, D_pw = feature_world_position(state, feature_index)
-    X = clone.rotation.T @ (p_w - clone.position)
+    X = R_c.T @ (p_w - state.clone_positions[clone_index])
     if X[2] <= 1e-3:
         return None
     uv_pred, Pi = _projection(X)
     # Camera-frame point Jacobian: observing clone blocks plus the chain
     # through the landmark world position.
-    D_X = clone.rotation.T @ D_pw
+    D_X = R_c.T @ D_pw
     off_c = CORE_DIM + 6 * clone_index
     D_X[:, off_c:off_c + 3] += skew(X)
-    D_X[:, off_c + 3:off_c + 6] += -clone.rotation.T
+    D_X[:, off_c + 3:off_c + 6] += -R_c.T
     H = Pi @ D_X
     N = np.eye(2) * sigma ** 2
     return LinearMeasurement(np.asarray(uv, dtype=float) - uv_pred, H, N)

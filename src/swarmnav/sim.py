@@ -210,6 +210,10 @@ class SimConfig:
             if gnss and self.filter.imu_buffer_capacity < need:
                 raise ConfigError(f"imu_buffer_capacity {self.filter.imu_buffer_capacity!r} holds "
                                   f"less than agent {a.agent_id}'s gnss_delay: need {need}")
+        fo = self.filter
+        if self.use_vision and fo.min_track_length > fo.max_clones:
+            raise ConfigError(f"min_track_length {fo.min_track_length} exceeds max_clones "
+                              f"{fo.max_clones}: a track holds one observation per clone")
         number("request_rate", self.request_rate, positive=True)
         number("record_rate", self.record_rate, positive=True)
         if 1.0 / self.record_rate > self.duration:  # no record, so no ATE
@@ -415,7 +419,7 @@ class _AgentRuntime:
             gyro_bias=np.zeros(3),
             accel_bias=np.zeros(3),
             lever_arm=np.asarray(suite.lever_arm, dtype=float),
-            clones=(), features=(), timestamp=0.0,
+            timestamp=0.0,
         )
         sig = cfg.init.sigmas()
         e0 = sig * rng_init.standard_normal(18)
@@ -569,12 +573,12 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             return
         ag = rt.filter
         ci = ag.augment_clone()
-        clone_at = {c.timestamp: i for i, c in enumerate(ag.state.clones)}
+        clone_at = {ts: i for i, ts in enumerate(ag.state.clone_times.tolist())}
         for lid, hist in list(rt.tracks.items()):
             rt.tracks[lid] = [e for e in hist if e[0] in clone_at]
             if not rt.tracks[lid]:
                 del rt.tracks[lid]
-        in_state = {f.feature_id: j for j, f in enumerate(ag.state.features)}
+        in_state = {lid: j for j, lid in enumerate(ag.state.feature_ids.tolist())}
         obs_now = []
         for lid, uv in frame.observations:
             if lid in in_state:
@@ -605,12 +609,12 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 continue  # added, but its first update was refused
             if j is not None:
                 counters["features_initialized"] += 1
-        for f in ag.state.features:  # in the state: a later track starts afresh
-            rt.tracks.pop(f.feature_id, None)
+        for lid in ag.state.feature_ids.tolist():  # in the state: a later track starts afresh
+            rt.tracks.pop(lid, None)
 
     def handle_request(t, idx):
         rt = runtimes[idx]
-        ids = tuple(f.feature_id for f in rt.filter.state.features)
+        ids = tuple(rt.filter.state.feature_ids.tolist())
         if ids:
             msg = SwarmMessage("request", idx, t, ids)
             for other in range(len(runtimes)):
@@ -630,7 +634,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         rt = runtimes[idx]
         ag = rt.filter
         if msg.msg_class == "request":
-            in_state = {f.feature_id: j for j, f in enumerate(ag.state.features)}
+            in_state = {lid: j for j, lid in enumerate(ag.state.feature_ids.tolist())}
             shared = [lid for lid in msg.payload if lid in in_state]
             if not shared:
                 return
@@ -650,7 +654,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             return
         if deferred(_MSG, (idx, msg)):
             return
-        in_state = {f.feature_id for f in ag.state.features}
+        in_state = set(ag.state.feature_ids.tolist())
         corr = [Correspondence(lid, p, cov) for lid, p, cov in msg.payload
                 if lid in in_state]
         if not corr:

@@ -35,7 +35,7 @@ from swarmnav.metrics import nees
 from swarmnav.scenarios import default_suite, gate_config, noiseless_config
 from swarmnav.sensors import synthesize_gnss, synthesize_imu
 from swarmnav.sim import run_swarm
-from swarmnav.state import CORE_DIM, Feature, SystemState, retract
+from swarmnav.state import CORE_DIM, SystemState, retract
 from swarmnav.trajectories import TrajectorySpec, truth_at
 
 
@@ -66,7 +66,7 @@ def _random_state(rg):
         gyro_bias=0.01 * rg.standard_normal(3),
         accel_bias=0.05 * rg.standard_normal(3),
         lever_arm=np.array([0.1, 0.0, 0.05]),
-        clones=(), features=(), timestamp=0.0,
+        timestamp=0.0,
     )
 
 
@@ -121,7 +121,7 @@ def test_a3_delayed_update_matches_rewind_replay():
     state0 = SystemState(nav=pose0, gyro_bias=np.zeros(3),
                          accel_bias=np.zeros(3),
                          lever_arm=np.asarray(suite.lever_arm, dtype=float),
-                         clones=(), features=(), timestamp=0.0)
+                         timestamp=0.0)
     P0 = np.diag(np.concatenate([np.full(9, 0.01), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
     noise = suite.noise
@@ -232,7 +232,7 @@ def test_a4_segmentation_equivalence_and_speed():
     state0 = SystemState(nav=pose0, gyro_bias=np.zeros(3),
                          accel_bias=np.zeros(3),
                          lever_arm=np.asarray(suite.lever_arm, dtype=float),
-                         clones=(), features=(), timestamp=0.0)
+                         timestamp=0.0)
     P0 = np.diag(np.concatenate([np.full(9, 0.01), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
     ag = AgentFilter(state0, P0.copy(), "liekf", noise=suite.noise,
@@ -276,8 +276,7 @@ def test_a4_segmentation_equivalence_and_speed():
             ag.augment_clone()
             clones_added += 1
 
-    anchor = ag.state.clones[-1]
-    ag.add_feature(Feature(0, anchor.timestamp, np.array([0.05, -0.02, 0.08])),
+    ag.add_feature(0, ag.state.num_clones - 1, np.array([0.05, -0.02, 0.08]),
                    prior_sigma=1.0)
     d = shadow.shape[0]
     grown = np.zeros((d + 3, d + 3))

@@ -20,7 +20,7 @@ from swarmnav.filters import (
     mechanize,
 )
 from swarmnav.lie import ExtendedPose, so3_exp, so3_log
-from swarmnav.state import CONVENTIONS, Feature, SystemState, retract
+from swarmnav.state import CONVENTIONS, SystemState, retract
 
 rng = np.random.default_rng(5)
 
@@ -35,7 +35,7 @@ def make_agent(convention="liekf", seed=0):
     state = SystemState(nav=nav, gyro_bias=0.002 * rg.standard_normal(3),
                         accel_bias=0.01 * rg.standard_normal(3),
                         lever_arm=np.array([0.1, 0.0, 0.05]),
-                        clones=(), features=(), timestamp=0.0)
+                        timestamp=0.0)
     P0 = np.diag(np.concatenate([np.full(3, 0.01), np.full(3, 0.01),
                                  np.full(3, 0.09), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
@@ -99,8 +99,8 @@ def test_segmented_gnss_update_matches_full(convention):
     ag.update_gnss(z, 0.02)
     assert np.allclose(ag.state.nav.position, ref_state.nav.position, atol=1e-12)
     assert np.allclose(ag.state.nav.rotation, ref_state.nav.rotation, atol=1e-12)
-    for a, b in zip(ag.state.clones, ref_state.clones):
-        assert np.allclose(a.position, b.position, atol=1e-12)
+    for a, b in zip(ag.state.clone_positions, ref_state.clone_positions):
+        assert np.allclose(a, b, atol=1e-12)
     P_seg = ag.full_covariance()
     assert np.max(np.abs(P_seg - ref.P_post)) / np.abs(ref.P_post).max() < 1e-10
 
@@ -147,9 +147,7 @@ def test_window_eviction_drops_anchored_features():
     ag.max_clones = 2
     drive(ag, 3)
     ag.augment_clone()
-    t_anchor = ag.state.clones[0].timestamp
-    from swarmnav.state import Feature
-    ag.add_feature(Feature(42, t_anchor, np.array([0.1, 0.1, 0.2])), 1.0)
+    ag.add_feature(42, 0, np.array([0.1, 0.1, 0.2]), 1.0)
     drive(ag, 3, seed=4)
     ag.augment_clone()
     assert ag.state.num_clones == 2 and ag.state.num_features == 1
@@ -159,6 +157,76 @@ def test_window_eviction_drops_anchored_features():
     assert ag.state.num_features == 0
 
 
+def test_a_refused_landmark_leaves_the_filter_whole():
+    # The state checks run before the partition grows, so a refused landmark
+    # leaves the covariance the size of the state.
+    ag = make_agent()
+    ag.max_features = 1
+    drive(ag, 3)
+    ag.augment_clone()
+    for anchor in (1, -1):
+        with pytest.raises(ValueError, match="not in the window"):
+            ag.add_feature(7, anchor, np.array([0.1, 0.1, 0.2]), 1.0)
+    ag.add_feature(7, 0, np.array([0.1, 0.1, 0.2]), 1.0)
+    with pytest.raises(ValueError, match="full"):
+        ag.add_feature(8, 0, np.array([0.1, 0.1, 0.2]), 1.0)
+    assert ag.state.error_dim == 18 + ag.partition.sensor_self.shape[0] == 27
+
+
+def landmark_rows(ag):
+    """{landmark id: (p_w, its anchor's 3x6 block, its own 3x3 block)} of
+    feature_world_position, each Jacobian block read at the columns the
+    landmark's anchor and its own rows have now."""
+    s = ag.state
+    rows = {}
+    for j, fid in enumerate(s.feature_ids.tolist()):
+        p_w, D = feature_world_position(s, j)
+        a = 18 + 6 * s.feature_anchors[j]
+        f = 18 + 6 * s.num_clones + 3 * j
+        block = (D[:, a:a + 6].copy(), D[:, f:f + 3].copy())
+        D[:, a:a + 6] = 0.0
+        D[:, f:f + 3] = 0.0
+        assert not D.any()  # nothing outside the 3x9 block
+        rows[fid] = (p_w, *block)
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ops=st.lists(st.tuples(st.sampled_from(("augment", "add", "remove", "marginalize")),
+                              st.integers(0, 2 ** 16)),
+                    min_size=1, max_size=30))
+def test_anchor_rows_follow_the_window(ops):
+    # Any sequence of window operations keeps each landmark anchored at the
+    # clone it was added on, and leaves every surviving landmark, and its
+    # Jacobian at the shifted columns, bit for bit where it was.
+    ag = make_agent()
+    ag.max_clones = 3
+    anchor_time = {}  # landmark id -> capture time of its anchor clone
+    before = {}
+    for n, (op, k) in enumerate(ops):
+        M, N = ag.state.num_clones, ag.state.num_features
+        if op == "augment":
+            drive(ag, 2, seed=k)
+            ag.augment_clone()
+        elif op == "add" and M:
+            anchor = k % M
+            anchor_time[n] = ag.state.clone_times[anchor]
+            ag.add_feature(n, anchor, np.array([0.1, -0.2, 0.05 + k / 2 ** 16]), 1.0)
+        elif op == "remove" and N:
+            ag.remove_feature(k % N)
+        elif op == "marginalize" and M:
+            ag.marginalize_clone(k % M)
+        s = ag.state
+        assert s.error_dim == 18 + ag.partition.sensor_self.shape[0]
+        for fid, anchor in zip(s.feature_ids.tolist(), s.feature_anchors.tolist()):
+            assert s.clone_times[anchor] == anchor_time[fid]
+        after = landmark_rows(ag)
+        for fid, now in after.items():
+            for x, y in zip(before.get(fid, now), now):
+                assert np.array_equal(x, y), (op, fid)
+        before = after
+
+
 def test_initialize_feature_from_tracks():
     ag = make_agent()
     landmark = np.array([22.0, 2.0, 0.0])
@@ -166,8 +234,7 @@ def test_initialize_feature_from_tracks():
     for k in range(3):
         drive(ag, 40, seed=10 + k)
         ci = ag.augment_clone()
-        clone = ag.state.clones[ci]
-        X = clone.rotation.T @ (landmark - clone.position)
+        X = ag.state.clone_rotations[ci].T @ (landmark - ag.state.clone_positions[ci])
         assert X[2] > 0.5
         uvs.append((ci, X[:2] / X[2]))
     # Newest clone as the anchor, like the tracker does.
@@ -177,7 +244,7 @@ def test_initialize_feature_from_tracks():
     from swarmnav.filters import feature_world_position
     p_est, _ = feature_world_position(ag.state, 0)
     assert np.linalg.norm(p_est - landmark) < 0.5
-    assert ag.state.features[0].feature_id == 99
+    assert ag.state.feature_ids[0] == 99
 
 
 def test_initialize_feature_needs_parallax():
@@ -198,14 +265,12 @@ def test_update_vision_tightens_clone_covariance():
     for k in range(3):
         drive(ag, 40, seed=20 + k)
         ci = ag.augment_clone()
-        clone = ag.state.clones[ci]
-        X = clone.rotation.T @ (landmark - clone.position)
+        X = ag.state.clone_rotations[ci].T @ (landmark - ag.state.clone_positions[ci])
         obs.append((ci, X[:2] / X[2]))
     ag.initialize_feature(3, [obs[-1]] + obs[:-1])
     drive(ag, 40, seed=30)
     ci = ag.augment_clone()
-    clone = ag.state.clones[ci]
-    X = clone.rotation.T @ (landmark - clone.position)
+    X = ag.state.clone_rotations[ci].T @ (landmark - ag.state.clone_positions[ci])
     tr_before = np.trace(ag.full_covariance())
     n = ag.update_vision([(ci, 0, X[:2] / X[2])], pixel_sigma=0.002)
     assert n == 1
@@ -359,9 +424,8 @@ def test_updates_leave_cross_blocks_synced_and_chain_imu_only():
     for seed in (40, 41):
         drive(ag, 40, seed=seed)
         ag.augment_clone()
-    anchor = ag.state.clones[1]
-    X_a = anchor.rotation.T @ (landmark - anchor.position)
-    ag.add_feature(Feature(3, anchor.timestamp, np.append(X_a[:2], 1.0) / X_a[2]), 1.0)
+    X_a = ag.state.clone_rotations[1].T @ (landmark - ag.state.clone_positions[1])
+    ag.add_feature(3, 1, np.append(X_a[:2], 1.0) / X_a[2], 1.0)
     assert ag.state.num_clones == 2 and ag.state.num_features == 1
     drive(ag, 10, seed=42)
 
@@ -376,8 +440,7 @@ def test_updates_leave_cross_blocks_synced_and_chain_imu_only():
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=45)
 
-    clone = ag.state.clones[0]
-    X = clone.rotation.T @ (landmark - clone.position)
+    X = ag.state.clone_rotations[0].T @ (landmark - ag.state.clone_positions[0])
     assert ag.update_vision([(0, 0, X[:2] / X[2] + 0.002)], pixel_sigma=0.002) == 1
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=46)

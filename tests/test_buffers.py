@@ -188,7 +188,7 @@ def _make_agent(convention="liekf"):
     state = SystemState(nav=nav, gyro_bias=0.002 * np.ones(3),
                         accel_bias=0.01 * np.ones(3),
                         lever_arm=np.array([0.1, 0.0, 0.05]),
-                        clones=(), features=(), timestamp=0.0)
+                        timestamp=0.0)
     noise = NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5)
     P0 = np.diag(np.concatenate([np.full(9, 0.01), np.full(6, 1e-4), np.full(3, 1e-4)]))
     return AgentFilter(state, P0, convention, noise=noise)

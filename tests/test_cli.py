@@ -3,6 +3,7 @@ merging and resume behavior."""
 
 import csv
 import glob
+import importlib.util
 import json
 import math
 import os
@@ -256,6 +257,9 @@ def test_suite_runs_flag_needs_a_monte_carlo_suite(monkeypatch, capsys, suite):
     ("suite: {gnss_sigma: 0.02}", "suite: {gnss_sigma: 0.02, imu_rate: 0.3}"),
     # A record period longer than the 3 s run: no record, so no ATE.
     ("use_vision: false", "use_vision: false\nrecord_rate: 0.1"),
+    # A track holds one observation per window clone, so it can never reach
+    # a length above max_clones: no landmark would ever be initialized.
+    ("use_vision: false", "use_vision: true\nfilter: {max_clones: 6, min_track_length: 7}"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"
@@ -513,3 +517,35 @@ def test_demos_and_digest_tool_import():
         [sys.executable, os.path.join(ROOT, "tools", "artifact_digests.py"), "--help"],
         env=_clean_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_digest_tool_expect_names_each_mismatch(tmp_path, capsys, monkeypatch):
+    # `--expect` reads a table the tool printed and exits 1 naming every set
+    # whose digest differs from it or is missing from it.
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", os.path.join(ROOT, "tools", "artifact_digests.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def writes(text):
+        def run(seed, out):
+            os.makedirs(out)
+            (pathlib.Path(out) / "a.txt").write_text(text)
+        return run
+
+    monkeypatch.setattr(tool, "SETS", (("one", writes("1")), ("two", writes("2")),
+                                       ("three", writes("3"))))
+    assert tool.main(["--out", str(tmp_path / "a")]) == 0
+    table = tmp_path / "table.md"
+    table.write_text(capsys.readouterr().out)
+    assert tool.main(["--out", str(tmp_path / "b"), "--expect", str(table)]) == 0
+    assert "all 3 sets match" in capsys.readouterr().out
+
+    table.write_text("".join(line for line in table.read_text().splitlines(True)
+                             if "| three |" not in line))
+    monkeypatch.setattr(tool, "SETS", (("one", writes("1")), ("two", writes("changed")),
+                                       ("three", writes("3"))))
+    assert tool.main(["--out", str(tmp_path / "c"), "--expect", str(table)]) == 1
+    mismatched = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("MISMATCH")]
+    assert mismatched == ["MISMATCH two", "MISMATCH three"]

@@ -28,8 +28,6 @@ from swarmnav.lie import ExtendedPose, skew, so3_exp
 from swarmnav.state import (
     CONVENTIONS,
     CORE_DIM,
-    CameraClone,
-    Feature,
     SystemState,
     error_between,
     retract,
@@ -45,7 +43,7 @@ def random_nav_state(t=0.0, biases=True):
         gyro_bias=0.02 * rng.standard_normal(3) if biases else np.zeros(3),
         accel_bias=0.1 * rng.standard_normal(3) if biases else np.zeros(3),
         lever_arm=np.array([0.1, 0.0, 0.05]),
-        clones=(), features=(), timestamp=t,
+        timestamp=t,
     )
 
 
@@ -92,8 +90,7 @@ def test_mechanize_compensates_biases():
     s = random_nav_state()
     imu = random_imu(s, 0.01)
     unbiased = SystemState(nav=s.nav, gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
-                           lever_arm=s.lever_arm, clones=(), features=(),
-                           timestamp=s.timestamp)
+                           lever_arm=s.lever_arm, timestamp=s.timestamp)
     imu0 = ImuSample(imu.gyro - s.gyro_bias, imu.accel - s.accel_bias, 0.01)
     a = mechanize(s, [imu]).state
     b = mechanize(unbiased, [imu0]).state
@@ -281,7 +278,7 @@ def _stress_segment(rg, n=60):
         nav=ExtendedPose(so3_exp(rg.uniform(-1.5, 1.5, 3)), rg.uniform(-3, 3, 3),
                          rg.uniform(-10, 10, 3)),
         gyro_bias=0.02 * rg.standard_normal(3), accel_bias=0.1 * rg.standard_normal(3),
-        lever_arm=np.array([0.1, 0.0, 0.05]), clones=(), features=(), timestamp=0.0,
+        lever_arm=np.array([0.1, 0.0, 0.05]), timestamp=0.0,
     )
     dts = np.exp(rg.uniform(np.log(1e-3), np.log(0.5), n))
     u = rg.standard_normal((n, 3))
@@ -353,7 +350,7 @@ def _a1_segments():
             gyro_bias=0.01 * rg.standard_normal(3),
             accel_bias=0.05 * rg.standard_normal(3),
             lever_arm=np.array([0.1, 0.0, 0.05]),
-            clones=(), features=(), timestamp=0.0,
+            timestamp=0.0,
         ) for _ in range(10)]
         yield mechanize(states[0], [replace(imu, timestamp=dt)], GRAVITY)
 
@@ -508,8 +505,11 @@ def test_gnss_jacobian(convention):
 
     # With a window, H still spans only the core: clone and landmark
     # errors do not move the antenna.
-    windowed = replace(truth, clones=(CameraClone(np.eye(3), truth.nav.position, 0.0),),
-                       features=(Feature(0, 0.0, np.array([0.2, -0.1, 0.12])),))
+    windowed = replace(truth, clone_rotations=np.eye(3)[None],
+                       clone_positions=truth.nav.position[None], clone_times=np.zeros(1),
+                       feature_ids=np.zeros(1, dtype=int),
+                       feature_anchors=np.zeros(1, dtype=int),
+                       feature_params=np.array([[0.2, -0.1, 0.12]]))
     for s in (truth, windowed):
         H = build(s).H
         assert H.shape == (3, CORE_DIM)
@@ -521,15 +521,16 @@ def test_gnss_jacobian(convention):
 
 def windowed_state():
     s = random_nav_state()
-    clones = tuple(
-        CameraClone(so3_exp(rng.uniform(-0.5, 0.5, 3)),
-                    s.nav.position + rng.uniform(-2, 2, 3), float(i))
-        for i in range(3)
-    )
-    feat = Feature(0, 1.0, np.array([0.2, -0.1, 0.12]))
-    return SystemState(nav=s.nav, gyro_bias=s.gyro_bias, accel_bias=s.accel_bias,
-                       lever_arm=s.lever_arm, clones=clones, features=(feat,),
-                       timestamp=3.0)
+    poses = [(so3_exp(rng.uniform(-0.5, 0.5, 3)), s.nav.position + rng.uniform(-2, 2, 3))
+             for _ in range(3)]
+    # One landmark, anchored at clone row 1 (captured at t = 1.0).
+    return replace(s, timestamp=3.0,
+                   clone_rotations=np.array([R for R, _ in poses]),
+                   clone_positions=np.array([p for _, p in poses]),
+                   clone_times=np.arange(3.0),
+                   feature_ids=np.zeros(1, dtype=int),
+                   feature_anchors=np.ones(1, dtype=int),
+                   feature_params=np.array([[0.2, -0.1, 0.12]]))
 
 
 def test_feature_world_position_jacobian():
@@ -547,8 +548,8 @@ def test_feature_world_position_jacobian():
 def test_bearing_jacobian():
     truth = windowed_state()
     p_w, _ = feature_world_position(truth, 0)
-    clone = truth.clones[2]
-    X = clone.rotation.T @ (p_w - clone.position)
+    R_c, p_c = truth.clone_rotations[2], truth.clone_positions[2]
+    X = R_c.T @ (p_w - p_c)
     if X[2] <= 0:  # make the landmark visible from the observing clone
         return
     uv = X[:2] / X[2]
@@ -567,15 +568,13 @@ def test_bearing_jacobian():
 def test_bearing_behind_camera_skipped():
     truth = windowed_state()
     p_w, _ = feature_world_position(truth, 0)
-    clone = truth.clones[0]
-    X = clone.rotation.T @ (p_w - clone.position)
-    flipped = CameraClone(clone.rotation @ so3_exp(np.array([np.pi * 0.999, 0, 0])),
-                          clone.position, clone.timestamp)
-    s = SystemState(nav=truth.nav, gyro_bias=truth.gyro_bias,
-                    accel_bias=truth.accel_bias, lever_arm=truth.lever_arm,
-                    clones=(flipped,) + truth.clones[1:], features=truth.features,
-                    timestamp=truth.timestamp)
-    Xf = flipped.rotation.T @ (p_w - flipped.position)
+    R_c, p_c = truth.clone_rotations[0], truth.clone_positions[0]
+    X = R_c.T @ (p_w - p_c)
+    flipped = R_c @ so3_exp(np.array([np.pi * 0.999, 0, 0]))
+    rotations = truth.clone_rotations.copy()
+    rotations[0] = flipped
+    s = replace(truth, clone_rotations=rotations)
+    Xf = flipped.T @ (p_w - p_c)
     if Xf[2] <= 0:
         assert bearing_measurement(s, 0, 0, np.zeros(2), 0.002) is None
 
@@ -599,7 +598,7 @@ def test_update_reduces_error():
                          local.uniform(-3, 3, 3), local.uniform(-10, 10, 3)),
         gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
         lever_arm=np.array([0.1, 0.0, 0.05]),
-        clones=(), features=(), timestamp=0.0,
+        timestamp=0.0,
     )
     e = 0.1 * local.standard_normal(18)
     est = retract(truth, e, "liekf")

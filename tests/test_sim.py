@@ -219,6 +219,16 @@ def test_accepted_conventions_are_the_table_keys():
             SimConfig(agents=agents, convention=name)
 
 
+def test_track_length_above_the_window_is_checked_only_with_vision():
+    # A track holds one observation per window clone; without the camera the
+    # window is never filled, so a short one is no error.
+    agents = (AgentConfig(0, TrajectorySpec(duration=5.0), SensorSuite()),)
+    short = FilterOptions(max_clones=2)
+    assert SimConfig(agents=agents, use_vision=False, filter=short).filter == short
+    with pytest.raises(ConfigError, match="min_track_length"):
+        SimConfig(agents=agents, filter=short)
+
+
 def test_duration_is_shortest_agent():
     suite = SensorSuite()
     cfg = SimConfig(agents=(
@@ -569,16 +579,14 @@ def test_tracks_restart_when_a_landmark_leaves_the_state(monkeypatch):
     dropped_at, reinitialized = {}, 0
     for _, name, t, state, args in calls:
         if name == "marginalize_clone":
-            t_anchor = state.clones[args[0]].timestamp
-            for f in state.features:
-                if f.anchor_timestamp == t_anchor:
-                    dropped_at[f.feature_id] = state.timestamp
+            for lid in state.feature_ids[state.feature_anchors == args[0]].tolist():
+                dropped_at[lid] = state.timestamp
             continue
         feature_id, tracks = args
-        assert feature_id not in {f.feature_id for f in state.features}, (feature_id, t)
+        assert feature_id not in state.feature_ids.tolist(), (feature_id, t)
         if feature_id in dropped_at:
             reinitialized += 1
-            assert all(state.clones[ci].timestamp >= dropped_at[feature_id]
+            assert all(state.clone_times[ci] >= dropped_at[feature_id]
                        for ci, _ in tracks), (feature_id, t)
     assert reinitialized > 0
 

@@ -7,8 +7,6 @@ from swarmnav.lie import ExtendedPose, so3_exp
 from swarmnav.state import (
     CONVENTIONS,
     CORE_DIM,
-    CameraClone,
-    Feature,
     SystemState,
     add_feature,
     augment_clone,
@@ -23,21 +21,21 @@ rng = np.random.default_rng(7)
 
 
 def random_state(num_clones=0, num_features=0, t=0.0):
-    clones = tuple(
-        CameraClone(so3_exp(rng.uniform(-1, 1, 3)), rng.standard_normal(3), float(i))
-        for i in range(num_clones)
-    )
-    features = tuple(
-        Feature(j, 0.0, np.array([0.1 * j, -0.05 * j, 0.5 + 0.1 * j]))
-        for j in range(num_features)
-    )
+    # Every landmark is anchored at clone row 0 (capture time 0.0).
+    js = np.arange(num_features)
     return SystemState(
         nav=ExtendedPose(so3_exp(rng.uniform(-1, 1, 3)),
                          rng.standard_normal(3), rng.standard_normal(3)),
         gyro_bias=0.01 * rng.standard_normal(3),
         accel_bias=0.05 * rng.standard_normal(3),
         lever_arm=np.array([0.1, 0.0, 0.05]),
-        clones=clones, features=features, timestamp=t,
+        timestamp=t,
+        clone_rotations=so3_exp(rng.uniform(-1, 1, (num_clones, 3))),
+        clone_positions=rng.standard_normal((num_clones, 3)),
+        clone_times=np.arange(num_clones, dtype=float),
+        feature_ids=js,
+        feature_anchors=np.zeros(num_features, dtype=int),
+        feature_params=np.column_stack([0.1 * js, -0.05 * js, 0.5 + 0.1 * js]),
     )
 
 
@@ -47,11 +45,11 @@ def changed_parts(a, b):
              "gyro_bias": (a.gyro_bias, b.gyro_bias),
              "accel_bias": (a.accel_bias, b.accel_bias),
              "lever_arm": (a.lever_arm, b.lever_arm)}
-    for i, (ca, cb) in enumerate(zip(a.clones, b.clones)):
-        parts[f"clone{i}.rotation"] = (ca.rotation, cb.rotation)
-        parts[f"clone{i}.position"] = (ca.position, cb.position)
-    for j, (fa, fb) in enumerate(zip(a.features, b.features)):
-        parts[f"feature{j}"] = (fa.params, fb.params)
+    for i in range(a.num_clones):
+        parts[f"clone{i}.rotation"] = (a.clone_rotations[i], b.clone_rotations[i])
+        parts[f"clone{i}.position"] = (a.clone_positions[i], b.clone_positions[i])
+    for j in range(a.num_features):
+        parts[f"feature{j}"] = (a.feature_params[j], b.feature_params[j])
     return {name for name, (x, y) in parts.items() if not np.array_equal(x, y)}
 
 
@@ -91,9 +89,8 @@ def test_error_then_retract(convention):
     rebuilt = retract(truth, e, convention)
     assert np.allclose(rebuilt.nav.as_matrix(), est.nav.as_matrix(), atol=1e-9)
     assert np.allclose(rebuilt.gyro_bias, est.gyro_bias)
-    for a, b in zip(rebuilt.clones, est.clones):
-        assert np.allclose(a.rotation, b.rotation, atol=1e-9)
-        assert np.allclose(a.position, b.position)
+    assert np.allclose(rebuilt.clone_rotations, est.clone_rotations, atol=1e-9)
+    assert np.allclose(rebuilt.clone_positions, est.clone_positions)
 
 
 def test_zero_error_identity():
@@ -124,7 +121,7 @@ def test_structure_mismatch_raises():
     with pytest.raises(ValueError):
         error_between(random_state(1, 0), random_state(2, 0), "liekf")
     with pytest.raises(ValueError):
-        error_between(random_state(0, 1), random_state(0, 2), "liekf")
+        error_between(random_state(1, 1), random_state(1, 2), "liekf")
     with pytest.raises(ValueError):
         retract(random_state(1, 1), np.zeros(5), "liekf")
     with pytest.raises(ValueError):
@@ -136,8 +133,8 @@ def test_clone_management():
     extr = (np.eye(3), np.array([0.0, 0.1, 0.0]))
     s = augment_clone(s, extr)
     assert s.num_clones == 1
-    assert s.clones[0].timestamp == 1.5
-    assert np.allclose(s.clones[0].position, [0.0, 0.1, 0.0])
+    assert s.clone_times[0] == 1.5
+    assert np.allclose(s.clone_positions[0], [0.0, 0.1, 0.0])
     with pytest.raises(ValueError):
         augment_clone(s, extr, max_clones=1)
     s = marginalize_clone(s, 0)
@@ -147,13 +144,32 @@ def test_clone_management():
 
 
 def test_feature_management():
-    s = SystemState.identity()
-    f = Feature(9, 0.0, np.array([0.1, 0.2, 0.5]))
-    s = add_feature(s, f)
-    assert s.num_features == 1 and s.features[0].feature_id == 9
+    s = augment_clone(SystemState.identity(), (np.eye(3), np.zeros(3)))
+    params = np.array([0.1, 0.2, 0.5])
+    s = add_feature(s, 9, 0, params)
+    assert s.num_features == 1 and s.feature_ids[0] == 9
     with pytest.raises(ValueError):
-        add_feature(s, f, max_features=1)
+        add_feature(s, 9, 0, params, max_features=1)
     s = remove_feature(s, 0)
     assert s.num_features == 0
     with pytest.raises(ValueError):
         remove_feature(s, 3)
+
+
+def test_anchor_guards():
+    # A landmark's anchor is a clone row: it must be in the window when the
+    # landmark is added, and its clone cannot leave while the landmark stays.
+    s = SystemState.identity()
+    params = np.array([0.1, 0.2, 0.5])
+    with pytest.raises(ValueError, match="anchor"):
+        add_feature(s, 1, 0, params)
+    extr = (np.eye(3), np.zeros(3))
+    s = augment_clone(augment_clone(s, extr), extr)
+    for anchor in (-1, 2):
+        with pytest.raises(ValueError, match="anchor"):
+            add_feature(s, 1, anchor, params)
+    s = add_feature(s, 1, 1, params)
+    with pytest.raises(ValueError, match="anchors"):
+        marginalize_clone(s, 1)
+    s = marginalize_clone(s, 0)
+    assert s.feature_anchors.tolist() == [0]

@@ -92,7 +92,7 @@ def test_strapdown_reproduces_trajectory():
     pose0, _, _ = truth_at(spec, 0.0)
     state = SystemState(
         nav=pose0, gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
-        lever_arm=np.zeros(3), clones=(), features=(), timestamp=0.0,
+        lever_arm=np.zeros(3), timestamp=0.0,
     )
     dt = 1.0 / 200.0
     for k in range(1, 6001):

@@ -2,9 +2,13 @@
 every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
+                                      [--expect TABLE]
 
 Run it on two trees (say, a clean checkout of the parent commit and the
-working tree) and compare the printed tables. The sets are:
+working tree) and compare the printed tables, or save the first tree's
+output to a file and pass it to the second run as `--expect TABLE`: that
+run exits 1 if any set's digest differs from the table's or is missing
+from it, and names each such set. The sets are:
 
 * the `run` configs perfbench writes for gnss-ins (120 s) and collab-swarm
   (15 s);
@@ -139,12 +143,27 @@ def set_digest(files):
     return hashlib.sha256(lines.encode()).hexdigest()[:16]
 
 
+def read_table(path):
+    """{set name: digest} of a table this tool printed."""
+    table = {}
+    with open(path) as fh:
+        for line in fh:
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[2].startswith("`"):
+                table[cells[0]] = cells[2].strip("`")
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--out", help="directory for the artifacts (default: a temporary one)")
     parser.add_argument("--files", action="store_true", help="print each file's sha256 too")
+    parser.add_argument("--expect", metavar="TABLE",
+                        help="a table printed earlier; exit 1 unless every set matches it")
     args = parser.parse_args(argv)
+    expected = read_table(args.expect) if args.expect else None
+    mismatched = []
     base = args.out or tempfile.mkdtemp(prefix="swarmnav-digests-")
     print(f"seed {args.seed}, artifacts under {base}")
     print("| set | files | digest |")
@@ -157,11 +176,18 @@ def main(argv=None):
         with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
             run(args.seed, out)
         files = file_digests(out)
-        print(f"| {name} | {len(files)} | `{set_digest(files)}` |", flush=True)
+        digest = set_digest(files)
+        print(f"| {name} | {len(files)} | `{digest}` |", flush=True)
         if args.files:
             for p in sorted(files):
                 print(f"    {files[p]}  {p}")
-    return 0
+        if expected is not None and expected.get(name) != digest:
+            mismatched.append(f"{name}: expected {expected.get(name, 'nothing')}, got {digest}")
+    for line in mismatched:
+        print(f"MISMATCH {line}")
+    if expected is not None and not mismatched:
+        print(f"all {len(SETS)} sets match {args.expect}")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
