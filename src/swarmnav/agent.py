@@ -105,19 +105,23 @@ class AgentFilter:
     def propagate(self, *samples: ImuSample):
         """Advance through a segment of IMU samples, oldest first.
 
-        The mean is mechanized over the whole segment in one call, and the
+        The mean is mechanized over the whole segment in one call, the
         convention's transitions are formed from that segment's record in
-        one stacked call too; the core covariance and the IMU buffer still
-        advance one step per sample. An empty segment changes nothing.
+        one stacked call, and so is each step's process noise G Q G'; the
+        core covariance and the IMU buffer still advance one step per
+        sample, and the buffer keeps each step's noise for the delayed-fix
+        transport. An empty segment changes nothing.
         """
         if not samples:
             return self.state
         seg = mechanize(self.state, samples, self.noise.gravity)
         steps = lookup(self.convention).transition(seg)
-        for imu, dt, T in zip(samples, seg.dts, steps):
-            Q = self.noise.discrete_q(dt)
-            propagate_core_only(self.partition, T, Q)
-            self.imu_buffer.push(ImuBufferEntry(T.F, T.G, Q, imu.timestamp, imu))
+        G = np.stack([T.G for T in steps])
+        noise = G @ self.noise.discrete_q(seg.dts[:, None, None]) @ G.transpose(0, 2, 1)
+        noise.flags.writeable = False
+        for imu, T, GQG in zip(samples, steps, noise):
+            propagate_core_only(self.partition, T.F, GQG)
+            self.imu_buffer.push(ImuBufferEntry(T.F, GQG, imu.timestamp, imu))
         self.state = seg.state
         return self.state
 

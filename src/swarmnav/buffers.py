@@ -1,11 +1,12 @@
 """Sliding history buffers and buffered re-propagation of delayed
 measurements.
 
-Each agent keeps a high-rate IMU buffer of (transition, noise map, time,
-sample) steps. A measurement that completes late is updated against the
-snapshot taken at its epoch, whose state time is that epoch. The corrected
-covariance is transported to the agent's state time through the stored
-transition matrices, and the corrected mean is re-mechanized through the
+Each agent keeps a high-rate IMU buffer of (transition, process noise,
+time, sample) steps, each stored as propagation formed it. A measurement
+that completes late is updated against the snapshot taken at its epoch,
+whose state time is that epoch. The corrected covariance is transported to
+the agent's state time through the stored transitions and noises, with no
+product re-formed, and the corrected mean is re-mechanized through the
 buffered samples in one segment call, instead of rewinding and replaying.
 """
 
@@ -26,12 +27,11 @@ class DelayExceedsHorizon(RuntimeError):
 
 @dataclass(frozen=True)
 class ImuBufferEntry:
-    """One propagation step ending at `timestamp`: the transition/noise
-    matrices and raw sample of the step."""
+    """One propagation step ending at `timestamp`: the core transition and
+    process noise the step was propagated with, and its raw sample."""
 
     F: np.ndarray          # core transition of the step into timestamp
-    G: np.ndarray
-    Q: np.ndarray          # discrete process noise of the step
+    noise: np.ndarray      # the step's core process noise G Q G' (18 x 18)
     timestamp: float
     imu: object = None     # the ImuSample driving the step (mean replay)
 
@@ -75,7 +75,7 @@ class HistoryBuffer:
 
 def repropagate(buffer: HistoryBuffer, P_kk, xi_k, t_k, t_m):
     """Transport a corrected covariance and error mean from t_k to t_m using
-    the stored transitions: returns (P_m, xi_m, Phi) with
+    the stored transitions and process noises: returns (P_m, xi_m, Phi) with
     Phi = F_m ... F_{k+1}. t_m == t_k yields the identity transport with no
     added noise."""
     P_kk = np.asarray(P_kk, dtype=float)
@@ -85,7 +85,7 @@ def repropagate(buffer: HistoryBuffer, P_kk, xi_k, t_k, t_m):
     Phi = np.eye(dim)
     P = P_kk.copy()
     for e in steps:
-        P = e.F @ P @ e.F.T + e.G @ e.Q @ e.G.T
+        P = e.F @ P @ e.F.T + e.noise
         Phi = e.F @ Phi
     P = (P + P.T) / 2.0
     return P, Phi @ xi_k, Phi

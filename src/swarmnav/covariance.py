@@ -23,7 +23,6 @@ import numpy as np
 
 from .filters import (
     LinearMeasurement,
-    TransitionPair,
     UpdateRejected,
     kalman_step,
     landmark_position_measurement,
@@ -60,13 +59,14 @@ class CovariancePartition:
         return other
 
 
-def propagate_core_only(partition: CovariancePartition, T: TransitionPair, Q_d):
-    """Advance only the core block; the cross block goes stale, and (when it
-    has columns) owes the step's transition, folded into `owed`."""
-    partition.core = propagate_covariance(partition.core, T, Q_d)
+def propagate_core_only(partition: CovariancePartition, F, noise):
+    """Advance only the core block by the step's transition F and process
+    noise G Q G'; the cross block goes stale, and (when it has columns) owes
+    F, folded into `owed`."""
+    partition.core = propagate_covariance(partition.core, F, noise)
     if partition.cross.shape[1]:
         owed = np.eye(CORE_DIM) if partition.owed is None else partition.owed
-        partition.owed = T.F @ owed
+        partition.owed = F @ owed
     return partition
 
 

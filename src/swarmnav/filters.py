@@ -3,9 +3,10 @@ measurement models.
 
 The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
-matrices for the velocity and position columns). Its record of a segment,
-a ``Strapdown``, is what the convention's transitions in
-``swarmnav.conventions`` are formed from; ``transition_left``,
+matrices for the velocity and position columns), run as stacked numpy
+passes over a whole IMU segment: only the rotation chain is a Python loop.
+Its record of a segment, a ``Strapdown``, is what the convention's
+transitions in ``swarmnav.conventions`` are formed from; ``transition_left``,
 ``transition_right`` and ``transition_ekf`` are importable from here too.
 
 The vision models read the state's window arrays directly: a landmark's
@@ -116,12 +117,17 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
     """Bias-compensated strapdown over a segment of IMU samples, with
     closed-form ZOH integration.
 
-    The biases are fixed across the segment, so the rotation increments and
-    the integral coefficient matrices of every sample come from one
-    vectorized pass; only the composition runs step by step. Each step's dt
-    is the sample time minus the state time reached by the steps before it,
-    as when the samples are applied one at a time. Biases, lever arm, clones
-    and features are carried over unchanged.
+    The biases are fixed across the segment, so the rotation increments, the
+    integral coefficient matrices and the rotated specific-force terms of
+    every sample come from stacked numpy passes; only the rotation chain
+    R_{k+1} = R_k Gamma_k runs step by step. Velocities and positions are
+    running sums of interleaved term rows, [v_0, R_0 J1a_0 dt_0, g dt_0,
+    R_1 J1a_1 dt_1, ...], and np.cumsum adds strictly left to right, so each
+    partial sum has the bits of the one-step-at-a-time recursion. Each
+    step's dt is the sample time minus the state time reached by the steps
+    before it, as when the samples are applied one at a time. Biases, lever
+    arm, clones and features are carried over unchanged; the returned
+    state's arrays share no memory with the record's stacks.
     """
     dts = []
     t = state.timestamp
@@ -142,18 +148,29 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
     Gamma, J1, G2 = so3_exp(psi), so3_left_jacobian(psi), so3_gamma2(psi)
     J1a = (J1 @ a[:, :, None])[:, :, 0]
     G2a = (G2 @ a[:, :, None])[:, :, 0]
-    g_dt = g * dt_col
-    g_dt2 = 0.5 * g * dt_col * dt_col
-    R, v, p = state.nav.rotation, state.nav.velocity, state.nav.position
-    Rs, vs, ps = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
-    for k, dt in enumerate(dts):
-        Rs[k], vs[k], ps[k] = R, v, p
-        R, v, p = (R @ Gamma[k],
-                   v + R @ J1a[k] * dt + g_dt[k],
-                   p + v * dt + R @ G2a[k] * dt * dt + g_dt2[k])
-    return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t),
+    R = state.nav.rotation
+    Rs = np.empty((n, 3, 3))
+    for k in range(n):
+        Rs[k] = R
+        R = R @ Gamma[k]
+    # v_{k+1} = v_k + R_k J1a_k dt + g dt: row 2k of the running sum is v_k.
+    terms = np.empty((2 * n + 1, 3))
+    terms[0] = state.nav.velocity
+    terms[1::2] = (Rs @ J1a[:, :, None])[:, :, 0] * dt_col
+    terms[2::2] = g * dt_col
+    v = np.cumsum(terms, axis=0)
+    vs = v[0:2 * n:2]
+    # p_{k+1} = p_k + v_k dt + R_k G2a_k dt dt + g dt^2 / 2: row 3k is p_k.
+    terms = np.empty((3 * n + 1, 3))
+    terms[0] = state.nav.position
+    terms[1::3] = vs * dt_col
+    terms[2::3] = (Rs @ G2a[:, :, None])[:, :, 0] * dt_col * dt_col
+    terms[3::3] = 0.5 * g * dt_col * dt_col
+    p = np.cumsum(terms, axis=0)
+    nav = ExtendedPose(R, v[-1].copy(), p[-1].copy())
+    return Strapdown(replace(state, nav=nav, timestamp=t),
                      steps, gyro, accel, psi, a, Gamma, J1, G2, J1a, G2a,
-                     Rs, vs, ps, g)
+                     Rs, vs, p[0:3 * n:3], g)
 
 
 def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionPair:
@@ -164,9 +181,9 @@ def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionP
     return lookup(convention).transition(seg)[0]
 
 
-def propagate_covariance(P_core, T: TransitionPair, Q_d):
-    """F P F' + G Q G', re-symmetrized."""
-    P = T.F @ P_core @ T.F.T + T.G @ Q_d @ T.G.T
+def propagate_covariance(P_core, F, noise):
+    """F P F' + noise, re-symmetrized; `noise` is the step's G Q G'."""
+    P = F @ P_core @ F.T + noise
     return (P + P.T) / 2.0
 
 

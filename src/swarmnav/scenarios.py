@@ -201,13 +201,14 @@ def segmentation():
     T = transition_left(np.array([[0.01, -0.02, 0.05]]), np.array([[0.1, 0.0, 9.8]]),
                         np.array([0.005]))[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)
+    noise = T.G @ Q @ T.G.T
     F_full = np.eye(dim)
     F_full[:18, :18] = T.F
     GQG = np.zeros((dim, dim))
-    GQG[:18, :18] = T.G @ Q @ T.G.T
+    GQG[:18, :18] = noise
     t0 = time.perf_counter()
     for _ in range(steps):
-        propagate_core_only(part, T, Q)
+        propagate_core_only(part, T.F, noise)
     t_core = time.perf_counter() - t0
     P = P_full.copy()
     t0 = time.perf_counter()

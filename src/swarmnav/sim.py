@@ -536,7 +536,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 if config.gnss_delay > 0:
                     snap = ag.snapshot()
                     rt.held = []
-                    push(t + config.gnss_delay, _GNSS_DONE, (idx, fix, snap))
+                    # From the fix's own time, not the rounded event time t:
+                    # at a delay of one period, rounding t first could put
+                    # the completion a tick after the next fix's epoch.
+                    push(fix.timestamp + config.gnss_delay, _GNSS_DONE, (idx, fix, snap))
                 else:
                     ag.update_gnss(fix.position, rt.cfg.suite.gnss_sigma)
                     counters["gnss_applied"] += 1

@@ -179,9 +179,9 @@ def test_a3_delayed_update_matches_rewind_replay():
                 prev_t = entry.timestamp
                 T = transition_left(entry.imu.gyro[None], entry.imu.accel[None],
                                     np.array([dt]))[0]
-                Q = noise.discrete_q(dt)
-                P = T.F @ P @ T.F.T + T.G @ Q @ T.G.T
-                mats.append((T, Q, P.copy()))
+                GQG = T.G @ noise.discrete_q(dt) @ T.G.T
+                P = T.F @ P @ T.F.T + GQG
+                mats.append((T.F, GQG, P.copy()))
             P = (P + P.T) / 2.0
             t_slow += time.perf_counter() - tic
 
@@ -190,8 +190,8 @@ def test_a3_delayed_update_matches_rewind_replay():
             # history buffer from the recomputed steps.
             state = mechanize(state, [entry.imu for entry in replay],
                               noise.gravity).state
-            rebuilt = [ImuBufferEntry(T.F, T.G, Q, entry.timestamp, entry.imu)
-                       for entry, (T, Q, _) in zip(replay, mats)]
+            rebuilt = [ImuBufferEntry(F, GQG, entry.timestamp, entry.imu)
+                       for entry, (F, GQG, _) in zip(replay, mats)]
 
             fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k])
 
@@ -319,7 +319,7 @@ def test_a5_repropagation_algebra():
             F = np.eye(18) + 0.02 * rg.standard_normal((18, 18))
             G = rg.standard_normal((18, 12))
             Q = np.diag(rg.uniform(1e-4, 1e-2, 12))
-            e = ImuBufferEntry(F, G, Q, 0.005 * (k + 1))
+            e = ImuBufferEntry(F, G @ Q @ G.T, 0.005 * (k + 1))
             entries.append(e)
             buf.push(e)
         A = rg.standard_normal((18, 18))
@@ -327,7 +327,7 @@ def test_a5_repropagation_algebra():
         xi = rg.standard_normal(18)
         P_ref, xi_ref = P.copy(), xi.copy()
         for e in entries:
-            P_ref = e.F @ P_ref @ e.F.T + e.G @ e.Q @ e.G.T
+            P_ref = e.F @ P_ref @ e.F.T + e.noise
             xi_ref = e.F @ xi_ref
         P_out, xi_out, _ = repropagate(buf, P, xi, 0.0, 0.025)
         ref = (P_ref + P_ref.T) / 2

@@ -329,7 +329,7 @@ def assert_same_bits(a, b):
     assert len(a.imu_buffer) == len(b.imu_buffer)
     for e, f in zip(a.imu_buffer.entries, b.imu_buffer.entries):
         assert e.timestamp == f.timestamp and e.imu is f.imu
-        for m in ("F", "G", "Q"):
+        for m in ("F", "noise"):
             assert getattr(e, m).tobytes() == getattr(f, m).tobytes(), m
 
 
@@ -401,7 +401,7 @@ def assert_cross_blocks_synced(ag):
 
 def drive_against_dense_shadow(ag, seed):
     """Drive 10 IMU steps and compare the synced covariance with a dense
-    shadow propagated through the same buffered F, G, Q (core block of
+    shadow propagated through the same buffered F and noise (core block of
     F_full, identity elsewhere)."""
     P = ag.full_covariance()
     drive(ag, 10, seed=seed)
@@ -410,7 +410,7 @@ def drive_against_dense_shadow(ag, seed):
         F_full = np.eye(dim)
         F_full[:18, :18] = e.F
         P = F_full @ P @ F_full.T
-        P[:18, :18] += e.G @ e.Q @ e.G.T
+        P[:18, :18] += e.noise
     got = ag.full_covariance()
     assert np.max(np.abs(got - P)) / np.abs(P).max() <= 1e-12
 

@@ -35,7 +35,7 @@ def _entry(t, dim=4):
     F = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
     G = rng.standard_normal((dim, dim))
     Q = np.diag(rng.uniform(0.1, 1.0, dim))
-    return ImuBufferEntry(F, G, Q, t)
+    return ImuBufferEntry(F, G @ Q @ G.T, t)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +87,7 @@ _BOUND = st.integers(-2, 60).map(lambda k: 0.25 * k)
 @given(times=_TIMES, capacity=st.integers(1, 8), a=_BOUND, b=_BOUND)
 def test_history_buffer_properties(times, capacity, a, b):
     buf = HistoryBuffer(capacity=capacity)
-    pushed = [ImuBufferEntry(None, None, None, t) for t in times]
+    pushed = [ImuBufferEntry(None, None, t) for t in times]
     for e in pushed:
         buf.push(e)
     n = len(pushed)
@@ -106,7 +106,7 @@ def test_history_buffer_properties(times, capacity, a, b):
     if kept and kept[-1].timestamp > 0.0:
         before = (list(buf.entries), list(buf._times), buf.last_evicted)
         with pytest.raises(ValueError):
-            buf.push(ImuBufferEntry(None, None, None, kept[-1].timestamp - 0.25))
+            buf.push(ImuBufferEntry(None, None, kept[-1].timestamp - 0.25))
         assert (buf.entries, buf._times, buf.last_evicted) == before
 
 
@@ -128,7 +128,7 @@ def test_repropagate_matches_chained_steps():
         xi = rng.standard_normal(4)
         P_ref, xi_ref = P.copy(), xi.copy()
         for e in entries:
-            P_ref = e.F @ P_ref @ e.F.T + e.G @ e.Q @ e.G.T
+            P_ref = e.F @ P_ref @ e.F.T + e.noise
             xi_ref = e.F @ xi_ref
         P_out, xi_out, Phi = repropagate(buf, P, xi, 0.0, 0.01 * n)
         scale = max(np.abs(P_ref).max(), 1.0)

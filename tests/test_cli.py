@@ -549,3 +549,67 @@ def test_digest_tool_expect_names_each_mismatch(tmp_path, capsys, monkeypatch):
     mismatched = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                   if line.startswith("MISMATCH")]
     assert mismatched == ["MISMATCH two", "MISMATCH three"]
+
+
+def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_path,
+                                                                          monkeypatch):
+    # Each commit runs in its own worktree, the order alternating by round;
+    # one BENCH file per commit holds the median and quartiles of every
+    # metric. A problem in any run writes no file and exits 1.
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                               "-c", "user.email=t@t", *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    shas = []
+    for name in ("parent", "change"):
+        (repo / "src" / "version.txt").write_text(name)
+        git("add", "-A")
+        git("commit", "-q", "-m", name)
+        shas.append(git("rev-parse", "HEAD"))
+    change = [3.0, 1.0, 2.0, 5.0, 4.0, 6.0, 9.0, 7.0, 10.0, 8.0]
+    rates = {"parent": [10.0 * x for x in change], "change": change}
+    calls = []
+
+    def fake_run(tree, seed, problem=None):
+        name = (pathlib.Path(tree) / "src" / "version.txt").read_text()
+        calls.append((name, seed))
+        env = {"nproc": 2, "blas": "stub", "thread_vars": {}, "git_commit": None}
+        values = {"gnss-ins": {"sim_rate": (rates[name][seed - 101], "agent-s/s")}}
+        return values, [{"environment": env, "problems": []}], \
+            [problem] if problem and (name, seed) == ("change", 103) else []
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    out = tmp_path / "bench"
+    assert tool.main(["--repo", str(repo), "--out", str(out), *shas]) == 0
+    expected = []
+    for r, seed in enumerate(range(101, 111)):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        expected += [(name, seed) for name in order]
+    assert calls == expected
+    assert git("worktree", "list").count("\n") == 0  # only the main tree is left
+    for sha, name in zip(shas, ("parent", "change")):
+        record = json.loads((out / f"BENCH_{sha[:7]}.json").read_text())
+        assert record["commit"] == sha and record["session"]["commits"] == shas
+        assert record["src_tree"] == git("rev-parse", f"{sha}:src")
+        assert "git_commit" not in record["environment"]
+        cell = record["end_to_end"]["gnss-ins"]["sim_rate"]
+        scale = 1.0 if name == "change" else 10.0
+        assert cell["values"] == rates[name]
+        assert (cell["q1"], cell["median"], cell["q3"]) == (3.25 * scale, 5.5 * scale,
+                                                            7.75 * scale)
+        assert record["session"]["seeds"] == list(range(101, 111))
+
+    calls.clear()
+    monkeypatch.setattr(tool, "run_once", lambda *a: fake_run(*a, problem="failed: 1"))
+    assert tool.main(["--repo", str(repo), "--out", str(tmp_path / "none"), *shas]) == 1
+    assert not (tmp_path / "none").exists()
+    assert git("worktree", "list").count("\n") == 0

@@ -22,7 +22,7 @@ from swarmnav.covariance import (
     split_full,
     sync_cross,
 )
-from swarmnav.filters import ImuSample, LinearMeasurement, TransitionPair
+from swarmnav.filters import ImuSample, LinearMeasurement
 from swarmnav.state import CORE_DIM, SystemState
 
 rng = np.random.default_rng(31)
@@ -51,8 +51,7 @@ def test_assemble_raises_when_stale():
     # step's transition, so assembling it now would pair a stale cross block
     # with a propagated core.
     part, _ = make_partition(6)
-    T = TransitionPair(np.eye(CORE_DIM) * 0.9, np.zeros((CORE_DIM, 12)))
-    propagate_core_only(part, T, np.zeros((12, 12)))
+    propagate_core_only(part, np.eye(CORE_DIM) * 0.9, np.zeros((CORE_DIM, CORE_DIM)))
     with pytest.raises(StaleBlockError):
         assemble_full(part)
 
@@ -95,8 +94,8 @@ def test_lazy_sync_matches_shadow_full_filter():
         F = np.eye(CORE_DIM) + 0.02 * rng.standard_normal((CORE_DIM, CORE_DIM))
         G = rng.standard_normal((CORE_DIM, 6))
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
-        propagate_core_only(part, TransitionPair(F, G), Q)
-        imu_buf.push(ImuBufferEntry(F, G, Q, t))
+        propagate_core_only(part, F, G @ Q @ G.T)
+        imu_buf.push(ImuBufferEntry(F, G @ Q @ G.T, t))
         F_full = np.eye(CORE_DIM + d_vis)
         F_full[:CORE_DIM, :CORE_DIM] = F
         P_shadow = F_full @ P_shadow @ F_full.T
@@ -141,8 +140,7 @@ def test_propagate_core_only_leaves_cross_alone():
     core_before = part.core.copy()
     cross_before = part.cross.copy()
     F = np.eye(CORE_DIM) * 0.9
-    T = TransitionPair(F, np.zeros((CORE_DIM, 12)))
-    propagate_core_only(part, T, np.zeros((12, 12)))
+    propagate_core_only(part, F, np.zeros((CORE_DIM, CORE_DIM)))
     assert np.array_equal(part.cross, cross_before)
     assert np.allclose(part.core, F @ core_before @ F.T, atol=1e-12)
 

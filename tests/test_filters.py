@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmnav.filters import (
     GRAVITY,
     ImuSample,
     LinearMeasurement,
     NoiseDensities,
+    Strapdown,
     UpdateRejected,
     bearing_measurement,
     feature_world_position,
@@ -24,7 +26,7 @@ from swarmnav.filters import (
     transition_left,
 )
 from swarmnav.conventions import _THETA
-from swarmnav.lie import ExtendedPose, skew, so3_exp
+from swarmnav.lie import ExtendedPose, skew, so3_exp, so3_gamma2, so3_left_jacobian
 from swarmnav.state import (
     CONVENTIONS,
     CORE_DIM,
@@ -100,6 +102,86 @@ def test_mechanize_compensates_biases():
 def test_mechanize_rejects_bad_dt():
     with pytest.raises(ValueError):
         mechanize(SystemState.identity(), [ImuSample(np.zeros(3), np.zeros(3), 0.0)])
+
+
+def _stepwise_mechanize(state, samples, gravity):
+    """The one-step-at-a-time composition that `mechanize` replaced with
+    stacked passes, kept as the reference for its bits."""
+    dts = []
+    t = state.timestamp
+    for imu in samples:
+        dts.append(imu.timestamp - t)
+        t = t + dts[-1]
+    n = len(dts)
+    g = np.asarray(gravity, dtype=float)
+    steps = np.array(dts)
+    dt_col = steps[:, None]
+    gyro = np.array([imu.gyro for imu in samples], dtype=float).reshape(n, 3)
+    accel = np.array([imu.accel for imu in samples], dtype=float).reshape(n, 3)
+    psi = (gyro - state.gyro_bias) * dt_col
+    a = accel - state.accel_bias
+    Gamma, J1, G2 = so3_exp(psi), so3_left_jacobian(psi), so3_gamma2(psi)
+    J1a = (J1 @ a[:, :, None])[:, :, 0]
+    G2a = (G2 @ a[:, :, None])[:, :, 0]
+    g_dt = g * dt_col
+    g_dt2 = 0.5 * g * dt_col * dt_col
+    R, v, p = state.nav.rotation, state.nav.velocity, state.nav.position
+    Rs, vs, ps = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for k, dt in enumerate(dts):
+        Rs[k], vs[k], ps[k] = R, v, p
+        R, v, p = (R @ Gamma[k],
+                   v + R @ J1a[k] * dt + g_dt[k],
+                   p + v * dt + R @ G2a[k] * dt * dt + g_dt2[k])
+    return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t),
+                     steps, gyro, accel, psi, a, Gamma, J1, G2, J1a, G2a,
+                     Rs, vs, ps, g)
+
+
+# Per sample: a random rate, a rate at exactly the gyro bias (a zero
+# rotation increment), or one whose increment angle sits just below or just
+# above the so3 series cutoff (1e-7 rad).
+_SAMPLE_KINDS = st.lists(st.sampled_from(["random", "at_bias", "below", "above"]),
+                         min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kinds=_SAMPLE_KINDS, seed=st.integers(0, 2 ** 32 - 1))
+def test_mechanize_matches_the_stepwise_composition_bit_for_bit(kinds, seed):
+    rg = np.random.default_rng(seed)
+    state = SystemState(
+        nav=ExtendedPose(so3_exp(rg.uniform(-2, 2, 3)), rg.uniform(-5, 5, 3),
+                         rg.uniform(-50, 50, 3)),
+        gyro_bias=0.02 * rg.standard_normal(3), accel_bias=0.1 * rg.standard_normal(3),
+        lever_arm=np.zeros(3), timestamp=rg.uniform(0.0, 100.0))
+    t = state.timestamp
+    samples = []
+    for kind in kinds:
+        dt = rg.uniform(1e-3, 1e-2)
+        t = t + dt
+        u = rg.standard_normal(3)
+        u = u / np.linalg.norm(u)
+        w = {"random": rg.uniform(-1.0, 1.0, 3), "at_bias": np.zeros(3),
+             "below": 0.999e-7 / dt * u, "above": 1.001e-7 / dt * u}[kind]
+        samples.append(ImuSample(state.gyro_bias + w, rg.uniform(-12, 12, 3), t))
+    seg = mechanize(state, samples, GRAVITY)
+    theta = np.linalg.norm(seg.psi, axis=1)
+    for kind, th in zip(kinds, theta):
+        assert {"random": th > 1e-7, "at_bias": th == 0.0,
+                "below": 0.0 < th < 1e-7, "above": 1e-7 < th < 1.01e-7}[kind]
+    ref = _stepwise_mechanize(state, samples, GRAVITY)
+    for field in Strapdown._fields[1:]:
+        assert getattr(seg, field).tobytes() == getattr(ref, field).tobytes(), field
+    nav, ref_nav = seg.state.nav, ref.state.nav
+    for name in ("rotation", "velocity", "position"):
+        assert getattr(nav, name).tobytes() == getattr(ref_nav, name).tobytes(), name
+    assert seg.state.timestamp == ref.state.timestamp
+    # The state's arrays are its own: they neither alias the record's
+    # writable stacks nor keep the arrays those stacks are views of alive.
+    for stack in (seg.R, seg.v, seg.p):
+        assert stack.flags.writeable
+        owner = stack if stack.base is None else stack.base
+        for a in (nav.rotation, nav.velocity, nav.position):
+            assert not np.shares_memory(owner, a)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +463,7 @@ def test_propagate_covariance_formula():
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.01)
     A = rng.standard_normal((18, 18))
     P = A @ A.T + np.eye(18)
-    out = propagate_covariance(P, T, Q)
+    out = propagate_covariance(P, T.F, T.G @ Q @ T.G.T)
     expect = T.F @ P @ T.F.T + T.G @ Q @ T.G.T
     assert np.allclose(out, (expect + expect.T) / 2, atol=1e-12)
 

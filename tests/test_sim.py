@@ -494,6 +494,30 @@ def test_imu_buffer_must_span_the_gnss_delay(imu_rate, capacity):
     tiny_config(filter=FilterOptions(imu_buffer_capacity=1))
 
 
+@pytest.mark.parametrize("imu_rate,gnss_rate", [(100.0, 10.0), (200.0, 10.0), (250.0, 5.0),
+                                                (400.0, 20.0), (150.0, 7.0)])
+@pytest.mark.parametrize("share", [0.013, 0.37, 0.5, 1.0])
+def test_a_buffer_of_delay_times_imu_rate_drops_no_fix(imu_rate, gnss_rate, share):
+    # With imu_buffer_capacity = ceil(gnss_delay * imu_rate), the least the
+    # config accepts, every delayed fix of a run is applied and none leaves
+    # the buffer's horizon, for delays from 1.3% of the GNSS period up to
+    # the whole period.
+    delay = share / gnss_rate
+    capacity = math.ceil(delay * imu_rate - 1e-9)
+    cfg = tiny_config(gnss_delay=delay, use_vision=False,
+                      agents=(AgentConfig(0, TrajectorySpec(duration=4.0),
+                                          SensorSuite(imu_rate=imu_rate,
+                                                      gnss_rate=gnss_rate)),),
+                      filter=FilterOptions(imu_buffer_capacity=capacity))
+    if capacity > 1:  # one fewer is refused: this is the least capacity accepted
+        with pytest.raises(ConfigError, match="imu_buffer_capacity"):
+            replace(cfg, filter=FilterOptions(imu_buffer_capacity=capacity - 1))
+    art = run_swarm(cfg)
+    assert art.counters["gnss_dropped_horizon"] == 0
+    # Every fix but the last, at 4 s, whose completion falls after the run.
+    assert art.counters["gnss_applied"] == int(4.0 * gnss_rate) - 1
+
+
 def _record_filter_calls(monkeypatch, names):
     """Wrap AgentFilter methods to log (agent index, method, queue time,
     state before the call, args) per call; the queue time is the last
