@@ -4,12 +4,14 @@ GNSS / vision / collaborative update paths.
 
 The filter takes its IMU stream in segments, all samples between two
 events: the biases are fixed across a segment, so the mean is mechanized and
-the convention's transitions are formed for the whole segment at once.
-The covariance is split into an 18-dim core (propagated every IMU step) and
-one sensor block holding all clone and landmark entries; the cross block
-between them is caught up lazily, from the product of the core transitions
-it owes, just before it is needed, which keeps the per-step propagation
-cost independent of the window size. The IMU buffer serves delayed fixes.
+the convention's transitions are formed for the whole segment at once, and
+they and their process noises are composed into one segment transition and
+noise. The covariance is split into an 18-dim core (propagated once per
+segment by that pair) and one sensor block holding all clone and landmark
+entries; the cross block between them is caught up lazily, from the
+product of the segment transitions it owes, just before it is needed,
+which keeps the propagation cost independent of the window size. The IMU
+buffer, one entry per segment, serves delayed fixes.
 The state's timestamp is the filter's only clock: syncs, snapshots and the
 completion of a delayed fix all read it.
 The window is the state's stacked arrays (``swarmnav.state``); a clone's
@@ -31,6 +33,7 @@ from .covariance import (
     CovariancePartition,
     assemble_full,
     collaborative_update,
+    compose_transport,
     insert_block_rows,
     propagate_core_only,
     remove_block_rows,
@@ -105,23 +108,25 @@ class AgentFilter:
     def propagate(self, *samples: ImuSample):
         """Advance through a segment of IMU samples, oldest first.
 
-        The mean is mechanized over the whole segment in one call, the
-        convention's transitions are formed from that segment's record in
-        one stacked call, and so is each step's process noise G Q G'; the
-        core covariance and the IMU buffer still advance one step per
-        sample, and the buffer keeps each step's noise for the delayed-fix
-        transport. An empty segment changes nothing.
+        The mean is mechanized over the whole segment in one call, and the
+        convention's transitions and each step's process noise G Q G' are
+        formed in one stacked call each. `compose_transport` reduces them to
+        the segment's one (transition, noise) pair, which advances the core
+        covariance, is owed by the cross block, and is buffered with the
+        samples as one entry for the delayed-fix transport. An empty
+        segment changes nothing.
         """
         if not samples:
             return self.state
         seg = mechanize(self.state, samples, self.noise.gravity)
         steps = lookup(self.convention).transition(seg)
-        G = np.stack([T.G for T in steps])
-        noise = G @ self.noise.discrete_q(seg.dts[:, None, None]) @ G.transpose(0, 2, 1)
-        noise.flags.writeable = False
-        for imu, T, GQG in zip(samples, steps, noise):
-            propagate_core_only(self.partition, T.F, GQG)
-            self.imu_buffer.push(ImuBufferEntry(T.F, GQG, imu.timestamp, imu))
+        noise = steps.G @ self.noise.discrete_q(seg.dts[:, None, None]) \
+            @ steps.G.transpose(0, 2, 1)
+        F, noise = compose_transport(steps.F, noise)
+        F.flags.writeable = noise.flags.writeable = False
+        propagate_core_only(self.partition, F, noise)
+        self.imu_buffer.push(ImuBufferEntry(F, noise, self.state.timestamp,
+                                            seg.state.timestamp, samples))
         self.state = seg.state
         return self.state
 

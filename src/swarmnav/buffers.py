@@ -1,13 +1,17 @@
 """Sliding history buffers and buffered re-propagation of delayed
 measurements.
 
-Each agent keeps a high-rate IMU buffer of (transition, process noise,
-time, sample) steps, each stored as propagation formed it. A measurement
-that completes late is updated against the snapshot taken at its epoch,
-whose state time is that epoch. The corrected covariance is transported to
-the agent's state time through the stored transitions and noises, with no
-product re-formed, and the corrected mean is re-mechanized through the
-buffered samples in one segment call, instead of rewinding and replaying.
+Each agent keeps a high-rate IMU buffer with one entry per propagated
+segment: the segment's composed core transition and process noise, its
+start and end times, and its samples, each stored as propagation formed
+it. A measurement that completes late is updated against the snapshot
+taken at its epoch, whose state time is that epoch and so a segment
+boundary. The corrected covariance is transported to the agent's state
+time through the stored segment transitions and noises, one product per
+segment with none re-formed, and the corrected mean is re-mechanized
+through the buffered samples in one segment call, instead of rewinding and
+replaying. The covariance transport equals rewind-and-replay to rounding:
+a segment's products group differently from a step-by-step recursion.
 """
 
 from __future__ import annotations
@@ -27,22 +31,26 @@ class DelayExceedsHorizon(RuntimeError):
 
 @dataclass(frozen=True)
 class ImuBufferEntry:
-    """One propagation step ending at `timestamp`: the core transition and
-    process noise the step was propagated with, and its raw sample."""
+    """One propagated segment from `start` to `timestamp`: the product of its
+    core transitions and the process noise they add, and its raw samples."""
 
-    F: np.ndarray          # core transition of the step into timestamp
-    noise: np.ndarray      # the step's core process noise G Q G' (18 x 18)
-    timestamp: float
-    imu: object = None     # the ImuSample driving the step (mean replay)
+    F: np.ndarray          # the segment's core transition F_n ... F_1
+    noise: np.ndarray      # the core process noise it adds (18 x 18)
+    start: float           # the state time the segment starts from
+    timestamp: float       # the state time it ends at
+    samples: tuple = ()    # the ImuSamples driving it (mean replay)
 
 
 @dataclass
 class HistoryBuffer:
-    """Chronological ring: oldest entries are discarded beyond capacity."""
+    """Chronological ring of segments. `capacity` counts samples: the oldest
+    segment is discarded once the newer ones hold `capacity` samples, so the
+    newest `capacity` samples always stay."""
 
     capacity: int
     entries: list = field(default_factory=list)
     _times: list = field(default_factory=list)
+    _held: int = 0         # samples in the entries
     last_evicted: float = None
 
     def __len__(self):
@@ -56,35 +64,41 @@ class HistoryBuffer:
             )
         self.entries.append(entry)
         self._times.append(t)
-        while len(self.entries) > self.capacity:
-            self.last_evicted = self._times[0]
-            self.entries.pop(0)
-            self._times.pop(0)
+        self._held += len(entry.samples)
+        while self.entries and self._held - len(self.entries[0].samples) >= self.capacity:
+            self.last_evicted = self._times.pop(0)
+            self._held -= len(self.entries.pop(0).samples)
 
     def range_after(self, t_start, t_end):
-        """Entries with t_start < t <= t_end, oldest first. Raises when the
-        interval start has already been evicted."""
+        """Entries with t_start < t <= t_end, oldest first. Raises
+        DelayExceedsHorizon when the interval start has already been
+        evicted, and ValueError when it falls strictly inside a buffered
+        segment, whose one transition cannot be split."""
         if self.last_evicted is not None and t_start < self.last_evicted:
             raise DelayExceedsHorizon(
                 f"interval start t={t_start} predates buffer horizon"
             )
         lo = bisect.bisect_right(self._times, t_start)
+        if lo < len(self.entries) and self.entries[lo].start < t_start:
+            e = self.entries[lo]
+            raise ValueError(f"t={t_start} falls inside the buffered segment "
+                             f"({e.start}, {e.timestamp}]")
         hi = bisect.bisect_right(self._times, t_end)
         return self.entries[lo:hi]
 
 
 def repropagate(buffer: HistoryBuffer, P_kk, xi_k, t_k, t_m):
     """Transport a corrected covariance and error mean from t_k to t_m using
-    the stored transitions and process noises: returns (P_m, xi_m, Phi) with
-    Phi = F_m ... F_{k+1}. t_m == t_k yields the identity transport with no
-    added noise."""
+    the stored segment transitions and process noises: returns (P_m, xi_m,
+    Phi) with Phi the product of the segments' transitions, newest left.
+    t_m == t_k yields the identity transport with no added noise."""
     P_kk = np.asarray(P_kk, dtype=float)
     xi_k = np.asarray(xi_k, dtype=float)
-    steps = buffer.range_after(t_k, t_m)
+    segments = buffer.range_after(t_k, t_m)
     dim = P_kk.shape[0]
     Phi = np.eye(dim)
     P = P_kk.copy()
-    for e in steps:
+    for e in segments:
         P = e.F @ P @ e.F.T + e.noise
         Phi = e.F @ Phi
     P = (P + P.T) / 2.0
@@ -118,7 +132,7 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
 
     The gain and correction are computed against the snapshot, then the
     posterior mean/covariance are transported to the agent's time through
-    the buffered transitions.
+    the buffered segments, one transition product each.
 
     Raises DelayExceedsHorizon when the epoch has left the IMU buffer; the
     caller should drop the measurement and report it.
@@ -131,7 +145,7 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
 
     xi = core_update_partitioned(part_k, meas_core)
 
-    # Transport the corrected covariance to t_now with the stored transition
+    # Transport the corrected covariance to t_now with the stored segment
     # products; sensor states are static so only the cross rows rotate.
     P_m, _, Phi = repropagate(agent.imu_buffer, part_k.core, xi[:CORE_DIM], t_k, t_now)
     part_k.core = P_m
@@ -139,11 +153,11 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     part_k.synced_at = t_now
 
     # Mean: apply the correction at the epoch and re-integrate the buffered
-    # IMU samples. This costs a handful of strapdown steps (no transition
+    # IMU samples. This costs one strapdown segment (no transition
     # matrices) and reproduces rewind-and-replay exactly, where a linear
     # transport of the correction would drop second-order bias terms.
     state = retract(state_k, xi, agent.convention)
-    replay = [entry.imu for entry in agent.imu_buffer.range_after(t_k, t_now)]
+    replay = [imu for e in agent.imu_buffer.range_after(t_k, t_now) for imu in e.samples]
     agent.state = mechanize(state, replay, agent.noise.gravity).state
     agent.partition = part_k
     return xi

@@ -11,11 +11,12 @@ it; nothing else in the package branches on the convention.
 
 With the closed-form zero-order-hold strapdown integrator the left-invariant
 transition exp(A dt) transports navigation errors through a step exactly
-and depends only on the IMU sample (Barrau & Bonnabel, IEEE TAC 2017). That
-makes the buffered re-propagation of delayed measurements bit-faithful.
-Every transition of an IMU segment reads the terms ``filters.mechanize``
-computed once for it; the left-invariant one reads only the raw rates and
-step lengths.
+and depends only on the IMU sample (Barrau & Bonnabel, IEEE TAC 2017). So
+the buffered transitions that re-propagate a delayed measurement are the
+ones a rewind would form. Every transition of an IMU segment reads the
+terms ``filters.mechanize`` computed once for it; the left-invariant one
+reads only the raw rates and step lengths. Each convention returns a
+segment's transitions and noise maps as one ``TransitionPair`` of stacks.
 
 The ``liekf`` and ``riekf`` transitions are exp(A dt) of each step's 15x15
 generator, formed for a whole segment by one numpy call, ``_expm``: a Taylor
@@ -57,7 +58,8 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """Discrete transition F and noise map G over the 18-dim core error."""
+    """Discrete transitions F and noise maps G over the 18-dim core error,
+    stacked one row per sample of a segment (n x 18 x 18 and n x 18 x 12)."""
 
     F: np.ndarray
     G: np.ndarray
@@ -69,7 +71,7 @@ def _read_only(a):
 
 
 # The noise map of a left-invariant step is the same for every sample, so
-# every buffered step shares this one (read-only) array.
+# a segment's G stack is a read-only broadcast of this one array.
 _G_LEFT = np.zeros((CORE_DIM, NOISE_DIM))
 _G_LEFT[0:3, 0:3] = np.eye(3)
 _G_LEFT[3:6, 3:6] = np.eye(3)
@@ -109,8 +111,8 @@ def _expm(A):
     return E
 
 
-def transition_left(gyro, accel, dts) -> list:
-    """Left-invariant transitions of a segment, one per sample, from its
+def transition_left(gyro, accel, dts) -> TransitionPair:
+    """Left-invariant transitions of a segment, one row per sample, from its
     raw rates (n x 3 stacks) and step lengths alone; each is a pure
     function of (gyro, accel, dt). The generators are stacked and
     exponentiated in one call."""
@@ -125,12 +127,12 @@ def transition_left(gyro, accel, dts) -> list:
     A[:, 3:6, 12:15] = -np.eye(3)
     F = np.tile(np.eye(CORE_DIM), (len(dts), 1, 1))
     F[:, :15, :15] = _expm(A * dts[:, None, None])
-    return [TransitionPair(F_k, _G_LEFT) for F_k in _read_only(F)]
+    return TransitionPair(_read_only(F), np.broadcast_to(_G_LEFT, (len(dts),) + _G_LEFT.shape))
 
 
-def transition_right(seg) -> list:
+def transition_right(seg) -> TransitionPair:
     """Right-invariant transitions of a mechanized segment (a
-    `filters.Strapdown`), one per step; each is a function of the step's dt
+    `filters.Strapdown`), one row per step; each is a function of the step's dt
     and the navigation state it starts from, not of the IMU sample or the
     biases. The generators are stacked and exponentiated in one call."""
     R, n = seg.R, len(seg.dts)
@@ -151,7 +153,7 @@ def transition_right(seg) -> list:
     G[:, 6:9, 0:3] = SpR
     G[:, 3:6, 3:6] = R
     G[:, 9:15, 6:12] = np.eye(6)
-    return [TransitionPair(F_k, G_k) for F_k, G_k in zip(_read_only(F), _read_only(G))]
+    return TransitionPair(_read_only(F), _read_only(G))
 
 
 def _cross(x, y):
@@ -191,12 +193,12 @@ def _dJ1a_dpsi(psi, a):
     return np.where(small[:, None, None], -0.5 * Sa - (S_pxa + Spsi_Sa) / 6.0, closed)
 
 
-def transition_ekf(seg) -> list:
+def transition_ekf(seg) -> TransitionPair:
     """Conventional error-state EKF Jacobians of the mechanization of a
     segment (body-frame attitude error, additive velocity/position errors),
-    one per sample, each linearized at the pose its step starts from and the
-    biases of the mechanization `seg`, whose rotation terms it reads; the
-    left Jacobian of -psi is the transpose of that of psi."""
+    one row per sample, each linearized at the pose its step starts from and
+    the biases of the mechanization `seg`, whose rotation terms it reads;
+    the left Jacobian of -psi is the transpose of that of psi."""
     R, J1, G2, n = seg.R, seg.J1, seg.G2, len(seg.dts)
     dt = seg.dts[:, None, None]
     F = np.tile(np.eye(CORE_DIM), (n, 1, 1))
@@ -212,7 +214,7 @@ def transition_ekf(seg) -> list:
     G[:, 0:3, 0:3] = np.eye(3)
     G[:, 3:6, 3:6] = R
     G[:, 9:15, 6:12] = np.eye(6)
-    return [TransitionPair(F_k, G_k) for F_k, G_k in zip(_read_only(F), _read_only(G))]
+    return TransitionPair(_read_only(F), _read_only(G))
 
 
 def _nav_block(att, pos):
@@ -245,8 +247,9 @@ class Convention:
 
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
-    # (segment) -> one TransitionPair per sample, formed for the whole
-    # segment in one call from its record, a `filters.Strapdown`.
+    # (segment) -> one TransitionPair of stacks, a row per sample, formed
+    # for the whole segment in one call from its record, a
+    # `filters.Strapdown`.
     transition: Callable
     clone_attitude: Callable  # (R, R_ic) -> d(clone attitude) / d(attitude error)
     point_jacobian: Callable  # (R, p, x) -> 3x9 d(p + R x) / d(nav error)

@@ -3,12 +3,14 @@
 The full covariance is kept as a core block (navigation + biases + lever
 arm, 18x18), one sensor block holding every clone and landmark entry
 (clones first, then features), and the cross block between the two. Only
-the core is propagated at IMU rate; each step's core transition is folded
-into the partition's `owed` product, and the cross block is caught up on
-demand by left-multiplying it once, which is exact because the sensor
-states are static under IMU propagation. Every update syncs the cross block
-first and corrects it in place, so `owed` holds only IMU transitions, and
-the cross block is stale exactly when it owes one. The partition keeps no
+the core is propagated, once per IMU segment: `compose_transport` reduces
+the segment's stacked step transitions and noises to one pair, which
+advances the core and is folded into the partition's `owed` product. The
+cross block is caught up on demand by left-multiplying it once, which is
+exact because the sensor states are static under IMU propagation. Every
+update syncs the cross block first and corrects it in place, so `owed`
+holds only IMU transitions, and the cross block is stale exactly when it
+owes one. The partition keeps no
 clock: a sync is to the agent's state time.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
@@ -59,10 +61,28 @@ class CovariancePartition:
         return other
 
 
+def compose_transport(F, noise):
+    """The one transition and process noise of a run of steps, given as
+    stacks oldest first (n x d x d each): (F_n ... F_1, Q) such that
+    F P F' + Q equals the stepwise recursion P <- F_k P F_k' + Q_k, up to
+    rounding. Adjacent pairs merge as (F_b F_a, F_b Q_a F_b' + Q_b), which
+    is associative (Sarkka & Garcia-Fernandez, IEEE TAC 2021), in
+    ceil(log2 n) stacked passes; one step is returned as it is."""
+    while len(F) > 1:
+        m = len(F) // 2 * 2
+        F_b = F[1:m:2]
+        F_ab = F_b @ F[0:m:2]
+        Q_ab = F_b @ noise[0:m:2] @ F_b.transpose(0, 2, 1) + noise[1:m:2]
+        if m < len(F):  # an odd step out waits for the next pass
+            F_ab, Q_ab = np.concatenate([F_ab, F[m:]]), np.concatenate([Q_ab, noise[m:]])
+        F, noise = F_ab, Q_ab
+    return F[0], noise[0]
+
+
 def propagate_core_only(partition: CovariancePartition, F, noise):
-    """Advance only the core block by the step's transition F and process
-    noise G Q G'; the cross block goes stale, and (when it has columns) owes
-    F, folded into `owed`."""
+    """Advance only the core block by a segment's transition F and process
+    noise (`compose_transport`); the cross block goes stale, and (when it
+    has columns) owes F, folded into `owed`."""
     partition.core = propagate_covariance(partition.core, F, noise)
     if partition.cross.shape[1]:
         owed = np.eye(CORE_DIM) if partition.owed is None else partition.owed

@@ -23,13 +23,7 @@ import numpy as np
 from .checks import number, vector
 from .conventions import GRAVITY, TransitionPair, lookup
 from .conventions import transition_ekf, transition_left, transition_right  # re-exported
-from .lie import (
-    ExtendedPose,
-    skew,
-    so3_exp,
-    so3_gamma2,
-    so3_left_jacobian,
-)
+from .lie import ExtendedPose, skew, so3_integrals
 from .state import CORE_DIM, SystemState
 
 
@@ -145,7 +139,7 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
     accel = np.array([imu.accel for imu in samples], dtype=float).reshape(n, 3)
     psi = (gyro - state.gyro_bias) * dt_col
     a = accel - state.accel_bias
-    Gamma, J1, G2 = so3_exp(psi), so3_left_jacobian(psi), so3_gamma2(psi)
+    Gamma, J1, G2 = so3_integrals(psi)
     J1a = (J1 @ a[:, :, None])[:, :, 0]
     G2a = (G2 @ a[:, :, None])[:, :, 0]
     R = state.nav.rotation
@@ -178,11 +172,13 @@ def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionP
     the step mechanized from a zero clock so that its length is dt exactly."""
     seg = mechanize(replace(state_estimate, timestamp=0.0), [replace(imu, timestamp=dt)],
                     gravity)
-    return lookup(convention).transition(seg)[0]
+    T = lookup(convention).transition(seg)
+    return TransitionPair(T.F[0], T.G[0])
 
 
 def propagate_covariance(P_core, F, noise):
-    """F P F' + noise, re-symmetrized; `noise` is the step's G Q G'."""
+    """F P F' + noise, re-symmetrized; F and noise are a step's or a whole
+    segment's (`covariance.compose_transport`)."""
     P = F @ P_core @ F.T + noise
     return (P + P.T) / 2.0
 

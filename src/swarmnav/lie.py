@@ -12,7 +12,8 @@ Tangent vectors are ordered (attitude, velocity, position).
 
 ``skew``, ``so3_exp``, ``so3_left_jacobian`` and ``so3_gamma2`` also take a
 stack of vectors (..., 3) and return a stack of matrices (..., 3, 3), bit
-for bit the matrices of one call per vector.
+for bit the matrices of one call per vector; ``so3_integrals`` returns the
+last three together, from one shared computation of their terms.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ def _series_below_cutoff(small, closed, series):
 def so3_exp(phi):
     """Rodrigues formula: rotation matrix for a rotation vector (rad),
     exp(phi^) = I + a*phi^ + b*phi^2."""
-    theta, S, SS, small, th = _so3_terms(phi)
+    return _exp(*_so3_terms(phi))
+
+
+def _exp(theta, S, SS, small, th):
     t2 = theta * theta
     return _series_below_cutoff(
         small,
@@ -129,7 +133,10 @@ def so3_log(R):
 
 def so3_left_jacobian(phi):
     """Left Jacobian J_l of SO(3): exp((phi+dphi)^) ~ exp((J_l dphi)^) exp(phi^)."""
-    _, S, SS, small, th = _so3_terms(phi)
+    return _left_jacobian(*_so3_terms(phi))
+
+
+def _left_jacobian(_, S, SS, small, th):
     t2 = th * th
     b = (1.0 - np.cos(th)) / t2
     c = (th - np.sin(th)) / (t2 * th)
@@ -154,12 +161,22 @@ def so3_gamma2(phi):
 
     Appears in the closed-form position update of the strapdown integrator.
     """
-    _, S, SS, small, th = _so3_terms(phi)
+    return _gamma2(*_so3_terms(phi))
+
+
+def _gamma2(_, S, SS, small, th):
     t2 = th * th
     a = (th - np.sin(th)) / (t2 * th)
     b = (t2 / 2.0 + np.cos(th) - 1.0) / (t2 * t2)
     return _series_below_cutoff(small, _EYE / 2.0 + _per_matrix(a) * S + _per_matrix(b) * SS,
                                 lambda: _EYE / 2.0 + S / 6.0 + SS / 24.0)
+
+
+def so3_integrals(phi):
+    """(so3_exp, so3_left_jacobian, so3_gamma2) of phi, bit for bit, from
+    one computation of the angle, phi^ and phi^2 that all three read."""
+    terms = _so3_terms(phi)
+    return _exp(*terms), _left_jacobian(*terms), _gamma2(*terms)
 
 
 @dataclass(frozen=True)

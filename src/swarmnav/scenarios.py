@@ -199,16 +199,17 @@ def segmentation():
     P_full = A @ A.T / dim + np.eye(dim)
     part = CovariancePartition(P_full[:18, :18].copy(), dim - 18)
     T = transition_left(np.array([[0.01, -0.02, 0.05]]), np.array([[0.1, 0.0, 9.8]]),
-                        np.array([0.005]))[0]
+                        np.array([0.005]))
+    F, G = T.F[0], T.G[0]
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.005)
-    noise = T.G @ Q @ T.G.T
+    noise = G @ Q @ G.T
     F_full = np.eye(dim)
-    F_full[:18, :18] = T.F
+    F_full[:18, :18] = F
     GQG = np.zeros((dim, dim))
     GQG[:18, :18] = noise
     t0 = time.perf_counter()
     for _ in range(steps):
-        propagate_core_only(part, T.F, noise)
+        propagate_core_only(part, F, noise)
     t_core = time.perf_counter() - t0
     P = P_full.copy()
     t0 = time.perf_counter()

@@ -17,6 +17,7 @@ from swarmnav.covariance import (
     _ci_weighted_posterior,
     _golden_section,
     Correspondence,
+    compose_transport,
 )
 from swarmnav.filters import (
     ImuSample,
@@ -175,23 +176,28 @@ def test_a3_delayed_update_matches_rewind_replay():
             tic = time.perf_counter()
             prev_t = state_k.timestamp
             for entry in replay:
-                dt = entry.timestamp - prev_t
-                prev_t = entry.timestamp
-                T = transition_left(entry.imu.gyro[None], entry.imu.accel[None],
-                                    np.array([dt]))[0]
-                GQG = T.G @ noise.discrete_q(dt) @ T.G.T
-                P = T.F @ P @ T.F.T + GQG
-                mats.append((T.F, GQG, P.copy()))
+                Fs, Qs = [], []
+                for imu in entry.samples:
+                    dt = imu.timestamp - prev_t
+                    prev_t = imu.timestamp
+                    T = transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))
+                    F, G = T.F[0], T.G[0]
+                    GQG = G @ noise.discrete_q(dt) @ G.T
+                    P = F @ P @ F.T + GQG
+                    Fs.append(F)
+                    Qs.append(GQG)
+                mats.append((Fs, Qs))
             P = (P + P.T) / 2.0
             t_slow += time.perf_counter() - tic
 
             # Untimed in both schemes: the mean is re-mechanized through the
             # buffered samples either way, and the replay filter rebuilds its
-            # history buffer from the recomputed steps.
-            state = mechanize(state, [entry.imu for entry in replay],
-                              noise.gravity).state
-            rebuilt = [ImuBufferEntry(F, GQG, entry.timestamp, entry.imu)
-                       for entry, (F, GQG, _) in zip(replay, mats)]
+            # history buffer, one entry per segment, from the recomputed steps.
+            samples = [imu for entry in replay for imu in entry.samples]
+            state = mechanize(state, samples, noise.gravity).state
+            rebuilt = [ImuBufferEntry(*compose_transport(np.array(Fs), np.array(Qs)),
+                                      entry.start, entry.timestamp, entry.samples)
+                       for entry, (Fs, Qs) in zip(replay, mats)]
 
             fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k])
 
@@ -319,7 +325,7 @@ def test_a5_repropagation_algebra():
             F = np.eye(18) + 0.02 * rg.standard_normal((18, 18))
             G = rg.standard_normal((18, 12))
             Q = np.diag(rg.uniform(1e-4, 1e-2, 12))
-            e = ImuBufferEntry(F, G @ Q @ G.T, 0.005 * (k + 1))
+            e = ImuBufferEntry(F, G @ Q @ G.T, 0.005 * k, 0.005 * (k + 1))
             entries.append(e)
             buf.push(e)
         A = rg.standard_normal((18, 18))

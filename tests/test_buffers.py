@@ -31,11 +31,12 @@ from swarmnav.state import CORE_DIM, SystemState, retract
 rng = np.random.default_rng(23)
 
 
-def _entry(t, dim=4):
+def _entry(start, t, dim=4):
+    """A one-sample segment from `start` to `t` with a random transition."""
     F = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
     G = rng.standard_normal((dim, dim))
     Q = np.diag(rng.uniform(0.1, 1.0, dim))
-    return ImuBufferEntry(F, G @ Q @ G.T, t)
+    return ImuBufferEntry(F, G @ Q @ G.T, start, t, (None,))
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +46,7 @@ def _entry(t, dim=4):
 def test_push_and_capacity():
     buf = HistoryBuffer(capacity=3)
     for t in (1.0, 2.0, 3.0, 4.0):
-        buf.push(_entry(t))
+        buf.push(_entry(t - 1.0, t))
     assert len(buf) == 3
     assert buf.entries[-1].timestamp == 4.0
     assert buf.last_evicted == 1.0
@@ -53,17 +54,17 @@ def test_push_and_capacity():
 
 def test_push_equal_timestamps_allowed():
     buf = HistoryBuffer(capacity=5)
-    buf.push(_entry(1.0))
-    buf.push(_entry(1.0))  # two events can land on the same epoch
+    buf.push(_entry(0.5, 1.0))
+    buf.push(_entry(1.0, 1.0))  # two events can land on the same epoch
     assert len(buf) == 2
     with pytest.raises(ValueError):
-        buf.push(_entry(0.5))
+        buf.push(_entry(0.0, 0.5))
 
 
 def test_range_after():
     buf = HistoryBuffer(capacity=10)
     for t in (1.0, 2.0, 3.0):
-        buf.push(_entry(t))
+        buf.push(_entry(t - 1.0, t))
     ts = [e.timestamp for e in buf.range_after(1.0, 3.0)]
     assert ts == [2.0, 3.0]
     assert buf.range_after(3.0, 9.0) == []
@@ -72,33 +73,40 @@ def test_range_after():
 def test_range_after_checks_horizon():
     buf = HistoryBuffer(capacity=2)
     for t in (1.0, 2.0, 3.0):
-        buf.push(_entry(t))
+        buf.push(_entry(t - 1.0, t))
     with pytest.raises(DelayExceedsHorizon):
         buf.range_after(0.5, 3.0)
 
 
-# Nondecreasing timestamps on a coarse grid, so that ties are common.
+# Nondecreasing segment ends on a coarse grid, so that ties are common, each
+# segment holding 1-3 samples.
 _TIMES = st.lists(st.integers(0, 4), min_size=0, max_size=25).map(
     lambda steps: [0.5 * sum(steps[:k + 1]) for k in range(len(steps))])
 _BOUND = st.integers(-2, 60).map(lambda k: 0.25 * k)
 
 
 @settings(max_examples=200, deadline=None)
-@given(times=_TIMES, capacity=st.integers(1, 8), a=_BOUND, b=_BOUND)
-def test_history_buffer_properties(times, capacity, a, b):
+@given(times=_TIMES, sizes=st.lists(st.integers(1, 3), min_size=25, max_size=25),
+       capacity=st.integers(1, 8), a=_BOUND, b=_BOUND)
+def test_history_buffer_properties(times, sizes, capacity, a, b):
     buf = HistoryBuffer(capacity=capacity)
-    pushed = [ImuBufferEntry(None, None, t) for t in times]
+    pushed = [ImuBufferEntry(None, None, start, t, (None,) * k)
+              for start, t, k in zip([0.0] + times, times, sizes)]
     for e in pushed:
         buf.push(e)
     n = len(pushed)
-    kept = pushed[n - min(n, capacity):]
-    assert len(buf) <= capacity
+    # The shortest tail of segments that holds `capacity` samples stays.
+    keep = next((k for k in range(n) if sum(sizes[k:n]) - sizes[k] < capacity), n)
+    kept = pushed[keep:]
     assert buf.entries == kept
-    evicted = pushed[:n - len(kept)]
+    evicted = pushed[:keep]
     assert buf.last_evicted == (evicted[-1].timestamp if evicted else None)
 
     if evicted and a < evicted[-1].timestamp:
         with pytest.raises(DelayExceedsHorizon):
+            buf.range_after(a, b)
+    elif any(e.start < a < e.timestamp for e in kept):
+        with pytest.raises(ValueError, match="inside the buffered segment"):
             buf.range_after(a, b)
     else:
         assert buf.range_after(a, b) == [e for e in kept if a < e.timestamp <= b]
@@ -106,8 +114,26 @@ def test_history_buffer_properties(times, capacity, a, b):
     if kept and kept[-1].timestamp > 0.0:
         before = (list(buf.entries), list(buf._times), buf.last_evicted)
         with pytest.raises(ValueError):
-            buf.push(ImuBufferEntry(None, None, kept[-1].timestamp - 0.25))
+            buf.push(ImuBufferEntry(None, None, 0.0, kept[-1].timestamp - 0.25, (None,)))
         assert (buf.entries, buf._times, buf.last_evicted) == before
+
+
+def test_range_after_refuses_an_epoch_inside_a_segment():
+    # A segment is buffered as one transition. An interval that starts
+    # strictly inside it would take that whole transition, a wrong
+    # transport with no error; it raises instead.
+    ag = _make_agent()
+    stream = _imu_stream(20, 0.005)
+    ag.propagate(*stream[:5])
+    epoch = ag.state.timestamp
+    ag.propagate(*stream[5:])  # one segment across t = 0.05
+    snap = ag.snapshot()
+    ag.imu_buffer.range_after(epoch, ag.state.timestamp)  # a boundary is fine
+    with pytest.raises(ValueError, match="inside the buffered segment"):
+        ag.imu_buffer.range_after(stream[9].timestamp, ag.state.timestamp)
+    inside = replace(snap[0], timestamp=stream[9].timestamp)
+    with pytest.raises(ValueError, match="inside the buffered segment"):
+        ag.update_gnss_delayed(np.zeros(3), 0.02, (inside, snap[1]))
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +146,7 @@ def test_repropagate_matches_chained_steps():
     for _ in range(20):
         n = rng.integers(3, 7)
         buf = HistoryBuffer(capacity=20)
-        entries = [_entry(0.01 * (k + 1)) for k in range(n)]
+        entries = [_entry(0.01 * k, 0.01 * (k + 1)) for k in range(n)]
         for e in entries:
             buf.push(e)
         A = rng.standard_normal((4, 4))
@@ -139,7 +165,7 @@ def test_repropagate_matches_chained_steps():
 
 def test_repropagate_zero_interval():
     buf = HistoryBuffer(capacity=5)
-    buf.push(_entry(1.0))
+    buf.push(_entry(0.0, 1.0))
     P = np.eye(4)
     xi = np.ones(4)
     P_out, xi_out, Phi = repropagate(buf, P, xi, 1.0, 1.0)

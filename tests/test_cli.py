@@ -553,9 +553,10 @@ def test_digest_tool_expect_names_each_mismatch(tmp_path, capsys, monkeypatch):
 
 def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_path,
                                                                           monkeypatch):
-    # Each commit runs in its own worktree, the order alternating by round;
-    # one BENCH file per commit holds the median and quartiles of every
-    # metric. A problem in any run writes no file and exits 1.
+    # Each commit runs in its own worktree, the order alternating by round,
+    # then once traced; one BENCH file per commit holds the median and
+    # quartiles of every end-to-end metric and the traced run's per-layer
+    # values. A problem in any run writes no file and exits 1.
     spec = importlib.util.spec_from_file_location(
         "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
     tool = importlib.util.module_from_spec(spec)
@@ -579,11 +580,14 @@ def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_p
     rates = {"parent": [10.0 * x for x in change], "change": change}
     calls = []
 
-    def fake_run(tree, seed, problem=None):
+    def fake_run(tree, seed, trace=0, problem=None):
         name = (pathlib.Path(tree) / "src" / "version.txt").read_text()
-        calls.append((name, seed))
+        calls.append((name, seed, trace))
         env = {"nproc": 2, "blas": "stub", "thread_vars": {}, "git_commit": None}
-        values = {"gnss-ins": {"sim_rate": (rates[name][seed - 101], "agent-s/s")}}
+        if trace:
+            values = {"gnss-ins": {"agent.propagate.calls": (len(name), "count")}}
+        else:
+            values = {"gnss-ins": {"sim_rate": (rates[name][seed - 101], "agent-s/s")}}
         return values, [{"environment": env, "problems": []}], \
             [problem] if problem and (name, seed) == ("change", 103) else []
 
@@ -593,8 +597,8 @@ def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_p
     expected = []
     for r, seed in enumerate(range(101, 111)):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-        expected += [(name, seed) for name in order]
-    assert calls == expected
+        expected += [(name, seed, 0) for name in order]
+    assert calls == expected + [("parent", 101, 1), ("change", 101, 1)]
     assert git("worktree", "list").count("\n") == 0  # only the main tree is left
     for sha, name in zip(shas, ("parent", "change")):
         record = json.loads((out / f"BENCH_{sha[:7]}.json").read_text())
@@ -607,9 +611,12 @@ def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_p
         assert (cell["q1"], cell["median"], cell["q3"]) == (3.25 * scale, 5.5 * scale,
                                                             7.75 * scale)
         assert record["session"]["seeds"] == list(range(101, 111))
+        assert record["per_layer"] == {
+            "gnss-ins": {"agent.propagate.calls": {"value": len(name), "unit": "count"}}}
 
     calls.clear()
-    monkeypatch.setattr(tool, "run_once", lambda *a: fake_run(*a, problem="failed: 1"))
+    monkeypatch.setattr(tool, "run_once",
+                        lambda *a, **k: fake_run(*a, **k, problem="failed: 1"))
     assert tool.main(["--repo", str(repo), "--out", str(tmp_path / "none"), *shas]) == 1
     assert not (tmp_path / "none").exists()
     assert git("worktree", "list").count("\n") == 0

@@ -95,7 +95,7 @@ def test_lazy_sync_matches_shadow_full_filter():
         G = rng.standard_normal((CORE_DIM, 6))
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
         propagate_core_only(part, F, G @ Q @ G.T)
-        imu_buf.push(ImuBufferEntry(F, G @ Q @ G.T, t))
+        imu_buf.push(ImuBufferEntry(F, G @ Q @ G.T, round(t - 0.01, 9), t))
         F_full = np.eye(CORE_DIM + d_vis)
         F_full[:CORE_DIM, :CORE_DIM] = F
         P_shadow = F_full @ P_shadow @ F_full.T

@@ -13,6 +13,7 @@ from swarmnav.filters import (
     LinearMeasurement,
     NoiseDensities,
     Strapdown,
+    TransitionPair,
     UpdateRejected,
     bearing_measurement,
     feature_world_position,
@@ -51,7 +52,8 @@ def random_nav_state(t=0.0, biases=True):
 
 def left_step(imu, dt):
     """The left-invariant transition of one sample, from its raw rates."""
-    return transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))[0]
+    T = transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))
+    return TransitionPair(T.F[0], T.G[0])
 
 
 def random_imu(state, t):
@@ -334,18 +336,18 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     for state, samples in segments:
         seg = mechanize(state, samples, GRAVITY)
         stacked = step(seg)
-        assert len(stacked) == len(samples)
+        assert len(stacked.F) == len(stacked.G) == len(samples)
         clock = state.timestamp
-        for k, (imu, dt, T) in enumerate(zip(samples, seg.dts, stacked)):
+        for k, (imu, dt, F, G) in enumerate(zip(samples, seg.dts, stacked.F, stacked.G)):
             thetas.append(np.linalg.norm((imu.gyro - state.gyro_bias) * dt))
             start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                             timestamp=clock)
             one_seg = mechanize(start, [imu], GRAVITY)
             assert one_seg.dts[0] == dt
             clock = one_seg.state.timestamp
-            (one,) = step(one_seg)
-            assert T.F.tobytes() == one.F.tobytes()
-            assert T.G.tobytes() == one.G.tobytes()
+            one = step(one_seg)
+            assert F.tobytes() == one.F.tobytes()
+            assert G.tobytes() == one.G.tobytes()
     thetas = np.array(thetas)
     assert np.any(thetas == 0.0)
     assert np.any((thetas > 0.99e-4) & (thetas < 1e-4))
@@ -407,15 +409,16 @@ def test_stacked_transitions_across_the_scaling_threshold_match_one_sample_calls
     assert norms.min() < _THETA and norms.max() > 8.0 * _THETA
     step = CONVENTIONS[convention].transition
     clock = state.timestamp
-    for k, (imu, T) in enumerate(zip(samples, step(seg))):
+    stacked = step(seg)
+    for k, (imu, F, G) in enumerate(zip(samples, stacked.F, stacked.G)):
         start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                         timestamp=clock)
         one_seg = mechanize(start, [imu], GRAVITY)
         assert one_seg.dts[0] == seg.dts[k]
         clock = one_seg.state.timestamp
-        (one,) = step(one_seg)
-        assert T.F.tobytes() == one.F.tobytes()
-        assert T.G.tobytes() == one.G.tobytes()
+        one = step(one_seg)
+        assert F.tobytes() == one.F.tobytes()
+        assert G.tobytes() == one.G.tobytes()
 
 
 def _a1_segments():
@@ -445,7 +448,7 @@ def test_transitions_match_scipy_expm(convention):
 
     def worst(seg):
         ref = expm(_generators(convention, seg))
-        got = [T.F[:15, :15] for T in CONVENTIONS[convention].transition(seg)]
+        got = CONVENTIONS[convention].transition(seg).F[:, :15, :15]
         return max(np.max(np.abs(g - r)) / np.max(np.abs(r)) for g, r in zip(got, ref))
 
     assert max(worst(seg) for seg in _a1_segments()) <= 1e-13

@@ -16,6 +16,7 @@ from swarmnav.lie import (
     skew,
     so3_exp,
     so3_gamma2,
+    so3_integrals,
     so3_left_jacobian,
     so3_left_jacobian_inv,
     so3_log,
@@ -182,3 +183,6 @@ def test_stacked_so3_matrices_match_single_calls(vectors):
         assert stacked.shape == (len(phis), 3, 3)
         for phi, M in zip(phis, stacked):
             assert M.tobytes() == f(phi).tobytes(), f.__name__
+    # The three of mechanize from one shared computation of their terms.
+    for M, f in zip(so3_integrals(phis), (so3_exp, so3_left_jacobian, so3_gamma2)):
+        assert M.tobytes() == f(phis).tobytes(), f.__name__

@@ -9,11 +9,13 @@ all --seconds 35 --trace 0` runs there, unchanged: 35 s is the run length
 `BENCHMARK.json` sets. There are 10 rounds. Round r runs every commit once
 with seed 101 + r, in the given order on even rounds and reversed on odd
 ones, so that a drift in host load falls on both sides and neither commit
-always runs first. After the last round the tool writes
+always runs first. After the last round each commit runs once more with
+`--trace 1` and seed 101, in the given order. Then the tool writes
 `BENCH_<short-sha>.json` per commit into --out, holding:
 
 * per workload and end-to-end metric: the median, the quartiles and every
   run's value, in round order;
+* per workload and per-layer metric: the value of the traced run;
 * the environment the reports give (nproc, Python and numpy versions, the
   BLAS, the thread variables and the pinned workload settings);
 * the `src` tree hash of the commit, and the session: every commit measured
@@ -47,12 +49,13 @@ def git(repo, *args):
                           text=True).stdout.strip()
 
 
-def run_once(tree, seed):
-    """One `perfbench/run.py --workload all` in `tree`: (values by workload
-    and metric, the reports it left, problems)."""
+def run_once(tree, seed, trace=0):
+    """One `perfbench/run.py --workload all --trace <trace>` in `tree`:
+    (values by workload and metric, the reports it left, problems)."""
     before = set(glob.glob(os.path.join(tree, ".perfbench_runs", "*", "report.json")))
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
-                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS),
+                           "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     problems = [] if proc.returncode == 0 else [f"exit code {proc.returncode}"]
     lines = proc.stdout.strip().splitlines()
@@ -101,6 +104,7 @@ def main(argv=None):
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     trees = {}
     runs = {sha: [] for sha in shas}
+    traced = {}
     envs = {}
     problems = []
     try:
@@ -116,6 +120,10 @@ def main(argv=None):
                 runs[sha].append(values)
                 if reports:
                     envs.setdefault(sha, reports[0]["environment"])
+        for sha in shas:
+            print(f"traced run, seed {BASE_SEED}: {sha[:7]}", flush=True)
+            traced[sha], _, found = run_once(trees[sha], BASE_SEED, trace=1)
+            problems += [f"{sha[:7]} traced: {q}" for q in found]
     finally:
         for tree in trees.values():
             subprocess.run(["git", "-C", repo, "worktree", "remove", "--force", tree],
@@ -129,13 +137,16 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     session = {"commits": shas, "started": started, "finished": finished,
                "repeats": REPEATS, "seconds": SECONDS,
-               "seeds": [BASE_SEED + r for r in range(REPEATS)],
+               "seeds": [BASE_SEED + r for r in range(REPEATS)], "traced_seed": BASE_SEED,
                "order": "interleaved; reversed on odd rounds"}
     for sha in shas:
         env = {k: v for k, v in envs[sha].items() if k != "git_commit"}
         record = {"commit": sha, "src_tree": git(repo, "rev-parse", f"{sha}:src"),
                   "environment": env, "session": session,
-                  "end_to_end": summarize(runs[sha])}
+                  "end_to_end": summarize(runs[sha]),
+                  "per_layer": {workload: {name: {"value": value, "unit": unit}
+                                           for name, (value, unit) in metrics.items()}
+                                for workload, metrics in traced[sha].items()}}
         path = os.path.join(args.out, f"BENCH_{git(repo, 'rev-parse', '--short=7', sha)}.json")
         with open(path, "w") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
