@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "agent": ("AgentFilter",),
     "covariance": ("Correspondence", "CovariancePartition"),
-    "filters": ("ImuSample", "LinearMeasurement", "NoiseDensities"),
+    "filters": ("ImuStream", "LinearMeasurement", "NoiseDensities"),
     "gate": ("GateState", "GateVerdict", "adaptive_k", "evaluate"),
     "lie": ("ExtendedPose", "se23_exp", "se23_log", "so3_exp", "so3_log"),
     "metrics": ("anees_interval", "ate", "gate_score", "nees"),

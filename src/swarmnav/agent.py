@@ -3,15 +3,15 @@ covariance, sliding-window camera clones, inverse-depth landmarks, and the
 GNSS / vision / collaborative update paths.
 
 The filter takes its IMU stream in segments, all samples between two
-events: the biases are fixed across a segment, so the mean is mechanized and
-the convention's transitions are formed for the whole segment at once, and
-they and their process noises are composed into one segment transition and
-noise. The covariance is split into an 18-dim core (propagated once per
-segment by that pair) and one sensor block holding all clone and landmark
-entries; the cross block between them is caught up lazily, from the
-product of the segment transitions it owes, just before it is needed,
-which keeps the propagation cost independent of the window size. The IMU
-buffer, one entry per segment, serves delayed fixes.
+events, each a slice of the stream's arrays: the biases are fixed across a
+segment, so the mean is mechanized and the convention's transitions are
+formed for the whole segment at once, and composed with their process
+noises into one segment transition and noise. The covariance is split into
+an 18-dim core (propagated once per segment by that pair) and one sensor
+block holding all clone and landmark entries; the cross block between them
+is caught up lazily, from the product of the segment transitions it owes,
+just before it is needed, which keeps the propagation cost independent of
+the window size. The IMU buffer, one entry per segment, serves delayed fixes.
 The state's timestamp is the filter's only clock: syncs, snapshots and the
 completion of a delayed fix all read it.
 The window is the state's stacked arrays (``swarmnav.state``); a clone's
@@ -41,7 +41,7 @@ from .covariance import (
     sync_cross,
 )
 from .filters import (
-    ImuSample,
+    ImuStream,
     NoiseDensities,
     bearing_measurement,
     gnss_measurement,
@@ -59,7 +59,7 @@ class AgentFilter:
     def __init__(self, state: SystemState, covariance, convention,
                  noise: NoiseDensities = None,
                  camera_extrinsics=None,
-                 max_clones=6, max_features=30,
+                 max_clones=6, max_features=16,
                  imu_buffer_capacity=300):
         lookup(convention)  # ValueError for an unknown name
         self.convention = convention
@@ -105,20 +105,20 @@ class AgentFilter:
     # ------------------------------------------------------------------
     # propagation
 
-    def propagate(self, *samples: ImuSample):
-        """Advance through a segment of IMU samples, oldest first.
+    def propagate(self, segment: ImuStream):
+        """Advance through a segment of the IMU stream.
 
         The mean is mechanized over the whole segment in one call, and the
         convention's transitions and each step's process noise G Q G' are
         formed in one stacked call each. `compose_transport` reduces them to
         the segment's one (transition, noise) pair, which advances the core
         covariance, is owed by the cross block, and is buffered with the
-        samples as one entry for the delayed-fix transport. An empty
+        segment itself as one entry for the delayed-fix transport. An empty
         segment changes nothing.
         """
-        if not samples:
+        if not segment:
             return self.state
-        seg = mechanize(self.state, samples, self.noise.gravity)
+        seg = mechanize(self.state, segment, self.noise.gravity)
         steps = lookup(self.convention).transition(seg)
         noise = steps.G @ self.noise.discrete_q(seg.dts[:, None, None]) \
             @ steps.G.transpose(0, 2, 1)
@@ -126,7 +126,7 @@ class AgentFilter:
         F.flags.writeable = noise.flags.writeable = False
         propagate_core_only(self.partition, F, noise)
         self.imu_buffer.push(ImuBufferEntry(F, noise, self.state.timestamp,
-                                            seg.state.timestamp, samples))
+                                            seg.state.timestamp, segment))
         self.state = seg.state
         return self.state
 

@@ -3,13 +3,13 @@ measurements.
 
 Each agent keeps a high-rate IMU buffer with one entry per propagated
 segment: the segment's composed core transition and process noise, its
-start and end times, and its samples, each stored as propagation formed
-it. A measurement that completes late is updated against the snapshot
-taken at its epoch, whose state time is that epoch and so a segment
-boundary. The corrected covariance is transported to the agent's state
-time through the stored segment transitions and noises, one product per
-segment with none re-formed, and the corrected mean is re-mechanized
-through the buffered samples in one segment call, instead of rewinding and
+start and end times, and its samples, a view of the IMU stream's arrays.
+A measurement that completes late is updated against the snapshot taken at
+its epoch, whose state time is that epoch and so a segment boundary. The
+corrected covariance is transported to the agent's state time through the
+stored segment transitions and noises, one product per segment with none
+re-formed, and the corrected mean is re-mechanized through the buffered
+samples, joined once, in one segment call, instead of rewinding and
 replaying. The covariance transport equals rewind-and-replay to rounding:
 a segment's products group differently from a step-by-step recursion.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import LinearMeasurement, kalman_step, mechanize
+from .filters import ImuStream, LinearMeasurement, kalman_step, mechanize
 from .state import CORE_DIM, retract
 
 
@@ -31,14 +31,13 @@ class DelayExceedsHorizon(RuntimeError):
 
 @dataclass(frozen=True)
 class ImuBufferEntry:
-    """One propagated segment from `start` to `timestamp`: the product of its
-    core transitions and the process noise they add, and its raw samples."""
+    """One propagated segment: its composed transition, noise and samples."""
 
     F: np.ndarray          # the segment's core transition F_n ... F_1
     noise: np.ndarray      # the core process noise it adds (18 x 18)
     start: float           # the state time the segment starts from
     timestamp: float       # the state time it ends at
-    samples: tuple = ()    # the ImuSamples driving it (mean replay)
+    samples: ImuStream     # the stream slice driving it (mean replay)
 
 
 @dataclass
@@ -49,7 +48,6 @@ class HistoryBuffer:
 
     capacity: int
     entries: list = field(default_factory=list)
-    _times: list = field(default_factory=list)
     _held: int = 0         # samples in the entries
     last_evicted: float = None
 
@@ -58,15 +56,13 @@ class HistoryBuffer:
 
     def push(self, entry):
         t = entry.timestamp
-        if self._times and t < self._times[-1]:
-            raise ValueError(
-                f"out-of-order push: t={t} is before last t={self._times[-1]}"
-            )
+        if self.entries and t < self.entries[-1].timestamp:
+            raise ValueError(f"out-of-order push: t={t} is before last "
+                             f"t={self.entries[-1].timestamp}")
         self.entries.append(entry)
-        self._times.append(t)
         self._held += len(entry.samples)
         while self.entries and self._held - len(self.entries[0].samples) >= self.capacity:
-            self.last_evicted = self._times.pop(0)
+            self.last_evicted = self.entries[0].timestamp
             self._held -= len(self.entries.pop(0).samples)
 
     def range_after(self, t_start, t_end):
@@ -78,12 +74,12 @@ class HistoryBuffer:
             raise DelayExceedsHorizon(
                 f"interval start t={t_start} predates buffer horizon"
             )
-        lo = bisect.bisect_right(self._times, t_start)
+        lo = bisect.bisect_right(self.entries, t_start, key=lambda e: e.timestamp)
         if lo < len(self.entries) and self.entries[lo].start < t_start:
             e = self.entries[lo]
             raise ValueError(f"t={t_start} falls inside the buffered segment "
                              f"({e.start}, {e.timestamp}]")
-        hi = bisect.bisect_right(self._times, t_end)
+        hi = bisect.bisect_right(self.entries, t_end, key=lambda e: e.timestamp)
         return self.entries[lo:hi]
 
 
@@ -92,11 +88,8 @@ def repropagate(buffer: HistoryBuffer, P_kk, xi_k, t_k, t_m):
     the stored segment transitions and process noises: returns (P_m, xi_m,
     Phi) with Phi the product of the segments' transitions, newest left.
     t_m == t_k yields the identity transport with no added noise."""
-    P_kk = np.asarray(P_kk, dtype=float)
-    xi_k = np.asarray(xi_k, dtype=float)
     segments = buffer.range_after(t_k, t_m)
-    dim = P_kk.shape[0]
-    Phi = np.eye(dim)
+    Phi = np.eye(len(P_kk))
     P = P_kk.copy()
     for e in segments:
         P = e.F @ P @ e.F.T + e.noise
@@ -157,7 +150,10 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     # matrices) and reproduces rewind-and-replay exactly, where a linear
     # transport of the correction would drop second-order bias terms.
     state = retract(state_k, xi, agent.convention)
-    replay = [imu for e in agent.imu_buffer.range_after(t_k, t_now) for imu in e.samples]
+    segments = [e.samples for e in agent.imu_buffer.range_after(t_k, t_now)]
+    replay = ImuStream(np.concatenate([[]] + [s.times for s in segments]),
+                       np.concatenate([np.empty((0, 3))] + [s.gyro for s in segments]),
+                       np.concatenate([np.empty((0, 3))] + [s.accel for s in segments]))
     agent.state = mechanize(state, replay, agent.noise.gravity).state
     agent.partition = part_k
     return xi

@@ -10,8 +10,8 @@ cross block is caught up on demand by left-multiplying it once, which is
 exact because the sensor states are static under IMU propagation. Every
 update syncs the cross block first and corrects it in place, so `owed`
 holds only IMU transitions, and the cross block is stale exactly when it
-owes one. The partition keeps no
-clock: a sync is to the agent's state time.
+owes one. A sync is to the agent's state time; `synced_at` serves only
+perfbench's `last_sync` view and `sync_cross`'s backwards check.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
 cross-covariance is ever stored (the partition has no slot for one).

@@ -4,10 +4,11 @@ measurement models.
 The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
 matrices for the velocity and position columns), run as stacked numpy
-passes over a whole IMU segment: only the rotation chain is a Python loop.
-Its record of a segment, a ``Strapdown``, is what the convention's
-transitions in ``swarmnav.conventions`` are formed from; ``transition_left``,
-``transition_right`` and ``transition_ekf`` are importable from here too.
+passes over a whole IMU segment, a slice of an ``ImuStream``'s arrays:
+only the rotation chain is a Python loop. Its record of a segment, a
+``Strapdown``, is what the convention's transitions in ``swarmnav.conventions``
+are formed from; ``transition_left``, ``transition_right`` and
+``transition_ekf`` are importable from here too.
 
 The vision models read the state's window arrays directly: a landmark's
 anchor clone is the row ``state.feature_anchors[j]``.
@@ -31,11 +32,19 @@ class UpdateRejected(RuntimeError):
     """Raised when an innovation covariance is numerically singular."""
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    gyro: np.ndarray       # rad/s, body frame
-    accel: np.ndarray      # m/s^2, body frame (specific force)
-    timestamp: float
+@dataclass(frozen=True, eq=False)
+class ImuStream:
+    """IMU samples as stacked arrays; a segment `stream[i:j]` holds views."""
+
+    times: np.ndarray      # (n,) s, increasing
+    gyro: np.ndarray       # (n, 3) rad/s, body frame
+    accel: np.ndarray      # (n, 3) m/s^2, body frame (specific force)
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, index):
+        return ImuStream(self.times[index], self.gyro[index], self.accel[index])
 
 
 @dataclass(frozen=True)
@@ -91,8 +100,8 @@ class Strapdown(NamedTuple):
     stack belongs to sample k."""
 
     state: SystemState   # after the last sample
-    dts: np.ndarray      # step lengths, by the filter clock's subtraction chain
-    gyro: np.ndarray     # raw rates
+    dts: np.ndarray      # step lengths, differences of the clock
+    gyro: np.ndarray     # raw rates, the segment's own array
     accel: np.ndarray
     psi: np.ndarray      # bias-corrected rotation increments, (gyro - bias) * dt
     a: np.ndarray        # bias-corrected specific force
@@ -107,9 +116,9 @@ class Strapdown(NamedTuple):
     gravity: np.ndarray
 
 
-def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
-    """Bias-compensated strapdown over a segment of IMU samples, with
-    closed-form ZOH integration.
+def mechanize(state: SystemState, imu: ImuStream, gravity=None) -> Strapdown:
+    """Bias-compensated strapdown over an IMU segment, with closed-form ZOH
+    integration.
 
     The biases are fixed across the segment, so the rotation increments, the
     integral coefficient matrices and the rotated specific-force terms of
@@ -117,28 +126,23 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
     R_{k+1} = R_k Gamma_k runs step by step. Velocities and positions are
     running sums of interleaved term rows, [v_0, R_0 J1a_0 dt_0, g dt_0,
     R_1 J1a_1 dt_1, ...], and np.cumsum adds strictly left to right, so each
-    partial sum has the bits of the one-step-at-a-time recursion. Each
-    step's dt is the sample time minus the state time reached by the steps
-    before it, as when the samples are applied one at a time. Biases, lever
-    arm, clones and features are carried over unchanged; the returned
-    state's arrays share no memory with the record's stacks.
+    partial sum has the bits of the one-step-at-a-time recursion. The step
+    lengths are the differences of the clock [state time, sample times], and
+    the state time after the segment is its last sample's time, so neither
+    depends on where a stream is cut. Biases, lever arm, clones and features
+    are carried over unchanged; the returned state's arrays share no memory
+    with the record's stacks.
     """
-    dts = []
-    t = state.timestamp
-    for imu in samples:
-        dt = imu.timestamp - t
-        if not dt > 0:  # NaN fails too
-            raise ValueError(f"IMU sample at t={imu.timestamp} is not after state t={t}")
-        dts.append(dt)
-        t = t + dt
-    n = len(dts)
+    clock = np.concatenate(([state.timestamp], imu.times))
+    steps = np.diff(clock)
+    if not np.all(steps > 0):  # NaN fails too
+        k = np.argmin(steps > 0)
+        raise ValueError(f"IMU sample at t={clock[k + 1]} is not after t={clock[k]}")
+    n = len(steps)
     g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
-    steps = np.array(dts)
     dt_col = steps[:, None]
-    gyro = np.array([imu.gyro for imu in samples], dtype=float).reshape(n, 3)
-    accel = np.array([imu.accel for imu in samples], dtype=float).reshape(n, 3)
-    psi = (gyro - state.gyro_bias) * dt_col
-    a = accel - state.accel_bias
+    psi = (imu.gyro - state.gyro_bias) * dt_col
+    a = imu.accel - state.accel_bias
     Gamma, J1, G2 = so3_integrals(psi)
     J1a = (J1 @ a[:, :, None])[:, :, 0]
     G2a = (G2 @ a[:, :, None])[:, :, 0]
@@ -162,16 +166,15 @@ def mechanize(state: SystemState, samples, gravity=None) -> Strapdown:
     terms[3::3] = 0.5 * g * dt_col * dt_col
     p = np.cumsum(terms, axis=0)
     nav = ExtendedPose(R, v[-1].copy(), p[-1].copy())
-    return Strapdown(replace(state, nav=nav, timestamp=t),
-                     steps, gyro, accel, psi, a, Gamma, J1, G2, J1a, G2a,
+    return Strapdown(replace(state, nav=nav, timestamp=float(clock[-1])),
+                     steps, imu.gyro, imu.accel, psi, a, Gamma, J1, G2, J1a, G2a,
                      Rs, vs, p[0:3 * n:3], g)
 
 
-def transition(convention, state_estimate, imu, dt, gravity=None) -> TransitionPair:
-    """Core transition of one strapdown step in the given convention, with
-    the step mechanized from a zero clock so that its length is dt exactly."""
-    seg = mechanize(replace(state_estimate, timestamp=0.0), [replace(imu, timestamp=dt)],
-                    gravity)
+def transition(convention, state_estimate, gyro, accel, dt, gravity=None) -> TransitionPair:
+    """Core transition in `convention` of one strapdown step of length dt."""
+    seg = mechanize(replace(state_estimate, timestamp=0.0),
+                    ImuStream(np.array([dt]), np.array([gyro]), np.array([accel])), gravity)
     T = lookup(convention).transition(seg)
     return TransitionPair(T.F[0], T.G[0])
 

@@ -1,9 +1,9 @@
 """Measurement synthesis: IMU, GNSS and landmark bearings from an analytic
 trajectory, with seeded noise so identical seeds give identical streams.
 
-IMU samples cover the interval ending at their timestamp and carry the
-midpoint rate/force of that interval, which keeps the zero-order-hold
-integrator's discretization error third order in the step.
+The IMU stream is one ``ImuStream`` of read-only arrays. Sample k covers
+the interval ending at times[k] and carries its midpoint rate/force, which
+keeps the zero-order-hold integrator's error third order in the step.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import ConfigError, number, vector
-from .filters import ImuSample, NoiseDensities
+from .filters import ImuStream, NoiseDensities
 from .lie import check_rotation
 from .trajectories import TrajectorySpec, kinematics, truth_at
 
@@ -108,8 +108,8 @@ def grid_landmarks(center, extent, count, altitude_range, seed):
 
 
 def synthesize_imu(spec: TrajectorySpec, suite: SensorSuite, seed):
-    """IMU stream over the trajectory duration (list of ImuSample), with
-    random-walk biases and white noise.
+    """IMU stream over the trajectory duration, as one ImuStream of
+    read-only arrays, with random-walk biases and white noise.
 
     The truth is evaluated for all sample times at once. Each sample draws
     12 standard normals, in this order: gyro walk, accel walk, gyro noise,
@@ -129,7 +129,8 @@ def synthesize_imu(spec: TrajectorySpec, suite: SensorSuite, seed):
     bias = np.cumsum(walks, axis=0)[1:]
     gyro = omega + bias[:, 0] + nd.gyro_noise / sq * draws[:, 2]
     accel = f + bias[:, 1] + nd.accel_noise / sq * draws[:, 3]
-    return [ImuSample(g, a, t) for g, a, t in zip(gyro, accel, times.tolist())]
+    times.flags.writeable = gyro.flags.writeable = accel.flags.writeable = False
+    return ImuStream(times, gyro, accel)
 
 
 def synthesize_gnss(spec: TrajectorySpec, suite: SensorSuite, seed):

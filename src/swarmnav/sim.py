@@ -3,12 +3,12 @@
 A single priority queue of timestamped events drives every agent's GNSS
 gating and (possibly delayed) updates, keyframe camera processing with
 landmark initialization, and the request/response message exchange that
-triggers collaborative landmark updates. IMU samples are not queued: before
-each event, a cursor over the agent's IMU stream hands the filter every
-pending sample up to the event's time as one segment
-(`_AgentRuntime.advance`). All randomness is drawn from generators spawned
-off the one config seed, so identical configs produce identical artifacts
-byte for byte.
+triggers collaborative landmark updates. IMU samples are not queued: each
+agent's stream is one record of arrays, and before each event a cursor over
+it hands the filter every pending sample up to the event's time as one
+segment, a slice of those arrays (`_AgentRuntime.advance`). All randomness
+is drawn from generators spawned off the one config seed, so identical
+configs produce identical artifacts byte for byte.
 
 The config dataclasses are the config file's schema: `config_from_dict`
 builds each section from its dataclass's fields and rejects unknown keys at
@@ -435,7 +435,7 @@ class _AgentRuntime:
         self.gate = GateState()
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         # Rounded like the queue's times, so IMU steps go first at equal times.
-        self.imu_times = [round(imu.timestamp, 9) for imu in self.imu]
+        self.imu_times = [round(t, 9) for t in self.imu.times.tolist()]
         self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = deque(maxlen=3)  # positions at the last GNSS epochs
         self.held = None  # (order, payload) held for the delayed fix in flight
@@ -454,7 +454,7 @@ class _AgentRuntime:
         i = self.imu_next
         j = bisect.bisect_right(self.imu_times, t, lo=i)
         if j > i:
-            self.filter.propagate(*self.imu[i:j])
+            self.filter.propagate(self.imu[i:j])
         self.imu_next = j
 
 

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks. Each test prints one summary line, so a
 verbose run doubles as a results table for the whole benchmark set."""
 
+import bisect
 import contextlib
 import functools
 import os
@@ -20,7 +21,7 @@ from swarmnav.covariance import (
     compose_transport,
 )
 from swarmnav.filters import (
-    ImuSample,
+    ImuStream,
     LinearMeasurement,
     feature_world_position,
     gnss_measurement,
@@ -77,15 +78,15 @@ def test_a1_left_transition_state_independent():
     rg = np.random.default_rng(2024)
     differing = 0
     for _ in range(1000):
-        imu = ImuSample(rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3), 0.0)
+        gyro, accel = rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3)
         dt = rg.uniform(1e-3, 1e-2)
         refs = []
         rights = []
         for _ in range(10):
             state = _random_state(rg)
-            T = transition("liekf", state, imu, dt)
+            T = transition("liekf", state, gyro, accel, dt)
             refs.append((T.F.tobytes(), T.G.tobytes()))
-            rights.append(transition("riekf", state, imu, dt).F)
+            rights.append(transition("riekf", state, gyro, accel, dt).F)
         assert all(r == refs[0] for r in refs)
         spread = max(np.max(np.abs(rights[i] - rights[0])) for i in range(1, 10))
         if spread > 1e-6:
@@ -107,13 +108,16 @@ def test_a2_monte_carlo_consistency():
 
 
 def test_a3_delayed_update_matches_rewind_replay():
-    # 100 ms GNSS latency at 200 Hz IMU over 30 s. The buffered transport is
-    # compared against a rewind-and-replay reference that redoes the epoch
-    # update and then re-propagates every step, recomputing the transitions
-    # and rebuilding the history buffer. The timed quantity is the
-    # covariance re-propagation of each delayed update (stored-matrix
-    # products vs recomputing every transition); the mean replay is shared
-    # by both schemes and excluded.
+    # 100 ms GNSS latency at 200 Hz IMU over 30 s. Both filters take the IMU
+    # samples between events as one segment, as the simulator's cursor
+    # hands them over, so the buffer holds composed 20-sample segments. The
+    # buffered transport is compared against a rewind-and-replay reference
+    # that redoes the epoch update and then re-propagates every step,
+    # recomputing the transitions and rebuilding the history buffer from
+    # them, one entry per segment. The timed quantity is the covariance
+    # re-propagation of each delayed update (stored-matrix products vs
+    # recomputing every transition); the mean replay is shared by both
+    # schemes and excluded.
     spec = TrajectorySpec(kind="circle", speed=2.0, size=20.0, duration=30.0)
     suite = default_suite()
     imu = synthesize_imu(spec, suite, seed=71)
@@ -131,12 +135,15 @@ def test_a3_delayed_update_matches_rewind_replay():
     fast = AgentFilter(state0, P0.copy(), "liekf", noise=noise)
     slow = AgentFilter(state0, P0.copy(), "liekf", noise=noise)
 
-    fix_epochs = {round(f.timestamp, 9) for f in fixes}
-    # payload kind 0 = IMU sample, 1 = completion of the fix taken delay ago
-    events = [(round(s.timestamp, 9), 0, s) for s in imu]
+    # kind 0 = a fix epoch (snapshot), 1 = completion of the fix taken
+    # delay ago; before each event, both filters propagate the pending
+    # samples up to its time as one segment.
+    events = [(round(f.timestamp, 9), 0, f) for f in fixes]
     events += [(round(f.timestamp + delay, 9), 1, f) for f in fixes
                if f.timestamp + delay <= spec.duration + 1e-9]
     events.sort(key=lambda e: (e[0], e[1]))
+    imu_times = [round(t, 9) for t in imu.times.tolist()]
+    done = 0
 
     snap_fast = {}
     snap_slow = {}
@@ -144,12 +151,14 @@ def test_a3_delayed_update_matches_rewind_replay():
     t_slow = 0.0
     n_updates = 0
     for t, kind, payload in events:
+        upto = bisect.bisect_right(imu_times, t, lo=done)
+        if upto > done:
+            fast.propagate(imu[done:upto])
+            slow.propagate(imu[done:upto])
+            done = upto
         if kind == 0:
-            fast.propagate(payload)
-            slow.propagate(payload)
-            if t in fix_epochs:
-                snap_fast[t] = fast.snapshot()
-                snap_slow[t] = slow.snapshot()
+            snap_fast[t] = fast.snapshot()
+            snap_slow[t] = slow.snapshot()
         else:
             t_k = round(payload.timestamp, 9)
             z = payload.position
@@ -177,10 +186,11 @@ def test_a3_delayed_update_matches_rewind_replay():
             prev_t = state_k.timestamp
             for entry in replay:
                 Fs, Qs = [], []
-                for imu in entry.samples:
-                    dt = imu.timestamp - prev_t
-                    prev_t = imu.timestamp
-                    T = transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))
+                seg = entry.samples
+                for t_s, gyro, accel in zip(seg.times.tolist(), seg.gyro, seg.accel):
+                    dt = t_s - prev_t
+                    prev_t = t_s
+                    T = transition_left(gyro[None], accel[None], np.array([dt]))
                     F, G = T.F[0], T.G[0]
                     GQG = G @ noise.discrete_q(dt) @ G.T
                     P = F @ P @ F.T + GQG
@@ -193,8 +203,8 @@ def test_a3_delayed_update_matches_rewind_replay():
             # Untimed in both schemes: the mean is re-mechanized through the
             # buffered samples either way, and the replay filter rebuilds its
             # history buffer, one entry per segment, from the recomputed steps.
-            samples = [imu for entry in replay for imu in entry.samples]
-            state = mechanize(state, samples, noise.gravity).state
+            first = bisect.bisect_right(imu_times, t_k)
+            state = mechanize(state, imu[first:done], noise.gravity).state
             rebuilt = [ImuBufferEntry(*compose_transport(np.array(Fs), np.array(Qs)),
                                       entry.start, entry.timestamp, entry.samples)
                        for entry, (Fs, Qs) in zip(replay, mats)]
@@ -250,9 +260,11 @@ def test_a4_segmentation_equivalence_and_speed():
     updates = 0
     clones_added = 0
     clone_at = {5, 15, 25}
-    for s in imu[:1000]:  # 5 s at 200 Hz
-        dt = s.timestamp - ag.state.timestamp
-        T = transition("liekf", ag.state, s, dt, suite.noise.gravity)
+    for k in range(1000):  # 5 s at 200 Hz, one sample per call
+        s = imu[k:k + 1]
+        t_s = float(s.times[0])
+        dt = t_s - ag.state.timestamp
+        T = transition("liekf", ag.state, s.gyro[0], s.accel[0], dt, suite.noise.gravity)
         ag.propagate(s)
         d = shadow.shape[0]
         F = np.eye(d)
@@ -261,7 +273,7 @@ def test_a4_segmentation_equivalence_and_speed():
         shadow[:CORE_DIM, :CORE_DIM] += \
             T.G @ suite.noise.discrete_q(dt) @ T.G.T
         if next_fix is not None and \
-                abs(next_fix.timestamp - s.timestamp) < 1e-9:
+                abs(next_fix.timestamp - t_s) < 1e-9:
             meas = gnss_measurement(ag.state, next_fix.position,
                                     suite.gnss_sigma, "liekf")
             H = np.zeros((3, d))
@@ -325,7 +337,9 @@ def test_a5_repropagation_algebra():
             F = np.eye(18) + 0.02 * rg.standard_normal((18, 18))
             G = rg.standard_normal((18, 12))
             Q = np.diag(rg.uniform(1e-4, 1e-2, 12))
-            e = ImuBufferEntry(F, G @ Q @ G.T, 0.005 * k, 0.005 * (k + 1))
+            t = 0.005 * (k + 1)
+            e = ImuBufferEntry(F, G @ Q @ G.T, 0.005 * k, t,
+                               ImuStream(np.array([t]), np.zeros((1, 3)), np.zeros((1, 3))))
             entries.append(e)
             buf.push(e)
         A = rg.standard_normal((18, 18))

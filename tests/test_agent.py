@@ -10,7 +10,7 @@ from swarmnav.agent import AgentFilter
 from swarmnav.buffers import HistoryBuffer, repropagate
 from swarmnav.covariance import Correspondence
 from swarmnav.filters import (
-    ImuSample,
+    ImuStream,
     LinearMeasurement,
     NoiseDensities,
     feature_world_position,
@@ -28,14 +28,14 @@ EXTR = (np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
         np.array([0.02, 0.0, -0.01]))
 
 
-def make_agent(convention="liekf", seed=0):
+def make_agent(convention="liekf", seed=0, timestamp=0.0):
     rg = np.random.default_rng(seed)
     nav = ExtendedPose(so3_exp(np.array([0.0, 0.0, 0.8])),
                        np.array([2.0, 0.0, 0.0]), np.array([20.0, 0.0, 10.0]))
     state = SystemState(nav=nav, gyro_bias=0.002 * rg.standard_normal(3),
                         accel_bias=0.01 * rg.standard_normal(3),
                         lever_arm=np.array([0.1, 0.0, 0.05]),
-                        timestamp=0.0)
+                        timestamp=timestamp)
     P0 = np.diag(np.concatenate([np.full(3, 0.01), np.full(3, 0.01),
                                  np.full(3, 0.09), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
@@ -51,7 +51,7 @@ def drive(ag, n=20, dt=0.005, seed=1):
         t = round(t + dt, 9)
         omega = np.array([0.0, 0.0, 0.1]) + 0.02 * rg.standard_normal(3)
         f = np.array([0.2, 0.0, 9.81]) + 0.1 * rg.standard_normal(3)
-        ag.propagate(ImuSample(omega, f, t))
+        ag.propagate(ImuStream(np.array([t]), omega[None], f[None]))
     return ag
 
 
@@ -281,7 +281,8 @@ def test_propagate_requires_forward_time():
     ag = make_agent()
     drive(ag, 2)
     with pytest.raises(ValueError):
-        ag.propagate(ImuSample(np.zeros(3), np.zeros(3), ag.state.timestamp))
+        ag.propagate(ImuStream(np.array([ag.state.timestamp]), np.zeros((1, 3)),
+                               np.zeros((1, 3))))
 
 
 @pytest.mark.parametrize("convention", sorted(CONVENTIONS))
@@ -289,7 +290,7 @@ def test_an_empty_segment_changes_nothing(convention):
     ag = make_agent(convention)
     drive(ag, 2)
     state, P = ag.state, ag.full_covariance()
-    assert ag.propagate() is state
+    assert ag.propagate(segment_stream(ag)[:0]) is state
     assert np.array_equal(ag.full_covariance(), P)
 
 
@@ -305,7 +306,7 @@ def segment_stream(ag, n=24, seed=7):
     rg = np.random.default_rng(seed)
     bias = ag.state.gyro_bias
     t = ag.state.timestamp
-    samples = []
+    times, gyro, accel = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
     for k in range(n):
         t = round(t + 0.005, 9)
         if k == 5:
@@ -315,8 +316,8 @@ def segment_stream(ag, n=24, seed=7):
         else:
             omega = np.array([0.0, 0.0, 0.4]) + 0.05 * rg.standard_normal(3)
         f = np.array([0.3, -0.1, 9.81]) + 0.2 * rg.standard_normal(3)
-        samples.append(ImuSample(omega, f, t))
-    return samples
+        times[k], gyro[k], accel[k] = t, omega, f
+    return ImuStream(times, gyro, accel)
 
 
 def rel_diff(x, ref):
@@ -330,18 +331,30 @@ def rel_diff(x, ref):
 CUT_TOL = 1e-13
 
 
-def assert_same_results(a, b):
+def held_views(ag, stream):
+    """The buffered segments, asserted to be views of `stream` that hold
+    its newest samples, oldest first."""
+    held = [e.samples for e in ag.imu_buffer.entries]
+    count = sum(map(len, held))
+    for name in ("times", "gyro", "accel"):
+        whole = getattr(stream, name)
+        assert all(np.shares_memory(getattr(s, name), whole) for s in held)
+        joined = np.concatenate([getattr(s, name) for s in held])
+        assert joined.tobytes() == whole[len(whole) - count:].tobytes()
+    return held
+
+
+def assert_same_results(a, b, stream):
     """Same mean and clock bit for bit; the same core covariance, buffered
-    samples and buffered transport up to the regrouping of products."""
+    samples (views of `stream`) and buffered transport up to the
+    regrouping of products."""
     assert a.state.timestamp == b.state.timestamp
     for x, y in zip((a.state.nav.rotation, a.state.nav.velocity, a.state.nav.position),
                     (b.state.nav.rotation, b.state.nav.velocity, b.state.nav.position)):
         assert x.tobytes() == y.tobytes()
     assert rel_diff(b.partition.core, a.partition.core) <= CUT_TOL
     assert a.partition.synced_at == b.partition.synced_at
-    held = [[imu for e in ag.imu_buffer.entries for imu in e.samples] for ag in (a, b)]
-    assert len(held[0]) == len(held[1])
-    assert all(x is y for x, y in zip(*held))
+    assert sum(map(len, held_views(a, stream))) == sum(map(len, held_views(b, stream)))
     P0 = make_agent(a.convention).partition.core
     xi = np.ones(CORE_DIM)
     ta, tb = (repropagate(ag.imu_buffer, P0, xi, 0.0, ag.state.timestamp) for ag in (a, b))
@@ -355,19 +368,38 @@ def assert_same_results(a, b):
 def test_segment_boundaries_do_not_change_results(convention, cuts):
     stepwise = make_agent(convention)
     stream = segment_stream(stepwise)
-    assert any(np.linalg.norm((s.gyro - stepwise.state.gyro_bias) * 0.005) < 1e-7
-               for s in stream)
-    for s in stream:
-        stepwise.propagate(s)
+    assert np.any(np.linalg.norm((stream.gyro - stepwise.state.gyro_bias) * 0.005,
+                                 axis=1) < 1e-7)
+    for k in range(len(stream)):
+        stepwise.propagate(stream[k:k + 1])
     assert np.isfinite(stepwise.state.nav.as_matrix()).all()
     assert np.isfinite(stepwise.partition.core).all()
     segmented = make_agent(convention)
     bounds = [0] + sorted(cuts) + [len(stream)]
     for lo, hi in zip(bounds, bounds[1:]):
-        segmented.propagate(*stream[lo:hi])
+        segmented.propagate(stream[lo:hi])
     assert [e.timestamp for e in segmented.imu_buffer.entries] == \
-        [stream[hi - 1].timestamp for hi in bounds[1:]]
-    assert_same_results(stepwise, segmented)
+        [stream.times[hi - 1] for hi in bounds[1:]]
+    assert_same_results(stepwise, segmented, stream)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(start=st.floats(0.0, 100.0), steps=st.lists(st.floats(1e-6, 5.0), min_size=1,
+                                                   max_size=30),
+       cuts=st.sets(st.integers(1, 29)))
+def test_the_clock_is_the_last_sample_time_after_any_cut(start, steps, cuts):
+    # Steps from 1 us to 5 s, so that a sample's time can be far more than
+    # twice the one before it, where a difference of the two is not exact.
+    times = start + np.cumsum(steps)
+    n = len(times)
+    stream = ImuStream(times, np.tile([0.0, 0.0, 0.1], (n, 1)),
+                       np.tile([0.0, 0.0, 9.81], (n, 1)))
+    ag = make_agent(timestamp=start)
+    bounds = [0] + sorted(c for c in cuts if c < n) + [n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        ag.propagate(stream[lo:hi])
+        assert type(ag.state.timestamp) is float
+        assert ag.state.timestamp == ag.imu_buffer.entries[-1].timestamp == times[hi - 1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -398,10 +430,10 @@ def test_a_segment_transport_equals_the_stepwise_recursion(convention, sizes, ca
             P = propagate_covariance(P, F_k, Q_k)
         ag.sync()
         start = ag.state.timestamp
-        ag.propagate(*samples)
+        ag.propagate(samples)
         entry = ag.imu_buffer.entries[-1]
         assert (entry.start, entry.timestamp) == (start, seg.state.timestamp)
-        assert entry.samples == tuple(samples)
+        assert entry.samples is samples
         if n == 1:
             for got, ref in ((entry.F, steps.F[0]), (entry.noise, noise[0]),
                              (ag.partition.core, P), (ag.partition.owed, Phi)):
@@ -409,23 +441,23 @@ def test_a_segment_transport_equals_the_stepwise_recursion(convention, sizes, ca
         for got, ref in ((entry.F, Phi), (entry.noise, Q), (ag.partition.core, P),
                          (ag.partition.owed, Phi)):
             assert rel_diff(got, ref) <= 1e-12
-        held = [imu for e in ag.imu_buffer.entries for imu in e.samples]
-        assert all(x is y for x, y in zip(held, stream[done - len(held):done]))
-        assert len(held) >= min(capacity, done)
-        assert len(held) - len(ag.imu_buffer.entries[0].samples) < capacity
+        held = held_views(ag, stream[:done])
+        count = sum(map(len, held))
+        assert count >= min(capacity, done)
+        assert count - len(held[0]) < capacity
 
 
 def test_delayed_fix_replay_equals_chained_single_steps():
     ag = make_agent()
     stream = segment_stream(ag, n=30, seed=3)
-    ag.propagate(*stream[:10])
+    ag.propagate(stream[:10])
     snap = ag.snapshot()
-    ag.propagate(*stream[10:])
+    ag.propagate(stream[10:])
     z = snap[0].nav.position + np.array([0.3, -0.2, 0.1])
     xi = ag.update_gnss_delayed(z, 0.05, snap)
     state = retract(snap[0], xi, ag.convention)
-    for s in stream[10:]:
-        state = mechanize(state, [s], ag.noise.gravity).state
+    for k in range(10, len(stream)):
+        state = mechanize(state, stream[k:k + 1], ag.noise.gravity).state
     assert state.timestamp == ag.state.timestamp
     for x, y in zip((state.nav.rotation, state.nav.velocity, state.nav.position),
                     (ag.state.nav.rotation, ag.state.nav.velocity, ag.state.nav.position)):
@@ -447,7 +479,7 @@ def test_a_segment_forms_its_rotation_terms_once(convention, monkeypatch):
         return original(phi)
 
     monkeypatch.setattr(lie, "_so3_terms", counted)
-    ag.propagate(*stream)
+    ag.propagate(stream)
     assert calls == [(7, 3)]
 
 

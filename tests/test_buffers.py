@@ -19,7 +19,7 @@ from swarmnav.buffers import (
 from swarmnav.covariance import CovariancePartition
 from swarmnav.filters import (
     GRAVITY,
-    ImuSample,
+    ImuStream,
     LinearMeasurement,
     NoiseDensities,
     kalman_step,
@@ -31,12 +31,17 @@ from swarmnav.state import CORE_DIM, SystemState, retract
 rng = np.random.default_rng(23)
 
 
+def _samples(k):
+    """A k-sample IMU stream; the buffer only counts its samples."""
+    return ImuStream(np.zeros(k), np.zeros((k, 3)), np.zeros((k, 3)))
+
+
 def _entry(start, t, dim=4):
     """A one-sample segment from `start` to `t` with a random transition."""
     F = np.eye(dim) + 0.01 * rng.standard_normal((dim, dim))
     G = rng.standard_normal((dim, dim))
     Q = np.diag(rng.uniform(0.1, 1.0, dim))
-    return ImuBufferEntry(F, G @ Q @ G.T, start, t, (None,))
+    return ImuBufferEntry(F, G @ Q @ G.T, start, t, _samples(1))
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +95,7 @@ _BOUND = st.integers(-2, 60).map(lambda k: 0.25 * k)
        capacity=st.integers(1, 8), a=_BOUND, b=_BOUND)
 def test_history_buffer_properties(times, sizes, capacity, a, b):
     buf = HistoryBuffer(capacity=capacity)
-    pushed = [ImuBufferEntry(None, None, start, t, (None,) * k)
+    pushed = [ImuBufferEntry(None, None, start, t, _samples(k))
               for start, t, k in zip([0.0] + times, times, sizes)]
     for e in pushed:
         buf.push(e)
@@ -112,10 +117,10 @@ def test_history_buffer_properties(times, sizes, capacity, a, b):
         assert buf.range_after(a, b) == [e for e in kept if a < e.timestamp <= b]
 
     if kept and kept[-1].timestamp > 0.0:
-        before = (list(buf.entries), list(buf._times), buf.last_evicted)
+        before = (list(buf.entries), buf.last_evicted)
         with pytest.raises(ValueError):
-            buf.push(ImuBufferEntry(None, None, 0.0, kept[-1].timestamp - 0.25, (None,)))
-        assert (buf.entries, buf._times, buf.last_evicted) == before
+            buf.push(ImuBufferEntry(None, None, 0.0, kept[-1].timestamp - 0.25, _samples(1)))
+        assert (buf.entries, buf.last_evicted) == before
 
 
 def test_range_after_refuses_an_epoch_inside_a_segment():
@@ -124,14 +129,14 @@ def test_range_after_refuses_an_epoch_inside_a_segment():
     # transport with no error; it raises instead.
     ag = _make_agent()
     stream = _imu_stream(20, 0.005)
-    ag.propagate(*stream[:5])
+    ag.propagate(stream[:5])
     epoch = ag.state.timestamp
-    ag.propagate(*stream[5:])  # one segment across t = 0.05
+    ag.propagate(stream[5:])  # one segment across t = 0.05
     snap = ag.snapshot()
     ag.imu_buffer.range_after(epoch, ag.state.timestamp)  # a boundary is fine
     with pytest.raises(ValueError, match="inside the buffered segment"):
-        ag.imu_buffer.range_after(stream[9].timestamp, ag.state.timestamp)
-    inside = replace(snap[0], timestamp=stream[9].timestamp)
+        ag.imu_buffer.range_after(stream.times[9], ag.state.timestamp)
+    inside = replace(snap[0], timestamp=float(stream.times[9]))
     with pytest.raises(ValueError, match="inside the buffered segment"):
         ag.update_gnss_delayed(np.zeros(3), 0.02, (inside, snap[1]))
 
@@ -222,12 +227,17 @@ def _make_agent(convention="liekf"):
 
 def _imu_stream(n, dt, seed=0):
     rg = np.random.default_rng(seed)
-    samples = []
-    for k in range(1, n + 1):
-        omega = np.array([0.0, 0.0, 0.3]) + 0.01 * rg.standard_normal(3)
-        f = np.array([0.1, 0.0, 9.81]) + 0.05 * rg.standard_normal(3)
-        samples.append(ImuSample(omega, f, k * dt))
-    return samples
+    gyro, accel = np.empty((n, 3)), np.empty((n, 3))
+    for k in range(n):
+        gyro[k] = np.array([0.0, 0.0, 0.3]) + 0.01 * rg.standard_normal(3)
+        accel[k] = np.array([0.1, 0.0, 9.81]) + 0.05 * rg.standard_normal(3)
+    return ImuStream(np.arange(1, n + 1) * dt, gyro, accel)
+
+
+def _one_by_one(ag, stream):
+    """Propagate a stream one sample per call."""
+    for k in range(len(stream)):
+        ag.propagate(stream[k:k + 1])
 
 
 def test_apply_delayed_update_equals_rewind_replay():
@@ -238,21 +248,17 @@ def test_apply_delayed_update_equals_rewind_replay():
     # Reference: the update is applied the moment the measurement arrives,
     # then the filter simply keeps propagating (rewind-and-replay outcome).
     ref = _make_agent()
-    for s in stream[:k_epoch + 1]:
-        ref.propagate(s)
+    _one_by_one(ref, stream[:k_epoch + 1])
     z = (ref.state.nav.position + ref.state.nav.rotation @ ref.state.lever_arm
          + np.array([0.05, -0.02, 0.01]))
     ref.update_gnss(z, 0.02)
-    for s in stream[k_epoch + 1:]:
-        ref.propagate(s)
+    _one_by_one(ref, stream[k_epoch + 1:])
 
     # Buffered path: keep propagating, apply the same measurement late.
     ag = _make_agent()
-    for s in stream[:k_epoch + 1]:
-        ag.propagate(s)
+    _one_by_one(ag, stream[:k_epoch + 1])
     snap = ag.snapshot()
-    for s in stream[k_epoch + 1:]:
-        ag.propagate(s)
+    _one_by_one(ag, stream[k_epoch + 1:])
     ag.update_gnss_delayed(z, 0.02, snap)
 
     dp = np.abs(ag.state.nav.position - ref.state.nav.position).max()
@@ -269,9 +275,8 @@ def test_apply_delayed_update_zero_delay_matches_prompt():
     stream = _imu_stream(20, dt, seed=9)
     prompt = _make_agent()
     late = _make_agent()
-    for s in stream:
-        prompt.propagate(s)
-        late.propagate(s)
+    _one_by_one(prompt, stream)
+    _one_by_one(late, stream)
     z = prompt.state.nav.position + prompt.state.nav.rotation @ prompt.state.lever_arm
     prompt.update_gnss(z, 0.02)
     late.update_gnss_delayed(z, 0.02, late.snapshot())
@@ -281,8 +286,7 @@ def test_apply_delayed_update_zero_delay_matches_prompt():
 
 def test_apply_delayed_update_rejects_backwards_completion():
     ag = _make_agent()
-    for s in _imu_stream(10, 0.005):
-        ag.propagate(s)
+    _one_by_one(ag, _imu_stream(10, 0.005))
     meas = LinearMeasurement(np.zeros(3), np.zeros((3, CORE_DIM)), np.eye(3))
     snap = ag.snapshot()
     ag.state = replace(ag.state, timestamp=0.01)  # the snapshot is now newer
@@ -295,9 +299,8 @@ def test_delay_beyond_horizon_raises():
                      noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5),
                      imu_buffer_capacity=5)
     stream = _imu_stream(12, 0.005)
-    ag.propagate(stream[0])
+    ag.propagate(stream[:1])
     snap = ag.snapshot()
-    for s in stream[1:]:  # the epoch leaves the 5-step buffer
-        ag.propagate(s)
+    _one_by_one(ag, stream[1:])  # the epoch leaves the 5-step buffer
     with pytest.raises(DelayExceedsHorizon):
         ag.update_gnss_delayed(np.zeros(3), 0.02, snap)

@@ -22,7 +22,7 @@ from swarmnav.covariance import (
     split_full,
     sync_cross,
 )
-from swarmnav.filters import ImuSample, LinearMeasurement
+from swarmnav.filters import ImuStream, LinearMeasurement
 from swarmnav.state import CORE_DIM, SystemState
 
 rng = np.random.default_rng(31)
@@ -61,7 +61,7 @@ def test_assemble_without_sensor_columns_needs_no_sync():
     # a step leaves the covariance whole although the state clock has moved
     # past the last sync.
     ag = AgentFilter(SystemState.identity(), np.eye(CORE_DIM) * 0.01, "liekf")
-    ag.propagate(ImuSample(np.zeros(3), np.array([0.0, 0.0, 9.81]), 0.005))
+    ag.propagate(ImuStream(np.array([0.005]), np.zeros((1, 3)), np.array([[0.0, 0.0, 9.81]])))
     assert ag.partition.synced_at < ag.state.timestamp
     assert np.array_equal(assemble_full(ag.partition), ag.partition.core)
 
@@ -95,7 +95,8 @@ def test_lazy_sync_matches_shadow_full_filter():
         G = rng.standard_normal((CORE_DIM, 6))
         Q = np.diag(rng.uniform(0.001, 0.01, 6))
         propagate_core_only(part, F, G @ Q @ G.T)
-        imu_buf.push(ImuBufferEntry(F, G @ Q @ G.T, round(t - 0.01, 9), t))
+        imu_buf.push(ImuBufferEntry(F, G @ Q @ G.T, round(t - 0.01, 9), t,
+                                    ImuStream(np.array([t]), np.zeros((1, 3)), np.zeros((1, 3)))))
         F_full = np.eye(CORE_DIM + d_vis)
         F_full[:CORE_DIM, :CORE_DIM] = F
         P_shadow = F_full @ P_shadow @ F_full.T

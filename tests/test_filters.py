@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmnav.filters import (
     GRAVITY,
-    ImuSample,
+    ImuStream,
     LinearMeasurement,
     NoiseDensities,
     Strapdown,
@@ -50,16 +50,39 @@ def random_nav_state(t=0.0, biases=True):
     )
 
 
+def one_sample(gyro, accel, t):
+    """A one-sample IMU stream."""
+    return ImuStream(np.array([t], dtype=float), np.array([gyro], dtype=float),
+                     np.array([accel], dtype=float))
+
+
+def stream_of(samples):
+    """An IMU stream from (gyro, accel, t) triples."""
+    gyro, accel, times = zip(*samples)
+    return ImuStream(np.array(times, dtype=float), np.array(gyro, dtype=float),
+                     np.array(accel, dtype=float))
+
+
 def left_step(imu, dt):
-    """The left-invariant transition of one sample, from its raw rates."""
-    T = transition_left(imu.gyro[None], imu.accel[None], np.array([dt]))
+    """The left-invariant transition of a one-sample stream, from its raw
+    rates."""
+    T = transition_left(imu.gyro, imu.accel, np.array([dt]))
     return TransitionPair(T.F[0], T.G[0])
 
 
-def random_imu(state, t):
+def random_rates(state):
     omega = rng.uniform(-0.5, 0.5, 3)
     f = rng.uniform(-2, 2, 3) - state.nav.rotation.T @ GRAVITY
-    return ImuSample(omega + state.gyro_bias, f + state.accel_bias, t)
+    return omega + state.gyro_bias, f + state.accel_bias
+
+
+def random_imu(state, t):
+    return one_sample(*random_rates(state), t)
+
+
+def rates(imu):
+    """The raw rate and force of a one-sample stream."""
+    return imu.gyro[0], imu.accel[0]
 
 
 # ----------------------------------------------------------------------
@@ -71,10 +94,10 @@ def test_mechanize_matches_substepped_integration():
     # into many sub-steps with the same constant sample must agree.
     state = random_nav_state()
     imu = random_imu(state, 0.1)
-    coarse = mechanize(state, [imu]).state
+    coarse = mechanize(state, imu).state
     n = 200
-    fine = mechanize(state, [ImuSample(imu.gyro, imu.accel, (k + 1) * 0.1 / n)
-                             for k in range(n)]).state
+    fine = mechanize(state, stream_of((*rates(imu), (k + 1) * 0.1 / n)
+                                      for k in range(n))).state
     assert np.allclose(coarse.nav.rotation, fine.nav.rotation, atol=1e-12)
     assert np.allclose(coarse.nav.velocity, fine.nav.velocity, atol=1e-10)
     assert np.allclose(coarse.nav.position, fine.nav.position, atol=1e-10)
@@ -83,7 +106,7 @@ def test_mechanize_matches_substepped_integration():
 def test_mechanize_freefall():
     s = SystemState.identity()
     # Zero specific force: pure gravity.
-    out = mechanize(s, [ImuSample(np.zeros(3), np.zeros(3), 2.0)]).state
+    out = mechanize(s, one_sample(np.zeros(3), np.zeros(3), 2.0)).state
     assert np.allclose(out.nav.velocity, GRAVITY * 2.0)
     assert np.allclose(out.nav.position, 0.5 * GRAVITY * 4.0)
     assert np.allclose(out.nav.rotation, np.eye(3))
@@ -95,31 +118,36 @@ def test_mechanize_compensates_biases():
     imu = random_imu(s, 0.01)
     unbiased = SystemState(nav=s.nav, gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
                            lever_arm=s.lever_arm, timestamp=s.timestamp)
-    imu0 = ImuSample(imu.gyro - s.gyro_bias, imu.accel - s.accel_bias, 0.01)
-    a = mechanize(s, [imu]).state
-    b = mechanize(unbiased, [imu0]).state
+    imu0 = one_sample(imu.gyro[0] - s.gyro_bias, imu.accel[0] - s.accel_bias, 0.01)
+    a = mechanize(s, imu).state
+    b = mechanize(unbiased, imu0).state
     assert np.allclose(a.nav.as_matrix(), b.nav.as_matrix(), atol=1e-14)
 
 
 def test_mechanize_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        mechanize(SystemState.identity(), [ImuSample(np.zeros(3), np.zeros(3), 0.0)])
+    # A non-increasing or NaN sample time raises, naming it and the time
+    # before it (the state's, for the first sample).
+    for times, bad, before in (([0.0], "0.0", "0.0"), ([0.1, 0.2, 0.2], "0.2", "0.2"),
+                               ([0.1, float("nan")], "nan", "0.1")):
+        imu = stream_of((np.zeros(3), np.zeros(3), t) for t in times)
+        with pytest.raises(ValueError, match=f"t={bad} is not after t={before}"):
+            mechanize(SystemState.identity(), imu)
 
 
 def _stepwise_mechanize(state, samples, gravity):
     """The one-step-at-a-time composition that `mechanize` replaced with
-    stacked passes, kept as the reference for its bits."""
+    stacked passes, kept as the reference for its bits: each step runs from
+    the clock the one before it left, its sample's time."""
     dts = []
     t = state.timestamp
-    for imu in samples:
-        dts.append(imu.timestamp - t)
-        t = t + dts[-1]
+    for t_k in samples.times.tolist():
+        dts.append(t_k - t)
+        t = t_k
     n = len(dts)
     g = np.asarray(gravity, dtype=float)
     steps = np.array(dts)
     dt_col = steps[:, None]
-    gyro = np.array([imu.gyro for imu in samples], dtype=float).reshape(n, 3)
-    accel = np.array([imu.accel for imu in samples], dtype=float).reshape(n, 3)
+    gyro, accel = samples.gyro, samples.accel
     psi = (gyro - state.gyro_bias) * dt_col
     a = accel - state.accel_bias
     Gamma, J1, G2 = so3_exp(psi), so3_left_jacobian(psi), so3_gamma2(psi)
@@ -164,7 +192,8 @@ def test_mechanize_matches_the_stepwise_composition_bit_for_bit(kinds, seed):
         u = u / np.linalg.norm(u)
         w = {"random": rg.uniform(-1.0, 1.0, 3), "at_bias": np.zeros(3),
              "below": 0.999e-7 / dt * u, "above": 1.001e-7 / dt * u}[kind]
-        samples.append(ImuSample(state.gyro_bias + w, rg.uniform(-12, 12, 3), t))
+        samples.append((state.gyro_bias + w, rg.uniform(-12, 12, 3), t))
+    samples = stream_of(samples)
     seg = mechanize(state, samples, GRAVITY)
     theta = np.linalg.norm(seg.psi, axis=1)
     for kind, th in zip(kinds, theta):
@@ -192,14 +221,14 @@ def test_mechanize_matches_the_stepwise_composition_bit_for_bit(kinds, seed):
 
 def numeric_transition(convention, truth, imu, eps=1e-6):
     """d(error after step)/d(error before step) by central differences."""
-    truth_next = mechanize(truth, [imu]).state
+    truth_next = mechanize(truth, imu).state
     n = truth.error_dim
     J = np.zeros((n, n))
     for k in range(n):
         e = np.zeros(n)
         e[k] = eps
-        plus = mechanize(retract(truth, e, convention), [imu]).state
-        minus = mechanize(retract(truth, -e, convention), [imu]).state
+        plus = mechanize(retract(truth, e, convention), imu).state
+        minus = mechanize(retract(truth, -e, convention), imu).state
         J[:, k] = (error_between(truth_next, plus, convention)
                    - error_between(truth_next, minus, convention)) / (2 * eps)
     return J
@@ -216,7 +245,7 @@ def test_transition_finite_difference(convention, tol):
     for _ in range(3):
         truth = random_nav_state(biases=(convention != "liekf"))
         imu = random_imu(truth, 0.005)
-        T = transition(convention, truth, imu, 0.005)
+        T = transition(convention, truth, *rates(imu), 0.005)
         J = numeric_transition(convention, truth, imu)
         assert np.max(np.abs(T.F - J)) < tol, convention
 
@@ -226,7 +255,7 @@ def test_transition_left_raw_rate_error_bounded():
     # Jacobian by no more than a small multiple of |bias| * dt.
     truth = random_nav_state(biases=True)
     imu = random_imu(truth, 0.005)
-    T = transition("liekf", truth, imu, 0.005)
+    T = transition("liekf", truth, *rates(imu), 0.005)
     J = numeric_transition("liekf", truth, imu)
     bound = 10.0 * max(np.max(np.abs(truth.gyro_bias)),
                        np.max(np.abs(truth.accel_bias))) * 0.005
@@ -237,18 +266,18 @@ def test_transition_bias_coupling_signs():
     # Errors are estimate minus truth, which flips the usual sign of the
     # bias-coupling blocks: a positive gyro-bias error must rotate the
     # attitude error negatively.
-    imu = ImuSample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.005)
+    imu = one_sample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.005)
     dt = 0.005
     F = left_step(imu, dt).F
     assert np.allclose(F[0:3, 9:12], -np.eye(3) * dt, atol=1e-5)
     assert np.allclose(F[3:6, 12:15], -np.eye(3) * dt, atol=1e-5)
     s = random_nav_state()
-    Fr = transition("riekf", s, imu, dt).F
+    Fr = transition("riekf", s, *rates(imu), dt).F
     assert np.allclose(Fr[0:3, 9:12], -s.nav.rotation * dt, atol=1e-5)
 
 
 def test_transition_left_state_independent():
-    imu = ImuSample(np.array([0.3, 0.1, -0.2]), np.array([1.0, 0.0, 9.0]), 0.0)
+    imu = one_sample(np.array([0.3, 0.1, -0.2]), np.array([1.0, 0.0, 9.0]), 0.0)
     ref = left_step(imu, 0.004)
     for _ in range(10):
         again = left_step(imu, 0.004)
@@ -265,38 +294,37 @@ def test_left_invariant_log_linear_error_transport():
     e[:9] = 0.2 * rng.standard_normal(9)
     est = retract(truth, e, "liekf")
     F = left_step(imu, 0.005).F
-    e_next = error_between(mechanize(truth, [imu]).state,
-                           mechanize(est, [imu]).state, "liekf")
+    e_next = error_between(mechanize(truth, imu).state,
+                           mechanize(est, imu).state, "liekf")
     assert np.allclose(e_next, F @ e, atol=1e-11)
 
 
 def test_transition_lever_arm_static():
-    imu = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
+    gyro, accel = rng.standard_normal(3), rng.standard_normal(3)
     for convention in CONVENTIONS:
-        F = transition(convention, random_nav_state(), imu, 0.01).F
+        F = transition(convention, random_nav_state(), gyro, accel, 0.01).F
         assert np.allclose(F[15:18, :], np.eye(18)[15:18, :])
         assert np.allclose(F[:15, 15:18], 0.0)
 
 
 def test_transition_rejects_bad_dt():
-    imu = ImuSample(np.zeros(3), np.zeros(3), 0.0)
     with pytest.raises(ValueError):
-        transition("liekf", random_nav_state(), imu, -0.1)
+        transition("liekf", random_nav_state(), np.zeros(3), np.zeros(3), -0.1)
     with pytest.raises(ValueError):
-        transition("foo", random_nav_state(), imu, 0.01)
+        transition("foo", random_nav_state(), np.zeros(3), np.zeros(3), 0.01)
 
 
 @pytest.mark.parametrize("convention", sorted(CONVENTIONS))
 @pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.01])
 def test_every_convention_rejects_a_non_positive_or_nan_dt(convention, dt):
-    imu = ImuSample(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 9.81]), 0.0)
     with pytest.raises(ValueError):
-        transition(convention, random_nav_state(), imu, dt)
+        transition(convention, random_nav_state(), np.array([0.1, -0.2, 0.3]),
+                   np.array([0.0, 0.0, 9.81]), dt)
 
 
 def _segment_near_the_series_cutoff(state, n, scale, t0=0.0):
-    """n IMU samples whose rotation increments all have the angle
-    scale * 1e-4, where the EKF transition switches to its series."""
+    """n IMU samples, as (gyro, accel, t), whose rotation increments all have
+    the angle scale * 1e-4, where the EKF transition switches to its series."""
     samples = []
     t = t0
     for _ in range(n):
@@ -304,7 +332,7 @@ def _segment_near_the_series_cutoff(state, n, scale, t0=0.0):
         t += dt
         u = rng.standard_normal(3)
         w = scale * 1e-4 / dt * u / np.linalg.norm(u)
-        samples.append(ImuSample(state.gyro_bias + w, rng.uniform(-12, 12, 3), t))
+        samples.append((state.gyro_bias + w, rng.uniform(-12, 12, 3), t))
     return samples
 
 
@@ -320,9 +348,9 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     segments = []
     for n in range(1, 30):
         state = random_nav_state()
-        samples = [ImuSample(state.gyro_bias.copy(), rng.uniform(-12, 12, 3), 0.004)]
+        samples = [(state.gyro_bias.copy(), rng.uniform(-12, 12, 3), 0.004)]
         samples += _segment_near_the_series_cutoff(state, min(n - 1, 2), 0.999, 0.004)
-        samples += [random_imu(state, samples[-1].timestamp + 0.005 * (k + 1))
+        samples += [(*random_rates(state), samples[-1][2] + 0.005 * (k + 1))
                     for k in range(n - len(samples))]
         segments.append((state, samples))
     for scale in (0.999, 1.001):
@@ -331,18 +359,20 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     state = random_nav_state()
     below = _segment_near_the_series_cutoff(state, 5, 0.999)
     segments.append((state, below + _segment_near_the_series_cutoff(
-        state, 5, 1.001, below[-1].timestamp)))
+        state, 5, 1.001, below[-1][2])))
     thetas = []
-    for state, samples in segments:
+    for state, triples in segments:
+        samples = stream_of(triples)
         seg = mechanize(state, samples, GRAVITY)
         stacked = step(seg)
         assert len(stacked.F) == len(stacked.G) == len(samples)
         clock = state.timestamp
-        for k, (imu, dt, F, G) in enumerate(zip(samples, seg.dts, stacked.F, stacked.G)):
-            thetas.append(np.linalg.norm((imu.gyro - state.gyro_bias) * dt))
+        for k, (dt, F, G) in enumerate(zip(seg.dts, stacked.F, stacked.G)):
+            imu = samples[k:k + 1]
+            thetas.append(np.linalg.norm((imu.gyro[0] - state.gyro_bias) * dt))
             start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                             timestamp=clock)
-            one_seg = mechanize(start, [imu], GRAVITY)
+            one_seg = mechanize(start, imu, GRAVITY)
             assert one_seg.dts[0] == dt
             clock = one_seg.state.timestamp
             one = step(one_seg)
@@ -367,8 +397,8 @@ def _stress_segment(rg, n=60):
     dts = np.exp(rg.uniform(np.log(1e-3), np.log(0.5), n))
     u = rg.standard_normal((n, 3))
     w = u / np.linalg.norm(u, axis=1, keepdims=True) * rg.uniform(0.0, 3.0, (n, 1))
-    samples = [ImuSample(state.gyro_bias + w_k, rg.uniform(-12, 12, 3), t)
-               for w_k, t in zip(w, np.cumsum(dts))]
+    samples = stream_of((state.gyro_bias + w_k, rg.uniform(-12, 12, 3), t)
+                        for w_k, t in zip(w, np.cumsum(dts)))
     return state, samples
 
 
@@ -410,10 +440,10 @@ def test_stacked_transitions_across_the_scaling_threshold_match_one_sample_calls
     step = CONVENTIONS[convention].transition
     clock = state.timestamp
     stacked = step(seg)
-    for k, (imu, F, G) in enumerate(zip(samples, stacked.F, stacked.G)):
+    for k, (F, G) in enumerate(zip(stacked.F, stacked.G)):
         start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                         timestamp=clock)
-        one_seg = mechanize(start, [imu], GRAVITY)
+        one_seg = mechanize(start, samples[k:k + 1], GRAVITY)
         assert one_seg.dts[0] == seg.dts[k]
         clock = one_seg.state.timestamp
         one = step(one_seg)
@@ -427,7 +457,7 @@ def _a1_segments():
     random linearization states."""
     rg = np.random.default_rng(2024)
     for _ in range(1000):
-        imu = ImuSample(rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3), 0.0)
+        gyro, accel = rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3)
         dt = rg.uniform(1e-3, 1e-2)
         states = [SystemState(
             nav=ExtendedPose(so3_exp(rg.uniform(-2, 2, 3)), rg.uniform(-5, 5, 3),
@@ -437,7 +467,7 @@ def _a1_segments():
             lever_arm=np.array([0.1, 0.0, 0.05]),
             timestamp=0.0,
         ) for _ in range(10)]
-        yield mechanize(states[0], [replace(imu, timestamp=dt)], GRAVITY)
+        yield mechanize(states[0], one_sample(gyro, accel, dt), GRAVITY)
 
 
 @pytest.mark.parametrize("convention", ["liekf", "riekf"])
@@ -461,7 +491,7 @@ def test_transitions_match_scipy_expm(convention):
 
 
 def test_propagate_covariance_formula():
-    imu = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
+    imu = one_sample(rng.standard_normal(3), rng.standard_normal(3), 0.0)
     T = left_step(imu, 0.01)
     Q = NoiseDensities(1e-3, 1e-2, 1e-5, 1e-4).discrete_q(0.01)
     A = rng.standard_normal((18, 18))

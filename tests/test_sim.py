@@ -1,5 +1,6 @@
 """Simulation configuration handling, artifact output and determinism."""
 
+import inspect
 import math
 import numbers
 import os
@@ -416,7 +417,7 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
 
     def imu_stream(*args):
         samples = synth_imu(*args)
-        streams.append([s.timestamp for s in samples])
+        streams.append(samples.times.tolist())
         return samples
 
     def gnss_fixes(*args):
@@ -429,9 +430,9 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
         self.steps = []
         filters.append(self)
 
-    def recording_propagate(self, *samples):
-        self.steps.extend(imu.timestamp for imu in samples)
-        return propagate(self, *samples)
+    def recording_propagate(self, segment):
+        self.steps.extend(segment.times.tolist())
+        return propagate(self, segment)
 
     def recording_update(self, z, sigma):
         applied.append((epochs[z.tobytes()], self.state.timestamp))
@@ -463,6 +464,44 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
     assert len(applied) == art.counters["gnss_applied"] > 0
     for epoch, state_time in applied:
         assert round(state_time, 9) == round(epoch, 9)
+
+
+def test_segments_are_read_only_views_of_the_synthesized_stream(monkeypatch):
+    # The cursor hands the filter slices of the synthesized arrays, and the
+    # buffer keeps those same slices: nothing is copied, and nothing can
+    # write to them.
+    synth_imu, propagate = sim.synthesize_imu, AgentFilter.propagate
+    streams, handed = [], []
+
+    def imu_stream(*args):
+        streams.append(synth_imu(*args))
+        return streams[-1]
+
+    def recording_propagate(self, segment):
+        handed.append((self, segment))
+        return propagate(self, segment)
+
+    monkeypatch.setattr(sim, "synthesize_imu", imu_stream)
+    monkeypatch.setattr(AgentFilter, "propagate", recording_propagate)
+    run_swarm(SimConfig(agents=(AgentConfig(0, TrajectorySpec(duration=2.0), SensorSuite()),),
+                        gnss_delay=0.1, use_vision=False, collaboration=False))
+    (stream,) = streams
+    assert len(handed) > 1
+    for _, segment in handed:
+        for name in ("times", "gyro", "accel"):
+            part = getattr(segment, name)
+            assert np.shares_memory(part, getattr(stream, name))
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
+    ag = handed[-1][0]
+    assert ag.imu_buffer.entries
+    assert all(any(e.samples is seg for _, seg in handed) for e in ag.imu_buffer.entries)
+
+
+def test_agent_filter_defaults_match_filter_options():
+    params = inspect.signature(AgentFilter).parameters
+    for name in ("max_clones", "max_features", "imu_buffer_capacity"):
+        assert params[name].default == getattr(FilterOptions(), name), name
 
 
 def test_delayed_gnss_smoke():

@@ -4,7 +4,7 @@ with the strapdown integrator fed the exact rate/force stream."""
 import numpy as np
 import pytest
 
-from swarmnav.filters import GRAVITY, ImuSample, mechanize
+from swarmnav.filters import GRAVITY, ImuStream, mechanize
 from swarmnav.lie import ExtendedPose
 from swarmnav.state import SystemState
 from swarmnav.trajectories import (
@@ -95,10 +95,9 @@ def test_strapdown_reproduces_trajectory():
         lever_arm=np.zeros(3), timestamp=0.0,
     )
     dt = 1.0 / 200.0
-    for k in range(1, 6001):
-        t = k * dt
-        _, omega, f = truth_at(spec, t - dt / 2.0)
-        state = mechanize(state, [ImuSample(omega, f, t)]).state
+    times = np.arange(1, 6001) * dt
+    _, omega, f = truth_at(spec, times - dt / 2.0)
+    state = mechanize(state, ImuStream(times, omega, f)).state
     truth_end, _, _ = truth_at(spec, 30.0)
     assert np.linalg.norm(state.nav.position - truth_end.position) < 1e-3
     assert np.linalg.norm(state.nav.velocity - truth_end.velocity) < 1e-3
