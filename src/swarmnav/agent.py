@@ -16,9 +16,14 @@ The state's timestamp is the filter's only clock: syncs, snapshots and the
 completion of a delayed fix all read it.
 The window is the state's stacked arrays (``swarmnav.state``); a clone's
 anchored landmarks are dropped before the clone.
+Each constant has one home: the IMU noise, the sensor sigmas and the camera
+mount are the agent's ``SensorSuite``, the window limits, landmark prior and
+buffer size its ``FilterOptions``, and gravity is ``conventions.GRAVITY``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .buffers import (
     apply_delayed_update,
     core_update_partitioned,
 )
+from .checks import count, number
 from .covariance import (
     CovariancePartition,
     assemble_full,
@@ -42,7 +48,6 @@ from .covariance import (
 )
 from .filters import (
     ImuStream,
-    NoiseDensities,
     bearing_measurement,
     gnss_measurement,
     kalman_step,
@@ -50,25 +55,38 @@ from .filters import (
     stack_measurements,
 )
 from .conventions import lookup
+from .sensors import SensorSuite
 from .state import CORE_DIM, SystemState, retract
 
 
+@dataclass(frozen=True)
+class FilterOptions:
+    max_clones: int = 6
+    max_features: int = 16
+    clone_every: int = 6        # camera frames per keyframe
+    feature_prior_sigma: float = 1.0
+    min_track_length: int = 3
+    imu_buffer_capacity: int = 300
+
+    def __post_init__(self):
+        for name in ("max_clones", "clone_every", "min_track_length",
+                     "imu_buffer_capacity"):
+            count(name, getattr(self, name), 1)
+        count("max_features", self.max_features, 0)
+        number("feature_prior_sigma", self.feature_prior_sigma, positive=True)
+
+
 class AgentFilter:
-    """One vehicle's filter with buffered history for delayed measurements."""
+    """One vehicle's filter with buffered history for delayed measurements.
+    Its sensor model is `suite`, its limits and landmark prior `options`."""
 
     def __init__(self, state: SystemState, covariance, convention,
-                 noise: NoiseDensities = None,
-                 camera_extrinsics=None,
-                 max_clones=6, max_features=16,
-                 imu_buffer_capacity=300):
+                 suite: SensorSuite = SensorSuite(),
+                 options: FilterOptions = FilterOptions()):
         lookup(convention)  # ValueError for an unknown name
         self.convention = convention
-        self.noise = noise if noise is not None else NoiseDensities()
-        if camera_extrinsics is None:
-            camera_extrinsics = (np.eye(3), np.zeros(3))
-        self.camera_extrinsics = camera_extrinsics
-        self.max_clones = max_clones
-        self.max_features = max_features
+        self.suite = suite
+        self.options = options
         self.state = state
         covariance = np.asarray(covariance, dtype=float)
         if covariance.shape != (state.error_dim, state.error_dim):
@@ -78,7 +96,7 @@ class AgentFilter:
         self.partition = CovariancePartition(covariance[:CORE_DIM, :CORE_DIM],
                                              synced_at=state.timestamp)
         split_full(self.partition, covariance)
-        self.imu_buffer = HistoryBuffer(imu_buffer_capacity)
+        self.imu_buffer = HistoryBuffer(options.imu_buffer_capacity)
 
     # ------------------------------------------------------------------
     # covariance access
@@ -118,9 +136,9 @@ class AgentFilter:
         """
         if not segment:
             return self.state
-        seg = mechanize(self.state, segment, self.noise.gravity)
+        seg = mechanize(self.state, segment)
         steps = lookup(self.convention).transition(seg)
-        noise = steps.G @ self.noise.discrete_q(seg.dts[:, None, None]) \
+        noise = steps.G @ self.suite.noise.discrete_q(seg.dts[:, None, None]) \
             @ steps.G.transpose(0, 2, 1)
         F, noise = compose_transport(steps.F, noise)
         F.flags.writeable = noise.flags.writeable = False
@@ -133,29 +151,29 @@ class AgentFilter:
     # ------------------------------------------------------------------
     # updates
 
-    def update_gnss(self, z, sigma):
+    def update_gnss(self, z):
         """Immediate antenna-position update, applied through the segmented
         core-block path (no full-matrix assembly)."""
-        meas_core = gnss_measurement(self.state, z, sigma, self.convention)
+        meas_core = gnss_measurement(self.state, z, self.suite.gnss_sigma, self.convention)
         self.sync()
         xi = core_update_partitioned(self.partition, meas_core)
         self.state = retract(self.state, xi, self.convention)
         return xi
 
-    def update_gnss_delayed(self, z, sigma, snapshot):
+    def update_gnss_delayed(self, z, snapshot):
         """Apply a GNSS fix taken at the epoch snapshot, whose processing
         finishes now, transporting the correction forward through the
         buffered transitions."""
-        meas_core = gnss_measurement(snapshot[0], z, sigma, self.convention)
+        meas_core = gnss_measurement(snapshot[0], z, self.suite.gnss_sigma, self.convention)
         return apply_delayed_update(self, meas_core, snapshot)
 
-    def update_vision(self, observations, pixel_sigma):
+    def update_vision(self, observations):
         """Stacked normalized-image observations (clone_index, feature_index,
         uv) of in-state landmarks; returns the number of rows applied."""
         measurements = []
         for clone_index, feature_index, uv in observations:
             m = bearing_measurement(self.state, clone_index, feature_index, uv,
-                                    pixel_sigma)
+                                    self.suite.pixel_sigma)
             if m is not None:
                 measurements.append(m)
         if not measurements:
@@ -175,7 +193,7 @@ class AgentFilter:
 
     def _clone_jacobian(self):
         """d(clone error) / d(core error) for a clone of the current pose."""
-        R_ic, p_ic = self.camera_extrinsics
+        R_ic, p_ic = self.suite.camera_extrinsics
         R = self.state.nav.rotation
         p = self.state.nav.position
         conv = lookup(self.convention)
@@ -187,13 +205,13 @@ class AgentFilter:
     def augment_clone(self):
         """Push the current camera pose into the sliding window, evicting the
         oldest clone (and any landmark anchored to it) when full."""
-        if self.state.num_clones >= self.max_clones:
+        if self.state.num_clones >= self.options.max_clones:
             self.marginalize_clone(0)
         self.sync()
         at = 6 * self.state.num_clones
         insert_block_rows(self.partition, at, self._clone_jacobian())
-        self.state = st.augment_clone(self.state, self.camera_extrinsics,
-                                      self.max_clones)
+        self.state = st.augment_clone(self.state, self.suite.camera_extrinsics,
+                                      self.options.max_clones)
         return self.state.num_clones - 1
 
     def marginalize_clone(self, index):
@@ -204,13 +222,14 @@ class AgentFilter:
         remove_block_rows(self.partition, 6 * index, 6)
         self.state = st.marginalize_clone(self.state, index)
 
-    def add_feature(self, feature_id, anchor, params, prior_sigma):
+    def add_feature(self, feature_id, anchor, params):
         """Add a landmark on window clone row `anchor`, with an uncorrelated prior."""
-        state = st.add_feature(self.state, feature_id, anchor, params, self.max_features)
+        state = st.add_feature(self.state, feature_id, anchor, params,
+                               self.options.max_features)
         self.sync()
         at = 6 * self.state.num_clones + 3 * self.state.num_features
         insert_block_rows(self.partition, at, None,
-                          prior=np.eye(3) * prior_sigma ** 2)
+                          prior=np.eye(3) * self.options.feature_prior_sigma ** 2)
         self.state = state
         return state.num_features - 1
 
@@ -219,17 +238,17 @@ class AgentFilter:
         remove_block_rows(self.partition, 6 * self.state.num_clones + 3 * index, 3)
         self.state = st.remove_feature(self.state, index)
 
-    def initialize_feature(self, feature_id, tracks, prior_sigma=1.0,
-                           pixel_sigma=1.0 / 500.0, min_observations=3):
+    def initialize_feature(self, feature_id, tracks):
         """Triangulate a tracked point from window clones and add it as an
         inverse-depth landmark anchored at the first track's clone, then
         absorb the track as a stacked update.
 
         `tracks` is a list of (clone_index, uv) normalized observations.
         Returns the landmark's state index, or None when triangulation is not
-        possible (too few views or degenerate geometry).
+        possible (fewer views than the options' `min_track_length`, or
+        degenerate geometry).
         """
-        if len(tracks) < min_observations:
+        if len(tracks) < self.options.min_track_length:
             return None
         p_w = self._triangulate(tracks)
         if p_w is None:
@@ -246,9 +265,9 @@ class AgentFilter:
         if X_a[2] <= 1e-3:
             return None
         params = np.array([X_a[0] / X_a[2], X_a[1] / X_a[2], 1.0 / X_a[2]])
-        j = self.add_feature(feature_id, ai, params, prior_sigma)
+        j = self.add_feature(feature_id, ai, params)
         obs = [(ci, j, uv) for ci, uv in tracks]
-        self.update_vision(obs, pixel_sigma)
+        self.update_vision(obs)
         return j
 
     def _triangulate(self, tracks):

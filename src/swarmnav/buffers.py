@@ -154,6 +154,6 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     replay = ImuStream(np.concatenate([[]] + [s.times for s in segments]),
                        np.concatenate([np.empty((0, 3))] + [s.gyro for s in segments]),
                        np.concatenate([np.empty((0, 3))] + [s.accel for s in segments]))
-    agent.state = mechanize(state, replay, agent.noise.gravity).state
+    agent.state = mechanize(state, replay).state
     agent.partition = part_k
     return xi

@@ -139,7 +139,7 @@ def transition_right(seg) -> TransitionPair:
     SvR = skew(seg.v) @ R
     SpR = skew(seg.p) @ R
     A = np.zeros((n, 15, 15))
-    A[:, 3:6, 0:3] = skew(seg.gravity)
+    A[:, 3:6, 0:3] = skew(GRAVITY)
     A[:, 6:9, 3:6] = np.eye(3)
     A[:, 0:3, 9:12] = -R
     A[:, 3:6, 9:12] = -SvR

@@ -8,7 +8,9 @@ passes over a whole IMU segment, a slice of an ``ImuStream``'s arrays:
 only the rotation chain is a Python loop. Its record of a segment, a
 ``Strapdown``, is what the convention's transitions in ``swarmnav.conventions``
 are formed from; ``transition_left``, ``transition_right`` and
-``transition_ekf`` are importable from here too.
+``transition_ekf`` are importable from here too. Gravity is
+``conventions.GRAVITY``, the constant the truth is generated with;
+``NoiseDensities`` holds only the four IMU noise densities.
 
 The vision models read the state's window arrays directly: a landmark's
 anchor clone is the row ``state.feature_anchors[j]``.
@@ -21,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import number, vector
-from .conventions import GRAVITY, TransitionPair, lookup
+from .checks import number
+from .conventions import GRAVITY, lookup
 from .conventions import transition_ekf, transition_left, transition_right  # re-exported
 from .lie import ExtendedPose, skew, so3_integrals
 from .state import CORE_DIM, SystemState
@@ -49,17 +51,14 @@ class ImuStream:
 
 @dataclass(frozen=True)
 class NoiseDensities:
-    """Continuous-time IMU noise densities and the gravity vector."""
+    """Continuous-time IMU noise densities (gravity is ``conventions.GRAVITY``)."""
 
     gyro_noise: float = 0.0        # rad/s/sqrt(Hz)
     accel_noise: float = 0.0       # m/s^2/sqrt(Hz)
     gyro_walk: float = 0.0         # rad/s^2/sqrt(Hz)
     accel_walk: float = 0.0        # m/s^3/sqrt(Hz)
-    gravity: np.ndarray = None
 
     def __post_init__(self):
-        gravity = GRAVITY if self.gravity is None else self.gravity
-        object.__setattr__(self, "gravity", np.array(vector("gravity", gravity, 3)))
         for name in ("gyro_noise", "accel_noise", "gyro_walk", "accel_walk"):
             number(name, getattr(self, name), low=0)
         sig = np.array(
@@ -113,12 +112,11 @@ class Strapdown(NamedTuple):
     R: np.ndarray        # the navigation state each step starts from
     v: np.ndarray
     p: np.ndarray
-    gravity: np.ndarray
 
 
-def mechanize(state: SystemState, imu: ImuStream, gravity=None) -> Strapdown:
+def mechanize(state: SystemState, imu: ImuStream) -> Strapdown:
     """Bias-compensated strapdown over an IMU segment, with closed-form ZOH
-    integration.
+    integration against ``conventions.GRAVITY``.
 
     The biases are fixed across the segment, so the rotation increments, the
     integral coefficient matrices and the rotated specific-force terms of
@@ -139,7 +137,6 @@ def mechanize(state: SystemState, imu: ImuStream, gravity=None) -> Strapdown:
         k = np.argmin(steps > 0)
         raise ValueError(f"IMU sample at t={clock[k + 1]} is not after t={clock[k]}")
     n = len(steps)
-    g = GRAVITY if gravity is None else np.asarray(gravity, dtype=float)
     dt_col = steps[:, None]
     psi = (imu.gyro - state.gyro_bias) * dt_col
     a = imu.accel - state.accel_bias
@@ -155,7 +152,7 @@ def mechanize(state: SystemState, imu: ImuStream, gravity=None) -> Strapdown:
     terms = np.empty((2 * n + 1, 3))
     terms[0] = state.nav.velocity
     terms[1::2] = (Rs @ J1a[:, :, None])[:, :, 0] * dt_col
-    terms[2::2] = g * dt_col
+    terms[2::2] = GRAVITY * dt_col
     v = np.cumsum(terms, axis=0)
     vs = v[0:2 * n:2]
     # p_{k+1} = p_k + v_k dt + R_k G2a_k dt dt + g dt^2 / 2: row 3k is p_k.
@@ -163,20 +160,12 @@ def mechanize(state: SystemState, imu: ImuStream, gravity=None) -> Strapdown:
     terms[0] = state.nav.position
     terms[1::3] = vs * dt_col
     terms[2::3] = (Rs @ G2a[:, :, None])[:, :, 0] * dt_col * dt_col
-    terms[3::3] = 0.5 * g * dt_col * dt_col
+    terms[3::3] = 0.5 * GRAVITY * dt_col * dt_col
     p = np.cumsum(terms, axis=0)
     nav = ExtendedPose(R, v[-1].copy(), p[-1].copy())
     return Strapdown(replace(state, nav=nav, timestamp=float(clock[-1])),
                      steps, imu.gyro, imu.accel, psi, a, Gamma, J1, G2, J1a, G2a,
-                     Rs, vs, p[0:3 * n:3], g)
-
-
-def transition(convention, state_estimate, gyro, accel, dt, gravity=None) -> TransitionPair:
-    """Core transition in `convention` of one strapdown step of length dt."""
-    seg = mechanize(replace(state_estimate, timestamp=0.0),
-                    ImuStream(np.array([dt]), np.array([gyro]), np.array([accel])), gravity)
-    T = lookup(convention).transition(seg)
-    return TransitionPair(T.F[0], T.G[0])
+                     Rs, vs, p[0:3 * n:3])
 
 
 def propagate_covariance(P_core, F, noise):

@@ -4,6 +4,9 @@ trajectory, with seeded noise so identical seeds give identical streams.
 The IMU stream is one ``ImuStream`` of read-only arrays. Sample k covers
 the interval ending at times[k] and carries its midpoint rate/force, which
 keeps the zero-order-hold integrator's error third order in the step.
+Camera frame times are snapped onto the suite's IMU grid. The suite is also
+the filter's sensor model: ``AgentFilter`` reads its noise densities,
+sigmas and camera mount from it.
 """
 
 from __future__ import annotations
@@ -149,12 +152,10 @@ def synthesize_gnss(spec: TrajectorySpec, suite: SensorSuite, seed):
     return fixes
 
 
-def synthesize_bearings(spec: TrajectorySpec, suite: SensorSuite, lmap: LandmarkMap,
-                        seed, snap_rate=None):
+def synthesize_bearings(spec: TrajectorySpec, suite: SensorSuite, lmap: LandmarkMap, seed):
     """Normalized-plane landmark observations with field-of-view and depth
-    culling; association is by landmark id. With `snap_rate` set, frame
-    times are snapped onto that sampling grid (so clones line up with
-    propagated filter states).
+    culling; association is by landmark id. Frame times are snapped onto
+    the suite's IMU grid, so clones line up with propagated filter states.
 
     The truth is evaluated for all frame times at once, and all landmarks
     of a frame are projected at once; the visible ones, in map order, draw
@@ -168,9 +169,7 @@ def synthesize_bearings(spec: TrajectorySpec, suite: SensorSuite, lmap: Landmark
     times = []
     last_t = 0.0
     for k in range(1, n + 1):
-        t = k * dt
-        if snap_rate is not None:
-            t = round(t * snap_rate) / snap_rate
+        t = round(k * dt * suite.imu_rate) / suite.imu_rate
         if last_t < t <= spec.duration:
             times.append(t)
             last_t = t

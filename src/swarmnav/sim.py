@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 import yaml
 
-from .agent import AgentFilter
+from .agent import AgentFilter, FilterOptions
 from .buffers import DelayExceedsHorizon
 from .checks import ConfigError, count, flag, number, vector
 from .conventions import CONVENTIONS
@@ -101,23 +101,6 @@ class InitUncertainty:
             + [self.velocity] * 3 + [self.position] * 3
             + [self.gyro_bias] * 3 + [self.accel_bias] * 3 + [self.lever] * 3
         )
-
-
-@dataclass(frozen=True)
-class FilterOptions:
-    max_clones: int = 6
-    max_features: int = 16
-    clone_every: int = 6        # camera frames per keyframe
-    feature_prior_sigma: float = 1.0
-    min_track_length: int = 3
-    imu_buffer_capacity: int = 300
-
-    def __post_init__(self):
-        for name in ("max_clones", "clone_every", "min_track_length",
-                     "imu_buffer_capacity"):
-            count(name, getattr(self, name), 1)
-        count("max_features", self.max_features, 0)
-        number("feature_prior_sigma", self.feature_prior_sigma, positive=True)
 
 
 @dataclass(frozen=True)
@@ -425,13 +408,7 @@ class _AgentRuntime:
         e0 = sig * rng_init.standard_normal(18)
         est0 = retract(truth_state, e0, cfg.convention)
         P0 = np.diag(sig ** 2)
-        self.filter = AgentFilter(
-            est0, P0, cfg.convention, noise=suite.noise,
-            camera_extrinsics=suite.camera_extrinsics,
-            max_clones=cfg.filter.max_clones,
-            max_features=cfg.filter.max_features,
-            imu_buffer_capacity=cfg.filter.imu_buffer_capacity,
-        )
+        self.filter = AgentFilter(est0, P0, cfg.convention, suite, cfg.filter)
         self.gate = GateState()
         self.imu = synthesize_imu(acfg.trajectory, suite, imu_seed)
         # Rounded like the queue's times, so IMU steps go first at equal times.
@@ -503,11 +480,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             for fix in fixes:
                 push(fix.timestamp, _GNSS, (idx, fix))
         if config.use_vision:
-            # Frames are snapped onto the IMU grid so clone poses line up
-            # with the propagated state at the frame epoch.
-            frames = synthesize_bearings(acfg.trajectory, acfg.suite, lmap,
-                                         bearings_seed,
-                                         snap_rate=acfg.suite.imu_rate)
+            frames = synthesize_bearings(acfg.trajectory, acfg.suite, lmap, bearings_seed)
             for fr in frames[::config.filter.clone_every]:  # the keyframes
                 if fr.timestamp <= duration:
                     push(fr.timestamp, _CAMERA, (idx, fr))
@@ -541,7 +514,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                     # the completion a tick after the next fix's epoch.
                     push(fix.timestamp + config.gnss_delay, _GNSS_DONE, (idx, fix, snap))
                 else:
-                    ag.update_gnss(fix.position, rt.cfg.suite.gnss_sigma)
+                    ag.update_gnss(fix.position)
                     counters["gnss_applied"] += 1
             except UpdateRejected:
                 counters["gnss_rejected_numerical"] += 1
@@ -551,7 +524,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         rt = runtimes[idx]
         held, rt.held = rt.held, None
         try:
-            rt.filter.update_gnss_delayed(fix.position, rt.cfg.suite.gnss_sigma, snap)
+            rt.filter.update_gnss_delayed(fix.position, snap)
             counters["gnss_applied"] += 1
         except DelayExceedsHorizon:
             counters["gnss_dropped_horizon"] += 1
@@ -590,8 +563,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
                 rt.tracks.setdefault(lid, []).append((ag.state.timestamp, uv))
         if obs_now:
             try:
-                counters["vision_rows"] += rt.filter.update_vision(
-                    obs_now, rt.cfg.suite.pixel_sigma)
+                counters["vision_rows"] += rt.filter.update_vision(obs_now)
             except UpdateRejected:
                 pass
         observed = {lid for lid, _ in frame.observations}
@@ -604,10 +576,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             # Anchor at the newest clone so the landmark outlives the window.
             tracks_idx = [(clone_at[ts], uv) for ts, uv in [hist[-1]] + hist[:-1]]
             try:
-                j = ag.initialize_feature(lid, tracks_idx,
-                                          prior_sigma=config.filter.feature_prior_sigma,
-                                          pixel_sigma=rt.cfg.suite.pixel_sigma,
-                                          min_observations=config.filter.min_track_length)
+                j = ag.initialize_feature(lid, tracks_idx)
             except UpdateRejected:
                 continue  # added, but its first update was refused
             if j is not None:
@@ -646,7 +615,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             for lid in shared:
                 p_w, D = feature_world_position(ag.state, in_state[lid])
                 cov = D @ P @ D.T
-                entries.append((lid, p_w, (cov + cov.T) / 2.0))
+                entries.append(Correspondence(lid, p_w, (cov + cov.T) / 2.0))
             reply = SwarmMessage("full", idx, t, tuple(entries))
             ledger.record(reply)
             delivered, lat = config.network.sample_delivery(net_rng)
@@ -658,8 +627,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         if deferred(_MSG, (idx, msg)):
             return
         in_state = set(ag.state.feature_ids.tolist())
-        corr = [Correspondence(lid, p, cov) for lid, p, cov in msg.payload
-                if lid in in_state]
+        corr = [c for c in msg.payload if c.feature_id in in_state]
         if not corr:
             return
         try:

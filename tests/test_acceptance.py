@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from swarmnav import scenarios
-from swarmnav.agent import AgentFilter
+from swarmnav.agent import AgentFilter, FilterOptions
+from swarmnav.conventions import lookup
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, repropagate
 from swarmnav.covariance import (
     _ci_trace_objective,
@@ -28,7 +29,6 @@ from swarmnav.filters import (
     kalman_step,
     landmark_position_measurement,
     mechanize,
-    transition,
     transition_left,
 )
 from swarmnav.gate import adaptive_k
@@ -80,13 +80,14 @@ def test_a1_left_transition_state_independent():
     for _ in range(1000):
         gyro, accel = rg.uniform(-1, 1, 3), rg.uniform(-12, 12, 3)
         dt = rg.uniform(1e-3, 1e-2)
+        imu = ImuStream(np.array([dt]), gyro[None], accel[None])
         refs = []
         rights = []
         for _ in range(10):
-            state = _random_state(rg)
-            T = transition("liekf", state, gyro, accel, dt)
-            refs.append((T.F.tobytes(), T.G.tobytes()))
-            rights.append(transition("riekf", state, gyro, accel, dt).F)
+            seg = mechanize(_random_state(rg), imu)  # from t = 0
+            T = lookup("liekf").transition(seg)
+            refs.append((T.F[0].tobytes(), T.G[0].tobytes()))
+            rights.append(lookup("riekf").transition(seg).F[0])
         assert all(r == refs[0] for r in refs)
         spread = max(np.max(np.abs(rights[i] - rights[0])) for i in range(1, 10))
         if spread > 1e-6:
@@ -132,14 +133,16 @@ def test_a3_delayed_update_matches_rewind_replay():
     noise = suite.noise
     delay = 0.1
 
-    fast = AgentFilter(state0, P0.copy(), "liekf", noise=noise)
-    slow = AgentFilter(state0, P0.copy(), "liekf", noise=noise)
+    fast = AgentFilter(state0, P0.copy(), "liekf", suite)
+    slow = AgentFilter(state0, P0.copy(), "liekf", suite)
 
-    # kind 0 = a fix epoch (snapshot), 1 = completion of the fix taken
-    # delay ago; before each event, both filters propagate the pending
-    # samples up to its time as one segment.
-    events = [(round(f.timestamp, 9), 0, f) for f in fixes]
-    events += [(round(f.timestamp + delay, 9), 1, f) for f in fixes
+    # kind 0 = completion of the fix taken delay ago, 1 = a fix epoch
+    # (snapshot). Completions go first at equal times, as in the simulator,
+    # so the snapshot of epoch k+1 holds fix k and every fix is kept.
+    # Before each event, both filters propagate the pending samples up to
+    # its time as one segment.
+    events = [(round(f.timestamp, 9), 1, f) for f in fixes]
+    events += [(round(f.timestamp + delay, 9), 0, f) for f in fixes
                if f.timestamp + delay <= spec.duration + 1e-9]
     events.sort(key=lambda e: (e[0], e[1]))
     imu_times = [round(t, 9) for t in imu.times.tolist()]
@@ -156,7 +159,7 @@ def test_a3_delayed_update_matches_rewind_replay():
             fast.propagate(imu[done:upto])
             slow.propagate(imu[done:upto])
             done = upto
-        if kind == 0:
+        if kind == 1:
             snap_fast[t] = fast.snapshot()
             snap_slow[t] = slow.snapshot()
         else:
@@ -204,12 +207,12 @@ def test_a3_delayed_update_matches_rewind_replay():
             # buffered samples either way, and the replay filter rebuilds its
             # history buffer, one entry per segment, from the recomputed steps.
             first = bisect.bisect_right(imu_times, t_k)
-            state = mechanize(state, imu[first:done], noise.gravity).state
+            state = mechanize(state, imu[first:done]).state
             rebuilt = [ImuBufferEntry(*compose_transport(np.array(Fs), np.array(Qs)),
                                       entry.start, entry.timestamp, entry.samples)
                        for entry, (Fs, Qs) in zip(replay, mats)]
 
-            fast.update_gnss_delayed(z, suite.gnss_sigma, snap_fast[t_k])
+            fast.update_gnss_delayed(z, snap_fast[t_k])
 
             slow.state = state
             slow.partition.core = P
@@ -251,8 +254,7 @@ def test_a4_segmentation_equivalence_and_speed():
                          timestamp=0.0)
     P0 = np.diag(np.concatenate([np.full(9, 0.01), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
-    ag = AgentFilter(state0, P0.copy(), "liekf", noise=suite.noise,
-                     camera_extrinsics=suite.camera_extrinsics, max_clones=4)
+    ag = AgentFilter(state0, P0.copy(), "liekf", suite, FilterOptions(max_clones=4))
     shadow = P0.copy()
 
     fix_iter = iter(fixes[:50])
@@ -264,14 +266,14 @@ def test_a4_segmentation_equivalence_and_speed():
         s = imu[k:k + 1]
         t_s = float(s.times[0])
         dt = t_s - ag.state.timestamp
-        T = transition("liekf", ag.state, s.gyro[0], s.accel[0], dt, suite.noise.gravity)
+        T = lookup("liekf").transition(mechanize(ag.state, s))
         ag.propagate(s)
         d = shadow.shape[0]
         F = np.eye(d)
-        F[:CORE_DIM, :CORE_DIM] = T.F
+        F[:CORE_DIM, :CORE_DIM] = T.F[0]
         shadow = F @ shadow @ F.T
         shadow[:CORE_DIM, :CORE_DIM] += \
-            T.G @ suite.noise.discrete_q(dt) @ T.G.T
+            T.G[0] @ suite.noise.discrete_q(dt) @ T.G[0].T
         if next_fix is not None and \
                 abs(next_fix.timestamp - t_s) < 1e-9:
             meas = gnss_measurement(ag.state, next_fix.position,
@@ -280,7 +282,7 @@ def test_a4_segmentation_equivalence_and_speed():
             H[:, :CORE_DIM] = meas.H
             shadow = kalman_step(shadow, LinearMeasurement(
                 meas.residual, H, meas.noise_cov)).P_post
-            ag.update_gnss(next_fix.position, suite.gnss_sigma)
+            ag.update_gnss(next_fix.position)
             updates += 1
             next_fix = next(fix_iter, None)
         if updates in clone_at:
@@ -294,8 +296,7 @@ def test_a4_segmentation_equivalence_and_speed():
             ag.augment_clone()
             clones_added += 1
 
-    ag.add_feature(0, ag.state.num_clones - 1, np.array([0.05, -0.02, 0.08]),
-                   prior_sigma=1.0)
+    ag.add_feature(0, ag.state.num_clones - 1, np.array([0.05, -0.02, 0.08]))
     d = shadow.shape[0]
     grown = np.zeros((d + 3, d + 3))
     grown[:d, :d] = shadow

@@ -1,12 +1,14 @@
 """Per-agent filter: the segmented update paths against full-matrix
 references, window management and landmark initialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmnav import lie
-from swarmnav.agent import AgentFilter
+from swarmnav.agent import AgentFilter, FilterOptions
 from swarmnav.buffers import HistoryBuffer, repropagate
 from swarmnav.covariance import Correspondence
 from swarmnav.filters import (
@@ -20,15 +22,20 @@ from swarmnav.filters import (
     propagate_covariance,
 )
 from swarmnav.lie import ExtendedPose, so3_exp, so3_log
+from swarmnav.sensors import SensorSuite
 from swarmnav.state import CONVENTIONS, CORE_DIM, SystemState, retract
 
 rng = np.random.default_rng(5)
 
 EXTR = (np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
         np.array([0.02, 0.0, -0.01]))
+SUITE = SensorSuite(noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5), gnss_sigma=0.05,
+                    pixel_sigma=0.002, cam_rotation=EXTR[0].tolist(),
+                    cam_offset=EXTR[1].tolist())
 
 
-def make_agent(convention="liekf", seed=0, timestamp=0.0):
+def make_agent(convention="liekf", seed=0, timestamp=0.0, suite=SUITE,
+               options=FilterOptions()):
     rg = np.random.default_rng(seed)
     nav = ExtendedPose(so3_exp(np.array([0.0, 0.0, 0.8])),
                        np.array([2.0, 0.0, 0.0]), np.array([20.0, 0.0, 10.0]))
@@ -39,9 +46,7 @@ def make_agent(convention="liekf", seed=0, timestamp=0.0):
     P0 = np.diag(np.concatenate([np.full(3, 0.01), np.full(3, 0.01),
                                  np.full(3, 0.09), np.full(6, 1e-4),
                                  np.full(3, 1e-4)]))
-    return AgentFilter(state, P0, convention,
-                       noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5),
-                       camera_extrinsics=EXTR)
+    return AgentFilter(state, P0, convention, suite, options)
 
 
 def drive(ag, n=20, dt=0.005, seed=1):
@@ -64,7 +69,7 @@ def test_snapshot_without_visual_states_after_long_gap():
     drive(ag, n=400)
     state, part = ag.snapshot()
     assert part.synced_at == ag.state.timestamp
-    ag.update_gnss(state.nav.position + 0.1, 0.05)
+    ag.update_gnss(state.nav.position + 0.1)
 
 
 def test_covariance_dim_checked():
@@ -79,7 +84,7 @@ def test_covariance_dim_checked():
 def test_segmented_gnss_update_matches_full(convention):
     # The core-block update through the partition must equal a plain full
     # update on the assembled covariance, clones and landmarks included.
-    ag = make_agent(convention)
+    ag = make_agent(convention, suite=replace(SUITE, gnss_sigma=0.02))
     drive(ag, 10)
     ag.augment_clone()
     drive(ag, 10, seed=2)
@@ -96,7 +101,7 @@ def test_segmented_gnss_update_matches_full(convention):
     ref = kalman_step(shadow_P, LinearMeasurement(meas.residual, H, meas.noise_cov))
     ref_state = retract(shadow_state, ref.xi, convention)
 
-    ag.update_gnss(z, 0.02)
+    ag.update_gnss(z)
     assert np.allclose(ag.state.nav.position, ref_state.nav.position, atol=1e-12)
     assert np.allclose(ag.state.nav.rotation, ref_state.nav.rotation, atol=1e-12)
     for a, b in zip(ag.state.clone_positions, ref_state.clone_positions):
@@ -143,11 +148,10 @@ def test_augment_and_marginalize_roundtrip():
 
 
 def test_window_eviction_drops_anchored_features():
-    ag = make_agent()
-    ag.max_clones = 2
+    ag = make_agent(options=FilterOptions(max_clones=2))
     drive(ag, 3)
     ag.augment_clone()
-    ag.add_feature(42, 0, np.array([0.1, 0.1, 0.2]), 1.0)
+    ag.add_feature(42, 0, np.array([0.1, 0.1, 0.2]))
     drive(ag, 3, seed=4)
     ag.augment_clone()
     assert ag.state.num_clones == 2 and ag.state.num_features == 1
@@ -160,16 +164,15 @@ def test_window_eviction_drops_anchored_features():
 def test_a_refused_landmark_leaves_the_filter_whole():
     # The state checks run before the partition grows, so a refused landmark
     # leaves the covariance the size of the state.
-    ag = make_agent()
-    ag.max_features = 1
+    ag = make_agent(options=FilterOptions(max_features=1))
     drive(ag, 3)
     ag.augment_clone()
     for anchor in (1, -1):
         with pytest.raises(ValueError, match="not in the window"):
-            ag.add_feature(7, anchor, np.array([0.1, 0.1, 0.2]), 1.0)
-    ag.add_feature(7, 0, np.array([0.1, 0.1, 0.2]), 1.0)
+            ag.add_feature(7, anchor, np.array([0.1, 0.1, 0.2]))
+    ag.add_feature(7, 0, np.array([0.1, 0.1, 0.2]))
     with pytest.raises(ValueError, match="full"):
-        ag.add_feature(8, 0, np.array([0.1, 0.1, 0.2]), 1.0)
+        ag.add_feature(8, 0, np.array([0.1, 0.1, 0.2]))
     assert ag.state.error_dim == 18 + ag.partition.sensor_self.shape[0] == 27
 
 
@@ -199,8 +202,7 @@ def test_anchor_rows_follow_the_window(ops):
     # Any sequence of window operations keeps each landmark anchored at the
     # clone it was added on, and leaves every surviving landmark, and its
     # Jacobian at the shifted columns, bit for bit where it was.
-    ag = make_agent()
-    ag.max_clones = 3
+    ag = make_agent(options=FilterOptions(max_clones=3))
     anchor_time = {}  # landmark id -> capture time of its anchor clone
     before = {}
     for n, (op, k) in enumerate(ops):
@@ -211,7 +213,7 @@ def test_anchor_rows_follow_the_window(ops):
         elif op == "add" and M:
             anchor = k % M
             anchor_time[n] = ag.state.clone_times[anchor]
-            ag.add_feature(n, anchor, np.array([0.1, -0.2, 0.05 + k / 2 ** 16]), 1.0)
+            ag.add_feature(n, anchor, np.array([0.1, -0.2, 0.05 + k / 2 ** 16]))
         elif op == "remove" and N:
             ag.remove_feature(k % N)
         elif op == "marginalize" and M:
@@ -239,7 +241,7 @@ def test_initialize_feature_from_tracks():
         uvs.append((ci, X[:2] / X[2]))
     # Newest clone as the anchor, like the tracker does.
     tracks = [uvs[-1]] + uvs[:-1]
-    j = ag.initialize_feature(99, tracks, prior_sigma=1.0, pixel_sigma=0.002)
+    j = ag.initialize_feature(99, tracks)
     assert j == 0
     from swarmnav.filters import feature_world_position
     p_est, _ = feature_world_position(ag.state, 0)
@@ -255,7 +257,8 @@ def test_initialize_feature_needs_parallax():
     uv = np.array([0.1, 0.05])
     assert ag.initialize_feature(7, [(ci, uv)] * 3) is None
     assert ag.state.num_features == 0
-    assert ag.initialize_feature(7, [(ci, uv)], min_observations=3) is None
+    assert ag.options.min_track_length == 3
+    assert ag.initialize_feature(7, [(ci, uv)]) is None
 
 
 def test_update_vision_tightens_clone_covariance():
@@ -272,7 +275,7 @@ def test_update_vision_tightens_clone_covariance():
     ci = ag.augment_clone()
     X = ag.state.clone_rotations[ci].T @ (landmark - ag.state.clone_positions[ci])
     tr_before = np.trace(ag.full_covariance())
-    n = ag.update_vision([(ci, 0, X[:2] / X[2])], pixel_sigma=0.002)
+    n = ag.update_vision([(ci, 0, X[:2] / X[2])])
     assert n == 1
     assert np.trace(ag.full_covariance()) < tr_before
 
@@ -420,9 +423,9 @@ def test_a_segment_transport_equals_the_stepwise_recursion(convention, sizes, ca
     for n in sizes:
         samples = stream[done:done + n]
         done += n
-        seg = mechanize(ag.state, samples, ag.noise.gravity)
+        seg = mechanize(ag.state, samples)
         steps = CONVENTIONS[convention].transition(seg)
-        noise = steps.G @ ag.noise.discrete_q(seg.dts[:, None, None]) \
+        noise = steps.G @ ag.suite.noise.discrete_q(seg.dts[:, None, None]) \
             @ steps.G.transpose(0, 2, 1)
         Phi, Q, P = np.eye(CORE_DIM), np.zeros((CORE_DIM, CORE_DIM)), ag.partition.core
         for F_k, Q_k in zip(steps.F, noise):
@@ -454,10 +457,10 @@ def test_delayed_fix_replay_equals_chained_single_steps():
     snap = ag.snapshot()
     ag.propagate(stream[10:])
     z = snap[0].nav.position + np.array([0.3, -0.2, 0.1])
-    xi = ag.update_gnss_delayed(z, 0.05, snap)
+    xi = ag.update_gnss_delayed(z, snap)
     state = retract(snap[0], xi, ag.convention)
     for k in range(10, len(stream)):
-        state = mechanize(state, stream[k:k + 1], ag.noise.gravity).state
+        state = mechanize(state, stream[k:k + 1]).state
     assert state.timestamp == ag.state.timestamp
     for x, y in zip((state.nav.rotation, state.nav.velocity, state.nav.position),
                     (ag.state.nav.rotation, ag.state.nav.velocity, ag.state.nav.position)):
@@ -517,23 +520,22 @@ def test_updates_leave_cross_blocks_synced_and_chain_imu_only():
         drive(ag, 40, seed=seed)
         ag.augment_clone()
     X_a = ag.state.clone_rotations[1].T @ (landmark - ag.state.clone_positions[1])
-    ag.add_feature(3, 1, np.append(X_a[:2], 1.0) / X_a[2], 1.0)
+    ag.add_feature(3, 1, np.append(X_a[:2], 1.0) / X_a[2])
     assert ag.state.num_clones == 2 and ag.state.num_features == 1
     drive(ag, 10, seed=42)
 
-    ag.update_gnss(ag.state.nav.position + np.array([0.05, -0.02, 0.03]), 0.05)
+    ag.update_gnss(ag.state.nav.position + np.array([0.05, -0.02, 0.03]))
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=43)
 
     snap = ag.snapshot()
     drive(ag, 10, seed=44)
-    ag.update_gnss_delayed(snap[0].nav.position + np.array([-0.03, 0.02, 0.01]),
-                           0.05, snap)
+    ag.update_gnss_delayed(snap[0].nav.position + np.array([-0.03, 0.02, 0.01]), snap)
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=45)
 
     X = ag.state.clone_rotations[0].T @ (landmark - ag.state.clone_positions[0])
-    assert ag.update_vision([(0, 0, X[:2] / X[2] + 0.002)], pixel_sigma=0.002) == 1
+    assert ag.update_vision([(0, 0, X[:2] / X[2] + 0.002)]) == 1
     assert_cross_blocks_synced(ag)
     drive_against_dense_shadow(ag, seed=46)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmnav.agent import AgentFilter
+from swarmnav.agent import AgentFilter, FilterOptions
 from swarmnav.buffers import (
     DelayExceedsHorizon,
     HistoryBuffer,
@@ -26,6 +26,7 @@ from swarmnav.filters import (
     mechanize,
 )
 from swarmnav.lie import ExtendedPose, so3_exp
+from swarmnav.sensors import SensorSuite
 from swarmnav.state import CORE_DIM, SystemState, retract
 
 rng = np.random.default_rng(23)
@@ -138,7 +139,7 @@ def test_range_after_refuses_an_epoch_inside_a_segment():
         ag.imu_buffer.range_after(stream.times[9], ag.state.timestamp)
     inside = replace(snap[0], timestamp=float(stream.times[9]))
     with pytest.raises(ValueError, match="inside the buffered segment"):
-        ag.update_gnss_delayed(np.zeros(3), 0.02, (inside, snap[1]))
+        ag.update_gnss_delayed(np.zeros(3), (inside, snap[1]))
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +214,9 @@ def test_core_update_matches_full_joseph():
 # delayed updates vs. rewind and replay
 
 
+SUITE = SensorSuite(noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5), gnss_sigma=0.02)
+
+
 def _make_agent(convention="liekf"):
     nav = ExtendedPose(so3_exp(np.array([0.0, 0.0, 0.4])),
                        np.array([1.0, 0.5, 0.0]), np.array([5.0, -2.0, 10.0]))
@@ -220,9 +224,8 @@ def _make_agent(convention="liekf"):
                         accel_bias=0.01 * np.ones(3),
                         lever_arm=np.array([0.1, 0.0, 0.05]),
                         timestamp=0.0)
-    noise = NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5)
     P0 = np.diag(np.concatenate([np.full(9, 0.01), np.full(6, 1e-4), np.full(3, 1e-4)]))
-    return AgentFilter(state, P0, convention, noise=noise)
+    return AgentFilter(state, P0, convention, SUITE)
 
 
 def _imu_stream(n, dt, seed=0):
@@ -251,7 +254,7 @@ def test_apply_delayed_update_equals_rewind_replay():
     _one_by_one(ref, stream[:k_epoch + 1])
     z = (ref.state.nav.position + ref.state.nav.rotation @ ref.state.lever_arm
          + np.array([0.05, -0.02, 0.01]))
-    ref.update_gnss(z, 0.02)
+    ref.update_gnss(z)
     _one_by_one(ref, stream[k_epoch + 1:])
 
     # Buffered path: keep propagating, apply the same measurement late.
@@ -259,7 +262,7 @@ def test_apply_delayed_update_equals_rewind_replay():
     _one_by_one(ag, stream[:k_epoch + 1])
     snap = ag.snapshot()
     _one_by_one(ag, stream[k_epoch + 1:])
-    ag.update_gnss_delayed(z, 0.02, snap)
+    ag.update_gnss_delayed(z, snap)
 
     dp = np.abs(ag.state.nav.position - ref.state.nav.position).max()
     dv = np.abs(ag.state.nav.velocity - ref.state.nav.velocity).max()
@@ -278,8 +281,8 @@ def test_apply_delayed_update_zero_delay_matches_prompt():
     _one_by_one(prompt, stream)
     _one_by_one(late, stream)
     z = prompt.state.nav.position + prompt.state.nav.rotation @ prompt.state.lever_arm
-    prompt.update_gnss(z, 0.02)
-    late.update_gnss_delayed(z, 0.02, late.snapshot())
+    prompt.update_gnss(z)
+    late.update_gnss_delayed(z, late.snapshot())
     assert np.allclose(prompt.state.nav.position, late.state.nav.position, atol=1e-12)
     assert np.allclose(prompt.partition.core, late.partition.core, atol=1e-12)
 
@@ -295,12 +298,11 @@ def test_apply_delayed_update_rejects_backwards_completion():
 
 
 def test_delay_beyond_horizon_raises():
-    ag = AgentFilter(_make_agent().state, np.eye(18) * 0.01, "liekf",
-                     noise=NoiseDensities(2e-4, 2e-3, 1e-6, 1e-5),
-                     imu_buffer_capacity=5)
+    ag = AgentFilter(_make_agent().state, np.eye(18) * 0.01, "liekf", SUITE,
+                     FilterOptions(imu_buffer_capacity=5))
     stream = _imu_stream(12, 0.005)
     ag.propagate(stream[:1])
     snap = ag.snapshot()
     _one_by_one(ag, stream[1:])  # the epoch leaves the 5-step buffer
     with pytest.raises(DelayExceedsHorizon):
-        ag.update_gnss_delayed(np.zeros(3), 0.02, snap)
+        ag.update_gnss_delayed(np.zeros(3), snap)

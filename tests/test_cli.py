@@ -260,6 +260,9 @@ def test_suite_runs_flag_needs_a_monte_carlo_suite(monkeypatch, capsys, suite):
     # A track holds one observation per window clone, so it can never reach
     # a length above max_clones: no landmark would ever be initialized.
     ("use_vision: false", "use_vision: true\nfilter: {max_clones: 6, min_track_length: 7}"),
+    # Gravity is the truth's constant; no config key sets it.
+    ("suite: {gnss_sigma: 0.02}",
+     "suite: {gnss_sigma: 0.02, noise: {gravity: [0.0, 0.0, -9.80665]}}"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, old, new):
     p = tmp_path / "bad.yaml"

@@ -13,7 +13,6 @@ from swarmnav.filters import (
     LinearMeasurement,
     NoiseDensities,
     Strapdown,
-    TransitionPair,
     UpdateRejected,
     bearing_measurement,
     feature_world_position,
@@ -23,10 +22,9 @@ from swarmnav.filters import (
     mechanize,
     propagate_covariance,
     stack_measurements,
-    transition,
     transition_left,
 )
-from swarmnav.conventions import _THETA
+from swarmnav.conventions import _THETA, TransitionPair, lookup
 from swarmnav.lie import ExtendedPose, skew, so3_exp, so3_gamma2, so3_left_jacobian
 from swarmnav.state import (
     CONVENTIONS,
@@ -67,6 +65,13 @@ def left_step(imu, dt):
     """The left-invariant transition of a one-sample stream, from its raw
     rates."""
     T = transition_left(imu.gyro, imu.accel, np.array([dt]))
+    return TransitionPair(T.F[0], T.G[0])
+
+
+def step_transition(convention, state, imu):
+    """The convention's core transition of the one-sample stream `imu`,
+    mechanized from `state`."""
+    T = lookup(convention).transition(mechanize(state, imu))
     return TransitionPair(T.F[0], T.G[0])
 
 
@@ -134,7 +139,7 @@ def test_mechanize_rejects_bad_dt():
             mechanize(SystemState.identity(), imu)
 
 
-def _stepwise_mechanize(state, samples, gravity):
+def _stepwise_mechanize(state, samples):
     """The one-step-at-a-time composition that `mechanize` replaced with
     stacked passes, kept as the reference for its bits: each step runs from
     the clock the one before it left, its sample's time."""
@@ -144,7 +149,7 @@ def _stepwise_mechanize(state, samples, gravity):
         dts.append(t_k - t)
         t = t_k
     n = len(dts)
-    g = np.asarray(gravity, dtype=float)
+    g = GRAVITY
     steps = np.array(dts)
     dt_col = steps[:, None]
     gyro, accel = samples.gyro, samples.accel
@@ -164,7 +169,7 @@ def _stepwise_mechanize(state, samples, gravity):
                    p + v * dt + R @ G2a[k] * dt * dt + g_dt2[k])
     return Strapdown(replace(state, nav=ExtendedPose(R, v, p), timestamp=t),
                      steps, gyro, accel, psi, a, Gamma, J1, G2, J1a, G2a,
-                     Rs, vs, ps, g)
+                     Rs, vs, ps)
 
 
 # Per sample: a random rate, a rate at exactly the gyro bias (a zero
@@ -194,12 +199,12 @@ def test_mechanize_matches_the_stepwise_composition_bit_for_bit(kinds, seed):
              "below": 0.999e-7 / dt * u, "above": 1.001e-7 / dt * u}[kind]
         samples.append((state.gyro_bias + w, rg.uniform(-12, 12, 3), t))
     samples = stream_of(samples)
-    seg = mechanize(state, samples, GRAVITY)
+    seg = mechanize(state, samples)
     theta = np.linalg.norm(seg.psi, axis=1)
     for kind, th in zip(kinds, theta):
         assert {"random": th > 1e-7, "at_bias": th == 0.0,
                 "below": 0.0 < th < 1e-7, "above": 1e-7 < th < 1.01e-7}[kind]
-    ref = _stepwise_mechanize(state, samples, GRAVITY)
+    ref = _stepwise_mechanize(state, samples)
     for field in Strapdown._fields[1:]:
         assert getattr(seg, field).tobytes() == getattr(ref, field).tobytes(), field
     nav, ref_nav = seg.state.nav, ref.state.nav
@@ -245,7 +250,7 @@ def test_transition_finite_difference(convention, tol):
     for _ in range(3):
         truth = random_nav_state(biases=(convention != "liekf"))
         imu = random_imu(truth, 0.005)
-        T = transition(convention, truth, *rates(imu), 0.005)
+        T = step_transition(convention, truth, imu)
         J = numeric_transition(convention, truth, imu)
         assert np.max(np.abs(T.F - J)) < tol, convention
 
@@ -255,7 +260,7 @@ def test_transition_left_raw_rate_error_bounded():
     # Jacobian by no more than a small multiple of |bias| * dt.
     truth = random_nav_state(biases=True)
     imu = random_imu(truth, 0.005)
-    T = transition("liekf", truth, *rates(imu), 0.005)
+    T = step_transition("liekf", truth, imu)
     J = numeric_transition("liekf", truth, imu)
     bound = 10.0 * max(np.max(np.abs(truth.gyro_bias)),
                        np.max(np.abs(truth.accel_bias))) * 0.005
@@ -272,7 +277,7 @@ def test_transition_bias_coupling_signs():
     assert np.allclose(F[0:3, 9:12], -np.eye(3) * dt, atol=1e-5)
     assert np.allclose(F[3:6, 12:15], -np.eye(3) * dt, atol=1e-5)
     s = random_nav_state()
-    Fr = transition("riekf", s, *rates(imu), dt).F
+    Fr = step_transition("riekf", s, imu).F
     assert np.allclose(Fr[0:3, 9:12], -s.nav.rotation * dt, atol=1e-5)
 
 
@@ -302,24 +307,24 @@ def test_left_invariant_log_linear_error_transport():
 def test_transition_lever_arm_static():
     gyro, accel = rng.standard_normal(3), rng.standard_normal(3)
     for convention in CONVENTIONS:
-        F = transition(convention, random_nav_state(), gyro, accel, 0.01).F
+        F = step_transition(convention, random_nav_state(), one_sample(gyro, accel, 0.01)).F
         assert np.allclose(F[15:18, :], np.eye(18)[15:18, :])
         assert np.allclose(F[:15, 15:18], 0.0)
 
 
 def test_transition_rejects_bad_dt():
     with pytest.raises(ValueError):
-        transition("liekf", random_nav_state(), np.zeros(3), np.zeros(3), -0.1)
+        step_transition("liekf", random_nav_state(), one_sample(np.zeros(3), np.zeros(3), -0.1))
     with pytest.raises(ValueError):
-        transition("foo", random_nav_state(), np.zeros(3), np.zeros(3), 0.01)
+        step_transition("foo", random_nav_state(), one_sample(np.zeros(3), np.zeros(3), 0.01))
 
 
 @pytest.mark.parametrize("convention", sorted(CONVENTIONS))
 @pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.01])
 def test_every_convention_rejects_a_non_positive_or_nan_dt(convention, dt):
     with pytest.raises(ValueError):
-        transition(convention, random_nav_state(), np.array([0.1, -0.2, 0.3]),
-                   np.array([0.0, 0.0, 9.81]), dt)
+        step_transition(convention, random_nav_state(),
+                        one_sample([0.1, -0.2, 0.3], [0.0, 0.0, 9.81], dt))
 
 
 def _segment_near_the_series_cutoff(state, n, scale, t0=0.0):
@@ -363,7 +368,7 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
     thetas = []
     for state, triples in segments:
         samples = stream_of(triples)
-        seg = mechanize(state, samples, GRAVITY)
+        seg = mechanize(state, samples)
         stacked = step(seg)
         assert len(stacked.F) == len(stacked.G) == len(samples)
         clock = state.timestamp
@@ -372,7 +377,7 @@ def test_segment_transitions_match_one_sample_calls_byte_for_byte(convention):
             thetas.append(np.linalg.norm((imu.gyro[0] - state.gyro_bias) * dt))
             start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                             timestamp=clock)
-            one_seg = mechanize(start, imu, GRAVITY)
+            one_seg = mechanize(start, imu)
             assert one_seg.dts[0] == dt
             clock = one_seg.state.timestamp
             one = step(one_seg)
@@ -417,7 +422,7 @@ def _generators(convention, seg):
         A[:, 3:6, 12:15] = -np.eye(3)
     else:
         R = seg.R
-        A[:, 3:6, 0:3] = skew(seg.gravity)
+        A[:, 3:6, 0:3] = skew(GRAVITY)
         A[:, 0:3, 9:12] = -R
         A[:, 3:6, 9:12] = -skew(seg.v) @ R
         A[:, 6:9, 9:12] = -skew(seg.p) @ R
@@ -434,7 +439,7 @@ def test_stacked_transitions_across_the_scaling_threshold_match_one_sample_calls
     # would then differ from what a rewind recomputes.
     rg = np.random.default_rng(19)
     state, samples = _stress_segment(rg)
-    seg = mechanize(state, samples, GRAVITY)
+    seg = mechanize(state, samples)
     norms = np.abs(_generators(convention, seg)).sum(axis=-2).max(axis=-1)
     assert norms.min() < _THETA and norms.max() > 8.0 * _THETA
     step = CONVENTIONS[convention].transition
@@ -443,7 +448,7 @@ def test_stacked_transitions_across_the_scaling_threshold_match_one_sample_calls
     for k, (F, G) in enumerate(zip(stacked.F, stacked.G)):
         start = replace(state, nav=ExtendedPose(seg.R[k], seg.v[k], seg.p[k]),
                         timestamp=clock)
-        one_seg = mechanize(start, samples[k:k + 1], GRAVITY)
+        one_seg = mechanize(start, samples[k:k + 1])
         assert one_seg.dts[0] == seg.dts[k]
         clock = one_seg.state.timestamp
         one = step(one_seg)
@@ -467,7 +472,7 @@ def _a1_segments():
             lever_arm=np.array([0.1, 0.0, 0.05]),
             timestamp=0.0,
         ) for _ in range(10)]
-        yield mechanize(states[0], one_sample(gyro, accel, dt), GRAVITY)
+        yield mechanize(states[0], one_sample(gyro, accel, dt))
 
 
 @pytest.mark.parametrize("convention", ["liekf", "riekf"])
@@ -483,7 +488,7 @@ def test_transitions_match_scipy_expm(convention):
 
     assert max(worst(seg) for seg in _a1_segments()) <= 1e-13
     state, samples = _stress_segment(np.random.default_rng(19))
-    assert worst(mechanize(state, samples, GRAVITY)) <= 1e-13
+    assert worst(mechanize(state, samples)) <= 1e-13
 
 
 # ----------------------------------------------------------------------

@@ -103,9 +103,9 @@ def test_bearings_noiseless_reprojection():
 def test_bearings_snap_to_grid():
     suite = quiet_suite(camera_rate=30.0)
     lmap = LandmarkMap(((0, np.array([20.0, 0.0, 0.0])),))
-    frames = synthesize_bearings(SPEC, suite, lmap, seed=0, snap_rate=200.0)
+    frames = synthesize_bearings(SPEC, suite, lmap, seed=0)
     for fr in frames:
-        assert np.isclose(round(fr.timestamp * 200.0), fr.timestamp * 200.0)
+        assert np.isclose(round(fr.timestamp * suite.imu_rate), fr.timestamp * suite.imu_rate)
     ts = [fr.timestamp for fr in frames]
     assert all(b > a for a, b in zip(ts, ts[1:]))
 

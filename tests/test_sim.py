@@ -31,7 +31,7 @@ from swarmnav.sim import (
     load_config,
     run_swarm,
 )
-from swarmnav.state import CONVENTIONS
+from swarmnav.state import CONVENTIONS, SystemState
 from swarmnav.trajectories import KINDS, TrajectorySpec, truth_at
 
 
@@ -104,10 +104,9 @@ CHECKED_FIELDS = [("network", "latency"), ("outliers", "rate"), ("gate", "v_emp"
                   ("suite", "fov_half_tangent"), ("suite", "min_depth"),
                   ("suite", "lever_arm"), ("suite", "cam_offset"),
                   ("trajectory", "altitude"), ("trajectory", "phase"),
-                  ("trajectory", "center"), ("suite", "cam_rotation"),
-                  ("noise", "gravity")]
+                  ("trajectory", "center"), ("suite", "cam_rotation")]
 AGENT_SECTIONS = ("suite", "trajectory")
-VECTOR_FIELDS = ("lever_arm", "cam_offset", "center", "cam_rotation", "gravity")
+VECTOR_FIELDS = ("lever_arm", "cam_offset", "center", "cam_rotation")
 
 
 def _config_with(section, key, value):
@@ -170,6 +169,10 @@ def _config_with(section, key, value):
     # Each sigma is the filter's noise for a sensor the agent uses.
     ("suite", "gnss_sigma", 0.0),
     ("suite", "pixel_sigma", 0.0),
+    # Gravity is the truth's constant, not a config key: a finite value is
+    # refused too, since a filter mechanizing against any other gravity
+    # than the truth's is biased.
+    ("noise", "gravity", [0.0, 0.0, -9.80665]),
 ])
 def test_config_rejects_out_of_range_values(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -187,18 +190,12 @@ def test_config_fields_are_finite_or_rejected(field, value):
         cfg = _config_with(section, key, value)
     except ConfigError:
         return
-    if section == "noise":
-        got = cfg.agents[0].suite.noise.gravity
-    else:
-        owner = cfg.agents[0] if section in AGENT_SECTIONS else cfg
-        got = getattr(owner if section is None else getattr(owner, section), key)
+    owner = cfg.agents[0] if section in AGENT_SECTIONS else cfg
+    got = getattr(owner if section is None else getattr(owner, section), key)
     if key == "cam_rotation":
         if got is None:
             return  # the default nadir camera
         got = sum(got, ())  # its rows, each a tuple
-    elif key == "gravity":
-        assert isinstance(got, np.ndarray)
-        got = tuple(got.tolist())
     values = got if key in VECTOR_FIELDS else (got,)
     assert isinstance(values, tuple)
     assert all(isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -434,13 +431,13 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
         self.steps.extend(segment.times.tolist())
         return propagate(self, segment)
 
-    def recording_update(self, z, sigma):
+    def recording_update(self, z):
         applied.append((epochs[z.tobytes()], self.state.timestamp))
-        return update_gnss(self, z, sigma)
+        return update_gnss(self, z)
 
-    def recording_delayed(self, z, sigma, snapshot):
+    def recording_delayed(self, z, snapshot):
         applied.append((epochs[z.tobytes()], snapshot[0].timestamp))
-        return update_delayed(self, z, sigma, snapshot)
+        return update_delayed(self, z, snapshot)
 
     monkeypatch.setattr(sim, "synthesize_imu", imu_stream)
     monkeypatch.setattr(sim, "synthesize_gnss", gnss_fixes)
@@ -499,9 +496,14 @@ def test_segments_are_read_only_views_of_the_synthesized_stream(monkeypatch):
 
 
 def test_agent_filter_defaults_match_filter_options():
-    params = inspect.signature(AgentFilter).parameters
-    for name in ("max_clones", "max_features", "imu_buffer_capacity"):
-        assert params[name].default == getattr(FilterOptions(), name), name
+    # The agent's only defaults are the config's own: its limits are the
+    # options', and its sensor model the suite's.
+    params = inspect.signature(AgentFilter).parameters.values()
+    assert [p.default for p in params if p.default is not p.empty] == \
+        [SensorSuite(), FilterOptions()]
+    ag = AgentFilter(SystemState.identity(), np.eye(18), "liekf")
+    assert ag.options == FilterOptions() and ag.suite == SensorSuite()
+    assert ag.imu_buffer.capacity == FilterOptions().imu_buffer_capacity
 
 
 def test_delayed_gnss_smoke():
