@@ -12,8 +12,13 @@ block holding all clone and landmark entries; the cross block between them
 is caught up lazily, from the product of the segment transitions it owes,
 just before it is needed, which keeps the propagation cost independent of
 the window size. The IMU buffer, one entry per segment, serves delayed fixes.
-The state's timestamp is the filter's only clock: syncs, snapshots and the
-completion of a delayed fix all read it.
+The agent's `clock` is the state time propagation has reached: syncs,
+buffer entries and the completion of a delayed fix all read it. Where the
+convention's transition reads only the raw samples (its table entry is
+`samples_only`), the covariance propagates without the mean: each
+segment's samples and step lengths are owed to the mean and integrated in
+one `mechanize` call when something reads `state`, and a delayed fix's
+replay, which covers them all, supersedes them.
 The window is the state's stacked arrays (``swarmnav.state``); a clone's
 anchored landmarks are dropped before the clone.
 Each constant has one home: the IMU noise, the sensor sigmas and the camera
@@ -48,11 +53,13 @@ from .covariance import (
 )
 from .filters import (
     ImuStream,
+    Steps,
     bearing_measurement,
     gnss_measurement,
     kalman_step,
     mechanize,
     stack_measurements,
+    step_lengths,
 )
 from .conventions import lookup
 from .sensors import SensorSuite
@@ -94,17 +101,37 @@ class AgentFilter:
                 f"covariance is {covariance.shape}, state error dim is {state.error_dim}"
             )
         self.partition = CovariancePartition(covariance[:CORE_DIM, :CORE_DIM],
-                                             synced_at=state.timestamp)
+                                             synced_at=self.clock)
         split_full(self.partition, covariance)
         self.imu_buffer = HistoryBuffer(options.imu_buffer_capacity)
+
+    # ------------------------------------------------------------------
+    # the mean
+
+    @property
+    def state(self) -> SystemState:
+        """The mean at the clock: the segments owed to it, if any, are
+        integrated from the last settled state in one call, then cleared."""
+        if self._owed:
+            owed = self._owed
+            imu = owed[0] if len(owed) == 1 else Steps(*map(np.concatenate, zip(*owed)))
+            self._state = mechanize(self._state, imu, imu.dts).state
+            self._owed = []
+        return self._state
+
+    @state.setter
+    def state(self, state: SystemState):
+        """Replace the mean; it covers every owed sample, and sets the clock."""
+        self._state = state
+        self._owed = []
+        self.clock = state.timestamp
 
     # ------------------------------------------------------------------
     # covariance access
 
     def sync(self):
         """Bring the cross block up to the current time."""
-        return sync_cross(self.partition, self.imu_buffer, None, "visual",
-                          self.state.timestamp)
+        return sync_cross(self.partition, self.imu_buffer, None, "visual", self.clock)
 
     def full_covariance(self):
         self.sync()
@@ -112,7 +139,7 @@ class AgentFilter:
 
     def set_full_covariance(self, P):
         split_full(self.partition, P)
-        self.partition.synced_at = self.state.timestamp
+        self.partition.synced_at = self.clock
 
     def snapshot(self):
         """(state, synchronized partition copy) at the current time; used as
@@ -126,27 +153,35 @@ class AgentFilter:
     def propagate(self, segment: ImuStream):
         """Advance through a segment of the IMU stream.
 
-        The mean is mechanized over the whole segment in one call, and the
-        convention's transitions and each step's process noise G Q G' are
-        formed in one stacked call each. `compose_transport` reduces them to
-        the segment's one (transition, noise) pair, which advances the core
-        covariance, is owed by the cross block, and is buffered with the
-        segment itself as one entry for the delayed-fix transport. An empty
-        segment changes nothing.
+        Its step lengths are formed once. A convention whose transition
+        reads only the samples owes them to the mean; any other mechanizes
+        the mean over the whole segment in one call and reads its record.
+        The convention's transitions and each step's process noise G Q G'
+        are formed in one stacked call each, and `compose_transport` reduces
+        them to the segment's one (transition, noise) pair, which advances
+        the core covariance, is owed by the cross block, and is buffered
+        with the segment itself as one entry for the delayed-fix transport.
+        An empty segment changes nothing.
         """
         if not segment:
-            return self.state
-        seg = mechanize(self.state, segment)
-        steps = lookup(self.convention).transition(seg)
-        noise = steps.G @ self.suite.noise.discrete_q(seg.dts[:, None, None]) \
+            return
+        conv = lookup(self.convention)
+        start = self.clock
+        record = Steps(segment.times, segment.gyro, segment.accel,
+                       step_lengths(start, segment.times))
+        if conv.samples_only:
+            self._owed.append(record)
+        else:
+            record = mechanize(self.state, segment, record.dts)
+            self.state = record.state
+        steps = conv.transition(record)
+        noise = steps.G @ self.suite.noise.discrete_q(record.dts[:, None, None]) \
             @ steps.G.transpose(0, 2, 1)
         F, noise = compose_transport(steps.F, noise)
         F.flags.writeable = noise.flags.writeable = False
         propagate_core_only(self.partition, F, noise)
-        self.imu_buffer.push(ImuBufferEntry(F, noise, self.state.timestamp,
-                                            seg.state.timestamp, segment))
-        self.state = seg.state
-        return self.state
+        self.clock = float(segment.times[-1])
+        self.imu_buffer.push(ImuBufferEntry(F, noise, start, self.clock, segment))
 
     # ------------------------------------------------------------------
     # updates

@@ -6,12 +6,14 @@ segment: the segment's composed core transition and process noise, its
 start and end times, and its samples, a view of the IMU stream's arrays.
 A measurement that completes late is updated against the snapshot taken at
 its epoch, whose state time is that epoch and so a segment boundary. The
-corrected covariance is transported to the agent's state time through the
+corrected covariance is transported to the agent's clock through the
 stored segment transitions and noises, one product per segment with none
 re-formed, and the corrected mean is re-mechanized through the buffered
 samples, joined once, in one segment call, instead of rewinding and
-replaying. The covariance transport equals rewind-and-replay to rounding:
-a segment's products group differently from a step-by-step recursion.
+replaying. Under a samples-only convention the agent has not integrated
+those samples yet, so this replay is the only integration of the window.
+The covariance transport equals rewind-and-replay to rounding: a
+segment's products group differently from a step-by-step recursion.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
 def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     """Apply a core-block measurement taken at the epoch of `snapshot`, the
     (state, partition) pair captured then, whose processing completes at
-    the agent's current state time.
+    the agent's clock.
 
     The gain and correction are computed against the snapshot, then the
     posterior mean/covariance are transported to the agent's time through
@@ -131,7 +133,7 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     caller should drop the measurement and report it.
     """
     state_k, part_k = snapshot
-    t_k, t_now = state_k.timestamp, agent.state.timestamp
+    t_k, t_now = state_k.timestamp, agent.clock
     if t_k > t_now:
         raise ValueError("snapshot is newer than the agent")
     part_k = part_k.copy()
@@ -148,7 +150,9 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     # Mean: apply the correction at the epoch and re-integrate the buffered
     # IMU samples. This costs one strapdown segment (no transition
     # matrices) and reproduces rewind-and-replay exactly, where a linear
-    # transport of the correction would drop second-order bias terms.
+    # transport of the correction would drop second-order bias terms. The
+    # replay covers every sample the agent's mean still owes, all of which
+    # lie in (t_k, t_now], so the new mean supersedes them unintegrated.
     state = retract(state_k, xi, agent.convention)
     segments = [e.samples for e in agent.imu_buffer.range_after(t_k, t_now)]
     replay = ImuStream(np.concatenate([[]] + [s.times for s in segments]),

@@ -3,8 +3,9 @@
 A `montecarlo` batch merges the `summary.yaml` each run writes, so a
 resumed batch merges to the same bytes as a fresh one.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical/runtime
-failures, 4 suite criteria not met.
+Exit codes: 0 success, 2 configuration problems, 3 numerical failures
+(a rejected update, a linear-algebra or an arithmetic error), 4 suite
+criteria not met. Any other error is a fault of the program and is raised.
 """
 
 from __future__ import annotations
@@ -215,8 +216,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UpdateRejected, np.linalg.LinAlgError, ArithmeticError,
-            ValueError) as exc:
+    except (UpdateRejected, np.linalg.LinAlgError, ArithmeticError) as exc:
+        # Every input is checked before a run starts, so any other error, a
+        # ValueError included, is a fault of the program and is raised.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -13,10 +13,12 @@ With the closed-form zero-order-hold strapdown integrator the left-invariant
 transition exp(A dt) transports navigation errors through a step exactly
 and depends only on the IMU sample (Barrau & Bonnabel, IEEE TAC 2017). So
 the buffered transitions that re-propagate a delayed measurement are the
-ones a rewind would form. Every transition of an IMU segment reads the
-terms ``filters.mechanize`` computed once for it; the left-invariant one
-reads only the raw rates and step lengths. Each convention returns a
-segment's transitions and noise maps as one ``TransitionPair`` of stacks.
+ones a rewind would form. The right-invariant and EKF transitions of an
+IMU segment read the terms ``filters.mechanize`` computed once for it; the
+left-invariant one reads only the raw rates and step lengths, so its entry
+is marked ``samples_only`` and the agent propagates its covariance without
+integrating the mean. Each convention returns a segment's transitions and
+noise maps as one ``TransitionPair`` of stacks.
 
 The ``liekf`` and ``riekf`` transitions are exp(A dt) of each step's 15x15
 generator, formed for a whole segment by one numpy call, ``_expm``: a Taylor
@@ -248,17 +250,21 @@ class Convention:
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
     # (segment) -> one TransitionPair of stacks, a row per sample, formed
-    # for the whole segment in one call from its record, a
-    # `filters.Strapdown`.
+    # for the whole segment in one call from its record: a
+    # `filters.Strapdown`, or for a samples-only convention a `filters.Steps`.
     transition: Callable
+    # True when the transition reads only the raw samples and step lengths:
+    # the covariance then propagates without the mean, which is integrated
+    # when something reads the state.
+    samples_only: bool
     clone_attitude: Callable  # (R, R_ic) -> d(clone attitude) / d(attitude error)
     point_jacobian: Callable  # (R, p, x) -> 3x9 d(p + R x) / d(nav error)
 
 
 # The transitions are called through their module-level names, so a
 # rebinding of those names (instrumentation) reaches every call. Each forms
-# a whole mechanized segment's transitions in one stacked pass: the
-# left-invariant one from the raw rates and step lengths alone.
+# a whole segment's transitions in one stacked pass: the left-invariant one
+# from the raw rates and step lengths alone, before the mean is integrated.
 CONVENTIONS = {
     "liekf": Convention(
         nav_error=lambda truth, est: se23_log(compose(inverse(truth), est)),
@@ -269,6 +275,7 @@ CONVENTIONS = {
         # ones a rewind would recompute. The linearization error this trades
         # away is of order |bias| * dt.
         transition=lambda seg: transition_left(seg.gyro, seg.accel, seg.dts),
+        samples_only=True,
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), R),
     ),
@@ -276,6 +283,7 @@ CONVENTIONS = {
         nav_error=lambda truth, est: se23_log(compose(est, inverse(truth))),
         nav_retract=lambda nav, e: compose(se23_exp(e), nav),
         transition=lambda seg: transition_right(seg),
+        samples_only=False,
         clone_attitude=lambda R, R_ic: (R @ R_ic).T,
         point_jacobian=lambda R, p, x: _nav_block(-skew(p + R @ x), np.eye(3)),
     ),
@@ -283,6 +291,7 @@ CONVENTIONS = {
         nav_error=_ekf_error,
         nav_retract=_ekf_retract,
         transition=lambda seg: transition_ekf(seg),
+        samples_only=False,
         clone_attitude=lambda R, R_ic: R_ic.T,
         point_jacobian=lambda R, p, x: _nav_block(-R @ skew(x), np.eye(3)),
     ),

@@ -114,7 +114,30 @@ class Strapdown(NamedTuple):
     p: np.ndarray
 
 
-def mechanize(state: SystemState, imu: ImuStream) -> Strapdown:
+class Steps(NamedTuple):
+    """An IMU segment with its step lengths (`step_lengths`): the fields of a
+    `Strapdown` that a samples-only transition reads, and all that the mean
+    needs to be integrated later."""
+
+    times: np.ndarray
+    gyro: np.ndarray
+    accel: np.ndarray
+    dts: np.ndarray
+
+
+def step_lengths(start, times):
+    """The step lengths of samples at `times` taken from the state time
+    `start`: the differences of the clock [start, times]. ValueError unless
+    each sample is after the one before it (or after `start`)."""
+    clock = np.concatenate(([start], times))
+    steps = np.diff(clock)
+    if not np.all(steps > 0):  # NaN fails too
+        k = np.argmin(steps > 0)
+        raise ValueError(f"IMU sample at t={clock[k + 1]} is not after t={clock[k]}")
+    return steps
+
+
+def mechanize(state: SystemState, imu: ImuStream, dts=None) -> Strapdown:
     """Bias-compensated strapdown over an IMU segment, with closed-form ZOH
     integration against ``conventions.GRAVITY``.
 
@@ -125,17 +148,14 @@ def mechanize(state: SystemState, imu: ImuStream) -> Strapdown:
     running sums of interleaved term rows, [v_0, R_0 J1a_0 dt_0, g dt_0,
     R_1 J1a_1 dt_1, ...], and np.cumsum adds strictly left to right, so each
     partial sum has the bits of the one-step-at-a-time recursion. The step
-    lengths are the differences of the clock [state time, sample times], and
-    the state time after the segment is its last sample's time, so neither
-    depends on where a stream is cut. Biases, lever arm, clones and features
-    are carried over unchanged; the returned state's arrays share no memory
-    with the record's stacks.
+    lengths `dts` are ``step_lengths(state.timestamp, imu.times)``, formed
+    here unless the caller already holds them, and the state time after the
+    segment is its last sample's time, so neither depends on where a stream
+    is cut. Biases, lever arm, clones and features are carried over
+    unchanged; the returned state's arrays share no memory with the record's
+    stacks.
     """
-    clock = np.concatenate(([state.timestamp], imu.times))
-    steps = np.diff(clock)
-    if not np.all(steps > 0):  # NaN fails too
-        k = np.argmin(steps > 0)
-        raise ValueError(f"IMU sample at t={clock[k + 1]} is not after t={clock[k]}")
+    steps = step_lengths(state.timestamp, imu.times) if dts is None else dts
     n = len(steps)
     dt_col = steps[:, None]
     psi = (imu.gyro - state.gyro_bias) * dt_col
@@ -163,7 +183,8 @@ def mechanize(state: SystemState, imu: ImuStream) -> Strapdown:
     terms[3::3] = 0.5 * GRAVITY * dt_col * dt_col
     p = np.cumsum(terms, axis=0)
     nav = ExtendedPose(R, v[-1].copy(), p[-1].copy())
-    return Strapdown(replace(state, nav=nav, timestamp=float(clock[-1])),
+    timestamp = float(imu.times[-1] if n else state.timestamp)
+    return Strapdown(replace(state, nav=nav, timestamp=timestamp),
                      steps, imu.gyro, imu.accel, psi, a, Gamma, J1, G2, J1a, G2a,
                      Rs, vs, p[0:3 * n:3])
 

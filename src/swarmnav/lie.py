@@ -215,11 +215,13 @@ def inverse(a: ExtendedPose) -> ExtendedPose:
 
 
 def se23_exp(xi) -> ExtendedPose:
-    """Exponential map of SE2(3) for a 9-vector (attitude, velocity, position)."""
+    """Exponential map of SE2(3) for a 9-vector (attitude, velocity, position);
+    so3_exp and so3_left_jacobian of the attitude, bit for bit, from one
+    computation of the terms both read."""
     xi = np.asarray(xi, dtype=float)
-    phi, nu, rho = xi[:3], xi[3:6], xi[6:9]
-    J = so3_left_jacobian(phi)
-    return ExtendedPose(so3_exp(phi), J @ nu, J @ rho)
+    terms = _so3_terms(xi[:3])
+    J = _left_jacobian(*terms)
+    return ExtendedPose(_exp(*terms), J @ xi[3:6], J @ xi[6:9])
 
 
 def se23_log(X: ExtendedPose):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmnav import lie
+from swarmnav import agent, buffers, lie
 from swarmnav.agent import AgentFilter, FilterOptions
 from swarmnav.buffers import HistoryBuffer, repropagate
 from swarmnav.covariance import Correspondence
@@ -292,8 +292,9 @@ def test_propagate_requires_forward_time():
 def test_an_empty_segment_changes_nothing(convention):
     ag = make_agent(convention)
     drive(ag, 2)
-    state, P = ag.state, ag.full_covariance()
-    assert ag.propagate(segment_stream(ag)[:0]) is state
+    state, P, clock = ag.state, ag.full_covariance(), ag.clock
+    assert ag.propagate(segment_stream(ag)[:0]) is None
+    assert ag.state is state and ag.clock == clock
     assert np.array_equal(ag.full_covariance(), P)
 
 
@@ -450,6 +451,96 @@ def test_a_segment_transport_equals_the_stepwise_recursion(convention, sizes, ca
         assert count - len(held[0]) < capacity
 
 
+def assert_same_mean(a, b):
+    """The same settled mean and window, bit for bit."""
+    x, y = a.state, b.state
+    assert x.timestamp == y.timestamp
+    for name in ("gyro_bias", "accel_bias", "lever_arm", "clone_times",
+                 "clone_rotations", "clone_positions", "feature_params"):
+        assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+    for u, v in zip((x.nav.rotation, x.nav.velocity, x.nav.position),
+                    (y.nav.rotation, y.nav.velocity, y.nav.position)):
+        assert u.tobytes() == v.tobytes()
+
+
+_OPS = st.one_of(st.tuples(st.just("propagate"), st.integers(1, 12)),
+                 st.tuples(st.sampled_from(["read", "snapshot", "fix", "clone"])))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(convention=st.sampled_from(sorted(CONVENTIONS)),
+       ops=st.lists(_OPS, min_size=1, max_size=30))
+def test_the_deferred_mean_equals_the_eager_one(convention, ops):
+    # `lazy` reads its state only where the ops say (snapshots, fixes and
+    # clones read it too); `eager` reads it after every segment. The mean,
+    # clock, core covariance and buffer must not tell them apart.
+    options = FilterOptions(imu_buffer_capacity=400)
+    lazy, eager = make_agent(convention, options=options), make_agent(convention,
+                                                                      options=options)
+    stream = segment_stream(lazy, n=360, seed=11)
+    done = 0
+    snaps = ([], [])
+    for op, *arg in ops:
+        if op == "propagate":
+            if done == len(stream):
+                continue
+            segment = stream[done:done + arg[0]]
+            done += len(segment)
+            lazy.propagate(segment)
+            eager.propagate(segment)
+            eager.state
+        elif op == "read":
+            assert_same_mean(lazy, eager)
+        elif op == "snapshot":
+            for ag, held in zip((lazy, eager), snaps):
+                held.append(ag.snapshot())
+        elif op == "fix" and snaps[0]:
+            z = snaps[0][0][0].nav.position + np.array([0.3, -0.2, 0.1])
+            for ag, held in zip((lazy, eager), snaps):
+                ag.update_gnss_delayed(z, held.pop(0))
+        elif op == "clone":
+            for ag in (lazy, eager):
+                ag.augment_clone()
+        assert lazy.clock == eager.clock
+        assert lazy.partition.core.tobytes() == eager.partition.core.tobytes()
+    assert_same_mean(lazy, eager)
+    assert lazy.full_covariance().tobytes() == eager.full_covariance().tobytes()
+    assert len(lazy.imu_buffer) == len(eager.imu_buffer)
+    for x, y in zip(lazy.imu_buffer.entries, eager.imu_buffer.entries):
+        assert (x.start, x.timestamp) == (y.start, y.timestamp)
+        assert x.samples.times.tobytes() == y.samples.times.tobytes()
+        assert x.F.tobytes() == y.F.tobytes() and x.noise.tobytes() == y.noise.tobytes()
+
+
+def test_a_delayed_fix_window_is_integrated_once(monkeypatch):
+    # Under liekf the covariance propagates without the mean, and a fix's
+    # replay is the only integration of its window: over a run of segments,
+    # snapshots and delayed fixes, every IMU sample is integrated exactly
+    # once, in stream order.
+    integrated = []
+
+    def counted(state, imu, dts=None):
+        integrated.append(imu.times)
+        return mechanize(state, imu, dts)
+
+    monkeypatch.setattr(agent, "mechanize", counted)
+    monkeypatch.setattr(buffers, "mechanize", counted)
+    ag = make_agent("liekf")
+    stream = segment_stream(ag, n=60, seed=5)
+    snap = None
+    for lo in range(0, len(stream), 5):
+        if lo % 20 == 10:  # a fix's epoch, and the completion of the one before
+            if snap is not None:
+                ag.update_gnss_delayed(snap[0].nav.position + 0.1, snap)
+            snap = ag.snapshot()
+        ag.propagate(stream[lo:lo + 5])
+    ag.state
+    assert np.concatenate(integrated).tobytes() == stream.times.tobytes()
+    # The first snapshot settles two segments in one call, two replays
+    # follow, and the last read settles the two segments after the last fix.
+    assert list(map(len, integrated)) == [10, 20, 20, 10]
+
+
 def test_delayed_fix_replay_equals_chained_single_steps():
     ag = make_agent()
     stream = segment_stream(ag, n=30, seed=3)
@@ -471,7 +562,9 @@ def test_delayed_fix_replay_equals_chained_single_steps():
 def test_a_segment_forms_its_rotation_terms_once(convention, monkeypatch):
     # mechanize forms the rotation increments, J1 and Gamma2 of a segment
     # from one stacked computation of their shared terms (angle, psi^ and
-    # psi^2), and the transitions read them from its record.
+    # psi^2), and the transitions read them from its record. A samples-only
+    # transition (liekf) reads none of them, so propagate forms none and the
+    # first read of the state forms them once.
     ag = make_agent(convention)
     stream = segment_stream(ag, n=7)
     calls = []
@@ -483,6 +576,10 @@ def test_a_segment_forms_its_rotation_terms_once(convention, monkeypatch):
 
     monkeypatch.setattr(lie, "_so3_terms", counted)
     ag.propagate(stream)
+    deferred = CONVENTIONS[convention].samples_only
+    assert calls == ([] if deferred else [(7, 3)])
+    ag.state
+    ag.state
     assert calls == [(7, 3)]
 
 

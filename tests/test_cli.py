@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from swarmnav import scenarios
+from swarmnav.agent import AgentFilter
 from swarmnav.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_SUITE, build_parser, main
 from swarmnav.conventions import CONVENTIONS
 from swarmnav.scenarios import consistency_config, noiseless_config
@@ -306,6 +307,18 @@ def test_overflowing_run_exits_3(tmp_path, capsys, old, new):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) \
         == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_programming_error_in_a_run_is_not_a_numerical_failure(config_path, tmp_path,
+                                                                  monkeypatch):
+    # A ValueError raised by the code itself, not by the numbers, must
+    # surface as the error it is rather than exit 3 as "numerical failure".
+    def broken(self, z):
+        raise ValueError("a bug in the update path")
+
+    monkeypatch.setattr(AgentFilter, "update_gnss", broken)
+    with pytest.raises(ValueError, match="a bug in the update path"):
+        main(["run", "--config", config_path, "--out", str(tmp_path / "o")])
 
 
 def test_record_epochs_stay_inside_a_duration_off_the_grid(tmp_path):

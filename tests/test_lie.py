@@ -186,3 +186,17 @@ def test_stacked_so3_matrices_match_single_calls(vectors):
     # The three of mechanize from one shared computation of their terms.
     for M, f in zip(so3_integrals(phis), (so3_exp, so3_left_jacobian, so3_gamma2)):
         assert M.tobytes() == f(phis).tobytes(), f.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_ANGLE, _ANGLE, _ANGLE),
+       st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6))
+def test_se23_exp_reads_the_so3_maps_bit_for_bit(phi, rest):
+    # se23_exp computes the angle terms once for both of its SO(3) maps;
+    # the result must be what the two maps give on their own.
+    phi, nu, rho = np.array(phi), np.array(rest[:3]), np.array(rest[3:])
+    X = se23_exp(np.concatenate([phi, nu, rho]))
+    J = so3_left_jacobian(phi)
+    for got, ref in ((X.rotation, so3_exp(phi)), (X.velocity, J @ nu),
+                     (X.position, J @ rho)):
+        assert got.tobytes() == ref.tobytes()
