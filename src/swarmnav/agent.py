@@ -54,11 +54,10 @@ from .covariance import (
 from .filters import (
     ImuStream,
     Steps,
-    bearing_measurement,
+    bearing_measurements,
     gnss_measurement,
     kalman_step,
     mechanize,
-    stack_measurements,
     step_lengths,
 )
 from .conventions import lookup
@@ -143,7 +142,8 @@ class AgentFilter:
 
     def snapshot(self):
         """(state, synchronized partition copy) at the current time; used as
-        the epoch reference of a measurement that will complete late."""
+        the epoch reference of a measurement that will complete late. The
+        copy is made for one fix: `update_gnss_delayed` consumes it."""
         self.sync()
         return self.state, self.partition.copy()
 
@@ -204,20 +204,17 @@ class AgentFilter:
 
     def update_vision(self, observations):
         """Stacked normalized-image observations (clone_index, feature_index,
-        uv) of in-state landmarks; returns the number of rows applied."""
-        measurements = []
-        for clone_index, feature_index, uv in observations:
-            m = bearing_measurement(self.state, clone_index, feature_index, uv,
-                                    self.suite.pixel_sigma)
-            if m is not None:
-                measurements.append(m)
-        if not measurements:
+        uv) of in-state landmarks, built in one `bearing_measurements` pass;
+        returns the number of observations applied."""
+        if not observations:
             return 0
-        meas = stack_measurements(measurements)
+        meas = bearing_measurements(self.state, *zip(*observations), self.suite.pixel_sigma)
+        if meas is None:
+            return 0
         step = kalman_step(self.full_covariance(), meas)
         self.state = retract(self.state, step.xi, self.convention)
         self.set_full_covariance(step.P_post)
-        return len(measurements)
+        return len(meas.residual) // 2
 
     def update_collaborative(self, correspondences):
         """Covariance-intersection landmark constraints from a neighbor."""

@@ -123,7 +123,8 @@ def core_update_partitioned(partition, meas_core: LinearMeasurement):
 def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     """Apply a core-block measurement taken at the epoch of `snapshot`, the
     (state, partition) pair captured then, whose processing completes at
-    the agent's clock.
+    the agent's clock. Applying a snapshot consumes it: its partition is
+    corrected in place and becomes the agent's.
 
     The gain and correction are computed against the snapshot, then the
     posterior mean/covariance are transported to the agent's time through
@@ -136,7 +137,6 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     t_k, t_now = state_k.timestamp, agent.clock
     if t_k > t_now:
         raise ValueError("snapshot is newer than the agent")
-    part_k = part_k.copy()
 
     xi = core_update_partitioned(part_k, meas_core)
 

@@ -14,7 +14,14 @@ owes one. A sync is to the agent's state time; `synced_at` serves only
 perfbench's `last_sync` view and `sync_cross`'s backwards check.
 
 Inter-agent fusion uses covariance intersection, so no inter-agent
-cross-covariance is ever stored (the partition has no slot for one).
+cross-covariance is ever stored (the partition has no slot for one). Each
+correspondence's weight is found in this order (`ci_weight`): first the
+trace bound, which settles the no-op w = 1 with one Cholesky and one
+solve when tr(P H' R^-1 H P) <= tr(P); otherwise the closed-form trace
+objective and its golden-section search. The bound is exact: with
+u = 1 - w, tr P+(w) < tr P exactly when tr P < g(w) = sum_i c_i /
+(lam_i u + w); g is convex on [0, 1], g(0) = tr(P H' (H P H')^-1 H P)
+<= tr P always, and g(1) is the bound.
 """
 
 from __future__ import annotations
@@ -116,8 +123,11 @@ def assemble_full(partition: CovariancePartition):
             f"cross block is stale (synced at {partition.synced_at}, transitions "
             "owed since); call sync_cross first"
         )
-    P = np.block([[partition.core, partition.cross],
-                  [partition.cross.T, partition.sensor_self]])
+    P = np.empty((CORE_DIM + partition.cross.shape[1],) * 2)
+    P[:CORE_DIM, :CORE_DIM] = partition.core
+    P[:CORE_DIM, CORE_DIM:] = partition.cross
+    P[CORE_DIM:, :CORE_DIM] = partition.cross.T
+    P[CORE_DIM:, CORE_DIM:] = partition.sensor_self
     return (P + P.T) / 2.0
 
 
@@ -255,6 +265,19 @@ def _ci_trace_objective(P, meas: LinearMeasurement):
     return objective
 
 
+def ci_weight(P, meas: LinearMeasurement):
+    """The CI weight of one pseudo-measurement: 1, the no-op, when the
+    trace bound holds (see the module docstring; c and lam are those of
+    `_ci_trace_objective`, and g(1) = sum_i c_i), else the golden-section
+    minimizer of `_ci_trace_objective`. The bound is decided before the
+    objective is formed, so a search is made only where one is needed."""
+    L = np.linalg.cholesky(meas.noise_cov)
+    B = np.linalg.solve(L, meas.H @ P)   # L^-1 A' for A = P H'
+    if np.einsum("ij,ij->", B, B) <= np.trace(P):
+        return 1.0
+    return _golden_section(_ci_trace_objective(P, meas))
+
+
 def collaborative_update(agent, correspondences):
     """CI-weighted landmark-constraint update from remote co-observations.
 
@@ -276,8 +299,7 @@ def collaborative_update(agent, correspondences):
     for c in correspondences:
         j = local_ids[c.feature_id]
         meas = landmark_position_measurement(agent.state, j, c.remote_position, c.remote_cov)
-        w = _golden_section(_ci_trace_objective(P, meas))
-        step = _ci_weighted_posterior(P, meas, w)
+        step = _ci_weighted_posterior(P, meas, ci_weight(P, meas))
         if step is None:
             continue  # no usable information balance at this weight
         P = step.P_post

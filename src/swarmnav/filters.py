@@ -13,7 +13,12 @@ are formed from; ``transition_left``, ``transition_right`` and
 ``NoiseDensities`` holds only the four IMU noise densities.
 
 The vision models read the state's window arrays directly: a landmark's
-anchor clone is the row ``state.feature_anchors[j]``.
+anchor clone is the row ``state.feature_anchors[j]``. One stacked pass,
+``landmark_rows``, turns a set of landmark rows into world points and the
+nonzero blocks of their Jacobians; an update's bearing rows
+(``bearing_measurements``) and a reply's landmark covariances are built
+from it, and ``feature_world_position`` and ``bearing_measurement`` are its
+one-row case.
 """
 
 from __future__ import annotations
@@ -77,21 +82,6 @@ class LinearMeasurement:
     residual: np.ndarray
     H: np.ndarray
     noise_cov: np.ndarray
-
-
-def stack_measurements(measurements):
-    """Stack several LinearMeasurements into one block measurement."""
-    if not measurements:
-        raise ValueError("nothing to stack")
-    r = np.concatenate([m.residual for m in measurements])
-    H = np.vstack([m.H for m in measurements])
-    N = np.zeros((len(r), len(r)))
-    i = 0
-    for m in measurements:
-        k = len(m.residual)
-        N[i:i + k, i:i + k] = m.noise_cov
-        i += k
-    return LinearMeasurement(r, H, N)
 
 
 class Strapdown(NamedTuple):
@@ -253,56 +243,125 @@ def gnss_measurement(state: SystemState, z, sigma, convention) -> LinearMeasurem
     return LinearMeasurement(np.asarray(z, dtype=float) - h, H, N)
 
 
-def _projection(X):
-    """Pinhole projection and its Jacobian for a camera-frame point."""
-    x, y, z = X
-    uv = np.array([x / z, y / z])
-    J = np.array([[1.0 / z, 0.0, -x / (z * z)], [0.0, 1.0 / z, -y / (z * z)]])
-    return uv, J
+class LandmarkRows(NamedTuple):
+    """In-state landmarks in the world frame, row k for the k-th index
+    asked for. Each point's Jacobian over the error vector is zero outside
+    nine columns, `columns[k]`: the anchor clone's attitude and position
+    blocks, then the landmark's own parameters. `blocks[k]` (3 x 9) holds
+    those columns."""
+
+    points: np.ndarray   # (n, 3) world positions
+    anchors: np.ndarray  # (n,) anchor clone rows
+    blocks: np.ndarray   # (n, 3, 9) the Jacobians' nonzero columns
+    columns: np.ndarray  # (n, 9) where they sit in the error vector
+
+    def jacobians(self, dim):
+        """The Jacobians over an error vector of length `dim`, (n, 3, dim)."""
+        n = len(self.points)
+        D = np.zeros((n, 3, dim))
+        D[np.arange(n)[:, None], :, self.columns] = self.blocks.transpose(0, 2, 1)
+        return D
+
+    def covariances(self, P):
+        """Each point's covariance D P D' under the full covariance P, in
+        one stacked product that gives each landmark's D @ P @ D' bit for
+        bit."""
+        D = self.jacobians(len(P))
+        cov = D @ P @ D.transpose(0, 2, 1)
+        return (cov + cov.transpose(0, 2, 1)) / 2.0
+
+
+_EYE3 = np.eye(3)
+_ANCHOR_COLUMNS = CORE_DIM + np.arange(6)   # from 6 * the anchor's clone row
+_FEATURE_COLUMNS = np.arange(3)             # from the landmark's own start
+
+
+def landmark_rows(state: SystemState, features) -> LandmarkRows:
+    """World positions of the landmarks at the state rows `features` and
+    their Jacobians' nonzero blocks, in one stacked pass."""
+    features = np.asarray(features)
+    n = len(features)
+    anchors = state.feature_anchors[features]
+    R_a = state.clone_rotations[anchors]
+    params = state.feature_params[features]       # (alpha, beta, rho) rows
+    rho = params[:, 2:]
+    X_a = params / rho
+    X_a[:, 2:] = 1.0 / rho
+    points = state.clone_positions[anchors] + (R_a @ X_a[:, :, None])[:, :, 0]
+    # R_a's right factors, [-skew(X_a) | d X_a / d params], in one product.
+    rho2 = rho ** 2
+    right = np.zeros((n, 3, 6))
+    right[:, :, 0:3] = -skew(X_a)
+    right[:, 0, 3] = right[:, 1, 4] = X_a[:, 2]
+    right[:, :, 5] = -params / rho2
+    right[:, 2, 5] = -1.0 / rho2[:, 0]
+    product = R_a @ right
+    blocks = np.empty((n, 3, 9))
+    blocks[:, :, 0:3] = product[:, :, 0:3]
+    blocks[:, :, 3:6] = _EYE3
+    blocks[:, :, 6:9] = product[:, :, 3:6]
+    columns = np.empty((n, 9), dtype=int)
+    columns[:, 0:6] = 6 * anchors[:, None] + _ANCHOR_COLUMNS
+    columns[:, 6:9] = 3 * features[:, None] + (CORE_DIM + 6 * state.num_clones
+                                               + _FEATURE_COLUMNS)
+    return LandmarkRows(points, anchors, blocks, columns)
 
 
 def feature_world_position(state: SystemState, feature_index):
     """Landmark position in the world frame, plus Jacobian over the error
-    vector (anchor clone and feature blocks)."""
-    ai = state.feature_anchors[feature_index]
-    R_a = state.clone_rotations[ai]
-    alpha, beta, rho = state.feature_params[feature_index]
-    X_a = np.array([alpha / rho, beta / rho, 1.0 / rho])
-    p_w = state.clone_positions[ai] + R_a @ X_a
-    D = np.zeros((3, state.error_dim))
-    off_a = CORE_DIM + 6 * ai
-    D[:, off_a:off_a + 3] = -R_a @ skew(X_a)
-    D[:, off_a + 3:off_a + 6] = np.eye(3)
-    dXa = np.array([
-        [1.0 / rho, 0.0, -alpha / rho ** 2],
-        [0.0, 1.0 / rho, -beta / rho ** 2],
-        [0.0, 0.0, -1.0 / rho ** 2],
-    ])
-    off_f = CORE_DIM + 6 * state.num_clones + 3 * feature_index
-    D[:, off_f:off_f + 3] = R_a @ dXa
-    return p_w, D
+    vector (anchor clone and feature blocks): the one-row `landmark_rows`."""
+    rows = landmark_rows(state, [feature_index])
+    return rows.points[0], rows.jacobians(state.error_dim)[0]
+
+
+def bearing_measurements(state: SystemState, clones, features, uvs, sigma):
+    """Stacked normalized-image-plane observations of in-state landmarks,
+    landmark `features[k]` seen as `uvs[k]` from window clone `clones[k]`,
+    built from one `landmark_rows` pass. A row whose predicted depth is at
+    most 1 mm is skipped; returns the measurement of the kept rows, two
+    each in the given order, or None when none is kept. Independent of the
+    nav error convention because H only touches clone and feature blocks."""
+    clones, uvs = np.asarray(clones), np.asarray(uvs, dtype=float)
+    rows = landmark_rows(state, features)
+    R_cT = state.clone_rotations[clones].transpose(0, 2, 1)
+    X = (R_cT @ (rows.points - state.clone_positions[clones])[:, :, None])[:, :, 0]
+    kept = ~(X[:, 2] <= 1e-3)
+    if not kept.all():
+        if not kept.any():
+            return None
+        clones, uvs, R_cT, X = clones[kept], uvs[kept], R_cT[kept], X[kept]
+        rows = LandmarkRows(*(a[kept] for a in rows))
+    n = len(clones)
+    z = X[:, 2:]
+    Pi = np.zeros((n, 6))     # the pinhole projection's Jacobian, row-major
+    Pi[:, 0::4] = 1.0 / z
+    Pi[:, 2::3] = -X[:, :2] / (z * z)
+    # Camera-frame point Jacobians, [observing clone's blocks | the chain
+    # through the landmark's world position], projected in one product. The
+    # observing clone's blocks are the anchor's when the two are one clone.
+    D_X = np.empty((n, 3, 15))
+    D_X[:, :, 0:3] = skew(X)
+    D_X[:, :, 3:6] = -R_cT
+    D_X[:, :, 6:15] = R_cT @ rows.blocks
+    own = clones == rows.anchors
+    if own.any():
+        D_X[own, :, 6:12] += D_X[own, :, 0:6]
+    HX = (Pi.reshape(n, 2, 3) @ D_X).transpose(0, 2, 1)
+    # The observing clone's columns are written first, so that the anchor's
+    # folded blocks overwrite them when the two are one clone.
+    H = np.zeros((n, 2, state.error_dim))
+    at = np.arange(n)[:, None]
+    H[at, :, 6 * clones[:, None] + _ANCHOR_COLUMNS] = HX[:, 0:6]
+    H[at, :, rows.columns] = HX[:, 6:15]
+    return LinearMeasurement((uvs - X[:, :2] / z).ravel(), H.reshape(2 * n, -1),
+                             np.eye(2 * n) * sigma ** 2)
 
 
 def bearing_measurement(state: SystemState, clone_index, feature_index, uv, sigma):
     """Normalized-image-plane observation of an in-state landmark from a
-    window clone. Returns None when the predicted depth is at most 1 mm
-    (measurement skipped). Independent of the nav error convention because
-    H only touches clone and feature blocks."""
-    R_c = state.clone_rotations[clone_index]
-    p_w, D_pw = feature_world_position(state, feature_index)
-    X = R_c.T @ (p_w - state.clone_positions[clone_index])
-    if X[2] <= 1e-3:
-        return None
-    uv_pred, Pi = _projection(X)
-    # Camera-frame point Jacobian: observing clone blocks plus the chain
-    # through the landmark world position.
-    D_X = R_c.T @ D_pw
-    off_c = CORE_DIM + 6 * clone_index
-    D_X[:, off_c:off_c + 3] += skew(X)
-    D_X[:, off_c + 3:off_c + 6] += -R_c.T
-    H = Pi @ D_X
-    N = np.eye(2) * sigma ** 2
-    return LinearMeasurement(np.asarray(uv, dtype=float) - uv_pred, H, N)
+    window clone: the one-row `bearing_measurements`. Returns None when the
+    predicted depth is at most 1 mm (measurement skipped)."""
+    return bearing_measurements(state, [clone_index], [feature_index], [uv], sigma)
 
 
 def landmark_position_measurement(state: SystemState, feature_index, z, noise_cov):

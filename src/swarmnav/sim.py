@@ -33,7 +33,7 @@ from .buffers import DelayExceedsHorizon
 from .checks import ConfigError, count, flag, number, vector
 from .conventions import CONVENTIONS
 from .covariance import Correspondence
-from .filters import UpdateRejected, feature_world_position
+from .filters import UpdateRejected, landmark_rows
 from .gate import GateState, evaluate, vio_kinematics
 from .lie import ExtendedPose
 from .metrics import ate, nees
@@ -610,13 +610,10 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             shared = [lid for lid in msg.payload if lid in in_state]
             if not shared:
                 return
-            P = ag.full_covariance()
-            entries = []
-            for lid in shared:
-                p_w, D = feature_world_position(ag.state, in_state[lid])
-                cov = D @ P @ D.T
-                entries.append(Correspondence(lid, p_w, (cov + cov.T) / 2.0))
-            reply = SwarmMessage("full", idx, t, tuple(entries))
+            rows = landmark_rows(ag.state, [in_state[lid] for lid in shared])
+            covs = rows.covariances(ag.full_covariance())
+            entries = tuple(map(Correspondence, shared, rows.points, covs))
+            reply = SwarmMessage("full", idx, t, entries)
             ledger.record(reply)
             delivered, lat = config.network.sample_delivery(net_rng)
             if delivered:
@@ -632,8 +629,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             return
         try:
             counters["collab_updates"] += ag.update_collaborative(corr)
-        except (UpdateRejected, ValueError):
-            pass
+        except (UpdateRejected, np.linalg.LinAlgError):
+            pass  # a numerically unusable reply changes nothing
 
     def handle_record(t, idx, k):
         rt = runtimes[idx]

@@ -15,10 +15,9 @@ from swarmnav.agent import AgentFilter, FilterOptions
 from swarmnav.conventions import lookup
 from swarmnav.buffers import HistoryBuffer, ImuBufferEntry, repropagate
 from swarmnav.covariance import (
-    _ci_trace_objective,
     _ci_weighted_posterior,
-    _golden_section,
     Correspondence,
+    ci_weight,
     compose_transport,
 )
 from swarmnav.filters import (
@@ -309,8 +308,7 @@ def test_a4_segmentation_equivalence_and_speed():
     meas = landmark_position_measurement(ag.state, 0, remote.remote_position,
                                          remote.remote_cov)
 
-    w = _golden_section(_ci_trace_objective(shadow, meas))
-    r = _ci_weighted_posterior(shadow, meas, w)
+    r = _ci_weighted_posterior(shadow, meas, ci_weight(shadow, meas))
     shadow_after = shadow if r is None else r.P_post
     applied = ag.update_collaborative([remote])
     assert applied == 1
@@ -415,12 +413,12 @@ def _worst_fused_nees(fuse, trials):
 
 
 def _ci_update_fuse(e_local, Pa, e_remote, Pb):
-    """The path collaborative_update runs: the closed-form trace objective
-    and the CI-weighted Kalman step, with the remote estimate as a direct
-    measurement of the local state (H = I). Returns (error, cov, skipped)."""
+    """The path collaborative_update runs: its weight (the trace bound, then
+    the closed-form objective's search) and the CI-weighted Kalman step,
+    with the remote estimate as a direct measurement of the local state
+    (H = I). Returns (error, cov, skipped)."""
     meas = LinearMeasurement(e_remote - e_local, np.eye(len(e_local)), Pb)
-    w = _golden_section(_ci_trace_objective(Pa, meas))
-    step = _ci_weighted_posterior(Pa, meas, w)
+    step = _ci_weighted_posterior(Pa, meas, ci_weight(Pa, meas))
     if step is None:
         return e_local, Pa, True  # collaborative_update leaves the estimate alone
     return e_local + step.xi, step.P_post, False

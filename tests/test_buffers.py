@@ -273,6 +273,29 @@ def test_apply_delayed_update_equals_rewind_replay():
     assert np.max(np.abs(P_a - P_r)) / np.abs(P_r).max() < 1e-10
 
 
+def test_a_delayed_fix_consumes_its_snapshot():
+    # The fix corrects the snapshot's own partition and installs that very
+    # object, with no second copy; a later snapshot still held for its own
+    # fix is left as it was.
+    ag = _make_agent()
+    stream = _imu_stream(30, 0.005, seed=2)
+    _one_by_one(ag, stream[:10])
+    ag.augment_clone()  # a cross block for the fix to correct
+    first = ag.snapshot()
+    _one_by_one(ag, stream[10:20])
+    second = ag.snapshot()
+    blocks = ("core", "cross", "sensor_self")
+    held = [getattr(second[1], b).tobytes() for b in blocks] + [second[1].synced_at]
+    _one_by_one(ag, stream[20:])
+    before = first[1].core.copy()
+    ag.update_gnss_delayed(first[0].nav.position + np.array([0.05, -0.02, 0.01]), first)
+    assert ag.partition is first[1]
+    assert ag.partition.synced_at == ag.clock
+    assert not np.array_equal(ag.partition.core, before)
+    assert [getattr(second[1], b).tobytes() for b in blocks] + [second[1].synced_at] == held
+    assert second[1] is not ag.partition
+
+
 def test_apply_delayed_update_zero_delay_matches_prompt():
     dt = 0.005
     stream = _imu_stream(20, dt, seed=9)

@@ -567,6 +567,41 @@ def test_digest_tool_expect_names_each_mismatch(tmp_path, capsys, monkeypatch):
     assert mismatched == ["MISMATCH two", "MISMATCH three"]
 
 
+def test_digest_tool_compare_reports_last_bit_moves_and_counter_changes(tmp_path, capsys,
+                                                                         monkeypatch):
+    # `--compare` reads two --out trees: a set is "identical", or it gets the
+    # largest relative difference over numeric cells and whether every
+    # summary.yaml counter is equal; a counter or text change exits 1.
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", os.path.join(ROOT, "tools", "artifact_digests.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SETS", (("same", None), ("moved", None)))
+
+    def tree(name, x, count, label="liekf"):
+        for k, v in enumerate((2.0, x)):  # only the second set moves
+            d = tmp_path / name / f"set{k:02d}"
+            d.mkdir(parents=True)
+            (d / "trajectory_agent0.csv").write_text(f"# swarmnav-artifact v1\nt,x\n0.1,{v}\n")
+            (d / "summary.yaml").write_text(
+                f"convention: {label}\ncounters:\n  collab_updates: {count}\nate: {v}\n")
+            (d / "timing.csv").write_text(f"wall\n{x * 7}\n")  # left out
+        return str(tmp_path / name)
+
+    a = tree("a", 1.0, 5)
+    assert tool.main(["--compare", a, tree("b", 1.0, 5)]) == 0
+    rows = capsys.readouterr().out
+    assert "| same | identical |" in rows and "| moved | identical |" in rows
+    assert tool.main(["--compare", a, tree("c", 1.0 + 2e-9, 5)]) == 0
+    rows = capsys.readouterr().out
+    assert "| same | identical |" in rows
+    assert "| moved | largest relative difference 2e-09, counters equal |" in rows
+    assert tool.main(["--compare", a, tree("d", 1.0, 6)]) == 1
+    assert "counters DIFFER" in capsys.readouterr().out
+    assert tool.main(["--compare", a, tree("e", 1.0, 5, label="riekf")]) == 1
+    assert "convention=liekf" in capsys.readouterr().out
+
+
 def test_bench_record_interleaves_commits_and_writes_only_correct_sessions(tmp_path,
                                                                           monkeypatch):
     # Each commit runs in its own worktree, the order alternating by round,

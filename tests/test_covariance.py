@@ -15,6 +15,7 @@ from swarmnav.covariance import (
     _ci_weighted_posterior,
     _golden_section,
     assemble_full,
+    ci_weight,
     collaborative_update,
     insert_block_rows,
     propagate_core_only,
@@ -212,7 +213,7 @@ def ci_update(x_local, P_local, x_remote, P_remote):
     fused mean, covariance and weight; a weight with no usable update
     leaves the local estimate as it is."""
     meas = LinearMeasurement(x_remote - x_local, np.eye(len(x_local)), P_remote)
-    w = _golden_section(_ci_trace_objective(P_local, meas))
+    w = ci_weight(P_local, meas)
     step = _ci_weighted_posterior(P_local, meas, w)
     if step is None:
         return x_local, P_local, w
@@ -308,3 +309,44 @@ def test_ci_trace_objective_eigenbasis_matches_direct_solve(seed, dim, rows, w):
     S = H @ PHt / w + R / (1.0 - w)
     direct = np.trace(P) / w - np.trace(PHt @ np.linalg.solve(S, PHt.T)) / w ** 2
     assert np.isclose(f(w), direct, rtol=1e-8, atol=1e-10 * np.trace(P) / w)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(3, 126),
+       log_scale=st.floats(-3.0, 3.0))
+def test_the_trace_bound_settles_the_no_op_exactly(seed, dim, log_scale):
+    # With tr(P H' R^-1 H P) <= tr(P) no weight in (0, 1) lowers the trace,
+    # so `ci_weight` returns the no-op 1 without a search; when the bound
+    # fails, some weight does lower it.
+    rg = np.random.default_rng(seed)
+    A = rg.standard_normal((dim, dim))
+    P = A @ A.T / dim + 0.05 * np.eye(dim)
+    H = rg.standard_normal((3, dim))
+    B = rg.standard_normal((3, 3))
+    R = 10.0 ** log_scale * (B @ B.T / 3 + 0.05 * np.eye(3))
+    meas = LinearMeasurement(np.zeros(3), H, R)
+    bound = np.trace(P @ H.T @ np.linalg.solve(R, H @ P))
+    tp = np.trace(P)
+    f = _ci_trace_objective(P, meas)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 202)[1:-1], 1.0 - np.logspace(-1, -12, 60)])
+    values = np.array([f(w) for w in grid])
+    if bound <= tp:
+        assert ci_weight(P, meas) == 1.0
+        assert np.all(values[:200] >= tp * (1.0 - 1e-12))
+    elif bound > tp * (1.0 + 1e-6):  # a dip too shallow to resolve is left out
+        assert values.min() < tp
+
+
+def test_the_bound_decides_before_the_search(monkeypatch):
+    # A correspondence the bound settles never reaches the objective, so a
+    # tracer that counts the objective's evaluations counts only searches.
+    import swarmnav.covariance as cov
+    searched = []
+    objective = cov._ci_trace_objective
+    monkeypatch.setattr(cov, "_ci_trace_objective",
+                        lambda P, meas: searched.append(1) or objective(P, meas))
+    P = np.diag([1.0, 2.0, 0.5])
+    vague = LinearMeasurement(np.zeros(3), np.eye(3), 100.0 * np.eye(3))
+    assert ci_weight(P, vague) == 1.0 and not searched
+    sharp = LinearMeasurement(np.zeros(3), np.eye(3), 0.01 * np.eye(3))
+    assert 0.0 < ci_weight(P, sharp) < 1.0 and searched == [1]

@@ -15,13 +15,14 @@ from swarmnav.filters import (
     Strapdown,
     UpdateRejected,
     bearing_measurement,
+    bearing_measurements,
     feature_world_position,
     gnss_measurement,
     kalman_step,
     landmark_position_measurement,
+    landmark_rows,
     mechanize,
     propagate_covariance,
-    stack_measurements,
     transition_left,
 )
 from swarmnav.conventions import _THETA, TransitionPair, lookup
@@ -575,25 +576,6 @@ def test_kalman_step_rejects_ill_conditioned():
         kalman_step(np.eye(2), nan)
 
 
-def test_stack_measurements():
-    from scipy.linalg import block_diag
-
-    m1 = LinearMeasurement(np.ones(2), np.ones((2, 5)), np.eye(2))
-    m2 = LinearMeasurement(2 * np.ones(3), 2 * np.ones((3, 5)), 2 * np.eye(3))
-    m = stack_measurements([m1, m2])
-    assert m.residual.shape == (5,)
-    assert m.H.shape == (5, 5)
-    assert np.allclose(m.noise_cov[:2, 2:], 0.0)
-    # Unequal blocks with distinct entries land on the diagonal as placed.
-    local = np.random.default_rng(7)
-    blocks = [local.standard_normal((k, k)) for k in (2, 3, 1, 2)]
-    ms = [LinearMeasurement(np.zeros(len(N)), np.zeros((len(N), 4)), N)
-          for N in blocks]
-    assert np.array_equal(stack_measurements(ms).noise_cov, block_diag(*blocks))
-    with pytest.raises(ValueError):
-        stack_measurements([])
-
-
 # ----------------------------------------------------------------------
 # measurement models vs. finite differences
 
@@ -683,6 +665,55 @@ def test_bearing_jacobian():
     assert np.max(np.abs(J + m.H)) < 1e-5
     # Convention independence: only clone/feature columns are populated.
     assert np.allclose(m.H[:, :18], 0.0)
+
+
+def test_bearing_measurements_stack_the_one_row_measurements():
+    # One stacked pass gives, row pair for row pair, the one-row
+    # measurements of the rows it keeps, in order, with noise sigma^2 I;
+    # a row seen from behind its clone is dropped, and with none kept the
+    # result is None.
+    base = windowed_state()
+    local = np.random.default_rng(12)
+    params = np.column_stack([local.uniform(-0.2, 0.2, (5, 2)), local.uniform(0.05, 0.3, 5)])
+    # Clone 0 sits at clone 1 looking the other way: landmarks anchored at
+    # clone 1 are behind it.
+    rotations, positions = base.clone_rotations.copy(), base.clone_positions.copy()
+    rotations[0] = rotations[1] @ so3_exp(np.array([np.pi, 0.0, 0.0]))
+    positions[0] = positions[1]
+    s = replace(base, clone_rotations=rotations, clone_positions=positions,
+                feature_ids=np.arange(5), feature_anchors=np.array([1, 0, 2, 1, 2]),
+                feature_params=params)
+    obs = [(c, j, local.uniform(-0.1, 0.1, 2)) for c in range(3) for j in range(5)]
+    obs.append((1, 3, np.zeros(2)))   # observed from its own anchor clone
+    kept = [bearing_measurement(s, c, j, uv, 0.002) for c, j, uv in obs]
+    rows = [m for m in kept if m is not None]
+    assert 0 < len(rows) < len(obs)   # some rows are behind their clone
+    m = bearing_measurements(s, *zip(*obs), 0.002)
+    assert m.residual.tobytes() == np.concatenate([r.residual for r in rows]).tobytes()
+    assert m.H.tobytes() == np.vstack([r.H for r in rows]).tobytes()
+    assert np.array_equal(m.noise_cov, np.eye(2 * len(rows)) * 0.002 ** 2)
+    behind = [(c, j, uv) for (c, j, uv), r in zip(obs, kept) if r is None]
+    assert bearing_measurements(s, *zip(*behind), 0.002) is None
+
+
+def test_landmark_rows_match_the_one_row_pass():
+    # The stacked pass gives each landmark's point and Jacobian as the
+    # one-row `feature_world_position` does, and each covariance D P D'.
+    base = windowed_state()
+    local = np.random.default_rng(13)
+    params = np.column_stack([local.uniform(-0.2, 0.2, (4, 2)), local.uniform(0.05, 0.3, 4)])
+    s = replace(base, feature_ids=np.arange(4), feature_anchors=np.array([2, 0, 1, 2]),
+                feature_params=params)
+    A = local.standard_normal((s.error_dim, s.error_dim))
+    P = A @ A.T + np.eye(s.error_dim)
+    rows = landmark_rows(s, [3, 0, 2])
+    covs = rows.covariances(P)
+    for k, j in enumerate([3, 0, 2]):
+        p_w, D = feature_world_position(s, j)
+        assert rows.points[k].tobytes() == p_w.tobytes()
+        assert rows.jacobians(s.error_dim)[k].tobytes() == D.tobytes()
+        cov = D @ P @ D.T
+        assert covs[k].tobytes() == ((cov + cov.T) / 2.0).tobytes()
 
 
 def test_bearing_behind_camera_skipped():

@@ -682,6 +682,62 @@ def test_collaboration_exchanges_messages():
     assert total == art.summary()["bandwidth_bytes"]
 
 
+def test_a_full_reply_carries_each_landmark_point_and_covariance(monkeypatch):
+    # Each Correspondence of a `full` reply holds the sender's world point
+    # of the landmark and D P D' of its assembled covariance at the reply
+    # time, as `feature_world_position` gives D.
+    from swarmnav.filters import feature_world_position
+    from swarmnav.network import BandwidthLedger
+    from swarmnav.scenarios import collab_config
+    filters, checked = [], []
+    init, record = AgentFilter.__init__, BandwidthLedger.record
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        filters.append(self)
+
+    def checking_record(self, message):
+        if message.msg_class == "full":
+            ag = filters[message.sender]
+            P = ag.full_covariance()
+            rows = ag.state.feature_ids.tolist()
+            for c in message.payload:
+                p_w, D = feature_world_position(ag.state, rows.index(c.feature_id))
+                cov = D @ P @ D.T
+                cov = (cov + cov.T) / 2.0
+                assert np.max(np.abs(c.remote_position - p_w)) <= 1e-12 * np.abs(p_w).max()
+                assert np.max(np.abs(c.remote_cov - cov)) <= 1e-12 * np.abs(cov).max()
+                checked.append(c.feature_id)
+        return record(self, message)
+
+    monkeypatch.setattr(AgentFilter, "__init__", recording_init)
+    monkeypatch.setattr(BandwidthLedger, "record", checking_record)
+    run_swarm(collab_config(seed=5, duration=3.0))
+    assert len(checked) > 20
+
+
+@pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+def test_only_a_numerically_bad_reply_is_skipped(monkeypatch, error):
+    # A CI reply the numbers make unusable (LinAlgError) changes nothing and
+    # the run goes on; any other ValueError is a fault in the code and
+    # propagates.
+    from swarmnav.scenarios import collab_config
+    calls = []
+
+    def broken(self, correspondences):
+        calls.append(len(correspondences))
+        raise error("raised inside the CI update")
+
+    monkeypatch.setattr(AgentFilter, "update_collaborative", broken)
+    cfg = collab_config(seed=5, duration=3.0)
+    if error is ValueError:
+        with pytest.raises(ValueError, match="inside the CI update"):
+            run_swarm(cfg)
+    else:
+        assert run_swarm(cfg).counters["collab_updates"] == 0
+    assert calls
+
+
 def test_init_uncertainty_sigmas():
     sig = InitUncertainty().sigmas()
     assert sig.shape == (18,)

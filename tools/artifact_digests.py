@@ -3,12 +3,21 @@ every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
                                       [--expect TABLE]
+    python3 tools/artifact_digests.py --compare DIR_A DIR_B
 
 Run it on two trees (say, a clean checkout of the parent commit and the
 working tree) and compare the printed tables, or save the first tree's
 output to a file and pass it to the second run as `--expect TABLE`: that
 run exits 1 if any set's digest differs from the table's or is missing
-from it, and names each such set. The sets are:
+from it, and names each such set.
+
+When a change may move results in their last bits, run both trees with
+`--out` and pass the two directories to `--compare`. For each set it
+prints "identical", or the largest relative difference over the numeric
+CSV and YAML cells and whether every counter (each integer in a
+`summary.yaml`) is equal. It exits 1 when a counter differs, or when the
+two sets differ in anything but numbers: their files, rows, columns or
+text. The sets are:
 
 * the `run` configs perfbench writes for gnss-ins (120 s) and collab-swarm
   (15 s);
@@ -154,6 +163,99 @@ def read_table(path):
     return table
 
 
+def _numeric_cells(path):
+    """The cells of a CSV or YAML artifact, flattened in order: numbers as
+    floats, counters (the integers of a summary.yaml) as ints, and
+    anything else as text."""
+    with open(path) as fh:
+        if path.endswith(".csv"):
+            cells = []
+            for line in fh:
+                if line.startswith("#"):
+                    continue
+                for cell in line.rstrip("\n").split(","):
+                    try:
+                        cells.append(float(cell))
+                    except ValueError:
+                        cells.append(cell)
+            return cells
+        doc = yaml.safe_load(fh)
+    counters = path.endswith("summary.yaml")
+    cells = []
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k in sorted(node):
+                walk(node[k], f"{key}.{k}")
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{key}[{i}]")
+        elif isinstance(node, bool) or not isinstance(node, (int, float)):
+            cells.append(f"{key}={node}")
+        elif isinstance(node, int) and counters:
+            cells.append((key, node))
+        else:
+            cells.append(float(node))
+
+    walk(doc, "")
+    return cells
+
+
+def compare_sets(dir_a, dir_b):
+    """(largest relative difference, counters equal, other differences) of
+    two output trees of one set; text files other than CSV and YAML must
+    be byte-identical."""
+    files_a, files_b = file_digests(dir_a), file_digests(dir_b)
+    other = [f"only in one tree: {p}" for p in sorted(set(files_a) ^ set(files_b))]
+    worst, counters_equal = 0.0, True
+    for rel in sorted(set(files_a) & set(files_b)):
+        if files_a[rel] == files_b[rel]:
+            continue
+        if not rel.endswith((".csv", ".yaml")):
+            other.append(f"{rel} differs")
+            continue
+        a = _numeric_cells(os.path.join(dir_a, rel))
+        b = _numeric_cells(os.path.join(dir_b, rel))
+        if len(a) != len(b):
+            other.append(f"{rel}: {len(a)} cells against {len(b)}")
+            continue
+        for x, y in zip(a, b):
+            if isinstance(x, float) and isinstance(y, float):
+                if x != y:
+                    worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            elif isinstance(x, tuple) and isinstance(y, tuple) and x[0] == y[0]:
+                counters_equal = counters_equal and x[1] == y[1]
+            elif x != y:
+                other.append(f"{rel}: {x!r} against {y!r}")
+                break
+    return worst, counters_equal, other
+
+
+def compare(dir_a, dir_b):
+    """Print each set's comparison of two `--out` trees; 1 if any counter
+    or anything but a number differs."""
+    failed = False
+    print(f"{dir_a} against {dir_b}")
+    print("| set | result |")
+    print("| --- | --- |")
+    for k, (name, _) in enumerate(SETS):
+        a, b = (os.path.join(d, f"set{k:02d}") for d in (dir_a, dir_b))
+        if not (os.path.isdir(a) and os.path.isdir(b)):
+            print(f"| {name} | missing from a tree |")
+            failed = True
+            continue
+        worst, counters_equal, other = compare_sets(a, b)
+        if not (worst or other) and counters_equal:
+            result = "identical"
+        else:
+            result = (f"largest relative difference {worst:.2g}, counters "
+                      + ("equal" if counters_equal else "DIFFER"))
+            result += "".join(f"; {o}" for o in other)
+        failed = failed or bool(other) or not counters_equal
+        print(f"| {name} | {result} |")
+    return 1 if failed else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=17)
@@ -161,7 +263,11 @@ def main(argv=None):
     parser.add_argument("--files", action="store_true", help="print each file's sha256 too")
     parser.add_argument("--expect", metavar="TABLE",
                         help="a table printed earlier; exit 1 unless every set matches it")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two --out trees instead of running the sets")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     expected = read_table(args.expect) if args.expect else None
     mismatched = []
     base = args.out or tempfile.mkdtemp(prefix="swarmnav-digests-")
