@@ -288,16 +288,13 @@ class AgentFilter:
         # Sanity: the triangulated point must actually explain the track;
         # a bad linearization point here would poison the filter.
         Rs, ps = self.state.clone_rotations, self.state.clone_positions
-        for ci, uv in tracks:
-            X = Rs[ci].T @ (p_w - ps[ci])
+        views = [Rs[ci].T @ (p_w - ps[ci]) for ci, _ in tracks]
+        for X, (_, uv) in zip(views, tracks):
             if X[2] <= 1e-3 or np.max(np.abs(X[:2] / X[2] - uv)) > 0.05:
                 return None
-        ai, _ = tracks[0]
-        X_a = Rs[ai].T @ (p_w - ps[ai])
-        if X_a[2] <= 1e-3:
-            return None
+        X_a = views[0]  # in the anchor's frame, in front of it by the check above
         params = np.array([X_a[0] / X_a[2], X_a[1] / X_a[2], 1.0 / X_a[2]])
-        j = self.add_feature(feature_id, ai, params)
+        j = self.add_feature(feature_id, tracks[0][0], params)
         obs = [(ci, j, uv) for ci, uv in tracks]
         self.update_vision(obs)
         return j

@@ -3,12 +3,16 @@
 A single priority queue of timestamped events drives every agent's GNSS
 gating and (possibly delayed) updates, keyframe camera processing with
 landmark initialization, and the request/response message exchange that
-triggers collaborative landmark updates. IMU samples are not queued: each
-agent's stream is one record of arrays, and before each event a cursor over
-it hands the filter every pending sample up to the event's time as one
-segment, a slice of those arrays (`_AgentRuntime.advance`). All randomness
-is drawn from generators spawned off the one config seed, so identical
-configs produce identical artifacts byte for byte.
+triggers collaborative landmark updates. Records and requests are
+scheduled up front by one rule (`epochs`), every message goes through
+`send`, and a feature track is read off the clone window: one row
+{landmark id: uv} per clone, appended and dropped with it. IMU samples are
+not queued: each agent's stream is one record of arrays, and before each
+event a cursor over it hands the filter every pending sample up to the
+event's time as one segment, a slice of those arrays
+(`_AgentRuntime.advance`). All randomness is drawn from generators spawned
+off the one config seed, so identical configs produce identical artifacts
+byte for byte.
 
 The config dataclasses are the config file's schema: `config_from_dict`
 builds each section from its dataclass's fields and rejects unknown keys at
@@ -416,9 +420,9 @@ class _AgentRuntime:
         self.imu_next = 0         # index of the first sample not yet applied
         self.vio_positions = deque(maxlen=3)  # positions at the last GNSS epochs
         self.held = None  # (order, payload) held for the delayed fix in flight
-        # Landmarks outside the filter state only: id -> [(clone timestamp,
-        # uv), ...], one entry per window clone, oldest first.
-        self.tracks = {}
+        # One row per window clone, oldest first: {landmark id: uv} of the
+        # landmarks its keyframe saw that were not in the filter state.
+        self.rows = []
         self.tables = {name: [] for name in AGENT_TABLES}
 
     def truth_pose(self, k):
@@ -461,11 +465,26 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
     def push(t, order, payload):
         heapq.heappush(heap, (round(t, 9), order, next(seq), payload))
 
-    # Record epochs k / record_rate, rounded like the queue's times, to duration.
-    record_times, k = [], 1
-    while (t := round(k / config.record_rate, 9)) <= duration:
-        record_times.append(t)
-        k += 1
+    def epochs(rate):
+        """The times k / rate, k = 1, 2, ..., rounded like the queue's, to duration."""
+        times, k = [], 1
+        while (t := round(k / rate, 9)) <= duration:
+            times.append(t)
+            k += 1
+        return times
+
+    def send(t, msg, to):
+        """Enter `msg` in the ledger, then deliver it to agent `to` or drop it."""
+        ledger.record(msg)
+        delivered, lat = config.network.sample_delivery(net_rng)
+        if delivered:
+            push(t + lat, _MSG, (to, msg))
+        else:
+            counters["messages_dropped"] += 1
+
+    record_times = epochs(config.record_rate)
+    collaborative = config.collaboration and len(config.agents) > 1
+    request_times = epochs(config.request_rate) if collaborative else []
 
     runtimes = []
     for idx, acfg in enumerate(config.agents):
@@ -484,8 +503,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             for fr in frames[::config.filter.clone_every]:  # the keyframes
                 if fr.timestamp <= duration:
                     push(fr.timestamp, _CAMERA, (idx, fr))
-        if config.collaboration and len(config.agents) > 1:
-            push(1.0 / config.request_rate, _REQUEST, (idx,))
+        for t in request_times:
+            push(t, _REQUEST, (idx,))
         for k, t in enumerate(record_times, start=1):
             push(t, _RECORD, (idx, k))
 
@@ -549,58 +568,42 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             return
         ag = rt.filter
         ci = ag.augment_clone()
-        clone_at = {ts: i for i, ts in enumerate(ag.state.clone_times.tolist())}
-        for lid, hist in list(rt.tracks.items()):
-            rt.tracks[lid] = [e for e in hist if e[0] in clone_at]
-            if not rt.tracks[lid]:
-                del rt.tracks[lid]
+        del rt.rows[:len(rt.rows) - ci]  # the clones the window dropped
         in_state = {lid: j for j, lid in enumerate(ag.state.feature_ids.tolist())}
-        obs_now = []
+        obs_now, row = [], {}
         for lid, uv in frame.observations:
             if lid in in_state:
                 obs_now.append((ci, in_state[lid], uv))
             else:
-                rt.tracks.setdefault(lid, []).append((ag.state.timestamp, uv))
+                row[lid] = uv
+        rt.rows.append(row)
         if obs_now:
             try:
                 counters["vision_rows"] += rt.filter.update_vision(obs_now)
             except UpdateRejected:
                 pass
-        observed = {lid for lid, _ in frame.observations}
-        for lid in sorted(observed - set(in_state)):
-            hist = rt.tracks[lid]
-            if len(hist) < config.filter.min_track_length:
+        # A landmark leaves the state with its anchor, its newest row on entry,
+        # and so with every older row: no track holds views from a past stay.
+        for lid in sorted(row):
+            track = [(i, r[lid]) for i, r in enumerate(rt.rows) if lid in r]
+            if len(track) < config.filter.min_track_length:
                 continue
             if ag.state.num_features >= config.filter.max_features:
                 break
-            # Anchor at the newest clone so the landmark outlives the window.
-            tracks_idx = [(clone_at[ts], uv) for ts, uv in [hist[-1]] + hist[:-1]]
-            try:
-                j = ag.initialize_feature(lid, tracks_idx)
+            try:  # anchored at the newest clone, so the landmark outlives the window
+                j = ag.initialize_feature(lid, track[-1:] + track[:-1])
             except UpdateRejected:
                 continue  # added, but its first update was refused
             if j is not None:
                 counters["features_initialized"] += 1
-        for lid in ag.state.feature_ids.tolist():  # in the state: a later track starts afresh
-            rt.tracks.pop(lid, None)
 
     def handle_request(t, idx):
-        rt = runtimes[idx]
-        ids = tuple(rt.filter.state.feature_ids.tolist())
+        ids = tuple(runtimes[idx].filter.state.feature_ids.tolist())
         if ids:
             msg = SwarmMessage("request", idx, t, ids)
             for other in range(len(runtimes)):
-                if other == idx:
-                    continue
-                ledger.record(msg)
-                delivered, lat = config.network.sample_delivery(net_rng)
-                if delivered:
-                    push(t + lat, _MSG, (other, msg))
-                else:
-                    counters["messages_dropped"] += 1
-        nxt = t + 1.0 / config.request_rate
-        if nxt <= duration:
-            push(nxt, _REQUEST, (idx,))
+                if other != idx:
+                    send(t, msg, other)
 
     def handle_msg(t, idx, msg):
         rt = runtimes[idx]
@@ -613,13 +616,7 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
             rows = landmark_rows(ag.state, [in_state[lid] for lid in shared])
             covs = rows.covariances(ag.full_covariance())
             entries = tuple(map(Correspondence, shared, rows.points, covs))
-            reply = SwarmMessage("full", idx, t, entries)
-            ledger.record(reply)
-            delivered, lat = config.network.sample_delivery(net_rng)
-            if delivered:
-                push(t + lat, _MSG, (msg.sender, reply))
-            else:
-                counters["messages_dropped"] += 1
+            send(t, SwarmMessage("full", idx, t, entries), msg.sender)
             return
         if deferred(_MSG, (idx, msg)):
             return
@@ -637,6 +634,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         ag = rt.filter
         truth_pose = rt.truth_pose(k)
         est = ag.state.nav
+        if not np.isfinite(est.as_matrix()).all():  # nav_error would raise ValueError
+            raise FloatingPointError(f"agent {rt.cfg.agent_id}: non-finite estimate at t = {t}")
         rt.tables["trajectory"].append((t, *est.position, *truth_pose.position))
         core = ag.partition.core
         rt.tables["covariance"].append((t, np.trace(core[6:9, 6:9]),

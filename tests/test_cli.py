@@ -300,6 +300,11 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     # not report an infinite ATE as a result.
     pytest.param("duration: 3.0", "alt_amplitude: 1.0e+300, duration: 2.0",
                  id="alt_amplitude"),
+    # Sigmas whose squares overflow turn the estimate NaN: the record step
+    # must report it, not fail inside the error it computes from it.
+    pytest.param("seed: 4", "seed: 4\ninit: {yaw: 1.0e+300}", id="init_yaw"),
+    pytest.param("suite: {gnss_sigma: 0.02}",
+                 "suite: {gnss_sigma: 0.02, noise: {gyro_noise: 1.0e+300}}", id="gyro_noise"),
 ])
 def test_overflowing_run_exits_3(tmp_path, capsys, old, new):
     p = tmp_path / "fast.yaml"

@@ -656,6 +656,114 @@ def test_tracks_restart_when_a_landmark_leaves_the_state(monkeypatch):
     assert reinitialized > 0
 
 
+def _held_keyframes_config(duration):
+    """collab_config with GNSS on both agents, 100 ms late, and a 120 Hz
+    camera: keyframes 50 ms apart, so two are held in each fix's window and
+    cloned at its one completion time."""
+    from swarmnav.scenarios import collab_config
+    cfg = collab_config(seed=17, duration=duration)
+    return replace(cfg, gnss_delay=0.1, agents=tuple(
+        replace(a, use_gnss=True, suite=replace(a.suite, camera_rate=120.0))
+        for a in cfg.agents))
+
+
+def test_each_track_view_names_the_clone_row_of_its_keyframe(monkeypatch):
+    # Two clones that share a capture time are still two rows: each view
+    # given to initialize_feature names the row of the clone whose keyframe
+    # saw it (told by its uv), and no row appears twice in one track.
+    cfg = _held_keyframes_config(3.0)
+    frames, filters, windows, checked = [], [], {}, []
+    synthesize = sim.synthesize_bearings
+    init, augment = AgentFilter.__init__, AgentFilter.augment_clone
+    initialize = AgentFilter.initialize_feature
+
+    def recording_synthesize(*args, **kw):
+        frames.append(synthesize(*args, **kw))
+        return frames[-1]
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        filters.append(self)
+
+    def recording_augment(self):
+        # The window as keyframe numbers: the n-th clone of an agent is its
+        # n-th keyframe, and a dropped clone leaves from the front.
+        window = windows.setdefault(filters.index(self), [])
+        keyframe = len(window) and window[-1] + 1
+        ci = augment(self)
+        del window[:len(window) - ci]
+        window.append(keyframe)
+        return ci
+
+    def checking_initialize(self, feature_id, tracks):
+        a = filters.index(self)
+        keyframes = [f for f in frames[a][::cfg.filter.clone_every]
+                     if f.timestamp <= cfg.duration]
+        seen_in = {np.asarray(uv).tobytes(): n for n, f in enumerate(keyframes)
+                   for lid, uv in f.observations if lid == feature_id}
+        rows = [ci for ci, _ in tracks]
+        assert len(set(rows)) == len(rows), (a, feature_id, rows)
+        for ci, uv in tracks:
+            assert windows[a][ci] == seen_in[np.asarray(uv).tobytes()], (a, feature_id, rows)
+        checked.append(feature_id)
+        return initialize(self, feature_id, tracks)
+
+    monkeypatch.setattr(sim, "synthesize_bearings", recording_synthesize)
+    monkeypatch.setattr(AgentFilter, "__init__", recording_init)
+    monkeypatch.setattr(AgentFilter, "augment_clone", recording_augment)
+    monkeypatch.setattr(AgentFilter, "initialize_feature", checking_initialize)
+    run_swarm(cfg)
+    assert len(checked) > 20
+
+
+def test_the_track_rows_are_the_clone_window(monkeypatch):
+    # One row per window clone: before every event and at the end, each
+    # agent holds as many track rows as its state has clones.
+    advance, seen = sim._AgentRuntime.advance, []
+
+    def checking_advance(self, t):
+        advance(self, t)
+        assert len(self.rows) == self.filter.state.num_clones, t
+        seen.append(len(self.rows))
+
+    monkeypatch.setattr(sim._AgentRuntime, "advance", checking_advance)
+    cfg = _held_keyframes_config(3.0)
+    run_swarm(cfg)
+    assert max(seen) == cfg.filter.max_clones
+
+
+def test_every_message_is_accounted_once(monkeypatch):
+    # Each message, request or reply, is entered in the ledger once and then
+    # given one delivery draw; every draw that does not deliver is counted
+    # in messages_dropped.
+    from swarmnav.network import BandwidthLedger, NetworkModel
+    from swarmnav.scenarios import collab_config
+    record, sample = BandwidthLedger.record, NetworkModel.sample_delivery
+    log = []
+
+    def logging_record(self, message):
+        log.append(message.msg_class)
+        return record(self, message)
+
+    def logging_sample(self, rng):
+        delivered, latency = sample(self, rng)
+        log.append(delivered)
+        return delivered, latency
+
+    monkeypatch.setattr(BandwidthLedger, "record", logging_record)
+    monkeypatch.setattr(NetworkModel, "sample_delivery", logging_sample)
+    cfg = collab_config(seed=5, duration=4.0)
+    art = run_swarm(replace(cfg, network=replace(cfg.network, drop_prob=0.3)))
+    classes, draws = log[0::2], log[1::2]
+    assert len(classes) == len(draws)
+    assert all(isinstance(c, str) for c in classes)
+    assert all(isinstance(d, bool) for d in draws)
+    assert {"request", "full"} <= set(classes)
+    assert sum(n for n, _ in art.bandwidth.values()) == len(classes)
+    assert art.counters["messages_dropped"] == draws.count(False) > 0
+    assert draws.count(True) > 0
+
+
 def test_vision_engages():
     from swarmnav.scenarios import ring_landmarks
     art = run_swarm(tiny_config(seed=4, duration=6.0,

@@ -1,4 +1,4 @@
-"""Digest the artifacts of fifteen fixed runs, to check that a change keeps
+"""Digest the artifacts of sixteen fixed runs, to check that a change keeps
 every result byte for byte.
 
     python3 tools/artifact_digests.py [--seed 17] [--out DIR] [--files]
@@ -33,7 +33,11 @@ text. The sets are:
   at 100 ms, the GNSS period, where each fix completes at the next epoch;
 * `collab_config`'s GNSS-denied agent alone, collaboration off, with a
   5 Hz camera: keyframes 1.2 s apart, so each cross-block sync catches up
-  240 IMU transitions at once.
+  240 IMU transitions at once;
+* `collab_config` for 6 s with GNSS on both agents, 100 ms late, and a
+  120 Hz camera: keyframes 50 ms apart, so two are held in each fix's
+  window and cloned at its one completion time, and each feature track
+  must still pair every view with its own clone.
 
 A set's digest is the first 16 hex digits of the sha256 over its sorted
 `<sha256>  <path relative to the set>` lines, one per file. `timing.csv`
@@ -95,11 +99,14 @@ def _vio_mc(convention, resumed=False):
     return run
 
 
-def _delayed_collab(delay):
+def _delayed_collab(delay, duration=15.0, camera_rate=None):
     def make(seed):
-        cfg = scenarios.collab_config(seed=seed)
-        return replace(cfg, gnss_delay=delay,
-                       agents=tuple(replace(a, use_gnss=True) for a in cfg.agents))
+        cfg = scenarios.collab_config(seed=seed, duration=duration)
+        agents = tuple(replace(a, use_gnss=True) for a in cfg.agents)
+        if camera_rate is not None:
+            agents = tuple(replace(a, suite=replace(a.suite, camera_rate=camera_rate))
+                           for a in agents)
+        return replace(cfg, gnss_delay=delay, agents=agents)
     return make
 
 
@@ -131,6 +138,8 @@ SETS = (
     ("collab_config, delayed GNSS", _canned(_delayed_collab(0.05))),
     ("collab_config, GNSS delayed one period", _canned(_delayed_collab(0.1))),
     ("collab_config agent 1 alone, 5 Hz camera", _canned(_sparse_keyframes)),
+    ("collab_config 6 s, GNSS delayed one period, 120 Hz camera",
+     _canned(_delayed_collab(0.1, duration=6.0, camera_rate=120.0))),
 )
 
 
