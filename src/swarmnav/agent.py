@@ -16,9 +16,9 @@ The agent's `clock` is the state time propagation has reached: syncs,
 buffer entries and the completion of a delayed fix all read it. Where the
 convention's transition reads only the raw samples (its table entry is
 `samples_only`), the covariance propagates without the mean: each
-segment's samples and step lengths are owed to the mean and integrated in
-one `mechanize` call when something reads `state`, and a delayed fix's
-replay, which covers them all, supersedes them.
+segment's one record, its samples and step lengths, is owed to the mean,
+and the owed records are joined and integrated in one `mechanize` call when
+something reads `state`; a delayed fix's replay supersedes them.
 The window is the state's stacked arrays (``swarmnav.state``); a clone's
 anchored landmarks are dropped before the clone.
 Each constant has one home: the IMU noise, the sensor sigmas and the camera
@@ -53,7 +53,6 @@ from .covariance import (
 )
 from .filters import (
     ImuStream,
-    Steps,
     bearing_measurements,
     gnss_measurement,
     kalman_step,
@@ -112,9 +111,7 @@ class AgentFilter:
         """The mean at the clock: the segments owed to it, if any, are
         integrated from the last settled state in one call, then cleared."""
         if self._owed:
-            owed = self._owed
-            imu = owed[0] if len(owed) == 1 else Steps(*map(np.concatenate, zip(*owed)))
-            self._state = mechanize(self._state, imu, imu.dts).state
+            self._state = mechanize(self._state, ImuStream.join(self._owed)).state
             self._owed = []
         return self._state
 
@@ -153,35 +150,36 @@ class AgentFilter:
     def propagate(self, segment: ImuStream):
         """Advance through a segment of the IMU stream.
 
-        Its step lengths are formed once. A convention whose transition
-        reads only the samples owes them to the mean; any other mechanizes
-        the mean over the whole segment in one call and reads its record.
-        The convention's transitions and each step's process noise G Q G'
-        are formed in one stacked call each, and `compose_transport` reduces
-        them to the segment's one (transition, noise) pair, which advances
-        the core covariance, is owed by the cross block, and is buffered
-        with the segment itself as one entry for the delayed-fix transport.
-        An empty segment changes nothing.
+        Its step lengths are formed once, into the segment's one record. A
+        convention whose transition reads only the samples owes the record
+        to the mean; any other mechanizes the mean over it in one call and
+        reads the integrator's record. The convention's transitions and each
+        step's process noise G Q G' are formed in one stacked call each, and
+        `compose_transport` reduces them to the segment's one (transition,
+        noise) pair, which advances the core covariance, is owed by the
+        cross block, and is buffered with the record as one entry for the
+        delayed-fix transport. An empty segment changes nothing.
         """
         if not segment:
             return
         conv = lookup(self.convention)
         start = self.clock
-        record = Steps(segment.times, segment.gyro, segment.accel,
-                       step_lengths(start, segment.times))
+        record = ImuStream(segment.times, segment.gyro, segment.accel,
+                           step_lengths(start, segment.times))
         if conv.samples_only:
             self._owed.append(record)
+            steps = conv.transition(record)
         else:
-            record = mechanize(self.state, segment, record.dts)
-            self.state = record.state
-        steps = conv.transition(record)
+            strapdown = mechanize(self.state, record)
+            self.state = strapdown.state
+            steps = conv.transition(strapdown)
         noise = steps.G @ self.suite.noise.discrete_q(record.dts[:, None, None]) \
             @ steps.G.transpose(0, 2, 1)
         F, noise = compose_transport(steps.F, noise)
-        F.flags.writeable = noise.flags.writeable = False
+        F.flags.writeable = noise.flags.writeable = record.dts.flags.writeable = False
         propagate_core_only(self.partition, F, noise)
         self.clock = float(segment.times[-1])
-        self.imu_buffer.push(ImuBufferEntry(F, noise, start, self.clock, segment))
+        self.imu_buffer.push(ImuBufferEntry(F, noise, start, self.clock, record))
 
     # ------------------------------------------------------------------
     # updates

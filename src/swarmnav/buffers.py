@@ -3,15 +3,16 @@ measurements.
 
 Each agent keeps a high-rate IMU buffer with one entry per propagated
 segment: the segment's composed core transition and process noise, its
-start and end times, and its samples, a view of the IMU stream's arrays.
+start and end times, and its record: stream views and their step lengths.
 A measurement that completes late is updated against the snapshot taken at
 its epoch, whose state time is that epoch and so a segment boundary. The
 corrected covariance is transported to the agent's clock through the
 stored segment transitions and noises, one product per segment with none
 re-formed, and the corrected mean is re-mechanized through the buffered
-samples, joined once, in one segment call, instead of rewinding and
-replaying. Under a samples-only convention the agent has not integrated
-those samples yet, so this replay is the only integration of the window.
+records, joined once, in one segment call that forms no step length
+again, instead of rewinding and replaying. Under a samples-only convention
+the agent has not integrated those samples yet, so this replay is the only
+integration of the window.
 The covariance transport equals rewind-and-replay to rounding: a
 segment's products group differently from a step-by-step recursion.
 """
@@ -33,13 +34,13 @@ class DelayExceedsHorizon(RuntimeError):
 
 @dataclass(frozen=True)
 class ImuBufferEntry:
-    """One propagated segment: its composed transition, noise and samples."""
+    """One propagated segment: its composed transition, noise and record."""
 
     F: np.ndarray          # the segment's core transition F_n ... F_1
     noise: np.ndarray      # the core process noise it adds (18 x 18)
     start: float           # the state time the segment starts from
     timestamp: float       # the state time it ends at
-    samples: ImuStream     # the stream slice driving it (mean replay)
+    samples: ImuStream     # its record: samples and step lengths (mean replay)
 
 
 @dataclass
@@ -154,10 +155,7 @@ def apply_delayed_update(agent, meas_core: LinearMeasurement, snapshot):
     # replay covers every sample the agent's mean still owes, all of which
     # lie in (t_k, t_now], so the new mean supersedes them unintegrated.
     state = retract(state_k, xi, agent.convention)
-    segments = [e.samples for e in agent.imu_buffer.range_after(t_k, t_now)]
-    replay = ImuStream(np.concatenate([[]] + [s.times for s in segments]),
-                       np.concatenate([np.empty((0, 3))] + [s.gyro for s in segments]),
-                       np.concatenate([np.empty((0, 3))] + [s.accel for s in segments]))
-    agent.state = mechanize(state, replay).state
+    records = [e.samples for e in agent.imu_buffer.range_after(t_k, t_now)]
+    agent.state = mechanize(state, ImuStream.join(records)).state if records else state
     agent.partition = part_k
     return xi

@@ -250,8 +250,8 @@ class Convention:
     nav_error: Callable       # (truth, estimate) -> 9-dim error
     nav_retract: Callable     # (nav, e) -> nav with error e applied
     # (segment) -> one TransitionPair of stacks, a row per sample, formed
-    # for the whole segment in one call from its record: a
-    # `filters.Strapdown`, or for a samples-only convention a `filters.Steps`.
+    # in one call from the segment's record: a `filters.Strapdown`, or for
+    # a samples-only convention the propagated `filters.ImuStream` itself.
     transition: Callable
     # True when the transition reads only the raw samples and step lengths:
     # the covariance then propagates without the mean, which is integrated

@@ -5,9 +5,11 @@ The strapdown integrator is the closed-form zero-order-hold solution of the
 rigid-body kinematics (left Jacobian and second-integral coefficient
 matrices for the velocity and position columns), run as stacked numpy
 passes over a whole IMU segment, a slice of an ``ImuStream``'s arrays:
-only the rotation chain is a Python loop. Its record of a segment, a
-``Strapdown``, is what the convention's transitions in ``swarmnav.conventions``
-are formed from; ``transition_left``, ``transition_right`` and
+only the rotation chain is a Python loop. A propagated segment carries its
+step lengths, and consecutive ones join into one record. The integrator's
+record, a ``Strapdown``, is what the convention's transitions in
+``swarmnav.conventions`` are formed from (a samples-only one reads the
+segment); ``transition_left``, ``transition_right`` and
 ``transition_ekf`` are importable from here too. Gravity is
 ``conventions.GRAVITY``, the constant the truth is generated with;
 ``NoiseDensities`` holds only the four IMU noise densities.
@@ -41,17 +43,28 @@ class UpdateRejected(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ImuStream:
-    """IMU samples as stacked arrays; a segment `stream[i:j]` holds views."""
+    """IMU samples as stacked arrays; a segment `stream[i:j]` holds views.
+    A propagated segment carries its step lengths too, a raw stream none."""
 
     times: np.ndarray      # (n,) s, increasing
     gyro: np.ndarray       # (n, 3) rad/s, body frame
     accel: np.ndarray      # (n, 3) m/s^2, body frame (specific force)
+    dts: np.ndarray = None  # (n,) s, differences of the clock from the start
 
     def __len__(self):
         return len(self.times)
 
     def __getitem__(self, index):
-        return ImuStream(self.times[index], self.gyro[index], self.accel[index])
+        return ImuStream(self.times[index], self.gyro[index], self.accel[index],
+                         None if self.dts is None else self.dts[index])
+
+    @staticmethod
+    def join(records):
+        """Consecutive propagated segments as one record."""
+        if len(records) == 1:
+            return records[0]
+        return ImuStream(*(np.concatenate([getattr(r, name) for r in records])
+                           for name in ("times", "gyro", "accel", "dts")))
 
 
 @dataclass(frozen=True)
@@ -104,17 +117,6 @@ class Strapdown(NamedTuple):
     p: np.ndarray
 
 
-class Steps(NamedTuple):
-    """An IMU segment with its step lengths (`step_lengths`): the fields of a
-    `Strapdown` that a samples-only transition reads, and all that the mean
-    needs to be integrated later."""
-
-    times: np.ndarray
-    gyro: np.ndarray
-    accel: np.ndarray
-    dts: np.ndarray
-
-
 def step_lengths(start, times):
     """The step lengths of samples at `times` taken from the state time
     `start`: the differences of the clock [start, times]. ValueError unless
@@ -127,7 +129,7 @@ def step_lengths(start, times):
     return steps
 
 
-def mechanize(state: SystemState, imu: ImuStream, dts=None) -> Strapdown:
+def mechanize(state: SystemState, imu: ImuStream) -> Strapdown:
     """Bias-compensated strapdown over an IMU segment, with closed-form ZOH
     integration against ``conventions.GRAVITY``.
 
@@ -138,14 +140,14 @@ def mechanize(state: SystemState, imu: ImuStream, dts=None) -> Strapdown:
     running sums of interleaved term rows, [v_0, R_0 J1a_0 dt_0, g dt_0,
     R_1 J1a_1 dt_1, ...], and np.cumsum adds strictly left to right, so each
     partial sum has the bits of the one-step-at-a-time recursion. The step
-    lengths `dts` are ``step_lengths(state.timestamp, imu.times)``, formed
-    here unless the caller already holds them, and the state time after the
+    lengths are the segment's own, formed here only for a raw stream, as
+    ``step_lengths(state.timestamp, imu.times)``; the state time after the
     segment is its last sample's time, so neither depends on where a stream
     is cut. Biases, lever arm, clones and features are carried over
     unchanged; the returned state's arrays share no memory with the record's
     stacks.
     """
-    steps = step_lengths(state.timestamp, imu.times) if dts is None else dts
+    steps = step_lengths(state.timestamp, imu.times) if imu.dts is None else imu.dts
     n = len(steps)
     dt_col = steps[:, None]
     psi = (imu.gyro - state.gyro_bias) * dt_col

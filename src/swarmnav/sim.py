@@ -550,7 +550,8 @@ def run_swarm(config: SimConfig) -> RunArtifacts:
         except UpdateRejected:
             counters["gnss_rejected_numerical"] += 1
         # Held events run right after the fix, before an epoch at this time
-        # opens the next window, stably sorted as the queue would order them.
+        # opens the next window: held camera frames, then held CI replies,
+        # each in arrival order (until ROADMAP item 1 replays each at its time).
         for order, payload in sorted(held, key=lambda e: e[0]):
             handlers[order](t, *payload)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmnav import agent, buffers, lie
+from swarmnav import agent, buffers, filters, lie
 from swarmnav.agent import AgentFilter, FilterOptions
 from swarmnav.buffers import HistoryBuffer, repropagate
 from swarmnav.covariance import Correspondence
@@ -20,6 +20,7 @@ from swarmnav.filters import (
     kalman_step,
     mechanize,
     propagate_covariance,
+    step_lengths,
 )
 from swarmnav.lie import ExtendedPose, so3_exp, so3_log
 from swarmnav.sensors import SensorSuite
@@ -437,7 +438,7 @@ def test_a_segment_transport_equals_the_stepwise_recursion(convention, sizes, ca
         ag.propagate(samples)
         entry = ag.imu_buffer.entries[-1]
         assert (entry.start, entry.timestamp) == (start, seg.state.timestamp)
-        assert entry.samples is samples
+        assert entry.samples.dts.tobytes() == seg.dts.tobytes()
         if n == 1:
             for got, ref in ((entry.F, steps.F[0]), (entry.noise, noise[0]),
                              (ag.partition.core, P), (ag.partition.owed, Phi)):
@@ -516,15 +517,23 @@ def test_a_delayed_fix_window_is_integrated_once(monkeypatch):
     # Under liekf the covariance propagates without the mean, and a fix's
     # replay is the only integration of its window: over a run of segments,
     # snapshots and delayed fixes, every IMU sample is integrated exactly
-    # once, in stream order.
-    integrated = []
+    # once, in stream order. Step lengths are formed once per propagated
+    # segment, and never by an owed-mean read or a replay, which read the
+    # segments' records.
+    integrated, stepped = [], []
 
-    def counted(state, imu, dts=None):
+    def counted(state, imu):
         integrated.append(imu.times)
-        return mechanize(state, imu, dts)
+        return mechanize(state, imu)
+
+    def counted_steps(start, times):
+        stepped.append(len(times))
+        return step_lengths(start, times)
 
     monkeypatch.setattr(agent, "mechanize", counted)
     monkeypatch.setattr(buffers, "mechanize", counted)
+    monkeypatch.setattr(agent, "step_lengths", counted_steps)
+    monkeypatch.setattr(filters, "step_lengths", counted_steps)
     ag = make_agent("liekf")
     stream = segment_stream(ag, n=60, seed=5)
     snap = None
@@ -539,6 +548,7 @@ def test_a_delayed_fix_window_is_integrated_once(monkeypatch):
     # The first snapshot settles two segments in one call, two replays
     # follow, and the last read settles the two segments after the last fix.
     assert list(map(len, integrated)) == [10, 20, 20, 10]
+    assert stepped == [5] * 12
 
 
 def test_delayed_fix_replay_equals_chained_single_steps():

@@ -465,8 +465,8 @@ def test_imu_steps_come_before_each_event(monkeypatch, delay):
 
 def test_segments_are_read_only_views_of_the_synthesized_stream(monkeypatch):
     # The cursor hands the filter slices of the synthesized arrays, and the
-    # buffer keeps those same slices: nothing is copied, and nothing can
-    # write to them.
+    # buffer's records hold those same slices: nothing is copied, and
+    # nothing can write to them, nor to the records' step lengths.
     synth_imu, propagate = sim.synthesize_imu, AgentFilter.propagate
     streams, handed = [], []
 
@@ -484,15 +484,17 @@ def test_segments_are_read_only_views_of_the_synthesized_stream(monkeypatch):
                         gnss_delay=0.1, use_vision=False, collaboration=False))
     (stream,) = streams
     assert len(handed) > 1
-    for _, segment in handed:
+    ag = handed[-1][0]
+    assert ag.imu_buffer.entries
+    for segment in [seg for _, seg in handed] + [e.samples for e in ag.imu_buffer.entries]:
         for name in ("times", "gyro", "accel"):
             part = getattr(segment, name)
             assert np.shares_memory(part, getattr(stream, name))
             with pytest.raises(ValueError, match="read-only"):
                 part[...] = 0.0
-    ag = handed[-1][0]
-    assert ag.imu_buffer.entries
-    assert all(any(e.samples is seg for _, seg in handed) for e in ag.imu_buffer.entries)
+    for e in ag.imu_buffer.entries:
+        with pytest.raises(ValueError, match="read-only"):
+            e.samples.dts[...] = 1.0
 
 
 def test_agent_filter_defaults_match_filter_options():
